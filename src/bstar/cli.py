@@ -49,10 +49,10 @@ def _parse_intervals(text: str, exact: bool):
     pairs = []
     for chunk in text.split(","):
         lo, hi = chunk.split(":")
-        if exact:
-            pairs.append((_parse_rational(lo), _parse_rational(hi)))
-        else:
-            pairs.append((float(lo), float(hi)))
+        pair = (_parse_rational(lo), _parse_rational(hi)) if exact else (float(lo), float(hi))
+        if not pair[0] < pair[1]:
+            raise ValueError(f"interval {chunk} must have a < b")
+        pairs.append(pair)
     return pairs
 
 
@@ -305,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("dee", help="largest symmetric subset of an interval union")
-    p.add_argument("--intervals", help="a:b,c:d,... endpoints")
-    p.add_argument("--json-file", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--intervals", help="a:b,c:d,... endpoints")
+    source.add_argument("--json-file", default=None)
     p.add_argument("--geometry", choices=["line", "circle"], default="line")
     p.add_argument("--mode", choices=["rational", "float"], default="rational")
     p.add_argument("--profile-csv", default=None,

@@ -1,23 +1,26 @@
 """Finite unions of intervals in [0,1) and their largest symmetric subsets.
 
-For E a union of intervals, the measure of the largest symmetric subset
-with reflection x -> s - x is
+The largest subset of E symmetric under x -> s - x is E & (s - E).  Its
+measure m(s) is the self-convolution of the indicator of E, so for
+E = U [a_i, b_i) it is piecewise linear in s, and its second derivative
+is a sum of point masses: +1 at a_i + a_j and b_i + b_j, -1 at a_i + b_j
+and b_i + a_j.  One sweep over these 4k^2 breakpoints in sorted order,
+accumulating the slope, gives m at every sum of two endpoints in
+O(k^2 log k); D(E) = max_s m(s) is attained at one of those sums.
 
-    m(s) = sum_{i,j} max(0, min(s - 2a_i, 2b_j - s)/2 - max(s - 2b_i, 2a_j - s)/2)
-
-and m is piecewise linear in s with kinks only where s is a sum of two
-interval endpoints.  D(E) = max_s m(s) is therefore computed exactly by
-scanning the endpoint sums; with rational endpoints everything reduces
-to integer arithmetic over a common denominator.
+The sweep runs on integers.  Every endpoint, Fraction or float (a float
+is a dyadic rational), is put on a common grid over the lcm of the
+denominators, and values are converted back only at the end: to
+Fractions for exact sets, to correctly rounded floats otherwise.
 
 Geometry "line" reflects within the reals; "circle" reflects modulo 1,
-reusing the same overlap computation after splitting wrapped intervals.
+where m_circle(s) = m(s) + m(s + 1) for s in [0, 1).
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,112 +115,59 @@ class SymmetricSubsetResult:
     per_center_function: Optional[tuple[tuple[Number, Number], ...]] = None
 
 
-def _overlap_units(sigma: int, starts: Sequence[int], ends: Sequence[int]) -> int:
-    """m(sigma/L) in units of 1/(2L) for integer endpoint coordinates."""
-    total = 0
-    for i in range(len(starts)):
-        lo_i = sigma - 2 * ends[i]
-        hi_i = sigma - 2 * starts[i]
-        for j in range(len(starts)):
-            lo = max(lo_i, 2 * starts[j] - sigma)
-            hi = min(hi_i, 2 * ends[j] - sigma)
-            if hi > lo:
-                total += hi - lo
-    return total
+def _sweep(intervals, circle: bool) -> tuple[int, list[tuple[int, int]]]:
+    """m at every candidate reflection sum, exactly, in integer units.
 
-
-def _overlap_float(s: float, intervals) -> float:
-    total = 0.0
-    for a1, b1 in intervals:
-        lo1 = s - b1
-        hi1 = s - a1
-        for a2, b2 in intervals:
-            lo = lo1 if lo1 > a2 else a2
-            hi = hi1 if hi1 < b2 else b2
-            if hi > lo:
-                total += hi - lo
-    return total
-
-
-def _circle_pieces(a, length):
-    """Split [a mod 1, a mod 1 + length) into pieces inside [0, 1)."""
-    a = a - math.floor(a)
-    if a + length <= 1:
-        return [(a, a + length)]
-    return [(a, 1), (0, a + length - 1)]
-
-
-def _overlap_circle(s, intervals):
-    """Measure of E intersect (s - E mod 1)."""
-    total = 0 * s
-    for a1, b1 in intervals:
-        for ra, rb in _circle_pieces(s - b1, b1 - a1):
-            for a2, b2 in intervals:
-                lo = max(ra, a2)
-                hi = min(rb, b2)
-                if hi > lo:
-                    total += hi - lo
-    return total
+    Returns ``(scale, rows)`` with rows ``(sigma, units)`` in ascending
+    sigma, meaning m(sigma / scale) = units / scale.  The candidates are
+    the sums of two endpoints, reduced modulo 1 on the circle.  Pairs may
+    overlap or have zero length; there must be at least one.
+    """
+    ratios = [x.as_integer_ratio() for pair in intervals for x in pair]
+    scale = math.lcm(*[den for _, den in ratios])
+    grid = [num * (scale // den) for num, den in ratios]
+    starts, ends = grid[0::2], grid[1::2]
+    kinks = []  # (position, jump in slope): the point masses of m''
+    for a, b in zip(starts, ends):
+        for c, d in zip(starts, ends):
+            kinks += ((a + c, 1), (b + d, 1), (a + d, -1), (b + c, -1))
+    if circle:  # m_circle(s) = m(s) + m(s + 1), so m is needed at both
+        sums = sorted({sigma % scale for sigma, _ in kinks})
+        kinks += [(sigma + shift, 0) for sigma in sums for shift in (0, scale)]
+    kinks.sort()
+    rows = []
+    value = slope = 0
+    prev = kinks[0][0]
+    for sigma, weight in kinks:
+        if sigma != prev:
+            rows.append((prev, value))
+            value += slope * (sigma - prev)
+            prev = sigma
+        slope += weight
+    rows.append((prev, value))
+    if circle:
+        line = dict(rows)
+        return scale, [(sigma, line[sigma] + line[sigma + scale]) for sigma in sums]
+    return scale, rows
 
 
 def largest_symmetric_subset(e: IntervalSet,
                              include_profile: bool = False) -> SymmetricSubsetResult:
-    """Exact D(E) by scanning reflection parameters at endpoint sums.
+    """Exact D(E), the center attaining it, and optionally m at every candidate.
 
-    Rational endpoints are mapped to an integer grid over the lcm of the
-    denominators so the maximum (and the bridge identity to integer-set
-    representation counts) is exact; float endpoints use plain float
-    arithmetic.  Ties break toward the smaller center.
+    Values are Fractions for exact sets and correctly rounded floats
+    otherwise.  Ties break toward the smaller center.
     """
     if not e.intervals:
         zero = Fraction(0) if e.exact else 0.0
         return SymmetricSubsetResult(zero, zero, ((zero, zero),) if include_profile else None)
-    if e.geometry == "circle":
-        return _largest_symmetric_circle(e, include_profile)
-    if e.exact:
-        denom = math.lcm(*(x.denominator for x in e.endpoints()))
-        starts = [int(a * denom) for a, _ in e.intervals]
-        ends = [int(b * denom) for _, b in e.intervals]
-        coords = sorted(set(starts + ends))
-        best_units, best_sigma = -1, 0
-        profile = []
-        for sigma in sorted({u + v for u, v in itertools.combinations_with_replacement(coords, 2)}):
-            units = _overlap_units(sigma, starts, ends)
-            if include_profile:
-                profile.append((Fraction(sigma, 2 * denom), Fraction(units, 2 * denom)))
-            if units > best_units:
-                best_units, best_sigma = units, sigma
-        return SymmetricSubsetResult(
-            Fraction(best_units, 2 * denom),
-            Fraction(best_sigma, 2 * denom),
-            tuple(profile) if include_profile else None,
-        )
-    ivs = e.intervals
-    pts = e.endpoints()
-    best, best_s = -1.0, 0.0
-    profile = []
-    for s in sorted({u + v for u, v in itertools.combinations_with_replacement(pts, 2)}):
-        val = _overlap_float(s, ivs)
-        if include_profile:
-            profile.append((s / 2.0, val))
-        if val > best:
-            best, best_s = val, s
-    return SymmetricSubsetResult(best, best_s / 2.0, tuple(profile) if include_profile else None)
-
-
-def _largest_symmetric_circle(e: IntervalSet, include_profile: bool):
-    pts = e.endpoints()
-    one = Fraction(1) if e.exact else 1.0
-    sums = sorted({(u + v) % one for u, v in itertools.combinations_with_replacement(pts, 2)})
-    best, best_s = -1 * one, 0 * one
-    profile = []
-    for s in sums:
-        val = _overlap_circle(s, e.intervals)
-        if include_profile:
-            profile.append((s / 2, val))
-        if val > best:
-            best, best_s = val, s
-    return SymmetricSubsetResult(best, best_s / 2, tuple(profile) if include_profile else None)
+    scale, rows = _sweep(e.intervals, e.geometry == "circle")
+    sigma, units = max(rows, key=operator.itemgetter(1))
+    div = Fraction if e.exact else operator.truediv
+    profile = None
+    if include_profile:
+        profile = tuple((div(s, 2 * scale), div(u, scale)) for s, u in rows)
+    return SymmetricSubsetResult(div(units, scale), div(sigma, 2 * scale), profile)
 
 
 def symmetric_difference_measure(s: IntervalSet, t: IntervalSet):
@@ -276,23 +226,10 @@ def _build_intervals(vec, k: int, eps: float):
     return out
 
 
-def _d_float(intervals) -> float:
-    pts = []
-    for a, b in intervals:
-        pts.append(a)
-        pts.append(b)
-    best = 0.0
-    seen = set()
-    for i in range(len(pts)):
-        for j in range(i, len(pts)):
-            s = pts[i] + pts[j]
-            if s in seen:
-                continue
-            seen.add(s)
-            v = _overlap_float(s, intervals)
-            if v > best:
-                best = v
-    return best
+def _d_trial(intervals) -> float:
+    """D of the optimizer's float pairs, which need not form an IntervalSet."""
+    scale, rows = _sweep(intervals, circle=False)
+    return max(units for _, units in rows) / scale
 
 
 def _coarse_descent(vec, k, eps, value):
@@ -306,7 +243,7 @@ def _coarse_descent(vec, k, eps, value):
                 ivs = _build_intervals(trial, k, eps)
                 if ivs is None:
                     continue
-                v = _d_float(ivs)
+                v = _d_trial(ivs)
                 if v < value - 1e-12:
                     vec, value = trial, v
                     improved = True
@@ -349,7 +286,7 @@ def _polish(intervals, value, floor=1e-9):
                     trial[j][0] -= d
                 if not valid(trial):
                     continue
-                v = _d_float([tuple(p) for p in trial])
+                v = _d_trial(trial)
                 if v < value - 1e-15:
                     ivs, value = trial, v
                     improved = True
@@ -382,7 +319,7 @@ def delta_k_upper(k: int, epsilon: float, restarts: int = 200,
         ivs = _build_intervals(vec, k, epsilon)
         if ivs is None:
             continue
-        vec, val = _coarse_descent(vec, k, epsilon, _d_float(ivs))
+        vec, val = _coarse_descent(vec, k, epsilon, _d_trial(ivs))
         ivs, val = _polish(_build_intervals(vec, k, epsilon), val)
         if val < best_val:
             best_val, best_ivs = val, ivs

@@ -28,6 +28,10 @@ def test_usage_error_exit_code(capsys):
     assert run(["verify", "--g", "2"]) == 2
     assert run(["nonsense"]) == 2
     assert run(["bounds"]) == 2
+    assert run(["dee"]) == 2
+    assert run(["dee", "--intervals", "0:1/2", "--json-file", "e.json"]) == 2
+    assert run(["dee", "--intervals", "1/2:1/4"]) == 2
+    assert run(["dee", "--intervals", "0.5:0.5", "--mode", "float"]) == 2
     capsys.readouterr()
 
 

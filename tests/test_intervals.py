@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bstar.intsets import IntSet, max_rep
+from bstar.intsets import IntSet, max_rep, representation_counts
 from bstar.intervals import (
     GeometryMismatch,
     IntervalSet,
@@ -49,13 +49,24 @@ def test_a_of_s_edges():
 
 
 def test_bridge_exactness_random_sets():
+    # a_of_s(S, n) has a block [(v-1)/n, v/n) at each v, so the profile row
+    # at s = (t-1)/n is m(s) = r_S(t)/n, with t taken mod n on the circle
     rng = random.Random(3)
     for _ in range(40):
         n = rng.randint(2, 24)
         els = rng.sample(range(1, n + 1), rng.randint(1, min(8, n)))
-        s = IntSet.of(els)
-        d = largest_symmetric_subset(a_of_s(s, n)).d_value
-        assert d == F(max_rep(s), n)
+        picture = a_of_s(IntSet.of(els), n)
+        for s, geometry in ((IntSet.of(els), "line"),
+                            (IntSet.of([v % n for v in els], n), "circle")):
+            res = largest_symmetric_subset(IntervalSet(picture.intervals, geometry),
+                                           include_profile=True)
+            assert res.d_value == F(max_rep(s), n)
+            counts = representation_counts(s)
+            for center, value in res.per_center_function:
+                t = 2 * n * center + 1
+                assert t.denominator == 1
+                t = int(t) % n if s.modulus else int(t)
+                assert value == F(counts.count(t), n)
 
 
 def test_scaling_exact():
@@ -103,8 +114,10 @@ def test_trivial_bounds(data):
     if not pairs:
         return
     e = IntervalSet.of(pairs)
-    d = largest_symmetric_subset(e).d_value
+    res = largest_symmetric_subset(e, include_profile=True)
+    d = res.d_value
     lam = e.measure
+    assert all(0 <= v <= d for _, v in res.per_center_function)
     assert d >= lam * lam / 2 - 1e-12
     assert d >= 2 * lam - 1 - 1e-12
     assert d <= lam + 1e-12
@@ -139,11 +152,25 @@ def test_ties_break_toward_smaller_center():
 
 
 def test_profile_matches_function():
-    e = IntervalSet.of([(F(0), F(1, 4)), (F(1, 2), F(3, 4))])
-    res = largest_symmetric_subset(e, include_profile=True)
-    assert max(v for _, v in res.per_center_function) == res.d_value
-    centers = [c for c, _ in res.per_center_function]
-    assert centers == sorted(centers)
+    # dyadic endpoints are exact as floats, so both modes agree row for row
+    rng = random.Random(7)
+    cases = [[(F(0), F(1, 4)), (F(1, 2), F(3, 4))]]
+    for _ in range(30):
+        pts = sorted(F(rng.randint(0, 1024), 1024) for _ in range(2 * rng.randint(1, 5)))
+        cases.append(list(zip(pts[0::2], pts[1::2])))
+    for pairs in cases:
+        for geometry in ("line", "circle"):
+            e = IntervalSet.of(pairs, geometry)
+            if not e.intervals:
+                continue
+            res = largest_symmetric_subset(e, include_profile=True)
+            assert max(v for _, v in res.per_center_function) == res.d_value
+            centers = [c for c, _ in res.per_center_function]
+            assert centers == sorted(centers)
+            fl = largest_symmetric_subset(e.as_floats(), include_profile=True)
+            assert (fl.d_value, fl.center) == (float(res.d_value), float(res.center))
+            assert fl.per_center_function == tuple(
+                (float(c), float(v)) for c, v in res.per_center_function)
 
 
 def test_json_round_trip():
