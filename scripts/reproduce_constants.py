@@ -8,8 +8,9 @@ constant), the measure-1/2 refinement, and the density-ratio bounds.
 import math
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bstar.kernels import (  # noqa: E402
     BoundCertificate,

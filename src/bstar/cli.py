@@ -4,7 +4,9 @@ Subcommands: verify, construct, search, table, dee, delta-k, kernel,
 bounds, random.  All numeric output is JSON (CSV for streamed tables)
 with floats rendered to 12 significant digits; the seed used by any
 randomized step is echoed in the output.  Exit codes: 0 success, 1 a
-requested verification failed, 2 usage error.
+requested verification failed, 2 usage error (including a missing
+argument), 3 undecided (a search ran out of its node budget; rows
+already streamed by `table` stay valid).
 """
 from __future__ import annotations
 
@@ -17,6 +19,15 @@ from . import constructions, intervals, kernels, search
 from .intsets import IntSet, is_bstar, max_rep, representation_counts
 
 USAGE_ERROR = 2
+UNDECIDED = 3
+
+# flags each construction family reads
+_CONSTRUCT_NEEDS = {
+    "ruzsa": ("p", "k"), "bose": ("p", "k"), "singer": ("p", "k"),
+    "small-gn": ("g",),
+    "compose": ("set_json", "mate_json", "g", "h"),
+    "half-modular": ("set_json", "mate_json", "g", "h"),
+}
 
 
 def _fmt(value):
@@ -35,6 +46,13 @@ def _fmt(value):
 
 def _emit(obj) -> None:
     print(json.dumps(_fmt(obj)))
+
+
+def _require(args, *names) -> None:
+    """Raise a usage error naming the first of these flags left unset."""
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"--{name.replace('_', '-')} is required")
 
 
 def _parse_elements(text: str) -> list[int]:
@@ -82,6 +100,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    _require(args, *_CONSTRUCT_NEEDS[args.family])
     if args.family == "ruzsa":
         rep = constructions.ruzsa_sets(args.p, args.k)
     elif args.family == "bose":
@@ -130,19 +149,10 @@ def _cmd_search(args) -> int:
 def _cmd_table(args) -> int:
     kind = "modular" if args.which == "C" else "integer"
     print("kind,g,k,min_n,exhaustive,witness")
-    for g in range(args.g_min, args.g_max + 1):
-        start = 1
-        k0 = 3 if g == 2 else g + 1  # below this the full interval is a witness
-        for k in range(k0, args.max_k + 1):
-            limit = 8 * k * k // g + 16
-            problem = search.SearchProblem(kind, g, k, max(1, start), limit,
-                                           args.budget, args.threads)
-            res = search.min_n(problem)
-            if res.min_n is None:
-                break
-            witness = " ".join(str(e) for e in res.witness.elements)
-            print(f"{kind},{g},{k},{res.min_n},{res.exhaustive},{witness}", flush=True)
-            start = res.min_n  # min_n is nondecreasing in k
+    for g, k, res in search.table_rows(kind, args.g_min, args.g_max, args.max_k,
+                                       args.budget, args.threads):
+        witness = " ".join(str(e) for e in res.witness.elements)
+        print(f"{kind},{g},{k},{res.min_n},{res.exhaustive},{witness}", flush=True)
     return 0
 
 
@@ -212,17 +222,21 @@ def _cmd_kernel(args) -> int:
 def _cmd_bounds(args) -> int:
     out: dict = {}
     if args.rho_lower:
+        _require(args, "g")
         out["rho_lower"] = kernels.rho_lower(args.g).lower
     if args.rho_upper:
+        _require(args, "g")
         rb = kernels.rho_upper(args.g)
         out["rho_upper_sq"] = rb.upper_sq
         out["known_exact_sq"] = rb.known_exact_sq
         out["undercuts_known"] = rb.undercuts_known
     if args.ubiquity:
+        _require(args, "gamma", "alpha")
         comp, simple = kernels.ubiquity_bound(args.gamma, args.alpha)
         out["ubiquity_spectral"] = max(comp, 0.0)
         out["ubiquity_counting"] = max(simple, 0.0)
     if args.delta_half:
+        _require(args, "epsilon")
         eps = args.epsilon
         floor = kernels.delta_half_lower(eps)
         out["ffinorm_floor"] = floor
@@ -244,6 +258,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    _require(args, "epsilon" if args.model == "circle" else "gamma")
     if args.model == "circle":
         rep = constructions.random_circle_set(args.n, args.epsilon, seed=args.seed)
     else:
@@ -368,6 +383,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except search.BudgetExceeded as exc:
+        print(f"error: {exc}; the search is undecided", file=sys.stderr)
+        return UNDECIDED
 
 
 def main() -> None:

@@ -33,10 +33,10 @@ class IntSet:
             raise ValueError("modulus must be a positive integer")
         prev = -1
         for e in self.elements:
-            if e <= prev:
-                raise ValueError("elements must be strictly increasing")
             if e < 0:
                 raise ValueError("elements must be nonnegative")
+            if e <= prev:
+                raise ValueError("elements must be strictly increasing")
             if self.modulus is not None and e >= self.modulus:
                 raise ValueError("elements must lie in [0, modulus)")
             prev = e

@@ -433,9 +433,10 @@ def delta_half_lower(epsilon: float) -> float:
     """||f*f||_inf floor for indicator densities of measure eps in (3/8, 5/8).
 
     The coefficient floor F below must satisfy F^2 <= (x/pi) sin(pi/x),
-    and the right side increases in x, so the smallest admissible x is
-    the certified lower bound; it exceeds 1.1092 + 0.176158 eps on the
-    whole range.  Multiplying by eps^2/2 bounds the symmetric-subset
+    and the right side increases in x, so every admissible x lies above
+    the bisection's lower end, where the right side still falls short
+    of F^2.  That end is returned; it exceeds 1.1092 + 0.176158 eps on
+    the whole range.  Multiplying by eps^2/2 bounds the symmetric-subset
     threshold at measure eps.
     """
     if not 3.0 / 8.0 < epsilon < 5.0 / 8.0:
@@ -448,7 +449,7 @@ def delta_half_lower(epsilon: float) -> float:
             lo = mid
         else:
             hi = mid
-    return hi
+    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,18 @@
 Two decision engines answer "is there a B*[g] set of size k inside
 [1, n] (integer kind) or Z_n (modular kind)?":
 
-* g = 2: a bitmask DFS over Python big ints.  A candidate x is blocked
-  exactly when some pair sum x + y would collide with an existing pair
-  or diagonal sum, so the viable-extension mask is maintained
-  incrementally with shifts (rotations in the modular case).
-* g >= 3: a counting DFS that updates the dense representation profile
-  r(t) in place and aborts a branch as soon as some r(t) would exceed g.
+* a counting DFS, for every (kind, g): it updates the dense
+  representation profile r(t) in place and aborts a branch as soon as
+  some r(t) would exceed g.  Sums are indexed (e + y) % length for both
+  kinds, with length 2n + 1 for integers so that they never wrap.
+* integer g = 2 only: a bitmask DFS over Python big ints.  A candidate x
+  is blocked exactly when some pair sum x + y would collide with an
+  existing pair or diagonal sum, so the viable-extension mask is kept
+  incrementally with shifts.  It stays because it decides integer Sidon
+  questions 1.5-1.9x faster than the counting DFS (n = 55, k = 10:
+  7.5-7.8 s against 12.0-14.5 s, CPython 3.11 on a shared 2-core x86
+  host).  A modular twin with rotations in place of shifts was no
+  faster than the counting DFS, so the modular kind has one engine.
 
 Canonical form fixes the first element (1 for integer, 0 for modular;
 translation invariance makes this lossless), so the DFS yields the
@@ -120,13 +126,13 @@ def infeasibility_floor(kind: str, g: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# g = 2 bitmask engine
+# integer g = 2 bitmask engine
 # ---------------------------------------------------------------------------
 
 def _decide_sidon_int(n: int, k: int, budget: _Budget, prefix=()):
     """All unordered pair sums (diagonals included) distinct; integers in [1, n]."""
 
-    def extend(S, D, B, depth):
+    def extend(S, D, B):
         # S: elements; D: mask of positive differences; B: blocked-future mask
         budget.spend()
         e = S[-1]
@@ -167,155 +173,72 @@ def _decide_sidon_int(n: int, k: int, budget: _Budget, prefix=()):
                 return out
         return None
 
-    if k > n:
-        return None
-    if k == 1:
-        return (1,)
     state = [1]
     D = B = 0
     for e in prefix:
         state.append(e)
-        upd = extend(state, D, B, len(state))
+        upd = extend(state, D, B)
         if upd is None:
             return None
         D, B = upd
     return rec(state, D, B, len(state))
 
 
-def _rot(mask: int, d: int, n: int, full: int) -> int:
-    d %= n
-    return ((mask << d) | (mask >> (n - d))) & full if d else mask
-
-
-def _decide_sidon_mod(n: int, k: int, budget: _Budget, prefix=()):
-    """Distinct pair sums mod n, none equal to a diagonal sum; 0 in S.
-
-    Two diagonals may share a sum (2a == 2a' happens mod even n), which
-    keeps r at 2, so only pair-vs-pair and pair-vs-diagonal collisions
-    are forbidden.
-    """
-    full = (1 << n) - 1
-
-    def try_add(S, PS, DS, B, e):
-        budget.spend()
-        smask = 0
-        for y in S:
-            s = (e + y) % n
-            if ((PS | DS) >> s) & 1 or (smask >> s) & 1:
-                return None
-            smask |= 1 << s
-        de = (2 * e) % n
-        if (PS >> de) & 1 or (smask >> de) & 1:
-            return None
-        PS2 = PS | smask
-        DS2 = DS | (1 << de)
-        total = PS2 | DS2
-        B2 = B | _rot(total, n - e % n, n, full)
-        newbits = smask | (DS2 & ~DS)
-        for y in S:
-            B2 |= _rot(newbits, n - y, n, full)
-        return PS2, DS2, B2
-
-    def rec(S, PS, DS, B, depth):
-        if depth == k:
-            return tuple(S)
-        lo, hi = S[-1] + 1, n - 1 - (k - depth - 1)
-        if lo > hi:
-            return None
-        cand = ~B & ((1 << (hi + 1)) - 1) & -(1 << lo)
-        while cand:
-            lsb = cand & -cand
-            e = lsb.bit_length() - 1
-            cand ^= lsb
-            upd = try_add(S, PS, DS, B, e)
-            if upd is None:
-                continue
-            S.append(e)
-            out = rec(S, *upd, depth + 1)
-            S.pop()
-            if out is not None:
-                return out
-        return None
-
-    if k > n:
-        return None
-    if k == 1:
-        return (0,)
-    state = [0]
-    PS, DS, B = 0, 1, 1  # diagonal 0+0; element 0 blocked for reuse
-    for e in prefix:
-        upd = try_add(state, PS, DS, B, e)
-        if upd is None:
-            return None
-        PS, DS, B = upd
-        state.append(e)
-    return rec(state, PS, DS, B, len(state))
-
-
 # ---------------------------------------------------------------------------
-# general-g counting engine
+# counting engine
 # ---------------------------------------------------------------------------
 
 def _decide_counts(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=()):
-    modular = kind == "modular"
-    length = n if modular else 2 * n + 1
-    first = 0 if modular else 1
-    hi_base = n - 1 if modular else n
+    """Maintain r(t) in place; abort a branch as soon as some r(t) exceeds g.
+
+    Both kinds index sums as (e + y) % length.  The integer kind uses
+    length 2n + 1, so its sums never wrap and the same loop serves both.
+    A pair adds 2 to r and a diagonal adds 1; pair sums of the new
+    element never meet each other or its diagonal, so each is tested
+    against the profile before the element arrived.
+    """
+    length = n if kind == "modular" else 2 * n + 1
+    first = 0 if kind == "modular" else 1
+    top = n - 1 + first  # largest admissible element
+    cap = g - 2  # a pair fits only where r[t] <= g - 2
     r = bytearray(length)
-
-    def try_add(S, e):
-        budget.spend()
-        t2 = (2 * e) % length if modular else 2 * e
-        if r[t2] + 1 > g:
-            return False
-        for y in S:
-            t = (e + y) % length if modular else e + y
-            if r[t] + 2 > g:
-                return False
-        r[t2] += 1
-        for y in S:
-            t = (e + y) % length if modular else e + y
-            r[t] += 2
-        return True
-
-    def undo(S, e):
-        r[(2 * e) % length if modular else 2 * e] -= 1
-        for y in S:
-            t = (e + y) % length if modular else e + y
-            r[t] -= 2
 
     def rec(S, depth):
         if depth == k:
             return tuple(S)
-        hi = hi_base - (k - depth - 1)
-        for e in range(S[-1] + 1, hi + 1):
-            if try_add(S, e):
+        if depth <= len(prefix):  # the prefix forces the next elements
+            candidates = prefix[depth - 1:depth]
+        else:
+            candidates = range(S[-1] + 1, top - (k - depth - 1) + 1)
+        for e in candidates:
+            budget.spend()
+            d = 2 * e % length
+            if r[d] >= g:
+                continue
+            for y in S:
+                if r[(e + y) % length] > cap:
+                    break
+            else:  # every sum of e fits: extend, recurse, undo
+                r[d] += 1
+                for y in S:
+                    r[(e + y) % length] += 2
                 S.append(e)
                 out = rec(S, depth + 1)
                 S.pop()
-                undo(S, e)
+                r[d] -= 1
+                for y in S:
+                    r[(e + y) % length] -= 2
                 if out is not None:
                     return out
         return None
 
-    if k > n:
-        return None
-    r[(2 * first) % length if modular else 2 * first] = 1
-    state = [first]
-    if k == 1:
-        return tuple(state)
-    for e in prefix:
-        if not try_add(state, e):
-            return None
-        state.append(e)
-    return rec(state, len(state))
+    r[2 * first] = 1
+    return rec([first], 1)
 
 
 def _decide(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=()):
-    if g == 2:
-        if kind == "integer":
-            return _decide_sidon_int(n, k, budget, prefix)
-        return _decide_sidon_mod(n, k, budget, prefix)
+    if g == 2 and kind == "integer":
+        return _decide_sidon_int(n, k, budget, prefix)
     return _decide_counts(kind, g, n, k, budget, prefix)
 
 
@@ -417,3 +340,23 @@ def min_n(problem: SearchProblem) -> SearchResult:
         if dec.feasible:
             return SearchResult(n, dec.witness, nodes, exhaustive=p.n_start <= floor)
     return SearchResult(None, None, nodes, exhaustive=p.n_start <= floor)
+
+
+def table_rows(kind: str, g_min: int, g_max: int, max_k: int,
+               budget: int = DEFAULT_BUDGET, workers: int = 1):
+    """Yield (g, k, SearchResult) for the min-n table, row by row.
+
+    Each g starts at the first k whose full interval is no witness (3 for
+    g = 2, g + 1 otherwise), searches n up to 8k^2/g + 16, and stops at
+    the first k with no witness in that range.  min n is nondecreasing
+    in k, so each search starts at the previous row's value.
+    """
+    for g in range(g_min, g_max + 1):
+        start = 1
+        for k in range(3 if g == 2 else g + 1, max_k + 1):
+            res = min_n(SearchProblem(kind, g, k, start, 8 * k * k // g + 16,
+                                      budget, workers))
+            if res.min_n is None:
+                break
+            yield g, k, res
+            start = res.min_n

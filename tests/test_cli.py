@@ -33,6 +33,36 @@ def test_usage_error_exit_code(capsys):
     assert run(["dee", "--intervals", "1/2:1/4"]) == 2
     assert run(["dee", "--intervals", "0.5:0.5", "--mode", "float"]) == 2
     capsys.readouterr()
+    messages = [
+        (["construct", "ruzsa"], "--p is required"),
+        (["construct", "compose"], "--set-json is required"),
+        (["bounds", "--rho-lower"], "--g is required"),
+        (["bounds", "--delta-half"], "--epsilon is required"),
+        (["bounds", "--ubiquity"], "--gamma is required"),
+        (["bounds", "--ubiquity", "--gamma", "0.7"], "--alpha is required"),
+        (["random", "circle", "--n", "100"], "--epsilon is required"),
+        (["verify", "--set", "1,2,-3", "--g", "2"], "elements must be nonnegative"),
+    ]
+    for argv, message in messages:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", argv
+
+
+def test_undecided_search_exit_code(capsys):
+    assert run(["search", "--kind", "integer", "--g", "2", "--k", "12",
+                "--budget", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: node budget exhausted")
+
+    # a table stops at the undecided row; the rows before it stand
+    assert run(["table", "--which", "R", "--max-k", "6", "--g-max", "2",
+                "--budget", "30"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:2] == ["kind,g,k,min_n,exhaustive,witness",
+                                             "integer,2,3,4,True,1 2 4"]
+    assert captured.err.startswith("error: node budget exhausted")
 
 
 def test_search_subcommand(capsys):

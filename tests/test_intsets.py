@@ -50,6 +50,8 @@ def test_validation():
         IntSet((0, 5), modulus=5)
     with pytest.raises(ValueError):
         IntSet((-1, 2))
+    with pytest.raises(ValueError, match="nonnegative"):  # sign is checked before order
+        IntSet.of([1, 2, -3])
 
 
 def test_dense_profile_refuses_huge_spans():

@@ -217,10 +217,16 @@ def test_finish_certificate_populates_fields():
 
 
 def test_delta_half_lower():
+    from bstar.kernels import _reflection_coefficient_floor
+
     assert delta_half_lower(0.5) >= 1.1092 + 0.176158 * 0.5
     assert delta_half_lower(0.6) >= 1.1092 + 0.176158 * 0.6
     for eps in np.linspace(0.38, 0.62, 25):
-        assert delta_half_lower(float(eps)) >= 1.1092 + 0.176158 * eps
+        floor = delta_half_lower(float(eps))
+        assert floor >= 1.1092 + 0.176158 * eps
+        # the floor is not admissible itself: the Green bound there still
+        # falls short of the squared reflection coefficient
+        assert green_coefficient_bound(floor) < _reflection_coefficient_floor(float(eps)) ** 2
     with pytest.raises(DomainError):
         delta_half_lower(0.3)
 

@@ -13,14 +13,19 @@ from bstar.search import (
 )
 
 
-def brute_exists(kind, g, n, k):
-    """Pruneless reference enumeration (no canonical form, no bounds)."""
+def brute_first(kind, g, n, k):
+    """Pruneless reference enumeration (no canonical form, no bounds).
+
+    Returns the lexicographically first size-k B*[g] set, or None.
+    """
     universe = range(n) if kind == "modular" else range(1, n + 1)
     mod = n if kind == "modular" else None
-    return any(
-        is_bstar(IntSet.of(combo, mod), g)
-        for combo in itertools.combinations(universe, k)
-    )
+    return next((combo for combo in itertools.combinations(universe, k)
+                 if is_bstar(IntSet.of(combo, mod), g)), None)
+
+
+def brute_exists(kind, g, n, k):
+    return brute_first(kind, g, n, k) is not None
 
 
 def test_decision_examples():
@@ -57,13 +62,20 @@ def test_witnesses_always_verify():
 
 def test_pruned_matches_brute_force():
     rng = random.Random(20240917)
+    cases = []
     for _ in range(80):
         kind = rng.choice(["integer", "modular"])
         g = rng.randint(1, 6)
         n = rng.randint(2, 16)
         k = rng.randint(1, min(6, n))
-        assert exists_set(kind, g, n, k).feasible == brute_exists(kind, g, n, k), (
-            kind, g, n, k)
+        cases.append((kind, g, n, k))
+    # every small modular Sidon question
+    cases += [("modular", 2, n, k) for n in range(4, 17) for k in (3, 4, 5)]
+    for case in cases:
+        # canonical form fixes the first element to the smallest one, so
+        # the engines' witness is the first combination in element order
+        dec = exists_set(*case)
+        assert (dec.witness.elements if dec.feasible else None) == brute_first(*case), case
 
 
 def test_min_n_monotone_in_k_and_g():
@@ -114,16 +126,16 @@ def test_workers_match_serial():
 
 
 def test_bitmask_engine_matches_counting_engine_witnesses():
-    # both engines explore candidates in increasing order, so the full
+    # integer g = 2 is the one question two engines can answer; both
+    # explore candidates in increasing order, so the full
     # lexicographically-first witness must agree, not just feasibility
     from bstar.search import _Budget, _decide_counts
 
-    for kind in ("integer", "modular"):
-        for n in range(4, 26):
-            for k in (3, 4, 5):
-                fast = exists_set(kind, 2, n, k)
-                slow = _decide_counts(kind, 2, n, k, _Budget(10**8))
-                if slow is None:
-                    assert not fast.feasible, (kind, n, k)
-                else:
-                    assert fast.witness.elements == slow, (kind, n, k)
+    for n in range(4, 26):
+        for k in (3, 4, 5):
+            fast = exists_set("integer", 2, n, k)
+            slow = _decide_counts("integer", 2, n, k, _Budget(10**8))
+            if slow is None:
+                assert not fast.feasible, (n, k)
+            else:
+                assert fast.witness.elements == slow, (n, k)
