@@ -244,7 +244,7 @@ def _cmd_bounds(args) -> int:
     if args.certificate:
         kernel = kernels.PiecewiseLinearKernel.from_family("K5", args.T)
         cert = kernels.BoundCertificate.from_kernel(kernel)
-        threshold, ok = kernels.delta_lower_certificate(cert, grid=args.grid)
+        threshold, ok = kernels.delta_lower_certificate(cert)
         out["certified_ffinorm"] = threshold
         out["certified"] = ok
         out["delta_quadratic_constant"] = threshold / 2.0
@@ -356,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--grid", type=float, default=1e-6)
     p.add_argument("--T", type=int, default=10**4)
     p.set_defaults(fn=_cmd_bounds)
 

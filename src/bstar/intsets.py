@@ -17,7 +17,7 @@ import numpy as np
 # small enough that int64 pair sums can never wrap.
 _DENSE_LIMIT = 1 << 26
 
-# Above this many ordered pairs the bincount is done in row blocks.
+# The bincount runs over row blocks of at most this many ordered pairs.
 _PAIR_BLOCK_LIMIT = 4 * 10**7
 
 
@@ -139,18 +139,12 @@ def representation_counts(s: IntSet) -> RepProfile:
             f"profile width {length} exceeds the dense limit {_DENSE_LIMIT}")
     a = np.asarray(s.elements, dtype=np.int64)
     counts = np.zeros(length, dtype=np.int64)
-    if k * k <= _PAIR_BLOCK_LIMIT:
-        sums = np.add.outer(a, a).ravel()
+    block = max(1, _PAIR_BLOCK_LIMIT // k)
+    for lo in range(0, k, block):
+        sums = (a[lo:lo + block, None] + a[None, :]).ravel()
         if n is not None:
             sums %= n
         counts += np.bincount(sums, minlength=length)
-    else:
-        block = max(1, _PAIR_BLOCK_LIMIT // k)
-        for lo in range(0, k, block):
-            sums = (a[lo:lo + block, None] + a[None, :]).ravel()
-            if n is not None:
-                sums %= n
-            counts += np.bincount(sums, minlength=length)
     return RepProfile(counts, n)
 
 

@@ -22,8 +22,11 @@ on an interval of length 1/2 has ||f*f||_inf >= c":
       B(x1) = 1 + 2 x1^4 + ((1 - Khat(0) - 2 Khat(1) x1) / lnorm_2)^4,
 
   combined with the reflection bound |fhat(j)|^2 <= (F/pi) sin(pi/F)
-  for F = ||f*f||_inf: sweeping x1 over the admissible range and
-  verifying B(x1) > F certifies F as a lower bound on ||f*f||_inf,
+  for F = ||f*f||_inf: B is convex (x1^4 plus the fourth power of an
+  affine function), so its minimum over the admissible range
+  0 <= x1 <= sqrt((F/pi) sin(pi/F)) sits at its stationary point
+  clamped into that range, and B > F there certifies F as a lower
+  bound on ||f*f||_inf,
 
 * closed-form evaluators for the density-ratio consequences: upper and
   lower bounds on rho(g) = lim R(g,n)/sqrt(gn) and the repeated-sum
@@ -32,7 +35,7 @@ on an interval of length 1/2 has ||f*f||_inf >= c":
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -287,23 +290,16 @@ def alpha_mix_optimum(khat0: float, tail1: float, p: float) -> tuple[float, floa
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """Inputs and outputs of the quartic ||f*f||_inf certificate."""
+    """Inputs of the quartic ||f*f||_inf certificate."""
 
     khat0: float
     khat1: float
-    tail_m: float  # lnorm_{m,4/3}, m = 2
-    m: int = 2
-    phi: float = PHI_FLOOR
-    theta0: float = THETA0
-    theta1: float = THETA1
-    theta2: float = THETA2
-    x1_bound: Optional[float] = None
-    quartic_min: Optional[float] = None
+    tail_m: float  # lnorm_{2,4/3}
 
     @classmethod
     def from_kernel(cls, kernel: PiecewiseLinearKernel) -> "BoundCertificate":
         return cls(
-            khat0=kernel.fourier_dc(),
+            khat0=float(kernel.fourier_dc()),
             khat1=kernel.coefficient(1),
             tail_m=tail_norm(kernel, 2, 4.0 / 3.0).value,
         )
@@ -318,11 +314,22 @@ def quartic_main_bound(cert: BoundCertificate, x1: float) -> float:
     return 1.0 + 2.0 * x1**4 + (cert.linear_head(x1) / cert.tail_m) ** 4
 
 
-def quartic_closed_form_min(cert: BoundCertificate, tail1: float) -> float:
-    """Unconstrained minimum of B over x1: equals 1 + ((1-khat0)/tail1)^4."""
-    m0 = 1.0 - cert.khat0
-    x_star = cert.khat1 ** (1.0 / 3.0) * m0 / tail1 ** (4.0 / 3.0)
-    return quartic_main_bound(cert, x_star)
+def quartic_argmin(cert: BoundCertificate) -> float:
+    """Stationary point of B over the real line.
+
+    B'(x) = 8 x^3 - (8 khat1 / tail_m) (M(x) / tail_m)^3 vanishes at
+    x* = khat1^(1/3) (1 - khat0) / (2 |khat1|^(4/3) + tail_m^(4/3)).
+    """
+    cbrt = math.copysign(abs(cert.khat1) ** (1.0 / 3.0), cert.khat1)
+    return cbrt * (1.0 - cert.khat0) / (2.0 * cbrt * cert.khat1 + cert.tail_m ** (4.0 / 3.0))
+
+
+def quartic_closed_form_min(cert: BoundCertificate) -> float:
+    """Unconstrained minimum of B over x1: equals 1 + ((1-khat0)/tail1)^4.
+
+    tail1 = lnorm_{1,4/3} satisfies tail1^(4/3) = 2 |khat1|^(4/3) + tail_m^(4/3).
+    """
+    return quartic_main_bound(cert, quartic_argmin(cert))
 
 
 def green_coefficient_bound(ffinorm: float) -> float:
@@ -337,37 +344,19 @@ def quartic_floor_quadratic(ffinorm: float) -> float:
     return THETA0 + THETA1 * ffinorm + THETA2 * ffinorm**2
 
 
-def _sweep_certifies(cert: BoundCertificate, threshold: float, grid: float) -> bool:
-    """Check B(x1) > threshold on [0, x1_bound(threshold)] rigorously.
+def _quartic_certifies(cert: BoundCertificate, threshold: float) -> bool:
+    """Check B(x1) > threshold on [0, x_hi], x_hi = sqrt((F/pi) sin(pi/F)).
 
-    Grid values are checked directly; between grid points either a
-    closed-form monotonicity certificate (B' < 0 on the cell) pins the
-    cell minimum at its right endpoint, or a two-sided slope cone bounds
-    the dip below the endpoint values.
+    B is convex, so its minimum on the interval is B at the stationary
+    point clamped into it: one evaluation decides the whole range.
     """
     if threshold <= 1.0:
         return True  # B >= 1 everywhere
     x_hi = math.sqrt(green_coefficient_bound(threshold))
-    xs = np.arange(0.0, x_hi, grid)
-    xs = np.append(xs, x_hi)
-    head = 1.0 - cert.khat0 - 2.0 * cert.khat1 * xs
-    if head[-1] <= 0.0:
+    if cert.linear_head(x_hi) <= 0.0:
         return False  # quartic term dies before the range ends
-    b_vals = 1.0 + 2.0 * xs**4 + (head / cert.tail_m) ** 4
-    if not (b_vals > threshold).all():
-        return False
-    # per-cell guards
-    slope_neg = 8.0 * xs**3  # increasing part of B'
-    slope_pos = (4.0 * 2.0 * cert.khat1 / cert.tail_m) * (head / cert.tail_m) ** 3
-    # monotone decreasing on a cell when 8 x^3 < (8 khat1/d)(M/d)^3 at the
-    # right edge (left factor increasing, right factor decreasing in x)
-    monotone = slope_neg[1:] < slope_pos[1:]
-    if monotone.all():
-        return True
-    widths = np.diff(xs)
-    lipschitz = np.maximum(slope_neg[1:], slope_pos[:-1])
-    cell_floor = 0.5 * (b_vals[:-1] + b_vals[1:]) - 0.5 * lipschitz * widths
-    return bool(np.where(monotone, True, cell_floor > threshold).all())
+    x_min = min(max(quartic_argmin(cert), 0.0), x_hi)
+    return quartic_main_bound(cert, x_min) > threshold
 
 
 def delta_lower_certificate(cert: BoundCertificate, grid: float = 1e-6,
@@ -375,45 +364,26 @@ def delta_lower_certificate(cert: BoundCertificate, grid: float = 1e-6,
                             ) -> tuple[float, bool]:
     """Largest F such that quartic + reflection bounds exclude ||f*f||_inf < F.
 
-    With an explicit threshold the sweep just verifies it.  Otherwise the
+    With an explicit threshold the check just verifies it.  Otherwise the
     largest verifiable threshold is located by bisection (the feasible
     set is downward closed) and returned with its certificate flag.
     Halving the certified value gives the quadratic constant in the
     symmetric-subset lower bound delta(eps) >= (F/2) eps^2.
+
+    grid is ignored: the check evaluates B once, at its exact minimum.
     """
     if threshold is not None:
-        return threshold, _sweep_certifies(cert, threshold, grid)
-    lo, hi = 1.0, 2.0
-    if not _sweep_certifies(cert, lo, grid):
-        return lo, False
-    while _sweep_certifies(cert, hi, grid):
+        return threshold, _quartic_certifies(cert, threshold)
+    lo, hi = 1.0, 2.0  # every threshold <= 1 certifies
+    while _quartic_certifies(cert, hi):
         hi = 1.0 + 2.0 * (hi - 1.0)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _sweep_certifies(cert, mid, grid):
+        if _quartic_certifies(cert, mid):
             lo = mid
         else:
             hi = mid
     return lo, True
-
-
-def certified_quartic_min(cert: BoundCertificate, threshold: float) -> float:
-    """min of B over the admissible x1 range at a given threshold."""
-    x_hi = math.sqrt(green_coefficient_bound(threshold))
-    xs = np.linspace(0.0, x_hi, 4097)
-    return float(np.min(1.0 + 2.0 * xs**4 + ((1.0 - cert.khat0 - 2.0 * cert.khat1 * xs) / cert.tail_m) ** 4))
-
-
-def finish_certificate(cert: BoundCertificate, grid: float = 1e-6) -> BoundCertificate:
-    """Populate x1_bound and quartic_min at the certified threshold."""
-    threshold, ok = delta_lower_certificate(cert, grid)
-    if not ok:
-        raise AssertionError("certificate sweep failed at its own threshold")
-    return replace(
-        cert,
-        x1_bound=math.sqrt(green_coefficient_bound(threshold)),
-        quartic_min=certified_quartic_min(cert, threshold),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ range.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .intsets import IntSet
@@ -130,22 +130,13 @@ def infeasibility_floor(kind: str, g: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _decide_sidon_int(n: int, k: int, budget: _Budget, prefix=()):
-    """All unordered pair sums (diagonals included) distinct; integers in [1, n]."""
+    """All unordered pair sums (diagonals included) distinct; integers in [1, n].
 
-    def extend(S, D, B):
-        # S: elements; D: mask of positive differences; B: blocked-future mask
-        budget.spend()
-        e = S[-1]
-        new_diffs = 0
-        for y in S[:-1]:
-            if (D >> (e - y)) & 1 or (new_diffs >> (e - y)) & 1:
-                return None
-            new_diffs |= 1 << (e - y)
-        D |= new_diffs
-        B |= D << e
-        for y in S:
-            B |= new_diffs << y
-        return D, B
+    D is the mask of positive differences and B the mask of blocked
+    future elements.  A prefix, used by the branch workers, forces the
+    next elements.
+    """
+    forced = len(prefix)
 
     def rec(S, D, B, depth):
         if depth == k:
@@ -154,6 +145,8 @@ def _decide_sidon_int(n: int, k: int, budget: _Budget, prefix=()):
         if lo > hi:
             return None
         cand = ~B & ((1 << (hi + 1)) - 1) & -(1 << lo)
+        if depth <= forced:
+            cand &= 1 << prefix[depth - 1]
         while cand:
             lsb = cand & -cand
             e = lsb.bit_length() - 1
@@ -173,15 +166,7 @@ def _decide_sidon_int(n: int, k: int, budget: _Budget, prefix=()):
                 return out
         return None
 
-    state = [1]
-    D = B = 0
-    for e in prefix:
-        state.append(e)
-        upd = extend(state, D, B)
-        if upd is None:
-            return None
-        D, B = upd
-    return rec(state, D, B, len(state))
+    return rec([1], 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +334,17 @@ def table_rows(kind: str, g_min: int, g_max: int, max_k: int,
     Each g starts at the first k whose full interval is no witness (3 for
     g = 2, g + 1 otherwise), searches n up to 8k^2/g + 16, and stops at
     the first k with no witness in that range.  min n is nondecreasing
-    in k, so each search starts at the previous row's value.
+    in k, so each search starts at the previous row's value.  A subset
+    of a B*[g] set is B*[g], so no n below that value admits a k-set
+    either: a row is exhaustive when the previous one was.
     """
     for g in range(g_min, g_max + 1):
-        start = 1
+        start, below_proved = 1, True
         for k in range(3 if g == 2 else g + 1, max_k + 1):
             res = min_n(SearchProblem(kind, g, k, start, 8 * k * k // g + 16,
                                       budget, workers))
             if res.min_n is None:
                 break
+            res = replace(res, exhaustive=res.exhaustive or below_proved)
             yield g, k, res
-            start = res.min_n
+            start, below_proved = res.min_n, res.exhaustive

@@ -166,9 +166,9 @@ def test_criterion_05_kernel_constants():
 def test_criterion_06_certificates():
     k6 = PiecewiseLinearKernel.from_family("K5", 10**4)
     cert = BoundCertificate.from_kernel(k6)
-    threshold, ok = delta_lower_certificate(cert, grid=1e-6)
+    threshold, ok = delta_lower_certificate(cert)
     assert ok and threshold >= 1.182778
-    assert delta_lower_certificate(cert, grid=1e-6, threshold=1.182778)[1]
+    assert delta_lower_certificate(cert, threshold=1.182778)[1]
     assert threshold / 2 >= 0.591389
 
     k4 = PiecewiseLinearKernel.from_family("K3", 10**4)

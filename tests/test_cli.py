@@ -134,6 +134,16 @@ def test_table_streams_csv(capsys):
     assert cells[("3", "4")] == 5
 
 
+def test_table_row_after_an_exhaustive_row_is_exhaustive(capsys):
+    # the k = 9 search starts at the k = 8 value 22, above the counting
+    # floor; every smaller n has no 8-set, so it has no 9-set either
+    assert run(["table", "--which", "C", "--max-k", "9", "--g-min", "4",
+                "--g-max", "4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].startswith("modular,4,8,22,True,")
+    assert out[-1].startswith("modular,4,9,28,True,")
+
+
 def test_kernel_eval_small(capsys):
     code, obj = run_json(capsys, ["kernel", "eval", "--family", "K3", "--T", "500",
                                   "--p", "4/3", "--tail-from", "1"])

@@ -13,11 +13,11 @@ from bstar.kernels import (
     arctan_profile,
     delta_half_lower,
     delta_lower_certificate,
-    finish_certificate,
     green_coefficient_bound,
     hurwitz_zeta,
     k1_closed_form,
     power_profile,
+    quartic_argmin,
     quartic_closed_form_min,
     quartic_floor_quadratic,
     quartic_main_bound,
@@ -168,7 +168,7 @@ def test_quartic_min_is_the_mix_bound():
     kernel = PiecewiseLinearKernel.from_family("K5", T_SMALL)
     cert = BoundCertificate.from_kernel(kernel)
     tail1 = tail_norm(kernel, 1, 4 / 3).value
-    assert quartic_closed_form_min(cert, tail1) == pytest.approx(
+    assert quartic_closed_form_min(cert) == pytest.approx(
         1 + ((1 - cert.khat0) / tail1) ** 4, abs=1e-9)
 
 
@@ -193,27 +193,41 @@ def test_quadratic_floor_is_a_minorant():
 def test_certificate_explicit_thresholds():
     kernel = PiecewiseLinearKernel.from_family("K5", 10**4)
     cert = BoundCertificate.from_kernel(kernel)
-    assert delta_lower_certificate(cert, 1e-4, threshold=1.0) == (1.0, True)
-    _, ok = delta_lower_certificate(cert, 1e-4, threshold=1.18)
+    assert delta_lower_certificate(cert, threshold=1.0) == (1.0, True)
+    _, ok = delta_lower_certificate(cert, threshold=1.18)
     assert ok
-    _, ok = delta_lower_certificate(cert, 1e-4, threshold=1.25)
+    _, ok = delta_lower_certificate(cert, threshold=1.25)
     assert not ok
 
 
 def test_certificate_is_sharp_near_the_fixed_point():
-    # the sweep accepts just below the self-consistent threshold and
+    # the check accepts just below the self-consistent threshold and
     # rejects just above it
     kernel = PiecewiseLinearKernel.from_family("K5", 10**4)
     cert = BoundCertificate.from_kernel(kernel)
-    assert delta_lower_certificate(cert, 1e-6, threshold=1.182778)[1]
-    assert not delta_lower_certificate(cert, 1e-6, threshold=1.182780)[1]
+    assert delta_lower_certificate(cert, threshold=1.182778)[1]
+    assert not delta_lower_certificate(cert, threshold=1.182780)[1]
 
 
-def test_finish_certificate_populates_fields():
-    kernel = PiecewiseLinearKernel.from_family("K5", 10**4)
-    cert = finish_certificate(BoundCertificate.from_kernel(kernel), grid=1e-4)
-    assert 0 < cert.x1_bound < 1
-    assert cert.quartic_min > 1.18
+def test_certificate_matches_dense_minimum():
+    # the check evaluates B once, at its stationary point clamped into
+    # [0, x_hi]; a dense sample of the convex B must give the same answer
+    # on both sides of the certified F.  The K5 kernel's stationary point
+    # lies beyond x_hi; the hand-built certificate's lies inside.
+    shipped = BoundCertificate.from_kernel(PiecewiseLinearKernel.from_family("K5", 10**4))
+    inside = BoundCertificate(khat0=0.73, khat1=0.001, tail_m=0.4)
+    for cert, x_star_inside in ((shipped, False), (inside, True)):
+        f, ok = delta_lower_certificate(cert)
+        assert ok
+        x_hi = math.sqrt(green_coefficient_bound(f))
+        assert (0 < quartic_argmin(cert) < x_hi) == x_star_inside
+        if x_star_inside:
+            assert f == pytest.approx(quartic_closed_form_min(cert), abs=1e-12)
+        for threshold in (f - 1e-3, f - 1e-6, f + 1e-6, f + 1e-3):
+            xs = np.linspace(0.0, math.sqrt(green_coefficient_bound(threshold)), 200001)
+            dense = float(np.min(1.0 + 2.0 * xs**4 + (cert.linear_head(xs) / cert.tail_m) ** 4))
+            assert delta_lower_certificate(cert, threshold=threshold)[1] == (dense > threshold)
+            assert (dense > threshold) == (threshold < f)
 
 
 def test_delta_half_lower():

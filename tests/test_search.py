@@ -123,6 +123,14 @@ def test_workers_match_serial():
     serial = exists_set("integer", 3, 30, 7)
     parallel = exists_set("integer", 3, 30, 7, workers=2)
     assert serial.witness == parallel.witness
+    # integer g = 2 runs the bitmask engine in the branch workers
+    serial = exists_set("integer", 2, 30, 7)
+    parallel = exists_set("integer", 2, 30, 7, workers=2)
+    assert serial.feasible and serial.witness == parallel.witness
+    serial = exists_set("integer", 2, 34, 8)
+    parallel = exists_set("integer", 2, 34, 8, workers=2)
+    assert not serial.feasible and not parallel.feasible
+    assert serial.nodes == parallel.nodes
 
 
 def test_bitmask_engine_matches_counting_engine_witnesses():
