@@ -6,12 +6,15 @@ with floats rendered to 12 significant digits; the seed used by any
 randomized step is echoed in the output.  Exit codes: 0 success, 1 a
 requested verification failed, 2 usage error (including a missing
 argument), 3 undecided (a search ran out of its node budget; rows
-already streamed by `table` stay valid).
+already streamed by `table` stay valid).  A reader that closes the
+output early (`bstar table ... | head -1`) is no error: the command
+stops silently with exit 0.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -378,7 +381,15 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush
+        # at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

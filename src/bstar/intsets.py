@@ -66,7 +66,7 @@ class IntSet:
     def translate(self, c: int) -> "IntSet":
         """S + c (reduced mod n in the modular setting)."""
         if self.modulus is not None:
-            return IntSet.of((e + c) % self.modulus for e in self.elements).with_modulus(self.modulus)
+            return IntSet.of((e + c for e in self.elements), self.modulus)
         if self.elements and self.elements[0] + c < 0:
             raise ValueError("translation would produce negative elements")
         return IntSet(tuple(e + c for e in self.elements))
@@ -76,9 +76,6 @@ class IntSet:
         if self.modulus is None:
             raise ValueError("dilation requires a modulus")
         return IntSet.of(((u * e) % self.modulus for e in self.elements), self.modulus)
-
-    def with_modulus(self, n: Optional[int]) -> "IntSet":
-        return IntSet.of(self.elements, n) if n is not None else IntSet(self.elements)
 
     def to_json(self) -> str:
         return json.dumps({"modulus": self.modulus, "elements": list(self.elements)})

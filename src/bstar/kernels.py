@@ -225,7 +225,6 @@ class SpectralTail:
     n: int
     p: float
     value: float
-    c_profile: np.ndarray
 
 
 def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
@@ -248,7 +247,7 @@ def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
     )
     if n == 0:
         body += abs(kernel.fourier_dc()) ** p
-    return SpectralTail(n, p, body ** (1.0 / p), c)
+    return SpectralTail(n, p, body ** (1.0 / p))
 
 
 def k1_closed_form() -> float:

@@ -11,15 +11,38 @@ Two decision engines answer "is there a B*[g] set of size k inside
   is blocked exactly when some pair sum x + y would collide with an
   existing pair or diagonal sum, so the viable-extension mask is kept
   incrementally with shifts.  It stays because it decides integer Sidon
-  questions 1.5-1.9x faster than the counting DFS (n = 55, k = 10:
-  7.5-7.8 s against 12.0-14.5 s, CPython 3.11 on a shared 2-core x86
-  host).  A modular twin with rotations in place of shifts was no
-  faster than the counting DFS, so the modular kind has one engine.
+  questions about 2x faster than the counting DFS (n = 55, k = 10, both
+  with the span floors below: 2.5-3.0 s against 5.7-5.8 s, CPython 3.11
+  on a shared 2-core x86 host).  A modular twin with rotations in place
+  of shifts was no faster than the counting DFS, so the modular kind
+  has one engine.
 
 Canonical form fixes the first element (1 for integer, 0 for modular;
 translation invariance makes this lossless), so the DFS yields the
 lexicographically first witness and independent subtrees can be farmed
 out to worker processes deterministically.
+
+Two rules prune the DFS:
+
+* suffix span floors (both kinds, both engines).  A subset of a B*[g]
+  set is B*[g], and a modular set read as integers in [0, n - 1] is an
+  integer one, so the last m elements of a k-set span at least
+  fl[m] - 1 with fl[m] = infeasibility_floor("integer", g, m).  With
+  depth elements placed a candidate therefore satisfies
+  e <= top + 1 - fl[k - depth], where top is the largest admissible
+  element (n, or n - 1 for the modular kind).
+  This is the sub-ruler bound of optimal Golomb-ruler searches.
+* a rotation rule (modular kind).  Every modular set has a translate
+  whose largest cyclic gap is the wrap gap n - s_{k-1} (ties allowed),
+  so the decision searches only those: with G the largest internal gap
+  so far, the candidates stop where max(G, e - S[-1]) > n + 1 - fl[m] - e
+  for m = k - depth.  The left side grows with e and the right side
+  shrinks, so no larger e can pass.
+
+The rotation rule changes which witness is found first, so it only
+decides: when it finds a witness the plain search (floors only) runs
+again and returns the lexicographically first one.  A modular node
+count is the sum of both searches.
 
 min_n uses that integer feasibility is monotone in n (a witness inside
 [1, n] also fits in [1, n+1]), so a binary search plus one completed
@@ -30,7 +53,7 @@ range.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -125,6 +148,18 @@ def infeasibility_floor(kind: str, g: int, k: int) -> int:
     return max(k, floor)
 
 
+def _last_candidates(g: int, k: int, top: int) -> list[int]:
+    """Largest candidate at each depth < k when elements end at top.
+
+    A subset of a B*[g] set is B*[g], so the last m elements of a k-set
+    span at least fl[m] - 1, with fl[1] = 1 and
+    fl[m] = infeasibility_floor("integer", g, m): a candidate placed
+    after depth elements is at most top + 1 - fl[k - depth].
+    """
+    fl = [0, 1] + [infeasibility_floor("integer", g, m) for m in range(2, k + 1)]
+    return [top + 1 - fl[k - depth] for depth in range(k)]
+
+
 # ---------------------------------------------------------------------------
 # integer g = 2 bitmask engine
 # ---------------------------------------------------------------------------
@@ -137,11 +172,12 @@ def _decide_sidon_int(n: int, k: int, budget: _Budget, prefix=()):
     next elements.
     """
     forced = len(prefix)
+    last = _last_candidates(2, k, n)
 
     def rec(S, D, B, depth):
         if depth == k:
             return tuple(S)
-        lo, hi = S[-1] + 1, n - (k - depth - 1)
+        lo, hi = S[-1] + 1, last[depth]
         if lo > hi:
             return None
         cand = ~B & ((1 << (hi + 1)) - 1) & -(1 << lo)
@@ -173,7 +209,8 @@ def _decide_sidon_int(n: int, k: int, budget: _Budget, prefix=()):
 # counting engine
 # ---------------------------------------------------------------------------
 
-def _decide_counts(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=()):
+def _decide_counts(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=(),
+                   rotate: bool = False):
     """Maintain r(t) in place; abort a branch as soon as some r(t) exceeds g.
 
     Both kinds index sums as (e + y) % length.  The integer kind uses
@@ -181,20 +218,29 @@ def _decide_counts(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=()
     A pair adds 2 to r and a diagonal adds 1; pair sums of the new
     element never meet each other or its diagonal, so each is tested
     against the profile before the element arrived.
+
+    With rotate (modular kind only) the search is confined to sets whose
+    largest cyclic gap is the wrap gap n - s_{k-1}.  G is the largest
+    internal gap so far; the wrap gap is at most last[depth] + 1 - e, so
+    the candidates end where max(G, e - S[-1]) would exceed it.
     """
     length = n if kind == "modular" else 2 * n + 1
     first = 0 if kind == "modular" else 1
-    top = n - 1 + first  # largest admissible element
+    last = _last_candidates(g, k, n - 1 + first)
     cap = g - 2  # a pair fits only where r[t] <= g - 2
     r = bytearray(length)
 
-    def rec(S, depth):
+    def rec(S, depth, G):
         if depth == k:
             return tuple(S)
+        hi = last[depth]
+        if rotate:
+            hi = min(hi + 1 - G, (hi + 1 + S[-1]) // 2)
         if depth <= len(prefix):  # the prefix forces the next elements
-            candidates = prefix[depth - 1:depth]
+            e = prefix[depth - 1]
+            candidates = range(e, min(e, hi) + 1)
         else:
-            candidates = range(S[-1] + 1, top - (k - depth - 1) + 1)
+            candidates = range(S[-1] + 1, hi + 1)
         for e in candidates:
             budget.spend()
             d = 2 * e % length
@@ -204,11 +250,12 @@ def _decide_counts(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=()
                 if r[(e + y) % length] > cap:
                     break
             else:  # every sum of e fits: extend, recurse, undo
+                gap = e - S[-1]
                 r[d] += 1
                 for y in S:
                     r[(e + y) % length] += 2
                 S.append(e)
-                out = rec(S, depth + 1)
+                out = rec(S, depth + 1, G if G > gap else gap)
                 S.pop()
                 r[d] -= 1
                 for y in S:
@@ -218,23 +265,51 @@ def _decide_counts(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=()
         return None
 
     r[2 * first] = 1
-    return rec([first], 1)
+    return rec([first], 1, 0)
 
 
-def _decide(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=()):
+def _decide(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=(),
+            rotate: bool = False):
     if g == 2 and kind == "integer":
         return _decide_sidon_int(n, k, budget, prefix)
-    return _decide_counts(kind, g, n, k, budget, prefix)
+    return _decide_counts(kind, g, n, k, budget, prefix, rotate)
 
 
 def _branch_worker(args):
-    kind, g, n, k, budget_limit, second = args
+    kind, g, n, k, budget_limit, second, rotate = args
     budget = _Budget(budget_limit)
     try:
-        witness = _decide(kind, g, n, k, budget, prefix=(second,))
+        witness = _decide(kind, g, n, k, budget, (second,), rotate)
     except BudgetExceeded:
-        return second, "budget", budget_limit - budget.left
-    return second, witness, budget_limit - budget.left
+        return "budget", budget_limit - budget.left
+    return witness, budget_limit - budget.left
+
+
+def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
+            rotate: bool):
+    """(witness tuple or None, nodes) of one engine run.
+
+    With workers the tree is sharded by its second element, one branch
+    per task.  Branches are consumed in element order, and the workers
+    are terminated once one holds a witness, so both the witness and
+    the node count (the consumed branches' nodes) equal those of the
+    serial run.
+    """
+    if workers > 1 and n >= _PARALLEL_MIN_N and k > 2:
+        first = 0 if kind == "modular" else 1
+        hi = _last_candidates(g, k, n - 1 + first)[1]
+        jobs = [(kind, g, n, k, budget, s, rotate) for s in range(first + 1, hi + 1)]
+        nodes, witness = 0, None
+        with multiprocessing.Pool(workers) as pool:  # exit terminates the workers
+            for witness, spent in pool.imap(_branch_worker, jobs):
+                nodes += spent
+                if witness is not None:  # a witness or "budget" settles it
+                    break
+        if witness == "budget":
+            raise BudgetExceeded("node budget exhausted in a branch")
+        return witness, nodes
+    tracker = _Budget(budget)
+    return _decide(kind, g, n, k, tracker, rotate=rotate), budget - tracker.left
 
 
 def exists_set(kind: str, g: int, n: int, k: int,
@@ -244,7 +319,11 @@ def exists_set(kind: str, g: int, n: int, k: int,
     Raises BudgetExceeded when the node budget runs out; an exhausted
     search never reports infeasible silently.  With workers > 1 the
     top-level branches run in separate processes and the budget applies
-    to each branch; the merged answer is independent of scheduling.
+    to each branch; the answer and the node count are independent of
+    scheduling.  The modular kind decides on one rotation of each set
+    and, when it finds one, re-runs the plain search for the
+    lexicographically first witness with what is left of the budget;
+    nodes counts both searches.
     """
     if g < 1 or k < 1 or n < 1:
         raise ValueError("g, n, k must be positive")
@@ -257,30 +336,12 @@ def exists_set(kind: str, g: int, n: int, k: int,
         first = 0 if kind == "modular" else 1
         return Decision(IntSet.of([first], modulus), 0)
 
-    if workers > 1 and n >= _PARALLEL_MIN_N and k > 2:
-        first = 0 if kind == "modular" else 1
-        hi = (n - 1 if kind == "modular" else n) - (k - 2)
-        seconds = range(first + 1, hi + 1)
-        jobs = [(kind, g, n, k, budget, s) for s in seconds]
-        nodes = 0
-        results: dict[int, object] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for second, witness, spent in pool.map(_branch_worker, jobs, chunksize=4):
-                nodes += spent
-                results[second] = witness
-        for second in seconds:  # deterministic: first branch in element order wins
-            witness = results[second]
-            if witness == "budget":
-                raise BudgetExceeded("node budget exhausted in a branch")
-            if witness is not None:
-                return Decision(IntSet.of(witness, modulus), nodes)
-        return Decision(None, nodes)
-
-    tracker = _Budget(budget)
-    witness = _decide(kind, g, n, k, tracker)
-    nodes = budget - tracker.left
+    witness, nodes = _search(kind, g, n, k, budget, workers, rotate=kind == "modular")
     if witness is None:
         return Decision(None, nodes)
+    if kind == "modular":
+        witness, plain = _search(kind, g, n, k, budget - nodes, workers, rotate=False)
+        nodes += plain
     return Decision(IntSet.of(witness, modulus), nodes)
 
 

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import bstar
 from bstar.cli import run
 from bstar.intsets import IntSet, is_bstar
 
@@ -63,6 +68,19 @@ def test_undecided_search_exit_code(capsys):
     assert captured.out.splitlines()[:2] == ["kind,g,k,min_n,exhaustive,witness",
                                              "integer,2,3,4,True,1 2 4"]
     assert captured.err.startswith("error: node budget exhausted")
+
+
+def test_closed_pipe_is_not_an_error():
+    # the reader takes the header and goes away while rows are still due
+    env = dict(os.environ, PYTHONPATH=str(Path(bstar.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bstar.cli", "table", "--which", "C",
+         "--max-k", "8", "--g-max", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"kind,g,k,min_n,exhaustive,witness\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b"" and proc.returncode == 0
 
 
 def test_search_subcommand(capsys):

@@ -69,13 +69,22 @@ def test_pruned_matches_brute_force():
         n = rng.randint(2, 16)
         k = rng.randint(1, min(6, n))
         cases.append((kind, g, n, k))
-    # every small modular Sidon question
-    cases += [("modular", 2, n, k) for n in range(4, 17) for k in (3, 4, 5)]
+    # every small question for the kinds and g the span floors and the
+    # rotation rule touch most: modular g = 2..4 and integer g = 2, 3
+    cases += [(kind, g, n, k)
+              for kind, gs in (("modular", (2, 3, 4)), ("integer", (2, 3)))
+              for g in gs for n in range(3, 17) for k in range(3, min(6, n) + 1)]
     for case in cases:
         # canonical form fixes the first element to the smallest one, so
         # the engines' witness is the first combination in element order
         dec = exists_set(*case)
         assert (dec.witness.elements if dec.feasible else None) == brute_first(*case), case
+
+
+def test_node_counts_repeat():
+    for kind, g, k, limit in [("modular", 3, 7, 40), ("integer", 3, 8, 40)]:
+        problem = SearchProblem(kind, g, k, 1, limit)
+        assert min_n(problem).nodes_explored == min_n(problem).nodes_explored > 0
 
 
 def test_min_n_monotone_in_k_and_g():
@@ -117,20 +126,23 @@ def test_floor_is_sound():
 
 
 def test_workers_match_serial():
-    serial = exists_set("modular", 2, 31, 6)
-    parallel = exists_set("modular", 2, 31, 6, workers=2)
-    assert serial.witness == parallel.witness
-    serial = exists_set("integer", 3, 30, 7)
-    parallel = exists_set("integer", 3, 30, 7, workers=2)
-    assert serial.witness == parallel.witness
-    # integer g = 2 runs the bitmask engine in the branch workers
-    serial = exists_set("integer", 2, 30, 7)
-    parallel = exists_set("integer", 2, 30, 7, workers=2)
-    assert serial.feasible and serial.witness == parallel.witness
-    serial = exists_set("integer", 2, 34, 8)
-    parallel = exists_set("integer", 2, 34, 8, workers=2)
-    assert not serial.feasible and not parallel.feasible
-    assert serial.nodes == parallel.nodes
+    # n >= 30 sends each question through the branch workers, which
+    # stop at the first branch holding a witness: the parallel node
+    # count equals the serial one, feasible or not
+    cases = [
+        (("modular", 2, 31, 6), True),
+        (("modular", 3, 30, 7), True),    # the plain re-run is sharded too
+        (("modular", 2, 44, 7), False),
+        (("integer", 3, 30, 7), True),
+        (("integer", 2, 30, 7), True),    # bitmask engine in the workers
+        (("integer", 2, 34, 8), False),
+    ]
+    for case, feasible in cases:
+        serial = exists_set(*case)
+        parallel = exists_set(*case, workers=2)
+        assert serial.feasible == feasible, case
+        assert serial.witness == parallel.witness, case
+        assert serial.nodes == parallel.nodes, case
 
 
 def test_bitmask_engine_matches_counting_engine_witnesses():
