@@ -194,8 +194,6 @@ def _cmd_delta_k(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    if args.action != "eval":
-        return USAGE_ERROR
     if args.pwl_file:
         import numpy as np
 

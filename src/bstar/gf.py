@@ -70,10 +70,6 @@ class FieldCtx:
         return self.p**self.t
 
     @property
-    def zero(self) -> Element:
-        return (0,) * self.t
-
-    @property
     def one(self) -> Element:
         return (1,) + (0,) * (self.t - 1)
 
@@ -84,15 +80,6 @@ class FieldCtx:
             coeffs.append(code % self.p)
             code //= self.p
         return tuple(coeffs)
-
-    def code(self, a: Element) -> int:
-        c = 0
-        for x in reversed(a):
-            c = c * self.p + x
-        return c
-
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def mul(self, a: Element, b: Element) -> Element:
         p, t = self.p, self.t

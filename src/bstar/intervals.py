@@ -101,6 +101,10 @@ class IntervalSet:
     @classmethod
     def from_json(cls, text: str) -> "IntervalSet":
         obj = json.loads(text)
+        if not (isinstance(obj, dict) and obj.get("mode") in ("rational", "float")
+                and isinstance(obj.get("intervals"), list) and "geometry" in obj):
+            raise ValueError('interval JSON must be an object with keys "geometry", '
+                             '"mode" ("rational" or "float") and "intervals" (a list)')
         if obj["mode"] == "rational":
             ivs = [(Fraction(an, ad), Fraction(bn, bd)) for an, ad, bn, bd in obj["intervals"]]
         else:

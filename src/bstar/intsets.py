@@ -44,7 +44,7 @@ class IntSet:
     @classmethod
     def of(cls, elements: Iterable[int], modulus: Optional[int] = None) -> "IntSet":
         """Build from any iterable; reduces mod n when given, sorts, dedupes."""
-        if modulus is not None:
+        if modulus is not None and modulus > 0:  # __post_init__ rejects the rest
             elements = (e % modulus for e in elements)
         return cls(tuple(sorted(set(elements))), modulus)
 
@@ -83,6 +83,10 @@ class IntSet:
     @classmethod
     def from_json(cls, text: str) -> "IntSet":
         obj = json.loads(text)
+        if not (isinstance(obj, dict) and isinstance(obj.get("elements"), list)
+                and "modulus" in obj):
+            raise ValueError('set JSON must be an object with keys "elements" (a list) '
+                             'and "modulus"')
         return cls(tuple(obj["elements"]), obj["modulus"])
 
 

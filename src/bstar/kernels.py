@@ -91,21 +91,20 @@ _BERNOULLI_2J = (
     1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
     -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798, -174611 / 330,
 )
+_HURWITZ_LEAD_TERMS = 40  # summed directly before the Euler-Maclaurin tail
 
 
-def _hurwitz_array(s: float, a: np.ndarray, lead_terms: int = 40,
-                   corrections: int = 10) -> np.ndarray:
+def _hurwitz_array(s: float, a: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin zeta(s, a) for s > 1 and a vector of a > 0."""
     a = np.asarray(a, dtype=float)
-    ks = np.arange(lead_terms, dtype=float)
+    ks = np.arange(_HURWITZ_LEAD_TERMS, dtype=float)
     base = ((ks[:, None] + a[None, :]) ** (-s)).sum(axis=0)
-    na = lead_terms + a
+    na = _HURWITZ_LEAD_TERMS + a
     total = base + na ** (1.0 - s) / (s - 1.0) + 0.5 * na ** (-s)
-    rising = 1.0
-    for j in range(1, corrections + 1):
+    for j, b2j in enumerate(_BERNOULLI_2J, start=1):
         two_j = 2 * j
         rising = math.prod(s + i for i in range(two_j - 1))
-        total += _BERNOULLI_2J[j - 1] / math.factorial(two_j) * rising * na ** (-s - two_j + 1.0)
+        total += b2j / math.factorial(two_j) * rising * na ** (-s - two_j + 1.0)
     return total
 
 

@@ -19,8 +19,10 @@ Two decision engines answer "is there a B*[g] set of size k inside
 
 Canonical form fixes the first element (1 for integer, 0 for modular;
 translation invariance makes this lossless), so the DFS yields the
-lexicographically first witness and independent subtrees can be farmed
-out to worker processes deterministically.
+lexicographically first witness.  A decision is one loop over the
+branches, one per second element in increasing order, in-process or in
+a process pool; it stops at the first witness, and its nodes and its
+budget are those of the branches it consumed, in either mode.
 
 Two rules prune the DFS:
 
@@ -54,6 +56,7 @@ range.
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -115,8 +118,8 @@ class _Budget:
     def __init__(self, limit: int):
         self.left = limit
 
-    def spend(self, amount: int = 1):
-        self.left -= amount
+    def spend(self):
+        self.left -= 1
         if self.left < 0:
             raise BudgetExceeded("node budget exhausted")
 
@@ -164,16 +167,13 @@ def _last_candidates(g: int, k: int, top: int) -> list[int]:
 # integer g = 2 bitmask engine
 # ---------------------------------------------------------------------------
 
-def _decide_sidon_int(n: int, k: int, budget: _Budget, prefix=()):
+def _decide_sidon_int(k: int, last: list[int], budget: _Budget, second: int):
     """All unordered pair sums (diagonals included) distinct; integers in [1, n].
 
     D is the mask of positive differences and B the mask of blocked
-    future elements.  A prefix, used by the branch workers, forces the
-    next elements.
+    future elements.  The branch fixes the second element; last is
+    _last_candidates(2, k, n).
     """
-    forced = len(prefix)
-    last = _last_candidates(2, k, n)
-
     def rec(S, D, B, depth):
         if depth == k:
             return tuple(S)
@@ -181,8 +181,8 @@ def _decide_sidon_int(n: int, k: int, budget: _Budget, prefix=()):
         if lo > hi:
             return None
         cand = ~B & ((1 << (hi + 1)) - 1) & -(1 << lo)
-        if depth <= forced:
-            cand &= 1 << prefix[depth - 1]
+        if depth == 1:
+            cand &= 1 << second
         while cand:
             lsb = cand & -cand
             e = lsb.bit_length() - 1
@@ -209,15 +209,16 @@ def _decide_sidon_int(n: int, k: int, budget: _Budget, prefix=()):
 # counting engine
 # ---------------------------------------------------------------------------
 
-def _decide_counts(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=(),
-                   rotate: bool = False):
+def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _Budget,
+                   second: int, rotate: bool = False):
     """Maintain r(t) in place; abort a branch as soon as some r(t) exceeds g.
 
     Both kinds index sums as (e + y) % length.  The integer kind uses
     length 2n + 1, so its sums never wrap and the same loop serves both.
     A pair adds 2 to r and a diagonal adds 1; pair sums of the new
     element never meet each other or its diagonal, so each is tested
-    against the profile before the element arrived.
+    against the profile before the element arrived.  The branch fixes
+    the second element; last is _last_candidates(g, k, top).
 
     With rotate (modular kind only) the search is confined to sets whose
     largest cyclic gap is the wrap gap n - s_{k-1}.  G is the largest
@@ -226,7 +227,6 @@ def _decide_counts(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=()
     """
     length = n if kind == "modular" else 2 * n + 1
     first = 0 if kind == "modular" else 1
-    last = _last_candidates(g, k, n - 1 + first)
     cap = g - 2  # a pair fits only where r[t] <= g - 2
     r = bytearray(length)
 
@@ -236,9 +236,8 @@ def _decide_counts(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=()
         hi = last[depth]
         if rotate:
             hi = min(hi + 1 - G, (hi + 1 + S[-1]) // 2)
-        if depth <= len(prefix):  # the prefix forces the next elements
-            e = prefix[depth - 1]
-            candidates = range(e, min(e, hi) + 1)
+        if depth == 1:
+            candidates = range(second, min(second, hi) + 1)
         else:
             candidates = range(S[-1] + 1, hi + 1)
         for e in candidates:
@@ -268,48 +267,43 @@ def _decide_counts(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=()
     return rec([first], 1, 0)
 
 
-def _decide(kind: str, g: int, n: int, k: int, budget: _Budget, prefix=(),
-            rotate: bool = False):
-    if g == 2 and kind == "integer":
-        return _decide_sidon_int(n, k, budget, prefix)
-    return _decide_counts(kind, g, n, k, budget, prefix, rotate)
-
-
-def _branch_worker(args):
-    kind, g, n, k, budget_limit, second, rotate = args
-    budget = _Budget(budget_limit)
+def _branch(args):
+    """(witness tuple or None, nodes) of one branch; limit + 1 nodes if cut off."""
+    kind, g, n, k, last, second, limit, rotate = args
+    budget = _Budget(limit)
     try:
-        witness = _decide(kind, g, n, k, budget, (second,), rotate)
+        if g == 2 and kind == "integer":
+            witness = _decide_sidon_int(k, last, budget, second)
+        else:
+            witness = _decide_counts(kind, g, n, k, last, budget, second, rotate)
     except BudgetExceeded:
-        return "budget", budget_limit - budget.left
-    return witness, budget_limit - budget.left
+        return None, limit + 1
+    return witness, limit - budget.left
 
 
 def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
             rotate: bool):
-    """(witness tuple or None, nodes) of one engine run.
+    """(witness tuple or None, nodes): the branches in order, up to a witness.
 
-    With workers the tree is sharded by its second element, one branch
-    per task.  Branches are consumed in element order, and the workers
-    are terminated once one holds a witness, so both the witness and
-    the node count (the consumed branches' nodes) equal those of the
-    serial run.
+    A branch may spend what the consumed branches left when its job is
+    built.  A pool builds jobs ahead, so a worker's limit is never below
+    what is left when its result is consumed: the outcome does not
+    depend on the schedule.  Leaving the pool terminates its workers.
     """
-    if workers > 1 and n >= _PARALLEL_MIN_N and k > 2:
-        first = 0 if kind == "modular" else 1
-        hi = _last_candidates(g, k, n - 1 + first)[1]
-        jobs = [(kind, g, n, k, budget, s, rotate) for s in range(first + 1, hi + 1)]
-        nodes, witness = 0, None
-        with multiprocessing.Pool(workers) as pool:  # exit terminates the workers
-            for witness, spent in pool.imap(_branch_worker, jobs):
-                nodes += spent
-                if witness is not None:  # a witness or "budget" settles it
-                    break
-        if witness == "budget":
-            raise BudgetExceeded("node budget exhausted in a branch")
-        return witness, nodes
-    tracker = _Budget(budget)
-    return _decide(kind, g, n, k, tracker, rotate=rotate), budget - tracker.left
+    first = 0 if kind == "modular" else 1
+    last = _last_candidates(g, k, n - 1 + first)
+    nodes, witness = 0, None
+    jobs = ((kind, g, n, k, last, second, budget - nodes, rotate)
+            for second in range(first + 1, last[1] + 1))
+    parallel = workers > 1 and n >= _PARALLEL_MIN_N and k > 2
+    with multiprocessing.Pool(workers) if parallel else nullcontext() as pool:
+        for witness, spent in (pool.imap if parallel else map)(_branch, jobs):
+            nodes += spent
+            if nodes > budget:
+                raise BudgetExceeded("node budget exhausted")
+            if witness is not None:
+                break
+    return witness, nodes
 
 
 def exists_set(kind: str, g: int, n: int, k: int,
@@ -318,9 +312,9 @@ def exists_set(kind: str, g: int, n: int, k: int,
 
     Raises BudgetExceeded when the node budget runs out; an exhausted
     search never reports infeasible silently.  With workers > 1 the
-    top-level branches run in separate processes and the budget applies
-    to each branch; the answer and the node count are independent of
-    scheduling.  The modular kind decides on one rotation of each set
+    top-level branches of a large question run in separate processes;
+    the answer, the node count and the budget's outcome are independent
+    of scheduling.  The modular kind decides on one rotation of each set
     and, when it finds one, re-runs the plain search for the
     lexicographically first witness with what is left of the budget;
     nodes counts both searches.

@@ -29,7 +29,7 @@ def test_verify_modular(capsys):
     assert code == 0 and obj["max_rep"] == 3
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(capsys, tmp_path):
     assert run(["verify", "--g", "2"]) == 2
     assert run(["nonsense"]) == 2
     assert run(["bounds"]) == 2
@@ -38,6 +38,11 @@ def test_usage_error_exit_code(capsys):
     assert run(["dee", "--intervals", "1/2:1/4"]) == 2
     assert run(["dee", "--intervals", "0.5:0.5", "--mode", "float"]) == 2
     capsys.readouterr()
+    set_json = 'set JSON must be an object with keys "elements" (a list) and "modulus"'
+    interval_json = ('interval JSON must be an object with keys "geometry", '
+                     '"mode" ("rational" or "float") and "intervals" (a list)')
+    line_only = tmp_path / "line.json"
+    line_only.write_text('{"geometry": "line"}')
     messages = [
         (["construct", "ruzsa"], "--p is required"),
         (["construct", "compose"], "--set-json is required"),
@@ -47,6 +52,13 @@ def test_usage_error_exit_code(capsys):
         (["bounds", "--ubiquity", "--gamma", "0.7"], "--alpha is required"),
         (["random", "circle", "--n", "100"], "--epsilon is required"),
         (["verify", "--set", "1,2,-3", "--g", "2"], "elements must be nonnegative"),
+        (["verify", "--set", "1,2", "--modulus", "0", "--g", "2"],
+         "modulus must be a positive integer"),
+        (["construct", "compose", "--set-json", "{}", "--mate-json", "{}", "--g", "2",
+          "--h", "2"], set_json),
+        (["construct", "compose", "--set-json", "[1,2]", "--mate-json", "[1,2]", "--g", "2",
+          "--h", "2"], set_json),
+        (["dee", "--json-file", str(line_only)], interval_json),
     ]
     for argv, message in messages:
         assert run(argv) == 2, argv

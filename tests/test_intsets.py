@@ -52,6 +52,8 @@ def test_validation():
         IntSet((-1, 2))
     with pytest.raises(ValueError, match="nonnegative"):  # sign is checked before order
         IntSet.of([1, 2, -3])
+    with pytest.raises(ValueError, match="modulus must be a positive integer"):
+        IntSet.of([1], 0)  # checked before reducing by it
 
 
 def test_dense_profile_refuses_huge_spans():

@@ -145,16 +145,33 @@ def test_workers_match_serial():
         assert serial.nodes == parallel.nodes, case
 
 
+def test_budget_means_the_same_with_workers():
+    # the budget caps the decision's total nodes with or without workers:
+    # it raises one node short of the serial count and passes at it
+    cases = [("modular", 2, 44, 7), ("integer", 2, 34, 8),   # infeasible
+             ("modular", 3, 30, 7), ("integer", 3, 30, 7)]   # feasible
+    for case in cases:
+        serial = exists_set(*case)
+        for workers in (1, 2):
+            with pytest.raises(BudgetExceeded):
+                exists_set(*case, budget=serial.nodes - 1, workers=workers)
+            dec = exists_set(*case, budget=serial.nodes, workers=workers)
+            assert (dec.witness, dec.nodes) == (serial.witness, serial.nodes), (case, workers)
+
+
 def test_bitmask_engine_matches_counting_engine_witnesses():
     # integer g = 2 is the one question two engines can answer; both
     # explore candidates in increasing order, so the full
     # lexicographically-first witness must agree, not just feasibility
-    from bstar.search import _Budget, _decide_counts
+    from bstar.search import _Budget, _decide_counts, _last_candidates
 
     for n in range(4, 26):
         for k in (3, 4, 5):
             fast = exists_set("integer", 2, n, k)
-            slow = _decide_counts("integer", 2, n, k, _Budget(10**8))
+            last = _last_candidates(2, k, n)
+            branches = (_decide_counts("integer", 2, n, k, last, _Budget(10**8), second)
+                        for second in range(2, n + 1))
+            slow = next(filter(None, branches), None)
             if slow is None:
                 assert not fast.feasible, (n, k)
             else:
