@@ -105,10 +105,19 @@ class IntervalSet:
                 and isinstance(obj.get("intervals"), list) and "geometry" in obj):
             raise ValueError('interval JSON must be an object with keys "geometry", '
                              '"mode" ("rational" or "float") and "intervals" (a list)')
+        rows = obj["intervals"]
         if obj["mode"] == "rational":
-            ivs = [(Fraction(an, ad), Fraction(bn, bd)) for an, ad, bn, bd in obj["intervals"]]
+            if not all(isinstance(row, list) and len(row) == 4
+                       and all(type(v) is int for v in row) and row[1] and row[3]
+                       for row in rows):
+                raise ValueError("rational intervals must be rows [a_num, a_den, b_num, "
+                                 "b_den] of integers with nonzero denominators")
+            ivs = [(Fraction(an, ad), Fraction(bn, bd)) for an, ad, bn, bd in rows]
         else:
-            ivs = [(a, b) for a, b in obj["intervals"]]
+            if not all(isinstance(row, list) and len(row) == 2
+                       and all(type(v) in (int, float) for v in row) for row in rows):
+                raise ValueError("float intervals must be rows [a, b] of numbers")
+            ivs = [(a, b) for a, b in rows]
         return cls(tuple(ivs), obj["geometry"])
 
 

@@ -56,7 +56,8 @@ range.
 from __future__ import annotations
 
 import multiprocessing
-from contextlib import nullcontext
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -112,16 +113,50 @@ class Decision:
         return self.witness is not None
 
 
+class _Stopped(Exception):
+    """A pool worker's branch was abandoned after the decision ended."""
+
+
+# Set in each pool worker by _init_worker: the shared flag that
+# _branch_map raises when the branch loop ends.  None in-process.
+_stop = None
+
+# A worker polls the stop flag once per this many nodes.
+_POLL_NODES = 4096
+
+
+def _init_worker(stop):
+    """Keep the flag; leave Ctrl-C to the parent, which raises the flag."""
+    global _stop
+    _stop = stop
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 class _Budget:
-    __slots__ = ("left",)
+    """Node allowance of one branch, handed out _POLL_NODES at a time.
+
+    spend stays one decrement and one test; every refill, the first one
+    included, also polls the stop flag, so a worker quits a branch that
+    is no longer needed within _POLL_NODES nodes.
+    """
+    __slots__ = ("left", "reserve")
 
     def __init__(self, limit: int):
-        self.left = limit
+        self.left, self.reserve = 0, limit
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
+            self._refill()
+
+    def _refill(self):
+        if self.reserve <= 0:
             raise BudgetExceeded("node budget exhausted")
+        if _stop is not None and _stop.value:
+            raise _Stopped
+        take = min(self.reserve, _POLL_NODES)
+        self.reserve -= take
+        self.left = take - 1  # the node that asked for the refill
 
 
 def infeasibility_floor(kind: str, g: int, k: int) -> int:
@@ -278,7 +313,31 @@ def _branch(args):
             witness = _decide_counts(kind, g, n, k, last, budget, second, rotate)
     except BudgetExceeded:
         return None, limit + 1
-    return witness, limit - budget.left
+    except _Stopped:
+        return None, 0  # never consumed
+    return witness, limit - budget.left - budget.reserve
+
+
+@contextmanager
+def _branch_map(workers: int):
+    """map over the branches: builtin map, or a pool's imap when workers > 1.
+
+    On leaving, it raises the stop flag, so every worker drops its branch
+    within _POLL_NODES nodes, and closes and joins the pool.  No worker
+    is killed: a terminated worker can die holding the result queue's
+    lock and leave the pool's shutdown waiting on it forever.
+    """
+    if workers <= 1:
+        yield map
+        return
+    stop = multiprocessing.Value("b", 0, lock=False)
+    pool = multiprocessing.Pool(workers, _init_worker, (stop,))
+    try:
+        yield pool.imap
+    finally:
+        stop.value = 1
+        pool.close()
+        pool.join()
 
 
 def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
@@ -288,7 +347,7 @@ def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
     A branch may spend what the consumed branches left when its job is
     built.  A pool builds jobs ahead, so a worker's limit is never below
     what is left when its result is consumed: the outcome does not
-    depend on the schedule.  Leaving the pool terminates its workers.
+    depend on the schedule.
     """
     first = 0 if kind == "modular" else 1
     last = _last_candidates(g, k, n - 1 + first)
@@ -296,8 +355,8 @@ def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
     jobs = ((kind, g, n, k, last, second, budget - nodes, rotate)
             for second in range(first + 1, last[1] + 1))
     parallel = workers > 1 and n >= _PARALLEL_MIN_N and k > 2
-    with multiprocessing.Pool(workers) if parallel else nullcontext() as pool:
-        for witness, spent in (pool.imap if parallel else map)(_branch, jobs):
+    with _branch_map(workers if parallel else 1) as branch_map:
+        for witness, spent in branch_map(_branch, jobs):
             nodes += spent
             if nodes > budget:
                 raise BudgetExceeded("node budget exhausted")

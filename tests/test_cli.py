@@ -43,6 +43,15 @@ def test_usage_error_exit_code(capsys, tmp_path):
                      '"mode" ("rational" or "float") and "intervals" (a list)')
     line_only = tmp_path / "line.json"
     line_only.write_text('{"geometry": "line"}')
+    bad_row = tmp_path / "row.json"
+    bad_row.write_text('{"geometry": "line", "mode": "rational", "intervals": [1]}')
+    zero_den = tmp_path / "zero.json"
+    zero_den.write_text('{"geometry": "line", "mode": "rational", "intervals": [[0, 0, 1, 2]]}')
+    text_row = tmp_path / "text.json"
+    text_row.write_text('{"geometry": "line", "mode": "float", "intervals": [["0", 0.5]]}')
+    rational_rows = ("rational intervals must be rows [a_num, a_den, b_num, b_den] "
+                     "of integers with nonzero denominators")
+    set_entries = 'set JSON "elements" must be integers and "modulus" an integer or null'
     messages = [
         (["construct", "ruzsa"], "--p is required"),
         (["construct", "compose"], "--set-json is required"),
@@ -59,6 +68,17 @@ def test_usage_error_exit_code(capsys, tmp_path):
         (["construct", "compose", "--set-json", "[1,2]", "--mate-json", "[1,2]", "--g", "2",
           "--h", "2"], set_json),
         (["dee", "--json-file", str(line_only)], interval_json),
+        (["dee", "--json-file", str(bad_row)], rational_rows),
+        (["dee", "--json-file", str(zero_den)], rational_rows),
+        (["dee", "--json-file", str(text_row)], "float intervals must be rows [a, b] of numbers"),
+        (["construct", "compose", "--set-json", '{"elements": ["a"], "modulus": 7}',
+          "--mate-json", "{}", "--g", "2", "--h", "2"], set_entries),
+        (["construct", "compose", "--set-json", '{"elements": [1.0], "modulus": 7}',
+          "--mate-json", "{}", "--g", "2", "--h", "2"], set_entries),
+        (["construct", "compose", "--set-json", '{"elements": [true], "modulus": 7}',
+          "--mate-json", "{}", "--g", "2", "--h", "2"], set_entries),
+        (["construct", "compose", "--set-json", '{"elements": [1], "modulus": "7"}',
+          "--mate-json", "{}", "--g", "2", "--h", "2"], set_entries),
     ]
     for argv, message in messages:
         assert run(argv) == 2, argv

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bstar.constructions import (
@@ -10,6 +11,7 @@ from bstar.constructions import (
     compose_mod,
     expected_integer_size,
     half_modular,
+    integer_inclusion_probabilities,
     random_circle_set,
     random_integer_set,
     ruzsa_sets,
@@ -157,6 +159,25 @@ def test_random_integer_is_reproducible():
     a = random_integer_set(5000, 40.0, seed=11)
     b = random_integer_set(5000, 40.0, seed=11)
     assert a.set == b.set and a.achieved_g == b.achieved_g
+
+
+@pytest.mark.parametrize("kind, n, param, seed", [
+    ("integer", 4, math.pi, 0), ("integer", 2000, 20.0, 7), ("integer", 10**5, 50.0, 3),
+    ("circle", 9, 0.5, 1), ("circle", 1001, 1.0, 5), ("circle", 10001, 0.2, 3),
+])
+def test_random_draws_match_the_generator_form(kind, n, param, seed):
+    # the reference keeps position i of 1..n as a loop over the same draw
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        keep = rng.random(n) < integer_inclusion_probabilities(n, param)
+        expected = IntSet.of(i for i in range(1, n + 1) if keep[i - 1])
+        rep = random_integer_set(n, param, seed)
+    else:
+        keep = rng.random(n) < param
+        expected = IntSet.of((i % n for i in range(1, n + 1) if keep[i - 1]), n)
+        rep = random_circle_set(n, param, seed)
+    assert rep.set == expected
+    assert all(type(e) is int for e in rep.set.elements)
 
 
 def test_report_verified_accounts_for_claim():

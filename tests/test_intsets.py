@@ -1,8 +1,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bstar.intsets import IntSet, is_bstar, max_rep, representation_counts
@@ -57,8 +58,76 @@ def test_validation():
 
 
 def test_dense_profile_refuses_huge_spans():
-    with pytest.raises(ValueError):
-        representation_counts(IntSet.of([0, 1 << 40]))
+    for s in [IntSet.of([0, 1 << 40]), IntSet((), 1 << 40), IntSet((0,), 1 << 40)]:
+        with pytest.raises(ValueError, match="exceeds the dense limit"):
+            representation_counts(s)
+
+
+def _loop_counts(s):
+    """r(t) by the definition: every ordered pair, one at a time."""
+    n = s.modulus
+    counts = [0] * (n if n is not None else 2 * s.max_element + 1)
+    for a in s.elements:
+        for b in s.elements:
+            counts[(a + b) % n if n is not None else a + b] += 1
+    return counts
+
+
+def _bincount_counts(s):
+    """r(t) by bincounting all pair sums in row blocks."""
+    a = np.asarray(s.elements, dtype=np.int64)
+    n = s.modulus
+    counts = np.zeros(n if n is not None else 2 * s.max_element + 1, dtype=np.int64)
+    for lo in range(0, len(a), 500):
+        sums = (a[lo:lo + 500, None] + a[None, :]).ravel()
+        if n is not None:
+            sums %= n
+        counts += np.bincount(sums, minlength=len(counts))
+    return counts
+
+
+@st.composite
+def any_sets(draw):
+    n = draw(st.none() | st.integers(min_value=1, max_value=64))
+    if n is not None and draw(st.booleans()):
+        return IntSet.of(range(n), n)  # every residue
+    top = 5000 if n is None else n - 1
+    els = draw(st.sets(st.integers(min_value=0, max_value=top), min_size=1, max_size=40))
+    return IntSet.of(els, n)
+
+
+@given(any_sets())
+@example(IntSet.of([0, 6], 7))  # residues 0 and n - 1, odd n
+@example(IntSet.of([0, 3, 7], 8))  # and even n
+@example(IntSet.of(range(12), 12))
+@example(IntSet.of([0]))
+@settings(max_examples=200)
+def test_counts_match_the_double_loop(s):
+    assert representation_counts(s).counts.tolist() == _loop_counts(s)
+
+
+def test_counts_match_a_blocked_bincount_on_large_sets():
+    rng = np.random.default_rng(8)
+    draws = [(rng.choice(10**6, 3000, replace=False) + 1, None),
+             (rng.choice(200001, 3000, replace=False), 200001)]
+    for elements, n in draws:
+        s = IntSet.of(elements.tolist(), n)
+        assert np.array_equal(representation_counts(s).counts, _bincount_counts(s))
+
+
+@pytest.mark.parametrize("delta", [0.3, 1.0])
+def test_a_perturbed_fft_is_refused(monkeypatch, delta):
+    # 0.3 fails the rounding check; 1.0 rounds cleanly but breaks the k^2 total
+    irfft = np.fft.irfft
+
+    def perturbed(*args, **kwargs):
+        c = irfft(*args, **kwargs)
+        c[3] += delta
+        return c
+
+    monkeypatch.setattr(np.fft, "irfft", perturbed)
+    with pytest.raises(ArithmeticError):
+        representation_counts(IntSet.of([1, 2, 5, 7]))
 
 
 def test_json_round_trip():

@@ -1,4 +1,6 @@
 import itertools
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -143,6 +145,29 @@ def test_workers_match_serial():
         assert serial.feasible == feasible, case
         assert serial.witness == parallel.witness, case
         assert serial.nodes == parallel.nodes, case
+
+
+def test_stop_flag_ends_a_branch(monkeypatch):
+    # a pool worker polls the flag at a branch's first node and then
+    # every _POLL_NODES nodes; a raised flag drops the branch at once
+    from bstar import search
+    job = ("modular", 3, 57, 9, search._last_candidates(3, 9, 56), 2, 10**9, True)
+    monkeypatch.setattr(search, "_stop", multiprocessing.Value("b", 1, lock=False))
+    assert search._branch(job) == (None, 0)
+    search._stop.value = 0
+    witness, nodes = search._branch(job)
+    assert witness is None and nodes > search._POLL_NODES
+
+
+def test_early_stop_with_more_workers_than_cores():
+    # the witness turns up while later, long branches still run or wait;
+    # the pool stops them by the flag and is joined, leaving no process
+    case = ("modular", 3, 57, 9)
+    serial = exists_set(*case)
+    parallel = exists_set(*case, workers=min(os.cpu_count() or 1, 15) + 1)
+    assert serial.feasible and serial.witness == parallel.witness
+    assert serial.nodes == parallel.nodes
+    assert multiprocessing.active_children() == []
 
 
 def test_budget_means_the_same_with_workers():
