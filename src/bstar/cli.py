@@ -1,14 +1,18 @@
 """Command-line front end.
 
 Subcommands: verify, construct, search, table, dee, delta-k, kernel,
-bounds, random.  All numeric output is JSON (CSV for streamed tables)
-with floats rendered to 12 significant digits; the seed used by any
-randomized step is echoed in the output.  Exit codes: 0 success, 1 a
-requested verification failed, 2 usage error (including a missing
-argument), 3 undecided (a search ran out of its node budget; rows
-already streamed by `table` stay valid).  A reader that closes the
-output early (`bstar table ... | head -1`) is no error: the command
-stops silently with exit 0.
+bounds, random.  `construct` and `random` take the family or model as
+their first word, and each family or model declares its own flags, so
+`bstar construct ruzsa --help` lists what it needs.  All numeric output
+is JSON (CSV for streamed tables) with floats rendered to 12 significant
+digits; the seed used by any randomized step is echoed in the output.
+Exit codes: 0 success, 1 a requested verification failed, 2 usage error,
+3 undecided (a search ran out of its node budget; rows already streamed
+by `table` stay valid).  Every usage error, whether the parser or a
+handler finds it, is one `error: <message>` line on stderr with nothing
+on stdout.  A reader that closes the output early
+(`bstar table ... | head -1`) is no error: the command stops silently
+with exit 0.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 from . import constructions, intervals, kernels, search
@@ -24,13 +29,12 @@ from .intsets import IntSet, is_bstar, max_rep, representation_counts
 USAGE_ERROR = 2
 UNDECIDED = 3
 
-# flags each construction family reads
-_CONSTRUCT_NEEDS = {
-    "ruzsa": ("p", "k"), "bose": ("p", "k"), "singer": ("p", "k"),
-    "small-gn": ("g",),
-    "compose": ("set_json", "mate_json", "g", "h"),
-    "half-modular": ("set_json", "mate_json", "g", "h"),
-}
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors take `run`'s usage-error path."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _fmt(value):
@@ -62,15 +66,15 @@ def _parse_elements(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
 
 
-def _parse_rational(tok: str) -> Fraction:
-    return Fraction(tok)
-
-
 def _parse_intervals(text: str, exact: bool):
+    number = Fraction if exact else float
     pairs = []
     for chunk in text.split(","):
         lo, hi = chunk.split(":")
-        pair = (_parse_rational(lo), _parse_rational(hi)) if exact else (float(lo), float(hi))
+        try:
+            pair = (number(lo), number(hi))
+        except ZeroDivisionError:
+            raise ValueError(f"interval {chunk} has a zero denominator") from None
         if not pair[0] < pair[1]:
             raise ValueError(f"interval {chunk} must have a < b")
         pairs.append(pair)
@@ -80,6 +84,8 @@ def _parse_intervals(text: str, exact: bool):
 def _parse_p(text: str) -> float:
     if "/" in text:
         num, den = text.split("/")
+        if float(den) == 0:
+            raise ValueError(f"--p {text} has a zero denominator")
         return float(num) / float(den)
     return float(text)
 
@@ -103,23 +109,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    _require(args, *_CONSTRUCT_NEEDS[args.family])
-    if args.family == "ruzsa":
-        rep = constructions.ruzsa_sets(args.p, args.k)
-    elif args.family == "bose":
-        rep = constructions.bose_sets(args.p, args.k)
-    elif args.family == "singer":
-        rep = constructions.singer_sets(args.p, args.k)
-    elif args.family == "small-gn":
-        rep = constructions.small_gn_witness(args.g)
-    elif args.family == "compose":
-        s = IntSet.from_json(args.set_json)
-        m = IntSet.from_json(args.mate_json)
-        rep = constructions.compose_mod(s, args.g, m, args.h)
-    else:  # half-modular
-        s = IntSet.from_json(args.set_json)
-        m = IntSet.from_json(args.mate_json)
-        rep = constructions.half_modular(s, args.g, m, args.h)
+    rep = args.build(args)
     print(rep.to_json())
     return 0 if rep.verified else 1
 
@@ -151,11 +141,17 @@ def _cmd_search(args) -> int:
 
 def _cmd_table(args) -> int:
     kind = "modular" if args.which == "C" else "integer"
-    print("kind,g,k,min_n,exhaustive,witness")
+    print("kind,g,k,min_n,exhaustive,witness" + (",nodes,seconds" if args.timings else ""))
+    last = time.perf_counter()
     for g, k, res in search.table_rows(kind, args.g_min, args.g_max, args.max_k,
                                        args.budget, args.threads):
         witness = " ".join(str(e) for e in res.witness.elements)
-        print(f"{kind},{g},{k},{res.min_n},{res.exhaustive},{witness}", flush=True)
+        row = f"{kind},{g},{k},{res.min_n},{res.exhaustive},{witness}"
+        if args.timings:
+            now = time.perf_counter()
+            row += f",{res.nodes_explored},{now - last:.2f}"
+            last = now
+        print(row, flush=True)
     return 0
 
 
@@ -197,8 +193,11 @@ def _cmd_kernel(args) -> int:
     if args.pwl_file:
         import numpy as np
 
-        data = np.loadtxt(args.pwl_file, delimiter=",")
-        y = data[np.argsort(data[:, 0]), 1]
+        data = np.loadtxt(args.pwl_file, delimiter=",", ndmin=2)
+        order = np.argsort(data[:, 0])
+        if data.shape[1] != 2 or not np.array_equal(data[order, 0], np.arange(len(data))):
+            raise ValueError("--pwl-file must hold rows t,y_t for t = 0, 1, ..., T")
+        y = data[order, 1]
         kernel = kernels.PiecewiseLinearKernel(y)
     else:
         kernel = kernels.PiecewiseLinearKernel.from_family(args.family, args.T)
@@ -252,18 +251,13 @@ def _cmd_bounds(args) -> int:
     if args.zeta_integral:
         out["zeta_integral"] = kernels.zeta_integral_check()
     if not out:
-        print("error: pick at least one bound selector", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("pick at least one bound selector")
     _emit(out)
     return 0
 
 
 def _cmd_random(args) -> int:
-    _require(args, "epsilon" if args.model == "circle" else "gamma")
-    if args.model == "circle":
-        rep = constructions.random_circle_set(args.n, args.epsilon, seed=args.seed)
-    else:
-        rep = constructions.random_integer_set(args.n, args.gamma, seed=args.seed)
+    rep = args.draw(args)
     _emit({
         "model": rep.name, "seed": rep.seed, "rule": rep.rule,
         "size": rep.size, "expected_size": rep.expected_size,
@@ -279,8 +273,7 @@ def _cmd_random(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(prog="bstar",
-                                   description="B*[g] sets and symmetric-subset bounds")
+    root = _Parser(prog="bstar", description="B*[g] sets and symmetric-subset bounds")
     sub = root.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check a set against a bound g")
@@ -290,15 +283,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("construct", help="run a named construction")
-    p.add_argument("family", choices=["ruzsa", "bose", "singer", "small-gn",
-                                      "compose", "half-modular"])
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--h", type=int, default=None)
-    p.add_argument("--set-json", default=None, help="first operand as IntSet JSON")
-    p.add_argument("--mate-json", default=None, help="second operand as IntSet JSON")
     p.set_defaults(fn=_cmd_construct)
+    families = p.add_subparsers(dest="family", required=True)
+    for name, build in (("ruzsa", constructions.ruzsa_sets),
+                        ("bose", constructions.bose_sets),
+                        ("singer", constructions.singer_sets)):
+        f = families.add_parser(name)
+        f.add_argument("--p", type=int, required=True)
+        f.add_argument("--k", type=int, required=True)
+        f.set_defaults(build=lambda a, build=build: build(a.p, a.k))
+    f = families.add_parser("small-gn")
+    f.add_argument("--g", type=int, required=True)
+    f.set_defaults(build=lambda a: constructions.small_gn_witness(a.g))
+    for name, build in (("compose", constructions.compose_mod),
+                        ("half-modular", constructions.half_modular)):
+        f = families.add_parser(name)
+        f.add_argument("--set-json", required=True, help="first operand as IntSet JSON")
+        f.add_argument("--mate-json", required=True, help="second operand as IntSet JSON")
+        f.add_argument("--g", type=int, required=True)
+        f.add_argument("--h", type=int, required=True)
+        f.set_defaults(build=lambda a, build=build: build(
+            IntSet.from_json(a.set_json), a.g, IntSet.from_json(a.mate_json), a.h))
 
     p = sub.add_parser("search", help="decide feasibility or minimize n")
     p.add_argument("--kind", choices=["integer", "modular"], required=True)
@@ -318,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-max", type=int, default=7)
     p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
     p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--timings", action="store_true",
+                   help="append each row's search nodes and its seconds since the last row")
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("dee", help="largest symmetric subset of an interval union")
@@ -361,24 +368,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("random", help="seeded probabilistic constructions")
-    p.add_argument("model", choices=["circle", "integer"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emit-elements", action="store_true")
     p.set_defaults(fn=_cmd_random)
+    models = p.add_subparsers(dest="model", required=True)
+    for model, param, draw in (
+            ("circle", "--epsilon",
+             lambda a: constructions.random_circle_set(a.n, a.epsilon, seed=a.seed)),
+            ("integer", "--gamma",
+             lambda a: constructions.random_integer_set(a.n, a.gamma, seed=a.seed))):
+        m = models.add_parser(model)
+        m.add_argument("--n", type=int, required=True)
+        m.add_argument(param, type=float, required=True)
+        m.add_argument("--seed", type=int, default=0)
+        m.add_argument("--emit-elements", action="store_true")
+        m.set_defaults(draw=draw)
 
     return root
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()
         return code

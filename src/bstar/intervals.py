@@ -321,6 +321,8 @@ def delta_k_upper(k: int, epsilon: float, restarts: int = 200,
         raise ValueError("k must be positive")
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
+    if restarts < 1:
+        raise ValueError("restarts must be positive")
     if k == 1:
         witness = IntervalSet.of([(0.0, float(epsilon))])
         return float(epsilon), witness

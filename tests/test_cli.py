@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import bstar
+from bstar import search
 from bstar.cli import run
 from bstar.intsets import IntSet, is_bstar
 
@@ -30,14 +31,6 @@ def test_verify_modular(capsys):
 
 
 def test_usage_error_exit_code(capsys, tmp_path):
-    assert run(["verify", "--g", "2"]) == 2
-    assert run(["nonsense"]) == 2
-    assert run(["bounds"]) == 2
-    assert run(["dee"]) == 2
-    assert run(["dee", "--intervals", "0:1/2", "--json-file", "e.json"]) == 2
-    assert run(["dee", "--intervals", "1/2:1/4"]) == 2
-    assert run(["dee", "--intervals", "0.5:0.5", "--mode", "float"]) == 2
-    capsys.readouterr()
     set_json = 'set JSON must be an object with keys "elements" (a list) and "modulus"'
     interval_json = ('interval JSON must be an object with keys "geometry", '
                      '"mode" ("rational" or "float") and "intervals" (a list)')
@@ -52,14 +45,38 @@ def test_usage_error_exit_code(capsys, tmp_path):
     rational_rows = ("rational intervals must be rows [a_num, a_den, b_num, b_den] "
                      "of integers with nonzero denominators")
     set_entries = 'set JSON "elements" must be integers and "modulus" an integer or null'
+    one_row = tmp_path / "one.csv"
+    one_row.write_text("0,1\n")
+    three_cols = tmp_path / "three.csv"
+    three_cols.write_text("0,1,2\n1,0.5,3\n")
+    t_gap = tmp_path / "gap.csv"
+    t_gap.write_text("0,1\n2,0.5\n")
+    pwl_rows = "--pwl-file must hold rows t,y_t for t = 0, 1, ..., T"
     messages = [
-        (["construct", "ruzsa"], "--p is required"),
-        (["construct", "compose"], "--set-json is required"),
+        (["construct", "ruzsa"], "the following arguments are required: --p, --k"),
+        (["construct", "compose"],
+         "the following arguments are required: --set-json, --mate-json, --g, --h"),
+        (["construct", "ruzsa", "--p", "5", "--k", "1", "--g", "3"],
+         "unrecognized arguments: --g 3"),
+        (["verify", "--g", "2"], "the following arguments are required: --set"),
+        (["bounds"], "pick at least one bound selector"),
+        (["dee"], "one of the arguments --intervals --json-file is required"),
+        (["dee", "--intervals", "0:1/2", "--json-file", "e.json"],
+         "argument --json-file: not allowed with argument --intervals"),
+        (["dee", "--intervals", "1/2:1/4"], "interval 1/2:1/4 must have a < b"),
+        (["dee", "--intervals", "0.5:0.5", "--mode", "float"], "interval 0.5:0.5 must have a < b"),
         (["bounds", "--rho-lower"], "--g is required"),
         (["bounds", "--delta-half"], "--epsilon is required"),
         (["bounds", "--ubiquity"], "--gamma is required"),
         (["bounds", "--ubiquity", "--gamma", "0.7"], "--alpha is required"),
-        (["random", "circle", "--n", "100"], "--epsilon is required"),
+        (["random", "circle", "--n", "100"], "the following arguments are required: --epsilon"),
+        (["kernel", "eval", "--pwl-file", str(one_row)], "need node values y_0..y_T with T >= 1"),
+        (["kernel", "eval", "--pwl-file", str(three_cols)], pwl_rows),
+        (["kernel", "eval", "--pwl-file", str(t_gap)], pwl_rows),
+        (["kernel", "eval", "--p", "4/0"], "--p 4/0 has a zero denominator"),
+        (["dee", "--intervals", "0:1/0"], "interval 0:1/0 has a zero denominator"),
+        (["delta-k", "--k", "2", "--epsilon", "0.5", "--restarts", "0"],
+         "restarts must be positive"),
         (["verify", "--set", "1,2,-3", "--g", "2"], "elements must be nonnegative"),
         (["verify", "--set", "1,2", "--modulus", "0", "--g", "2"],
          "modulus must be a positive integer"),
@@ -84,6 +101,11 @@ def test_usage_error_exit_code(capsys, tmp_path):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n", argv
+    # argparse words the list of choices differently across Python versions
+    assert run(["nonsense"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: argument command: invalid choice: 'nonsense'")
 
 
 def test_undecided_search_exit_code(capsys):
@@ -182,6 +204,45 @@ def test_table_streams_csv(capsys):
     cells = {(r[1], r[2]): int(r[3]) for r in rows}
     assert cells[("2", "3")] == 4 and cells[("2", "4")] == 7
     assert cells[("3", "4")] == 5
+
+
+def test_table_timings_extend_the_rows(capsys):
+    argv = ["table", "--which", "R", "--max-k", "6", "--g-max", "3"]
+    assert run(argv) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert run(argv + ["--timings"]) == 0
+    timed = capsys.readouterr().out.splitlines()
+    assert timed[0] == plain[0] + ",nodes,seconds"
+    rows = [line.split(",") for line in timed[1:]]
+    assert [",".join(r[:6]) for r in rows] == plain[1:]
+    nodes = [res.nodes_explored for _, _, res in search.table_rows("integer", 2, 3, 6)]
+    assert [int(r[6]) for r in rows] == nodes
+    assert all(float(r[7]) >= 0 for r in rows)
+
+
+def test_help_names_each_required_flag():
+    # each family and model states its own flags, so --help shows them
+    env = dict(os.environ, PYTHONPATH=str(Path(bstar.__file__).resolve().parents[1]))
+    needs = {
+        ("construct", "ruzsa"): ["--p", "--k"],
+        ("construct", "bose"): ["--p", "--k"],
+        ("construct", "singer"): ["--p", "--k"],
+        ("construct", "small-gn"): ["--g"],
+        ("construct", "compose"): ["--set-json", "--mate-json", "--g", "--h"],
+        ("construct", "half-modular"): ["--set-json", "--mate-json", "--g", "--h"],
+        ("random", "circle"): ["--n", "--epsilon"],
+        ("random", "integer"): ["--n", "--gamma"],
+    }
+    procs = {words: subprocess.Popen([sys.executable, "-m", "bstar.cli", *words, "--help"],
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+             for words in needs}
+    for words, proc in procs.items():
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0 and err == b"", words
+        usage = out.decode().split("\n\n")[0].split()
+        for flag in needs[words]:
+            # a required flag appears in the usage line without brackets
+            assert flag in usage, (words, flag)
 
 
 def test_table_row_after_an_exhaustive_row_is_exhaustive(capsys):

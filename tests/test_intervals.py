@@ -186,6 +186,12 @@ def test_delta_k_single_interval_is_exact():
     assert witness.measure == pytest.approx(0.37)
 
 
+def test_delta_k_needs_a_restart():
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="restarts must be positive"):
+            delta_k_upper(k, 0.5, restarts=0)
+
+
 def test_delta_k_two_intervals_quick():
     value, witness = delta_k_upper(2, 0.75, restarts=25, seed=2)
     assert value == pytest.approx(0.5, abs=1e-3)
