@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 from . import constructions, intervals, kernels, search
@@ -193,7 +194,11 @@ def _cmd_kernel(args) -> int:
     if args.pwl_file:
         import numpy as np
 
-        data = np.loadtxt(args.pwl_file, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file fails the row check below; numpy's warning would
+            # only repeat it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(args.pwl_file, delimiter=",", ndmin=2)
         order = np.argsort(data[:, 0])
         if data.shape[1] != 2 or not np.array_equal(data[order, 0], np.arange(len(data))):
             raise ValueError("--pwl-file must hold rows t,y_t for t = 0, 1, ..., T")

@@ -97,8 +97,9 @@ _HURWITZ_LEAD_TERMS = 40  # summed directly before the Euler-Maclaurin tail
 def _hurwitz_array(s: float, a: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin zeta(s, a) for s > 1 and a vector of a > 0."""
     a = np.asarray(a, dtype=float)
-    ks = np.arange(_HURWITZ_LEAD_TERMS, dtype=float)
-    base = ((ks[:, None] + a[None, :]) ** (-s)).sum(axis=0)
+    base = np.zeros_like(a)
+    for k in range(_HURWITZ_LEAD_TERMS):  # one row at a time: no terms-by-len(a) temporary
+        base += (k + a) ** (-s)
     na = _HURWITZ_LEAD_TERMS + a
     total = base + na ** (1.0 - s) / (s - 1.0) + 0.5 * na ** (-s)
     for j, b2j in enumerate(_BERNOULLI_2J, start=1):
@@ -109,7 +110,12 @@ def _hurwitz_array(s: float, a: np.ndarray) -> np.ndarray:
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
-    """zeta(s, a) = sum_{k>=0} (k+a)^(-s), accurate to ~1e-12 or better."""
+    """zeta(s, a) = sum_{k>=0} (k+a)^(-s).
+
+    Relative error at most 1e-14 against mpmath for s in {4/3, 2, 8/3} and
+    a on a log grid over [1e-4, 1] (tests/test_kernels.py); bit for bit
+    the entry that _hurwitz_array gives for the same a in any vector.
+    """
     if s <= 1:
         raise DomainError("hurwitz_zeta needs s > 1")
     if not 0 < a <= 1:
@@ -155,7 +161,10 @@ PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 class PiecewiseLinearKernel:
     """Even kernel, 1 on [-1/4, 1/4], linear between x_t = 1/4 + t/(4T).
 
-    y holds the T+1 node values with y[0] = 1.
+    y holds the T+1 node values with y[0] = 1.  The kernel caches its FFT
+    coefficients and, per exponent p, the Hurwitz zeta table that its
+    tail norms weight them with; that table depends only on (T, p), so
+    it is computed once per kernel and p.
     """
 
     def __init__(self, y):
@@ -167,9 +176,12 @@ class PiecewiseLinearKernel:
         self.y = y
         self.T = len(y) - 1
         self._c: Optional[np.ndarray] = None
+        self._zeta: dict[float, np.ndarray] = {}
 
     @classmethod
     def from_profile(cls, profile: Callable, T: int) -> "PiecewiseLinearKernel":
+        if T < 1:
+            raise ValueError("T must be a positive integer")
         t = np.arange(1, T + 1)
         y = np.empty(T + 1)
         y[0] = 1.0
@@ -210,6 +222,19 @@ class PiecewiseLinearKernel:
         c = self.normalized_coefficients()
         return 2.0 * self.T * float(c[abs(j) % (4 * self.T)]) / (math.pi**2 * j * j)
 
+    def _zeta_window(self, p: float, start: int) -> np.ndarray:
+        """zeta(2p, j/(4T)) for the one period j = start .. start+4T-1.
+
+        Starts 1 and 2 slice the table over j = 1 .. 4T+1, computed on the
+        first call for this p; a later start is computed afresh.
+        """
+        period = 4 * self.T
+        if start > 2:
+            return _hurwitz_array(2.0 * p, np.arange(start, start + period) / (4.0 * self.T))
+        if p not in self._zeta:
+            self._zeta[p] = _hurwitz_array(2.0 * p, np.arange(1, period + 2) / (4.0 * self.T))
+        return self._zeta[p][start - 1:start - 1 + period]
+
     def squared_integral(self) -> float:
         """Integral of K^2: exact piecewise quadratic areas."""
         y, T = self.y, self.T
@@ -231,16 +256,18 @@ def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
 
     The j-sum runs over exactly one period of C(j); nothing is truncated
     because the Hurwitz zeta factor absorbs each arithmetic progression.
+    Those zeta values depend only on (T, p): the kernel computes them once
+    per p, so the norms from n = 0, 1 and 2 share one evaluation.
     """
     if n < 0:
         raise ValueError("tail start must be nonnegative")
-    if p <= 1:
+    if not p > 1:
         raise DomainError("tail norms need p > 1")
     T = kernel.T
     c = kernel.normalized_coefficients()
     start = max(n, 1)
     js = np.arange(start, start + 4 * T)
-    zs = _hurwitz_array(2.0 * p, js / (4.0 * T))
+    zs = kernel._zeta_window(p, start)
     body = 2.0 * (2.0 * T / ((4.0 * T) ** 2 * math.pi**2)) ** p * float(
         np.sum(np.abs(c[js % (4 * T)]) ** p * zs)
     )

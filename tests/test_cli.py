@@ -51,6 +51,8 @@ def test_usage_error_exit_code(capsys, tmp_path):
     three_cols.write_text("0,1,2\n1,0.5,3\n")
     t_gap = tmp_path / "gap.csv"
     t_gap.write_text("0,1\n2,0.5\n")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
     pwl_rows = "--pwl-file must hold rows t,y_t for t = 0, 1, ..., T"
     messages = [
         (["construct", "ruzsa"], "the following arguments are required: --p, --k"),
@@ -73,7 +75,10 @@ def test_usage_error_exit_code(capsys, tmp_path):
         (["kernel", "eval", "--pwl-file", str(one_row)], "need node values y_0..y_T with T >= 1"),
         (["kernel", "eval", "--pwl-file", str(three_cols)], pwl_rows),
         (["kernel", "eval", "--pwl-file", str(t_gap)], pwl_rows),
+        (["kernel", "eval", "--pwl-file", str(empty)], pwl_rows),
         (["kernel", "eval", "--p", "4/0"], "--p 4/0 has a zero denominator"),
+        (["kernel", "eval", "--T", "-1"], "T must be a positive integer"),
+        (["bounds", "--certificate", "--T", "-2"], "T must be a positive integer"),
         (["dee", "--intervals", "0:1/0"], "interval 0:1/0 has a zero denominator"),
         (["delta-k", "--k", "2", "--epsilon", "0.5", "--restarts", "0"],
          "restarts must be positive"),

@@ -28,6 +28,7 @@ from bstar.kernels import (
     ubiquity_bound,
     zeta_integral_check,
 )
+from bstar.kernels import _hurwitz_array
 
 T_SMALL = 2000  # enough nodes for unit-test accuracy at a fraction of the cost
 
@@ -59,6 +60,24 @@ def test_hurwitz_domain():
         hurwitz_zeta(1.0, 0.5)
     with pytest.raises(DomainError):
         hurwitz_zeta(2.0, 1.5)
+
+
+@pytest.mark.parametrize("s", [8 / 3, 2.0, 4 / 3])
+def test_hurwitz_against_mpmath(s):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for a in np.geomspace(1e-4, 1.0, 201):
+            exact = mpmath.zeta(s, float(a))
+            assert abs(hurwitz_zeta(s, float(a)) - exact) <= 1e-14 * exact, a
+
+
+def test_hurwitz_vector_matches_scalar_calls():
+    # a kernel's tail norms slice one vector evaluation, so an entry must
+    # not depend on the vector's length or on its place in it
+    table_args = np.arange(1, 4 * 50 + 1) / (4.0 * 50)
+    for s in (8 / 3, 2.0):
+        for a in (np.geomspace(1e-4, 1.0, 201), table_args, table_args[7:20]):
+            assert np.array_equal(_hurwitz_array(s, a), [hurwitz_zeta(s, float(x)) for x in a])
 
 
 def test_coefficient_profile_periodicity_and_fft():
@@ -113,6 +132,20 @@ def test_tail_norm_monotone_in_n_and_p():
     ps = [1.1, 4 / 3, 1.6, 2.0]
     norms = [tail_norm(kernel, 1, p).value for p in ps]
     assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+def test_tail_norms_do_not_depend_on_call_order():
+    # the kernel caches one zeta table per p; asking in a mixed order must
+    # give every value a fresh kernel gives, bit for bit
+    kernel = PiecewiseLinearKernel.from_family("K5", T_SMALL)
+    for p in (2.0, 4 / 3):
+        for n in (5, 2, 0, 1):
+            fresh = PiecewiseLinearKernel.from_family("K5", T_SMALL)
+            assert tail_norm(kernel, n, p) == tail_norm(fresh, n, p), (n, p)
+    fresh = PiecewiseLinearKernel.from_family("K5", T_SMALL)
+    assert BoundCertificate.from_kernel(kernel) == BoundCertificate.from_kernel(fresh)
+    with pytest.raises(DomainError):  # a NaN key would never hit the cache
+        tail_norm(kernel, 1, math.nan)
 
 
 def test_parseval_cross_check():
