@@ -1,21 +1,1 @@
 """B*[g] sets, their extremal searches, and symmetric-subset bounds."""
-
-from .intervals import IntervalSet, a_of_s, delta_k_upper, largest_symmetric_subset
-from .intsets import IntSet, RepProfile, is_bstar, max_rep, representation_counts
-from .search import SearchProblem, SearchResult, exists_set, min_n
-
-__all__ = [
-    "IntSet",
-    "IntervalSet",
-    "RepProfile",
-    "SearchProblem",
-    "SearchResult",
-    "a_of_s",
-    "delta_k_upper",
-    "exists_set",
-    "is_bstar",
-    "largest_symmetric_subset",
-    "max_rep",
-    "min_n",
-    "representation_counts",
-]

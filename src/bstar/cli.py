@@ -25,7 +25,7 @@ import warnings
 from fractions import Fraction
 
 from . import constructions, intervals, kernels, search
-from .intsets import IntSet, is_bstar, max_rep, representation_counts
+from .intsets import IntSet, representation_counts
 
 USAGE_ERROR = 2
 UNDECIDED = 3
@@ -96,6 +96,8 @@ def _parse_p(text: str) -> float:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    if args.g < 1:
+        raise ValueError("--g must be a positive integer")
     s = IntSet.of(_parse_elements(args.set), args.modulus)
     profile = representation_counts(s)
     ok = profile.max_count <= args.g
@@ -141,6 +143,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.g_min < 1:
+        raise ValueError("--g-min must be a positive integer")
     kind = "modular" if args.which == "C" else "integer"
     print("kind,g,k,min_n,exhaustive,witness" + (",nodes,seconds" if args.timings else ""))
     last = time.perf_counter()

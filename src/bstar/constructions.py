@@ -63,15 +63,6 @@ class ConstructionReport:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ConstructionReport":
-        obj = json.loads(text)
-        s = IntSet(tuple(obj["set"]["elements"]), obj["set"]["modulus"])
-        return cls(
-            obj["construction"], obj["params"], s,
-            obj["claimed_g"], obj["claimed_modulus_or_range"], obj["verified"],
-        )
-
 
 @dataclass(frozen=True)
 class ProbConstructReport:
@@ -243,12 +234,6 @@ def small_gn_witness(g: int) -> ConstructionReport:
     if len(s) != g + 2 * g3 + g6 or s.max_element != 3 * g - g3:
         raise AssertionError("witness blocks overlapped")
     return _report("small_gn", {"g": g}, s, g, 3 * g - g3 + 1)
-
-
-def small_gn_ratio(g: int) -> float:
-    """|S| / sqrt(2 g n) for the four-block witness, n = 3g - floor(g/3) + 1."""
-    rep = small_gn_witness(g)
-    return len(rep.set) / math.sqrt(2 * g * rep.claimed_modulus_or_range)
 
 
 def random_circle_set(n: int, epsilon: float, seed: int = 0) -> ProbConstructReport:

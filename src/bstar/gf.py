@@ -23,7 +23,7 @@ class TooLarge(ValueError):
 
 
 # Largest permitted field size p^t.
-DEFAULT_ORDER_LIMIT = 1 << 22
+ORDER_LIMIT = 1 << 22
 
 
 def is_prime(p: int) -> bool:
@@ -107,10 +107,6 @@ class FieldCtx:
             e >>= 1
         return result
 
-    def scalar_multiples(self, a: Element) -> set[Element]:
-        """The GF(p)-line through a: {c * a : c in GF(p)*}."""
-        return {tuple((c * x) % self.p for x in a) for c in range(1, self.p)}
-
 
 def _irreducible(p: int, t: int, coeffs: tuple[int, ...]) -> bool:
     """Degree 2 or 3 polynomials are irreducible iff they have no root."""
@@ -123,14 +119,14 @@ def _irreducible(p: int, t: int, coeffs: tuple[int, ...]) -> bool:
     return True
 
 
-def make_field(p: int, t: int, order_limit: int = DEFAULT_ORDER_LIMIT) -> FieldCtx:
+def make_field(p: int, t: int) -> FieldCtx:
     """Construct GF(p^t) with a verified reduction polynomial and generator."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if t not in (1, 2, 3):
         raise ValueError("extension degree must be 1, 2 or 3")
-    if p**t > order_limit:
-        raise TooLarge(f"field order {p}^{t} exceeds limit {order_limit}")
+    if p**t > ORDER_LIMIT:
+        raise TooLarge(f"field order {p}^{t} exceeds limit {ORDER_LIMIT}")
 
     if t == 1:
         reduction: tuple[int, ...] = (0,)

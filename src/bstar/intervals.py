@@ -31,10 +31,6 @@ from .intsets import IntSet
 Number = object  # Fraction or float, tagged by IntervalSet.exact
 
 
-class GeometryMismatch(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class IntervalSet:
     """Disjoint sorted half-open intervals [a, b) inside [0, 1)."""
@@ -74,19 +70,6 @@ class IntervalSet:
     def measure(self):
         zero = Fraction(0) if self.exact else 0.0
         return sum((b - a for a, b in self.intervals), zero)
-
-    def endpoints(self) -> list:
-        out = []
-        for a, b in self.intervals:
-            out.append(a)
-            out.append(b)
-        return out
-
-    def scale(self, t) -> "IntervalSet":
-        return IntervalSet(tuple((a * t, b * t) for a, b in self.intervals), self.geometry)
-
-    def as_floats(self) -> "IntervalSet":
-        return IntervalSet(tuple((float(a), float(b)) for a, b in self.intervals), self.geometry)
 
     def to_json(self) -> str:
         if self.exact:
@@ -181,23 +164,6 @@ def largest_symmetric_subset(e: IntervalSet,
     if include_profile:
         profile = tuple((div(s, 2 * scale), div(u, scale)) for s, u in rows)
     return SymmetricSubsetResult(div(units, scale), div(sigma, 2 * scale), profile)
-
-
-def symmetric_difference_measure(s: IntervalSet, t: IntervalSet):
-    """lambda(S diamond T) by a two-set endpoint sweep."""
-    if s.geometry != t.geometry:
-        raise GeometryMismatch("cannot mix line and circle sets")
-    events = sorted(set(s.endpoints()) | set(t.endpoints()))
-    exact = s.exact and t.exact
-    total = Fraction(0) if exact else 0.0
-
-    def covered(ivs, x):
-        return any(a <= x < b for a, b in ivs)
-
-    for lo, hi in zip(events, events[1:]):
-        if covered(s.intervals, lo) != covered(t.intervals, lo):
-            total += hi - lo
-    return total
 
 
 def a_of_s(s, n: int) -> IntervalSet:

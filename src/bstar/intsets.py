@@ -75,12 +75,6 @@ class IntSet:
             raise ValueError("translation would produce negative elements")
         return IntSet(tuple(e + c for e in self.elements))
 
-    def dilate(self, u: int) -> "IntSet":
-        """u * S mod n; only meaningful in the modular setting."""
-        if self.modulus is None:
-            raise ValueError("dilation requires a modulus")
-        return IntSet.of(((u * e) % self.modulus for e in self.elements), self.modulus)
-
     def to_json(self) -> str:
         return json.dumps({"modulus": self.modulus, "elements": list(self.elements)})
 

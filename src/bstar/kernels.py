@@ -164,19 +164,25 @@ class PiecewiseLinearKernel:
     y holds the T+1 node values with y[0] = 1.  The kernel caches its FFT
     coefficients and, per exponent p, the Hurwitz zeta table that its
     tail norms weight them with; that table depends only on (T, p), so
-    it is computed once per kernel and p.
+    it is computed once per kernel and p.  Both caches are fixed by y, so
+    the kernel keeps its own read-only copy of it.
     """
 
     def __init__(self, y):
-        y = np.asarray(y, dtype=float)
+        y = np.array(y, dtype=float)
         if y.ndim != 1 or len(y) < 2:
             raise ValueError("need node values y_0..y_T with T >= 1")
         if y[0] != 1.0:
             raise ValueError("kernel must equal 1 at x = 1/4 (y_0 = 1)")
-        self.y = y
+        y.setflags(write=False)
+        self._y = y
         self.T = len(y) - 1
         self._c: Optional[np.ndarray] = None
         self._zeta: dict[float, np.ndarray] = {}
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._y
 
     @classmethod
     def from_profile(cls, profile: Callable, T: int) -> "PiecewiseLinearKernel":
@@ -191,9 +197,6 @@ class PiecewiseLinearKernel:
     @classmethod
     def from_family(cls, family: str, T: int) -> "PiecewiseLinearKernel":
         return cls.from_profile(PROFILES[family], T)
-
-    def nodes(self) -> np.ndarray:
-        return 0.25 + np.arange(self.T + 1) / (4.0 * self.T)
 
     def fourier_dc(self) -> float:
         """Khat(0) = integral of K: exact trapezoid areas."""
@@ -234,12 +237,6 @@ class PiecewiseLinearKernel:
         if p not in self._zeta:
             self._zeta[p] = _hurwitz_array(2.0 * p, np.arange(1, period + 2) / (4.0 * self.T))
         return self._zeta[p][start - 1:start - 1 + period]
-
-    def squared_integral(self) -> float:
-        """Integral of K^2: exact piecewise quadratic areas."""
-        y, T = self.y, self.T
-        pieces = (y[:-1] ** 2 + y[:-1] * y[1:] + y[1:] ** 2) / 3.0
-        return 2.0 * (0.25 + pieces.sum() / (4.0 * T))
 
 
 @dataclass(frozen=True)
@@ -349,14 +346,6 @@ def quartic_argmin(cert: BoundCertificate) -> float:
     return cbrt * (1.0 - cert.khat0) / (2.0 * cbrt * cert.khat1 + cert.tail_m ** (4.0 / 3.0))
 
 
-def quartic_closed_form_min(cert: BoundCertificate) -> float:
-    """Unconstrained minimum of B over x1: equals 1 + ((1-khat0)/tail1)^4.
-
-    tail1 = lnorm_{1,4/3} satisfies tail1^(4/3) = 2 |khat1|^(4/3) + tail_m^(4/3).
-    """
-    return quartic_main_bound(cert, quartic_argmin(cert))
-
-
 def green_coefficient_bound(ffinorm: float) -> float:
     """Upper bound (F/pi) sin(pi/F) for |fhat(j)|^2, F = ||f*f||_inf >= 1."""
     if ffinorm < 1.0:
@@ -384,21 +373,16 @@ def _quartic_certifies(cert: BoundCertificate, threshold: float) -> bool:
     return quartic_main_bound(cert, x_min) > threshold
 
 
-def delta_lower_certificate(cert: BoundCertificate, grid: float = 1e-6,
-                            threshold: Optional[float] = None
-                            ) -> tuple[float, bool]:
+def delta_lower_certificate(cert: BoundCertificate, grid: float = 1e-6) -> tuple[float, bool]:
     """Largest F such that quartic + reflection bounds exclude ||f*f||_inf < F.
 
-    With an explicit threshold the check just verifies it.  Otherwise the
-    largest verifiable threshold is located by bisection (the feasible
-    set is downward closed) and returned with its certificate flag.
-    Halving the certified value gives the quadratic constant in the
-    symmetric-subset lower bound delta(eps) >= (F/2) eps^2.
+    The largest verifiable threshold is located by bisection (the
+    feasible set is downward closed) and returned with its certificate
+    flag.  Halving the certified value gives the quadratic constant in
+    the symmetric-subset lower bound delta(eps) >= (F/2) eps^2.
 
     grid is ignored: the check evaluates B once, at its exact minimum.
     """
-    if threshold is not None:
-        return threshold, _quartic_certifies(cert, threshold)
     lo, hi = 1.0, 2.0  # every threshold <= 1 certifies
     while _quartic_certifies(cert, hi):
         hi = 1.0 + 2.0 * (hi - 1.0)
@@ -506,11 +490,10 @@ def rho_lower(g: int) -> RhoBounds:
     return RhoBounds(g=g, lower=lower)
 
 
-def ubiquity_bound(gamma_ratio: float, alpha: float,
-                   phi: float = PHI_FLOOR) -> tuple[float, float]:
+def ubiquity_bound(gamma_ratio: float, alpha: float) -> tuple[float, float]:
     """Density of sum values repeated more than alpha*g times.
 
-    Returns the spectral-floor bound gamma^2 (phi/2 gamma^2 - alpha) /
+    Returns the spectral-floor bound gamma^2 (PHI_FLOOR/2 gamma^2 - alpha) /
     ((1-alpha)(1+2alpha)) and the plain counting bound
     (gamma^2 - 2 alpha)/(2 - 2 alpha); the caller takes max with 0.
     """
@@ -519,7 +502,7 @@ def ubiquity_bound(gamma_ratio: float, alpha: float,
     if gamma_ratio <= 0:
         raise DomainError("gamma_ratio must be positive")
     g2 = gamma_ratio * gamma_ratio
-    complicated = g2 * (0.5 * phi * g2 - alpha) / ((1.0 - alpha) * (1.0 + 2.0 * alpha))
+    complicated = g2 * (0.5 * PHI_FLOOR * g2 - alpha) / ((1.0 - alpha) * (1.0 + 2.0 * alpha))
     simple = (g2 - 2.0 * alpha) / (2.0 - 2.0 * alpha)
     return complicated, simple
 
@@ -540,10 +523,10 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
             + _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
 
 
-def integrate(f, a: float, b: float, tol: float = 1e-12) -> float:
+def integrate(f, a: float, b: float) -> float:
     fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth=50)
+    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol=1e-12, depth=50)
 
 
 def periodic_weight_integrand(a: float) -> float:

@@ -61,6 +61,10 @@ def test_usage_error_exit_code(capsys, tmp_path):
         (["construct", "ruzsa", "--p", "5", "--k", "1", "--g", "3"],
          "unrecognized arguments: --g 3"),
         (["verify", "--g", "2"], "the following arguments are required: --set"),
+        (["verify", "--set", "1,2", "--g", "0"], "--g must be a positive integer"),
+        (["verify", "--set", "1,2", "--g", "-3"], "--g must be a positive integer"),
+        (["table", "--which", "R", "--max-k", "4", "--g-min", "0", "--g-max", "1"],
+         "--g-min must be a positive integer"),
         (["bounds"], "pick at least one bound selector"),
         (["dee"], "one of the arguments --intervals --json-file is required"),
         (["dee", "--intervals", "0:1/2", "--json-file", "e.json"],
@@ -140,6 +144,16 @@ def test_closed_pipe_is_not_an_error():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert err == b"" and proc.returncode == 0
+
+
+def test_package_import_loads_no_submodule():
+    # the package is a namespace: callers import the submodules they use
+    env = dict(os.environ, PYTHONPATH=str(Path(bstar.__file__).resolve().parents[1]))
+    code = ("import sys, bstar; "
+            "print([m for m in sys.modules if m == 'numpy' or m.startswith('bstar.')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_search_subcommand(capsys):

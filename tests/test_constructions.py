@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from bstar.constructions import (
     random_integer_set,
     ruzsa_sets,
     singer_sets,
-    small_gn_ratio,
     small_gn_witness,
 )
 from bstar.intsets import IntSet, max_rep, representation_counts
@@ -116,12 +116,18 @@ def test_small_gn_examples():
 
 
 def test_small_gn_ratio_limit():
-    assert abs(small_gn_ratio(6000) - 11 / (8 * math.sqrt(3))) < 1e-3
+    rep = small_gn_witness(6000)
+    ratio = len(rep.set) / math.sqrt(2 * 6000 * rep.claimed_modulus_or_range)
+    assert abs(ratio - 11 / (8 * math.sqrt(3))) < 1e-3
 
 
 def test_construction_report_round_trip():
     rep = singer_sets(3, 2)
-    again = ConstructionReport.from_json(rep.to_json())
+    obj = json.loads(rep.to_json())
+    again = ConstructionReport(
+        obj["construction"], obj["params"],
+        IntSet(tuple(obj["set"]["elements"]), obj["set"]["modulus"]),
+        obj["claimed_g"], obj["claimed_modulus_or_range"], obj["verified"])
     assert again == rep
 
 

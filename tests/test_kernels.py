@@ -18,7 +18,6 @@ from bstar.kernels import (
     k1_closed_form,
     power_profile,
     quartic_argmin,
-    quartic_closed_form_min,
     quartic_floor_quadratic,
     quartic_main_bound,
     rho_lower,
@@ -28,7 +27,7 @@ from bstar.kernels import (
     ubiquity_bound,
     zeta_integral_check,
 )
-from bstar.kernels import _hurwitz_array
+from bstar.kernels import _hurwitz_array, _quartic_certifies
 
 T_SMALL = 2000  # enough nodes for unit-test accuracy at a fraction of the cost
 
@@ -83,7 +82,7 @@ def test_hurwitz_vector_matches_scalar_calls():
 def test_coefficient_profile_periodicity_and_fft():
     kernel = PiecewiseLinearKernel.from_family("K5", 50)
     c = kernel.normalized_coefficients()
-    xs = kernel.nodes()
+    xs = 0.25 + np.arange(kernel.T + 1) / (4 * kernel.T)
     for j in (1, 7, 123, 1 + 4 * 50, 7 + 8 * 50):
         direct = float(np.sum(np.diff(kernel.y) * (
             np.cos(2 * math.pi * j * xs[1:]) - np.cos(2 * math.pi * j * xs[:-1]))))
@@ -92,21 +91,12 @@ def test_coefficient_profile_periodicity_and_fft():
 
 def test_coefficient_against_quadrature():
     kernel = PiecewiseLinearKernel.from_family("K3", 64)
-
-    def k_of(x):
-        x = abs(x)
-        if x <= 0.25:
-            return 1.0
-        nodes = kernel.nodes()
-        i = min(int((x - 0.25) * 4 * kernel.T), kernel.T - 1)
-        x0, x1 = nodes[i], nodes[i + 1]
-        w = (x - x0) / (x1 - x0)
-        return (1 - w) * kernel.y[i] + w * kernel.y[i + 1]
-
+    nodes = 0.25 + np.arange(kernel.T + 1) / (4 * kernel.T)
+    grid = np.linspace(-0.5, 0.5, 200001)
+    # K is 1 on |x| <= 1/4 (np.interp holds y_0 = 1 left of the first node)
+    k_of_grid = np.interp(np.abs(grid), nodes, kernel.y)
     for j in (0, 1, 3):
-        grid = np.linspace(-0.5, 0.5, 200001)
-        vals = np.array([k_of(x) * math.cos(2 * math.pi * j * x) for x in grid])
-        quad = float(np.trapezoid(vals, grid))
+        quad = float(np.trapezoid(k_of_grid * np.cos(2 * math.pi * j * grid), grid))
         assert kernel.coefficient(j) == pytest.approx(quad, abs=1e-7)
 
 
@@ -152,7 +142,26 @@ def test_parseval_cross_check():
     for family in ("K3", "K5"):
         kernel = PiecewiseLinearKernel.from_family(family, T_SMALL)
         spectral = kernel.fourier_dc() ** 2 + tail_norm(kernel, 1, 2.0).value ** 2
-        assert spectral == pytest.approx(kernel.squared_integral(), abs=1e-6)
+        # the integral of K^2: exact areas of the piecewise quadratic K^2
+        y = kernel.y
+        pieces = (y[:-1] ** 2 + y[:-1] * y[1:] + y[1:] ** 2) / 3.0
+        squared_integral = 2.0 * (0.25 + pieces.sum() / (4.0 * kernel.T))
+        assert spectral == pytest.approx(squared_integral, abs=1e-6)
+
+
+def test_kernel_keeps_a_read_only_copy_of_its_nodes():
+    # T, the FFT coefficients and the zeta tables are fixed by y at build
+    # time, so y must not change under them
+    y = PiecewiseLinearKernel.from_family("K5", 50).y.copy()
+    before = y.copy()
+    kernel = PiecewiseLinearKernel(y)
+    with pytest.raises(AttributeError):
+        kernel.y = np.ones(51)
+    with pytest.raises(ValueError):
+        kernel.y[1] = 0.5
+    assert np.array_equal(y, before)
+    y[1] = 0.5  # nor does a write to the caller's array reach the kernel
+    assert np.array_equal(kernel.y, before)
 
 
 def test_k1_closed_form_value():
@@ -201,7 +210,7 @@ def test_quartic_min_is_the_mix_bound():
     kernel = PiecewiseLinearKernel.from_family("K5", T_SMALL)
     cert = BoundCertificate.from_kernel(kernel)
     tail1 = tail_norm(kernel, 1, 4 / 3).value
-    assert quartic_closed_form_min(cert) == pytest.approx(
+    assert quartic_main_bound(cert, quartic_argmin(cert)) == pytest.approx(
         1 + ((1 - cert.khat0) / tail1) ** 4, abs=1e-9)
 
 
@@ -226,11 +235,9 @@ def test_quadratic_floor_is_a_minorant():
 def test_certificate_explicit_thresholds():
     kernel = PiecewiseLinearKernel.from_family("K5", 10**4)
     cert = BoundCertificate.from_kernel(kernel)
-    assert delta_lower_certificate(cert, threshold=1.0) == (1.0, True)
-    _, ok = delta_lower_certificate(cert, threshold=1.18)
-    assert ok
-    _, ok = delta_lower_certificate(cert, threshold=1.25)
-    assert not ok
+    assert _quartic_certifies(cert, 1.0)
+    assert _quartic_certifies(cert, 1.18)
+    assert not _quartic_certifies(cert, 1.25)
 
 
 def test_certificate_is_sharp_near_the_fixed_point():
@@ -238,8 +245,8 @@ def test_certificate_is_sharp_near_the_fixed_point():
     # rejects just above it
     kernel = PiecewiseLinearKernel.from_family("K5", 10**4)
     cert = BoundCertificate.from_kernel(kernel)
-    assert delta_lower_certificate(cert, threshold=1.182778)[1]
-    assert not delta_lower_certificate(cert, threshold=1.182780)[1]
+    assert _quartic_certifies(cert, 1.182778)
+    assert not _quartic_certifies(cert, 1.182780)
 
 
 def test_certificate_matches_dense_minimum():
@@ -255,11 +262,11 @@ def test_certificate_matches_dense_minimum():
         x_hi = math.sqrt(green_coefficient_bound(f))
         assert (0 < quartic_argmin(cert) < x_hi) == x_star_inside
         if x_star_inside:
-            assert f == pytest.approx(quartic_closed_form_min(cert), abs=1e-12)
+            assert f == pytest.approx(quartic_main_bound(cert, quartic_argmin(cert)), abs=1e-12)
         for threshold in (f - 1e-3, f - 1e-6, f + 1e-6, f + 1e-3):
             xs = np.linspace(0.0, math.sqrt(green_coefficient_bound(threshold)), 200001)
             dense = float(np.min(1.0 + 2.0 * xs**4 + (cert.linear_head(xs) / cert.tail_m) ** 4))
-            assert delta_lower_certificate(cert, threshold=threshold)[1] == (dense > threshold)
+            assert _quartic_certifies(cert, threshold) == (dense > threshold)
             assert (dense > threshold) == (threshold < f)
 
 
