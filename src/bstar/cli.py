@@ -25,7 +25,7 @@ import warnings
 from fractions import Fraction
 
 from . import constructions, intervals, kernels, search
-from .intsets import IntSet, representation_counts
+from .intsets import IntSet, max_rep
 
 USAGE_ERROR = 2
 UNDECIDED = 3
@@ -53,7 +53,7 @@ def _fmt(value):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(_fmt(obj)))
+    print(json.dumps(_fmt(obj), allow_nan=False))
 
 
 def _require(args, *names) -> None:
@@ -65,6 +65,20 @@ def _require(args, *names) -> None:
 
 def _parse_elements(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+
+
+def _parse_set_json(text: str) -> IntSet:
+    obj = json.loads(text)
+    if not (isinstance(obj, dict) and isinstance(obj.get("elements"), list)
+            and "modulus" in obj):
+        raise ValueError('set JSON must be an object with keys "elements" (a list) '
+                         'and "modulus"')
+    # type(e) is int refuses bool, the one int subclass that JSON yields
+    if not (all(type(e) is int for e in obj["elements"])
+            and (obj["modulus"] is None or type(obj["modulus"]) is int)):
+        raise ValueError('set JSON "elements" must be integers and "modulus" '
+                         'an integer or null')
+    return IntSet(tuple(obj["elements"]), obj["modulus"])
 
 
 def _parse_intervals(text: str, exact: bool):
@@ -80,6 +94,28 @@ def _parse_intervals(text: str, exact: bool):
             raise ValueError(f"interval {chunk} must have a < b")
         pairs.append(pair)
     return pairs
+
+
+def _parse_interval_json(text: str) -> intervals.IntervalSet:
+    obj = json.loads(text)
+    if not (isinstance(obj, dict) and obj.get("mode") in ("rational", "float")
+            and isinstance(obj.get("intervals"), list) and "geometry" in obj):
+        raise ValueError('interval JSON must be an object with keys "geometry", '
+                         '"mode" ("rational" or "float") and "intervals" (a list)')
+    rows = obj["intervals"]
+    if obj["mode"] == "rational":
+        if not all(isinstance(row, list) and len(row) == 4
+                   and all(type(v) is int for v in row) and row[1] and row[3]
+                   for row in rows):
+            raise ValueError("rational intervals must be rows [a_num, a_den, b_num, "
+                             "b_den] of integers with nonzero denominators")
+        ivs = [(Fraction(an, ad), Fraction(bn, bd)) for an, ad, bn, bd in rows]
+    else:
+        if not all(isinstance(row, list) and len(row) == 2
+                   and all(type(v) in (int, float) for v in row) for row in rows):
+            raise ValueError("float intervals must be rows [a, b] of numbers")
+        ivs = [(a, b) for a, b in rows]
+    return intervals.IntervalSet(tuple(ivs), obj["geometry"])
 
 
 def _parse_p(text: str) -> float:
@@ -99,13 +135,13 @@ def _cmd_verify(args) -> int:
     if args.g < 1:
         raise ValueError("--g must be a positive integer")
     s = IntSet.of(_parse_elements(args.set), args.modulus)
-    profile = representation_counts(s)
-    ok = profile.max_count <= args.g
+    count = max_rep(s)
+    ok = count <= args.g
     _emit({
         "elements": list(s.elements),
         "modulus": s.modulus,
         "g": args.g,
-        "max_rep": profile.max_count,
+        "max_rep": count,
         "is_bstar": ok,
     })
     return 0 if ok else 1
@@ -113,7 +149,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_construct(args) -> int:
     rep = args.build(args)
-    print(rep.to_json())
+    _emit({
+        "construction": rep.name,
+        "params": rep.params,
+        "claimed_g": rep.claimed_g,
+        "claimed_modulus_or_range": rep.claimed_modulus_or_range,
+        "verified": rep.verified,
+        "set": {"modulus": rep.set.modulus, "elements": list(rep.set.elements)},
+    })
     return 0 if rep.verified else 1
 
 
@@ -164,7 +207,7 @@ def _cmd_dee(args) -> int:
     exact = args.mode == "rational"
     if args.json_file:
         with open(args.json_file) as fh:
-            e = intervals.IntervalSet.from_json(fh.read())
+            e = _parse_interval_json(fh.read())
     else:
         e = intervals.IntervalSet.of(_parse_intervals(args.intervals, exact),
                                      geometry=args.geometry)
@@ -312,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         f.add_argument("--g", type=int, required=True)
         f.add_argument("--h", type=int, required=True)
         f.set_defaults(build=lambda a, build=build: build(
-            IntSet.from_json(a.set_json), a.g, IntSet.from_json(a.mate_json), a.h))
+            _parse_set_json(a.set_json), a.g, _parse_set_json(a.mate_json), a.h))
 
     p = sub.add_parser("search", help="decide feasibility or minimize n")
     p.add_argument("--kind", choices=["integer", "modular"], required=True)

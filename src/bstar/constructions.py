@@ -15,7 +15,6 @@ intsets.representation_counts) before it is returned.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,18 +49,6 @@ class ConstructionReport:
     claimed_g: int
     claimed_modulus_or_range: int
     verified: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "construction": self.name,
-                "params": self.params,
-                "claimed_g": self.claimed_g,
-                "claimed_modulus_or_range": self.claimed_modulus_or_range,
-                "verified": self.verified,
-                "set": {"modulus": self.set.modulus, "elements": list(self.set.elements)},
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -279,7 +266,7 @@ def random_integer_set(n: int, gamma: float, seed: int = 0) -> ProbConstructRepo
     The resulting set is B*[g] with g concentrated near gamma while the
     size concentrates near 2*sqrt(gamma*n/pi) - gamma/pi.
     """
-    if gamma < math.pi:
+    if not gamma >= math.pi:
         raise BadParams("gamma must be at least pi")
     if n < gamma:
         raise BadParams("need n >= gamma")

@@ -18,7 +18,6 @@ where m_circle(s) = m(s) + m(s + 1) for s in [0, 1).
 """
 from __future__ import annotations
 
-import json
 import math
 import operator
 import random
@@ -70,38 +69,6 @@ class IntervalSet:
     def measure(self):
         zero = Fraction(0) if self.exact else 0.0
         return sum((b - a for a, b in self.intervals), zero)
-
-    def to_json(self) -> str:
-        if self.exact:
-            ivs = [[a.numerator, a.denominator, b.numerator, b.denominator]
-                   for a, b in self.intervals]
-            return json.dumps({"geometry": self.geometry, "mode": "rational", "intervals": ivs})
-        return json.dumps({
-            "geometry": self.geometry, "mode": "float",
-            "intervals": [[float(a), float(b)] for a, b in self.intervals],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntervalSet":
-        obj = json.loads(text)
-        if not (isinstance(obj, dict) and obj.get("mode") in ("rational", "float")
-                and isinstance(obj.get("intervals"), list) and "geometry" in obj):
-            raise ValueError('interval JSON must be an object with keys "geometry", '
-                             '"mode" ("rational" or "float") and "intervals" (a list)')
-        rows = obj["intervals"]
-        if obj["mode"] == "rational":
-            if not all(isinstance(row, list) and len(row) == 4
-                       and all(type(v) is int for v in row) and row[1] and row[3]
-                       for row in rows):
-                raise ValueError("rational intervals must be rows [a_num, a_den, b_num, "
-                                 "b_den] of integers with nonzero denominators")
-            ivs = [(Fraction(an, ad), Fraction(bn, bd)) for an, ad, bn, bd in rows]
-        else:
-            if not all(isinstance(row, list) and len(row) == 2
-                       and all(type(v) in (int, float) for v in row) for row in rows):
-                raise ValueError("float intervals must be rows [a, b] of numbers")
-            ivs = [(a, b) for a, b in rows]
-        return cls(tuple(ivs), obj["geometry"])
 
 
 @dataclass(frozen=True)
@@ -166,17 +133,13 @@ def largest_symmetric_subset(e: IntervalSet,
     return SymmetricSubsetResult(div(units, scale), div(sigma, 2 * scale), profile)
 
 
-def a_of_s(s, n: int) -> IntervalSet:
+def a_of_s(s: IntSet, n: int) -> IntervalSet:
     """Block picture of an integer set: the union of [(v-1)/n, v/n)."""
-    if isinstance(s, IntSet):
-        if s.modulus is not None:
-            raise ValueError("block picture expects a plain integer set")
-        values = s.elements
-    else:
-        values = tuple(sorted(set(s)))
-    if any(v < 1 or v > n for v in values):
+    if s.modulus is not None:
+        raise ValueError("block picture expects a plain integer set")
+    if any(v < 1 or v > n for v in s.elements):
         raise ValueError("elements must lie in {1..n}")
-    return IntervalSet.of([(Fraction(v - 1, n), Fraction(v, n)) for v in values])
+    return IntervalSet.of([(Fraction(v - 1, n), Fraction(v, n)) for v in s.elements])
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +194,7 @@ def _coarse_descent(vec, k, eps, value):
     return vec, value
 
 
-def _polish(intervals, value, floor=1e-9):
+def _polish(intervals, value):
     """Measure-preserving moves: whole-interval shifts and length transfers."""
     ivs = [list(p) for p in intervals]
     k = len(ivs)
@@ -248,7 +211,7 @@ def _polish(intervals, value, floor=1e-9):
     moves += [(kind, i, j) for i in range(k) for j in range(k) if i != j
               for kind in ("xfer_rr", "xfer_rl")]
     step = 0.02
-    while step > floor:
+    while step > 1e-9:
         improved = False
         for kind, i, j in moves:
             for sgn in (1.0, -1.0):

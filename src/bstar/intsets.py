@@ -13,10 +13,9 @@ of the counts, raising ArithmeticError rather than return a wrong count.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -55,12 +54,6 @@ class IntSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
-
     @property
     def max_element(self) -> int:
         if not self.elements:
@@ -75,59 +68,13 @@ class IntSet:
             raise ValueError("translation would produce negative elements")
         return IntSet(tuple(e + c for e in self.elements))
 
-    def to_json(self) -> str:
-        return json.dumps({"modulus": self.modulus, "elements": list(self.elements)})
 
-    @classmethod
-    def from_json(cls, text: str) -> "IntSet":
-        obj = json.loads(text)
-        if not (isinstance(obj, dict) and isinstance(obj.get("elements"), list)
-                and "modulus" in obj):
-            raise ValueError('set JSON must be an object with keys "elements" (a list) '
-                             'and "modulus"')
-        # type(e) is int refuses bool, the one int subclass that JSON yields
-        if not (all(type(e) is int for e in obj["elements"])
-                and (obj["modulus"] is None or type(obj["modulus"]) is int)):
-            raise ValueError('set JSON "elements" must be integers and "modulus" '
-                             'an integer or null')
-        return cls(tuple(obj["elements"]), obj["modulus"])
+def representation_counts(s: IntSet) -> np.ndarray:
+    """r(t) = #{(s1, s2) in S^2 : s1 + s2 = t} as an int64 array indexed by t.
 
-
-@dataclass(frozen=True)
-class RepProfile:
-    """Dense table of r(t) = #{(s1, s2) in S^2 : s1 + s2 = t}.
-
-    Index t runs over [0, 2*max(S)] in the integer setting and over
-    [0, n) in the modular one.  Ordered pairs are counted, so (a, b)
-    and (b, a) both contribute.
-    """
-
-    counts: np.ndarray
-    modulus: Optional[int] = None
-
-    def count(self, t: int) -> int:
-        if self.modulus is not None:
-            t %= self.modulus
-        if 0 <= t < len(self.counts):
-            return int(self.counts[t])
-        return 0
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        """(t, r(t)) pairs for the nonzero counts."""
-        for t in np.nonzero(self.counts)[0]:
-            yield int(t), int(self.counts[t])
-
-    @property
-    def max_count(self) -> int:
-        return int(self.counts.max()) if len(self.counts) else 0
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def representation_counts(s: IntSet) -> RepProfile:
-    """All ordered pair sums of s, reduced mod n when a modulus is present.
+    Index t runs over [0, 2 max(S)] in the integer setting and over
+    [0, n) in the modular one, where sums are reduced mod n.  Ordered
+    pairs are counted, so (a, b) and (b, a) both contribute.
 
     The profile is the autoconvolution c = x * x of the indicator x of s,
     computed as irfft(rfft(x)**2) at a power-of-two size N >= 2 max(s) + 1
@@ -170,7 +117,7 @@ def representation_counts(s: IntSet) -> RepProfile:
         raise ValueError(
             f"profile width {length} exceeds the dense limit {_DENSE_LIMIT}")
     if k == 0:
-        return RepProfile(np.zeros(length, dtype=np.int64), n)
+        return np.zeros(length, dtype=np.int64)
     size = max(2, 1 << (width - 1).bit_length())
     eps = 10 * math.log2(size) * 2.0**-53
     bound = 3 * eps * k**1.5
@@ -193,12 +140,12 @@ def representation_counts(s: IntSet) -> RepProfile:
         raise ArithmeticError(
             f"FFT count failed its check: rounding distance {err:.3g} against "
             f"bound {bound:.3g}, total {counts.sum()} against {k * k}")
-    return RepProfile(counts, n)
+    return counts
 
 
 def max_rep(s: IntSet) -> int:
     """max_t r(t); s is a B*[g] set exactly when this is <= g."""
-    return representation_counts(s).max_count
+    return int(representation_counts(s).max())
 
 
 def is_bstar(s: IntSet, g: int) -> bool:

@@ -258,7 +258,7 @@ def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
     """
     if n < 0:
         raise ValueError("tail start must be nonnegative")
-    if not p > 1:
+    if not 1 < p < math.inf:
         raise DomainError("tail norms need p > 1")
     T = kernel.T
     c = kernel.normalized_coefficients()
@@ -499,7 +499,7 @@ def ubiquity_bound(gamma_ratio: float, alpha: float) -> tuple[float, float]:
     """
     if not 0 < alpha < 1:
         raise DomainError("alpha must lie in (0, 1)")
-    if gamma_ratio <= 0:
+    if not 0 < gamma_ratio < math.inf:
         raise DomainError("gamma_ratio must be positive")
     g2 = gamma_ratio * gamma_ratio
     complicated = g2 * (0.5 * PHI_FLOOR * g2 - alpha) / ((1.0 - alpha) * (1.0 + 2.0 * alpha))
@@ -511,29 +511,16 @@ def ubiquity_bound(gamma_ratio: float, alpha: float) -> tuple[float, float]:
 # quadrature self-test
 # ---------------------------------------------------------------------------
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) < 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-            + _adaptive_simpson(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
-
-
-def integrate(f, a: float, b: float) -> float:
-    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol=1e-12, depth=50)
-
-
-def periodic_weight_integrand(a: float) -> float:
+def periodic_weight_integrand(a):
     """3 / (2 + cos(2 pi a)): the zeta-ratio weight in the periodic tail bound."""
-    return 3.0 / (2.0 + math.cos(TWO_PI * a))
+    return 3.0 / (2.0 + np.cos(TWO_PI * a))
 
 
 def zeta_integral_check() -> float:
-    """Quadrature of the periodic weight over [0, 1/2]; equals sqrt(3)/2."""
-    return integrate(periodic_weight_integrand, 0.0, 0.5)
+    """Integral of the periodic weight over [0, 1/2]; equals sqrt(3)/2.
+
+    By symmetry it is half the weight's mean over one period, and the
+    trapezoid rule on 32 equally spaced nodes is spectrally accurate for
+    this smooth periodic integrand.
+    """
+    return 0.5 * float(periodic_weight_integrand(np.arange(32) / 32).mean())

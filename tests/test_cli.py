@@ -3,18 +3,26 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import bstar
-from bstar import search
+from bstar import kernels, search
 from bstar.cli import run
+from bstar.constructions import ConstructionReport, half_modular, singer_sets, small_gn_witness
+from bstar.intervals import IntervalSet, largest_symmetric_subset
 from bstar.intsets import IntSet, is_bstar
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
 def run_json(capsys, argv):
+    """Exit code and the last stdout line, parsed as strict JSON."""
     code = run(argv)
     out = capsys.readouterr().out.strip()
-    return code, json.loads(out.splitlines()[-1])
+    return code, json.loads(out.splitlines()[-1], parse_constant=_refuse)
 
 
 def test_verify_pass_and_fail(capsys):
@@ -105,6 +113,13 @@ def test_usage_error_exit_code(capsys, tmp_path):
           "--mate-json", "{}", "--g", "2", "--h", "2"], set_entries),
         (["construct", "compose", "--set-json", '{"elements": [1], "modulus": "7"}',
           "--mate-json", "{}", "--g", "2", "--h", "2"], set_entries),
+        # non-finite parameters; each would otherwise print NaN or Infinity
+        (["random", "integer", "--n", "10", "--gamma", "nan"], "gamma must be at least pi"),
+        (["bounds", "--ubiquity", "--gamma", "nan", "--alpha", "0.5"],
+         "gamma_ratio must be positive"),
+        (["bounds", "--ubiquity", "--gamma", "inf", "--alpha", "0.5"],
+         "gamma_ratio must be positive"),
+        (["kernel", "eval", "--T", "10", "--p", "inf"], "tail norms need p > 1"),
     ]
     for argv, message in messages:
         assert run(argv) == 2, argv
@@ -115,6 +130,15 @@ def test_usage_error_exit_code(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error: argument command: invalid choice: 'nonsense'")
+
+
+def test_non_finite_result_is_a_usage_error(capsys, monkeypatch):
+    # a NaN that no parameter check catches still never prints as JSON
+    monkeypatch.setattr(kernels, "zeta_integral_check", lambda: math.nan)
+    assert run(["bounds", "--zeta-integral"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: Out of range float values are not JSON compliant")
 
 
 def test_undecided_search_exit_code(capsys):
@@ -186,11 +210,60 @@ def test_construct_and_round_trip(capsys):
 
 
 def test_construct_half_modular_json_operands(capsys):
-    s = IntSet.of([1, 2, 5, 7]).to_json()
-    m = IntSet.of([0, 1, 3], 7).to_json()
+    s = '{"modulus": null, "elements": [1, 2, 5, 7]}'
+    m = '{"modulus": 7, "elements": [0, 1, 3]}'
     code, obj = run_json(capsys, ["construct", "half-modular", "--g", "2",
                                   "--h", "2", "--set-json", s, "--mate-json", m])
     assert code == 0 and obj["verified"] and obj["claimed_g"] == 4
+
+
+def test_construct_report_round_trip(capsys):
+    # the printed fields rebuild the library's report exactly
+    code, obj = run_json(capsys, ["construct", "singer", "--p", "3", "--k", "2"])
+    assert code == 0
+    assert list(obj) == ["construction", "params", "claimed_g", "claimed_modulus_or_range",
+                         "verified", "set"]
+    again = ConstructionReport(
+        obj["construction"], obj["params"],
+        IntSet(tuple(obj["set"]["elements"]), obj["set"]["modulus"]),
+        obj["claimed_g"], obj["claimed_modulus_or_range"], obj["verified"])
+    assert again == singer_sets(3, 2)
+
+
+def test_set_json_round_trip(capsys):
+    # construct prints its set in the format that --set-json and --mate-json read
+    _, mate = run_json(capsys, ["construct", "singer", "--p", "2", "--k", "1"])
+    assert mate["set"] == {"modulus": 7, "elements": [0, 1, 3]}
+    _, base = run_json(capsys, ["construct", "small-gn", "--g", "6"])
+    assert base["set"]["modulus"] is None
+    code, obj = run_json(capsys, ["construct", "half-modular", "--g", "6", "--h", "2",
+                                  "--set-json", json.dumps(base["set"]),
+                                  "--mate-json", json.dumps(mate["set"])])
+    expected = half_modular(small_gn_witness(6).set, 6, singer_sets(2, 1).set, 2)
+    assert code == 0 and obj["set"]["elements"] == list(expected.set.elements)
+
+
+def test_dee_json_file_both_modes(tmp_path, capsys):
+    # a --json-file set reads as the same set as its --intervals spelling
+    cases = [
+        ('{"geometry": "line", "mode": "rational", "intervals": [[0, 1, 1, 4], [3, 4, 1, 1]]}',
+         ["--intervals", "0:1/4,3/4:1"], IntervalSet.of([(F(0), F(1, 4)), (F(3, 4), F(1))])),
+        ('{"geometry": "circle", "mode": "float", "intervals": [[0, 0.25], [0.3, 0.45]]}',
+         ["--intervals", "0:0.25,0.3:0.45", "--mode", "float", "--geometry", "circle"],
+         IntervalSet.of([(0.0, 0.25), (0.3, 0.45)], geometry="circle")),
+    ]
+    for text, spelled, e in cases:
+        path = tmp_path / "e.json"
+        path.write_text(text)
+        code, obj = run_json(capsys, ["dee", "--json-file", str(path)])
+        assert code == 0 and obj["geometry"] == e.geometry
+        assert run(["dee", *spelled]) == 0
+        assert json.loads(capsys.readouterr().out) == obj
+        d = largest_symmetric_subset(e).d_value
+        if e.exact:
+            assert obj["d_value"]["num"] == d.numerator and obj["d_value"]["den"] == d.denominator
+        else:
+            assert obj["d_value"] == float(f"{d:.12g}")
 
 
 def test_dee_profile_csv(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from bstar.constructions import (
     BadParams,
     NotCoprime,
-    ConstructionReport,
     bose_sets,
     compose_mod,
     expected_integer_size,
@@ -121,16 +119,6 @@ def test_small_gn_ratio_limit():
     assert abs(ratio - 11 / (8 * math.sqrt(3))) < 1e-3
 
 
-def test_construction_report_round_trip():
-    rep = singer_sets(3, 2)
-    obj = json.loads(rep.to_json())
-    again = ConstructionReport(
-        obj["construction"], obj["params"],
-        IntSet(tuple(obj["set"]["elements"]), obj["set"]["modulus"]),
-        obj["claimed_g"], obj["claimed_modulus_or_range"], obj["verified"])
-    assert again == rep
-
-
 def test_random_circle_full_and_empty():
     rep = random_circle_set(1001, 1.0, seed=5)
     assert rep.size == 1001 and rep.achieved_g == 1001
@@ -189,8 +177,7 @@ def test_random_draws_match_the_generator_form(kind, n, param, seed):
 def test_report_verified_accounts_for_claim():
     rep = ruzsa_sets(7, 2)
     assert rep.verified and max_rep(rep.set) <= rep.claimed_g
-    prof = representation_counts(rep.set)
-    assert prof.total == len(rep.set) ** 2
+    assert representation_counts(rep.set).sum() == len(rep.set) ** 2
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])

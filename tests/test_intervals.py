@@ -59,7 +59,8 @@ def test_bridge_exactness_random_sets():
                 t = 2 * n * center + 1
                 assert t.denominator == 1
                 t = int(t) % n if s.modulus else int(t)
-                assert value == F(counts.count(t), n)
+                # on the line the last candidate, t = 2 max(S) + 1, has no pair
+                assert value == F(int(counts[t]) if t < len(counts) else 0, n)
 
 
 def test_scaling_exact():
@@ -178,13 +179,6 @@ def test_profile_matches_function():
             assert (fl.d_value, fl.center) == (float(res.d_value), float(res.center))
             assert fl.per_center_function == tuple(
                 (float(c), float(v)) for c, v in res.per_center_function)
-
-
-def test_json_round_trip():
-    e = IntervalSet.of([(F(1, 3), F(1, 2))])
-    assert IntervalSet.from_json(e.to_json()) == e
-    f = IntervalSet.of([(0.25, 0.5)], geometry="circle")
-    assert IntervalSet.from_json(f.to_json()) == f
 
 
 def test_delta_k_single_interval_is_exact():
