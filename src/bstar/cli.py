@@ -204,13 +204,17 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_dee(args) -> int:
-    exact = args.mode == "rational"
     if args.json_file:
+        # the file names its own geometry and mode
+        for flag in ("geometry", "mode"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"argument --{flag}: not allowed with argument --json-file")
         with open(args.json_file) as fh:
             e = _parse_interval_json(fh.read())
     else:
+        exact = (args.mode or "rational") == "rational"
         e = intervals.IntervalSet.of(_parse_intervals(args.intervals, exact),
-                                     geometry=args.geometry)
+                                     geometry=args.geometry or "line")
     res = intervals.largest_symmetric_subset(e, include_profile=bool(args.profile_csv))
     if args.profile_csv:
         with open(args.profile_csv, "w") as fh:
@@ -383,8 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--intervals", help="a:b,c:d,... endpoints")
     source.add_argument("--json-file", default=None)
-    p.add_argument("--geometry", choices=["line", "circle"], default="line")
-    p.add_argument("--mode", choices=["rational", "float"], default="rational")
+    p.add_argument("--geometry", choices=["line", "circle"], default=None,
+                   help="for --intervals only (default: line)")
+    p.add_argument("--mode", choices=["rational", "float"], default=None,
+                   help="for --intervals only (default: rational)")
     p.add_argument("--profile-csv", default=None,
                    help="write center vs symmetric measure samples")
     p.set_defaults(fn=_cmd_dee)

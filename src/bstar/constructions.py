@@ -21,22 +21,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import discrete_log_table, is_prime, make_field
+from .gf import field_powers, is_prime
 from .intsets import IntSet, max_rep
 
 
 @lru_cache(maxsize=32)
-def _field_logs(p: int, t: int):
-    ctx = make_field(p, t)
-    return ctx, discrete_log_table(ctx)
-
-
-class BadParams(ValueError):
-    pass
-
-
-class NotCoprime(ValueError):
-    pass
+def _field_logs(p: int, t: int) -> dict[tuple[int, ...], int]:
+    """Discrete logs in GF(p^t): each nonzero element's exponent base theta."""
+    return {x: e for e, x in enumerate(field_powers(p, t))}
 
 
 @dataclass(frozen=True)
@@ -80,18 +72,17 @@ def ruzsa_sets(p: int, k: int) -> ConstructionReport:
     for t = 1..p-1, where g is a primitive root mod p.
     """
     if not is_prime(p):
-        raise BadParams(f"{p} is not prime")
+        raise ValueError(f"{p} is not prime")
     if not 1 <= k < p:
-        raise BadParams("need 1 <= k < p")
-    g = make_field(p, 1).generator[0]
+        raise ValueError("need 1 <= k < p")
+    powers = field_powers(p, 1)  # g^0 .. g^(p-2) as 1-tuples
     m = p * (p - 1)
     # CRT basis: u == 1 mod (p-1), u == 0 mod p, and complement v
     u = p * pow(p, -1, p - 1) if p - 1 > 1 else 0
     v = (1 - u) % m
     elements = []
-    gt = 1
     for t in range(1, p):
-        gt = (gt * g) % p
+        (gt,) = powers[t % (p - 1)]
         for i in range(1, k + 1):
             elements.append((t * u + (i * gt % p) * v) % m)
     s = IntSet.of(elements, m)
@@ -107,10 +98,10 @@ def bose_sets(p: int, k: int) -> ConstructionReport:
     Prime p only; prime powers would need tower fields.
     """
     if not is_prime(p):
-        raise BadParams(f"{p} is not prime (prime powers unsupported)")
+        raise ValueError(f"{p} is not prime (prime powers unsupported)")
     if not 1 <= k < p:
-        raise BadParams("need 1 <= k < p")
-    ctx, logs = _field_logs(p, 2)
+        raise ValueError("need 1 <= k < p")
+    logs = _field_logs(p, 2)
     m = p * p - 1
     elements = [logs[(s, i)] % m for i in range(1, k + 1) for s in range(p)]
     s = IntSet.of(elements, m)
@@ -130,10 +121,10 @@ def singer_sets(p: int, k: int) -> ConstructionReport:
     of lines because D itself is a B*[2] (mod q) set.
     """
     if not is_prime(p):
-        raise BadParams(f"{p} is not prime (prime powers unsupported)")
+        raise ValueError(f"{p} is not prime (prime powers unsupported)")
     if not 1 <= k < p:
-        raise BadParams("need 1 <= k < p")
-    ctx, logs = _field_logs(p, 3)
+        raise ValueError("need 1 <= k < p")
+    logs = _field_logs(p, 3)
     q = p * p + p + 1
     base = {0} | {logs[(s, 1, 0)] % q for s in range(p)}
     elements: set[int] = set()
@@ -148,10 +139,10 @@ def singer_sets(p: int, k: int) -> ConstructionReport:
 def compose_mod(s: IntSet, g: int, m: IntSet, h: int) -> ConstructionReport:
     """M + yS mod xy for S mod x, M mod y with gcd(x, y) = 1: B*[gh] mod xy."""
     if s.modulus is None or m.modulus is None:
-        raise BadParams("both sets must carry a modulus")
+        raise ValueError("both sets must carry a modulus")
     x, y = s.modulus, m.modulus
     if math.gcd(x, y) != 1:
-        raise NotCoprime(f"moduli {x} and {y} share a factor")
+        raise ValueError(f"moduli {x} and {y} share a factor")
     combined = IntSet.of(
         ((mm + y * ss) % (x * y) for ss in s.elements for mm in m.elements), x * y
     )
@@ -182,11 +173,11 @@ def half_modular(s: IntSet, g: int, m: IntSet, h: int) -> ConstructionReport:
     where s = max(S) + 1 after translation.
     """
     if s.modulus is not None:
-        raise BadParams("first argument must be an integer (non-modular) set")
+        raise ValueError("first argument must be an integer (non-modular) set")
     if m.modulus is None:
-        raise BadParams("second argument must carry a modulus")
+        raise ValueError("second argument must carry a modulus")
     if not s.elements or not m.elements:
-        raise BadParams("empty sets cannot be combined")
+        raise ValueError("empty sets cannot be combined")
     y = m.modulus
     shifted = s.translate(-s.elements[0])
     span = shifted.max_element + 1
@@ -211,7 +202,7 @@ def small_gn_witness(g: int) -> ConstructionReport:
     11/(8*sqrt(3)) > 0.7938.
     """
     if g < 1:
-        raise BadParams("g must be a positive integer")
+        raise ValueError("g must be a positive integer")
     g3, g6 = g // 3, g // 6
     elements = set(range(g3))
     elements.update(g - g3 + 2 * j for j in range(g6))
@@ -231,9 +222,9 @@ def random_circle_set(n: int, epsilon: float, seed: int = 0) -> ProbConstructRep
     epsilon^2*n representations.
     """
     if n <= 0 or n % 2 == 0:
-        raise BadParams("n must be a positive odd integer")
+        raise ValueError("n must be a positive odd integer")
     if not 0 < epsilon <= 1:
-        raise BadParams("epsilon must lie in (0, 1]")
+        raise ValueError("epsilon must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     keep = rng.random(n) < epsilon
     s = IntSet.of(((np.flatnonzero(keep) + 1) % n).tolist(), n)
@@ -267,9 +258,9 @@ def random_integer_set(n: int, gamma: float, seed: int = 0) -> ProbConstructRepo
     size concentrates near 2*sqrt(gamma*n/pi) - gamma/pi.
     """
     if not gamma >= math.pi:
-        raise BadParams("gamma must be at least pi")
+        raise ValueError("gamma must be at least pi")
     if n < gamma:
-        raise BadParams("need n >= gamma")
+        raise ValueError("need n >= gamma")
     rng = np.random.default_rng(seed)
     pk = integer_inclusion_probabilities(n, gamma)
     keep = rng.random(n) < pk

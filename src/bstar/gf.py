@@ -1,26 +1,15 @@
-"""Small finite fields GF(p^t), t <= 3, with primitive elements.
+"""Small finite fields GF(p^t), t <= 3, as the powers of one generator.
 
-Elements are coefficient tuples over GF(p) in the power basis
-(1, theta, theta^2), little-endian.  Fields are tiny, so the reduction
-polynomial is found by a lexicographic scan with a brute root test, the
-generator by an order check against the factorization of p^t - 1, and
-the discrete-log table is materialized in full.  Everything is
-deterministic so constructions built on top are reproducible.
+Elements are little-endian coefficient tuples over GF(p) in the basis
+(1, x, x^2); an element's code is the integer with those base-p digits.
+The reduction polynomial is the first monic irreducible one in code
+order (a brute root test), and the generator theta is the first code
+>= 2 whose order, checked against the prime factors of p^t - 1, is
+p^t - 1.  The powers, and every construction on them, are deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 Element = tuple[int, ...]
-
-
-class NotPrime(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
-    pass
-
 
 # Largest permitted field size p^t.
 ORDER_LIMIT = 1 << 22
@@ -37,7 +26,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def factor(n: int) -> list[int]:
+def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors by trial division."""
     out = []
     d = 2
@@ -52,112 +41,60 @@ def factor(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class FieldCtx:
-    """Arithmetic context for GF(p^t).
-
-    reduction holds the low coefficients (c0..c_{t-1}) of the monic
-    reduction polynomial x^t + c_{t-1} x^{t-1} + ... + c0.
-    """
-
-    p: int
-    t: int
-    reduction: tuple[int, ...]
-    generator: Element = field(default=())
-
-    @property
-    def order(self) -> int:
-        return self.p**self.t
-
-    @property
-    def one(self) -> Element:
-        return (1,) + (0,) * (self.t - 1)
-
-    def element(self, code: int) -> Element:
-        """Decode an integer in [0, p^t) to little-endian coefficients."""
-        coeffs = []
-        for _ in range(self.t):
-            coeffs.append(code % self.p)
-            code //= self.p
-        return tuple(coeffs)
-
-    def mul(self, a: Element, b: Element) -> Element:
-        p, t = self.p, self.t
-        prod = [0] * (2 * t - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        # reduce degrees t .. 2t-2 using x^t = -(c_{t-1} x^{t-1} + ... + c0)
-        for d in range(2 * t - 2, t - 1, -1):
-            c = prod[d] % p
-            if c:
-                prod[d] = 0
-                for j, r in enumerate(self.reduction):
-                    prod[d - t + j] -= c * r
-        return tuple(v % p for v in prod[:t])
-
-    def pow(self, a: Element, e: int) -> Element:
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+def _element(code: int, p: int, t: int) -> Element:
+    return tuple(code // p**i % p for i in range(t))
 
 
-def _irreducible(p: int, t: int, coeffs: tuple[int, ...]) -> bool:
+def _irreducible(p: int, t: int, coeffs: Element) -> bool:
     """Degree 2 or 3 polynomials are irreducible iff they have no root."""
-    for x in range(p):
-        acc = x**t
-        for j, c in enumerate(coeffs):
-            acc += c * x**j
-        if acc % p == 0:
-            return False
-    return True
+    return all((x**t + sum(c * x**j for j, c in enumerate(coeffs))) % p for x in range(p))
 
 
-def make_field(p: int, t: int) -> FieldCtx:
-    """Construct GF(p^t) with a verified reduction polynomial and generator."""
+def _mul(a: Element, b: Element, p: int, reduction: Element) -> Element:
+    """Product modulo x^t + c_{t-1} x^{t-1} + ... + c0, reduction = (c0..c_{t-1})."""
+    t = len(a)
+    prod = [0] * (2 * t - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    # reduce degrees 2t-2 .. t using x^t = -(c_{t-1} x^{t-1} + ... + c0)
+    for d in range(2 * t - 2, t - 1, -1):
+        c = prod[d] % p
+        if c:
+            for j, r in enumerate(reduction):
+                prod[d - t + j] -= c * r
+    return tuple([v % p for v in prod[:t]])
+
+
+def _pow(a: Element, e: int, p: int, reduction: Element) -> Element:
+    result = (1,) + (0,) * (len(a) - 1)
+    while e:
+        if e & 1:
+            result = _mul(result, a, p, reduction)
+        a = _mul(a, a, p, reduction)
+        e >>= 1
+    return result
+
+
+def field_powers(p: int, t: int) -> list[Element]:
+    """theta^0, theta^1, ..., theta^(p^t - 2) for the generator theta of GF(p^t)."""
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise ValueError(f"{p} is not prime")
     if t not in (1, 2, 3):
         raise ValueError("extension degree must be 1, 2 or 3")
     if p**t > ORDER_LIMIT:
-        raise TooLarge(f"field order {p}^{t} exceeds limit {ORDER_LIMIT}")
-
-    if t == 1:
-        reduction: tuple[int, ...] = (0,)
-    else:
-        reduction = ()
-        for code in range(p**t):
-            cand = FieldCtx(p, t, ()).element(code)
-            if _irreducible(p, t, cand):
-                reduction = cand
-                break
-        assert reduction, "no irreducible polynomial found"
-
-    ctx = FieldCtx(p, t, reduction)
-    group_order = p**t - 1
-    if group_order == 1:
-        return FieldCtx(p, t, reduction, ctx.one)
-    prime_factors = factor(group_order)
-    for code in range(2, p**t):
-        cand = ctx.element(code)
-        if all(ctx.pow(cand, group_order // q) != ctx.one for q in prime_factors):
-            return FieldCtx(p, t, reduction, cand)
-    raise AssertionError("multiplicative group of a finite field is cyclic")
-
-
-def discrete_log_table(ctx: FieldCtx) -> dict[Element, int]:
-    """Map each nonzero element to its exponent base the generator."""
-    table: dict[Element, int] = {}
-    x = ctx.one
-    for e in range(ctx.order - 1):
-        table[x] = e
-        x = ctx.mul(x, ctx.generator)
-    if len(table) != ctx.order - 1:
-        raise AssertionError("generator does not enumerate the nonzero elements")
-    return table
+        raise ValueError(f"field order {p}^{t} exceeds limit {ORDER_LIMIT}")
+    # both scans decode codes one at a time and stop at the first hit
+    reduction = () if t == 1 else next(
+        c for c in (_element(code, p, t) for code in range(p**t)) if _irreducible(p, t, c))
+    one = (1,) + (0,) * (t - 1)
+    n = p**t - 1
+    factors = _prime_factors(n)
+    # GF(2) has no code >= 2, and its generator is 1
+    theta = next((c for c in (_element(code, p, t) for code in range(2, p**t))
+                  if all(_pow(c, n // r, p, reduction) != one for r in factors)), one)
+    powers = [one]
+    for _ in range(n - 1):
+        powers.append(_mul(powers[-1], theta, p, reduction))
+    return powers

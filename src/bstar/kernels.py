@@ -79,10 +79,6 @@ _RHO_LOWER_TABLE = {
 _KNOWN_EXACT_RHO_SQ = {2: 0.5, 3: 1.0 / 3.0}
 
 
-class DomainError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Hurwitz zeta
 # ---------------------------------------------------------------------------
@@ -117,9 +113,9 @@ def hurwitz_zeta(s: float, a: float) -> float:
     the entry that _hurwitz_array gives for the same a in any vector.
     """
     if s <= 1:
-        raise DomainError("hurwitz_zeta needs s > 1")
+        raise ValueError("hurwitz_zeta needs s > 1")
     if not 0 < a <= 1:
-        raise DomainError("hurwitz_zeta needs 0 < a <= 1")
+        raise ValueError("hurwitz_zeta needs 0 < a <= 1")
     return float(_hurwitz_array(s, np.array([a]))[0])
 
 
@@ -259,15 +255,20 @@ def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
     if n < 0:
         raise ValueError("tail start must be nonnegative")
     if not 1 < p < math.inf:
-        raise DomainError("tail norms need p > 1")
+        raise ValueError("tail norms need 1 < p < inf")
     T = kernel.T
     c = kernel.normalized_coefficients()
     start = max(n, 1)
     js = np.arange(start, start + 4 * T)
-    zs = kernel._zeta_window(p, start)
-    body = 2.0 * (2.0 * T / ((4.0 * T) ** 2 * math.pi**2)) ** p * float(
-        np.sum(np.abs(c[js % (4 * T)]) ** p * zs)
-    )
+    # a large p overflows zeta(2p, j/(4T)) for small j; the check below
+    # refuses the result, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        zs = kernel._zeta_window(p, start)
+        body = 2.0 * (2.0 * T / ((4.0 * T) ** 2 * math.pi**2)) ** p * float(
+            np.sum(np.abs(c[js % (4 * T)]) ** p * zs)
+        )
+    if not math.isfinite(body):
+        raise ValueError(f"the tail norm overflows a float at p = {p:g}")
     if n == 0:
         body += abs(kernel.fourier_dc()) ** p
     return SpectralTail(n, p, body ** (1.0 / p))
@@ -297,9 +298,9 @@ def alpha_mix_optimum(khat0: float, tail1: float, p: float) -> tuple[float, floa
     1 + (M / tail1)^q.
     """
     if not 0 < khat0 <= 1:
-        raise DomainError("need 0 < khat0 <= 1")
+        raise ValueError("need 0 < khat0 <= 1")
     if tail1 <= 0 or not 1 < p < 2:
-        raise DomainError("need tail1 > 0 and 1 < p < 2")
+        raise ValueError("need tail1 > 0 and 1 < p < 2")
     q = p / (p - 1.0)
     m = 1.0 - khat0
     if m == 0.0:
@@ -349,7 +350,7 @@ def quartic_argmin(cert: BoundCertificate) -> float:
 def green_coefficient_bound(ffinorm: float) -> float:
     """Upper bound (F/pi) sin(pi/F) for |fhat(j)|^2, F = ||f*f||_inf >= 1."""
     if ffinorm < 1.0:
-        raise DomainError("||f*f||_inf is at least 1 for a density")
+        raise ValueError("||f*f||_inf is at least 1 for a density")
     return ffinorm / math.pi * math.sin(math.pi / ffinorm)
 
 
@@ -419,7 +420,7 @@ def delta_half_lower(epsilon: float) -> float:
     threshold at measure eps.
     """
     if not 3.0 / 8.0 < epsilon < 5.0 / 8.0:
-        raise DomainError("refinement applies for 3/8 < epsilon < 5/8")
+        raise ValueError("refinement applies for 3/8 < epsilon < 5/8")
     target = _reflection_coefficient_floor(epsilon) ** 2
     lo, hi = 1.0, 2.0
     for _ in range(80):
@@ -498,9 +499,9 @@ def ubiquity_bound(gamma_ratio: float, alpha: float) -> tuple[float, float]:
     (gamma^2 - 2 alpha)/(2 - 2 alpha); the caller takes max with 0.
     """
     if not 0 < alpha < 1:
-        raise DomainError("alpha must lie in (0, 1)")
+        raise ValueError("alpha must lie in (0, 1)")
     if not 0 < gamma_ratio < math.inf:
-        raise DomainError("gamma_ratio must be positive")
+        raise ValueError("gamma_ratio must be positive and finite")
     g2 = gamma_ratio * gamma_ratio
     complicated = g2 * (0.5 * PHI_FLOOR * g2 - alpha) / ((1.0 - alpha) * (1.0 + 2.0 * alpha))
     simple = (g2 - 2.0 * alpha) / (2.0 - 2.0 * alpha)

@@ -62,6 +62,8 @@ def test_usage_error_exit_code(capsys, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     pwl_rows = "--pwl-file must hold rows t,y_t for t = 0, 1, ..., T"
+    line_file = tmp_path / "full.json"
+    line_file.write_text('{"geometry": "line", "mode": "rational", "intervals": [[0, 1, 1, 4]]}')
     messages = [
         (["construct", "ruzsa"], "the following arguments are required: --p, --k"),
         (["construct", "compose"],
@@ -116,10 +118,19 @@ def test_usage_error_exit_code(capsys, tmp_path):
         # non-finite parameters; each would otherwise print NaN or Infinity
         (["random", "integer", "--n", "10", "--gamma", "nan"], "gamma must be at least pi"),
         (["bounds", "--ubiquity", "--gamma", "nan", "--alpha", "0.5"],
-         "gamma_ratio must be positive"),
+         "gamma_ratio must be positive and finite"),
         (["bounds", "--ubiquity", "--gamma", "inf", "--alpha", "0.5"],
-         "gamma_ratio must be positive"),
-        (["kernel", "eval", "--T", "10", "--p", "inf"], "tail norms need p > 1"),
+         "gamma_ratio must be positive and finite"),
+        (["kernel", "eval", "--T", "10", "--p", "inf"], "tail norms need 1 < p < inf"),
+        # a finite p can still overflow the tail norm; no numpy warning leaks
+        (["kernel", "eval", "--p", "34"], "the tail norm overflows a float at p = 34"),
+        (["kernel", "eval", "--T", "10", "--p", "100"],
+         "the tail norm overflows a float at p = 100"),
+        # a JSON file names its own geometry and mode
+        (["dee", "--json-file", str(line_file), "--geometry", "circle", "--mode", "float"],
+         "argument --geometry: not allowed with argument --json-file"),
+        (["dee", "--json-file", str(line_file), "--mode", "rational"],
+         "argument --mode: not allowed with argument --json-file"),
     ]
     for argv, message in messages:
         assert run(argv) == 2, argv

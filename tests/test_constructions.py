@@ -1,11 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from bstar.constructions import (
-    BadParams,
-    NotCoprime,
     bose_sets,
     compose_mod,
     expected_integer_size,
@@ -17,6 +16,7 @@ from bstar.constructions import (
     singer_sets,
     small_gn_witness,
 )
+from bstar.gf import is_prime
 from bstar.intsets import IntSet, max_rep, representation_counts
 
 
@@ -26,7 +26,7 @@ def test_ruzsa_examples():
     assert max_rep(rep.set) <= 2
     rep = ruzsa_sets(5, 2)
     assert len(rep.set) == 8 and rep.verified
-    with pytest.raises(BadParams):
+    with pytest.raises(ValueError, match="4 is not prime"):
         ruzsa_sets(4, 1)
 
 
@@ -46,7 +46,7 @@ def test_bose_examples():
     assert len(rep.set) == 3 and rep.set.modulus == 8 and max_rep(rep.set) <= 2
     rep = bose_sets(5, 2)
     assert len(rep.set) == 10 and rep.set.modulus == 24 and max_rep(rep.set) <= 8
-    with pytest.raises(BadParams):
+    with pytest.raises(ValueError, match="need 1 <= k < p"):
         bose_sets(3, 3)
 
 
@@ -75,7 +75,7 @@ def test_compose_examples():
     s = IntSet.of([0, 1, 2, 4], 7)
     rep = compose_mod(s, 3, IntSet.of([0], 2), 1)
     assert len(rep.set) == 4 and rep.set.modulus == 14 and max_rep(rep.set) <= 3
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ValueError, match="moduli 6 and 9 share a factor"):
         compose_mod(IntSet.of([0], 6), 1, IntSet.of([0], 9), 1)
     rep = compose_mod(IntSet.of([0], 3), 1, IntSet.of([0], 2), 1)
     assert rep.set.elements == (0,) and max_rep(rep.set) == 1
@@ -124,7 +124,7 @@ def test_random_circle_full_and_empty():
     assert rep.size == 1001 and rep.achieved_g == 1001
     rep = random_circle_set(9, 1e-9, seed=5)
     assert rep.size == 0 and rep.achieved_g == 0
-    with pytest.raises(BadParams):
+    with pytest.raises(ValueError, match="n must be a positive odd integer"):
         random_circle_set(10, 0.5)
 
 
@@ -145,7 +145,7 @@ def test_random_integer_reports():
     # boundary: gamma = pi keeps every p_k at most 1
     rep = random_integer_set(4, math.pi, seed=0)
     assert all(0 <= e <= 4 for e in rep.set.elements)
-    with pytest.raises(BadParams):
+    with pytest.raises(ValueError, match="gamma must be at least pi"):
         random_integer_set(100, 3.0)
 
 
@@ -190,3 +190,14 @@ def test_every_k_verifies_up_to_31(p):
         assert b.verified and len(b.set) == k * p, ("bose", p, k)
         s = singer_sets(p, k)
         assert s.verified and len(s.set) == k * p + 1, ("singer", p, k)
+
+
+def test_algebraic_sweep_digest():
+    """The three algebraic families over criterion 4's sweep, element for element."""
+    digest = hashlib.sha256()
+    for p in [p for p in range(2, 32) if is_prime(p)]:
+        for k in range(1, min(p, 5)):
+            for family in (ruzsa_sets, bose_sets, singer_sets):
+                digest.update(repr(family(p, k).set.elements).encode())
+    assert digest.hexdigest() == (
+        "b3b5759c061bfed6f0823cf9909f45ada25be52916e785f3eaeb4c2045256f83")

@@ -10,7 +10,6 @@ from bstar.kernels import (
     PHI_FLOOR,
     THETA_RANGE,
     BoundCertificate,
-    DomainError,
     PiecewiseLinearKernel,
     alpha_mix_optimum,
     arctan_profile,
@@ -58,9 +57,9 @@ def test_hurwitz_against_summation_oracle(s, a):
 
 
 def test_hurwitz_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="hurwitz_zeta needs s > 1"):
         hurwitz_zeta(1.0, 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="hurwitz_zeta needs 0 < a <= 1"):
         hurwitz_zeta(2.0, 1.5)
 
 
@@ -137,8 +136,12 @@ def test_tail_norms_do_not_depend_on_call_order():
             assert tail_norm(kernel, n, p) == tail_norm(fresh, n, p), (n, p)
     fresh = PiecewiseLinearKernel.from_family("K5", T_SMALL)
     assert BoundCertificate.from_kernel(kernel) == BoundCertificate.from_kernel(fresh)
-    with pytest.raises(DomainError):  # a NaN key would never hit the cache
+    # a NaN key would never hit the cache
+    with pytest.raises(ValueError, match="tail norms need 1 < p < inf"):
         tail_norm(kernel, 1, math.nan)
+    # a finite p so large that the zeta factors overflow is refused by name
+    with pytest.raises(ValueError, match="at p = 100$"):
+        tail_norm(kernel, 1, 100.0)
 
 
 def test_parseval_cross_check():
@@ -222,7 +225,7 @@ def test_green_coefficient_bound():
     assert green_coefficient_bound(2.0) == pytest.approx(2 / math.pi, abs=1e-15)
     assert math.sqrt(green_coefficient_bound(1.182778)) == pytest.approx(
         0.4191447, abs=1e-6)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="at least 1 for a density"):
         green_coefficient_bound(0.9)
 
 
@@ -284,7 +287,7 @@ def test_delta_half_lower():
         # the floor is not admissible itself: the Green bound there still
         # falls short of the squared reflection coefficient
         assert green_coefficient_bound(floor) < _reflection_coefficient_floor(float(eps)) ** 2
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="refinement applies for 3/8 < epsilon < 5/8"):
         delta_half_lower(0.3)
 
 
@@ -318,7 +321,7 @@ def test_ubiquity_bounds():
     assert simple < 0.0
     _, simple = ubiquity_bound(1.0, 1e-9)
     assert simple == pytest.approx(0.5, abs=1e-6)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
         ubiquity_bound(0.7, 0.0)
 
 
