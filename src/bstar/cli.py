@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: verify, construct, search, table, dee, delta-k, kernel,
-bounds, random.  `construct` and `random` take the family or model as
-their first word, and each family or model declares its own flags, so
+bounds, random.  `construct`, `random`, `kernel` and `bounds` take their
+job as the first word, and each job declares only the flags it reads, so
 `bstar construct ruzsa --help` lists what it needs.  All numeric output
 is JSON (CSV for streamed tables) with floats rendered to 12 significant
 digits; the seed used by any randomized step is echoed in the output.
@@ -54,13 +54,6 @@ def _fmt(value):
 
 def _emit(obj) -> None:
     print(json.dumps(_fmt(obj), allow_nan=False))
-
-
-def _require(args, *names) -> None:
-    """Raise a usage error naming the first of these flags left unset."""
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required")
 
 
 def _parse_elements(text: str) -> list[int]:
@@ -127,6 +120,20 @@ def _parse_p(text: str) -> float:
     return float(text)
 
 
+def _read_pwl_file(path: str) -> kernels.PiecewiseLinearKernel:
+    import numpy as np
+
+    with warnings.catch_warnings():
+        # an empty file fails the row check below; numpy's warning would
+        # only repeat it
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    order = np.argsort(data[:, 0])
+    if data.shape[1] != 2 or not np.array_equal(data[order, 0], np.arange(len(data))):
+        raise ValueError("--pwl-file must hold rows t,y_t for t = 0, 1, ..., T")
+    return kernels.PiecewiseLinearKernel(data[order, 1])
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -162,6 +169,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_search(args) -> int:
     if args.n is not None:
+        for flag, value in (("--n-start", args.n_start), ("--n-limit", args.n_limit)):
+            if value is not None:
+                raise ValueError(f"argument {flag}: not allowed with argument --n")
         dec = search.exists_set(args.kind, args.g, args.n, args.k,
                                 budget=args.budget, workers=args.threads)
         _emit({
@@ -172,9 +182,9 @@ def _cmd_search(args) -> int:
         })
         return 0
     limit = args.n_limit if args.n_limit is not None else 4 * args.k * args.k
-    problem = search.SearchProblem(args.kind, args.g, args.k,
-                                   args.n_start, limit, args.budget, args.threads)
-    res = search.min_n(problem)
+    start = 1 if args.n_start is None else args.n_start
+    res = search.min_n(search.SearchProblem(args.kind, args.g, args.k, start, limit,
+                                            args.budget, args.threads))
     _emit({
         "kind": args.kind, "g": args.g, "k": args.k,
         "min_n": res.min_n,
@@ -188,7 +198,11 @@ def _cmd_search(args) -> int:
 def _cmd_table(args) -> int:
     if args.g_min < 1:
         raise ValueError("--g-min must be a positive integer")
+    if args.g_max < args.g_min:
+        raise ValueError("--g-max must be at least --g-min")
     kind = "modular" if args.which == "C" else "integer"
+    # the rows are built lazily: refuse a bad budget or thread count before the header
+    search.SearchProblem(kind, args.g_min, 1, 1, 1, args.budget, args.threads)
     print("kind,g,k,min_n,exhaustive,witness" + (",nodes,seconds" if args.timings else ""))
     last = time.perf_counter()
     for g, k, res in search.table_rows(kind, args.g_min, args.g_max, args.max_k,
@@ -242,28 +256,14 @@ def _cmd_delta_k(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    if args.pwl_file:
-        import numpy as np
-
-        with warnings.catch_warnings():
-            # an empty file fails the row check below; numpy's warning would
-            # only repeat it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(args.pwl_file, delimiter=",", ndmin=2)
-        order = np.argsort(data[:, 0])
-        if data.shape[1] != 2 or not np.array_equal(data[order, 0], np.arange(len(data))):
-            raise ValueError("--pwl-file must hold rows t,y_t for t = 0, 1, ..., T")
-        y = data[order, 1]
-        kernel = kernels.PiecewiseLinearKernel(y)
-    else:
-        kernel = kernels.PiecewiseLinearKernel.from_family(args.family, args.T)
+    kernel = args.load(args)
     p = _parse_p(args.p)
     tail = kernels.tail_norm(kernel, args.tail_from, p)
     khat0 = kernel.fourier_dc()
     tail1 = kernels.tail_norm(kernel, 1, p).value
     alpha, floor = kernels.alpha_mix_optimum(khat0, tail1, p) if p < 2 else (None, None)
     _emit({
-        "family": args.family if not args.pwl_file else args.pwl_file,
+        "family": args.pwl_file if args.source == "pwl" else args.source,
         "T": kernel.T, "p": p, "tail_from": args.tail_from,
         "khat0": khat0,
         "khat1": kernel.coefficient(1),
@@ -275,40 +275,31 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
+def _rho_upper(args) -> dict:
+    rb = kernels.rho_upper(args.g)
+    return {"rho_upper_sq": rb.upper_sq, "known_exact_sq": rb.known_exact_sq,
+            "undercuts_known": rb.undercuts_known}
+
+
+def _ubiquity(args) -> dict:
+    comp, simple = kernels.ubiquity_bound(args.gamma, args.alpha)
+    return {"ubiquity_spectral": max(comp, 0.0), "ubiquity_counting": max(simple, 0.0)}
+
+
+def _delta_half(args) -> dict:
+    floor = kernels.delta_half_lower(args.epsilon)
+    return {"ffinorm_floor": floor, "delta_lower": floor * args.epsilon * args.epsilon / 2.0}
+
+
+def _certificate(args) -> dict:
+    kernel = kernels.PiecewiseLinearKernel.from_family("K5", args.T)
+    threshold, ok = kernels.delta_lower_certificate(kernels.BoundCertificate.from_kernel(kernel))
+    return {"certified_ffinorm": threshold, "certified": ok,
+            "delta_quadratic_constant": threshold / 2.0}
+
+
 def _cmd_bounds(args) -> int:
-    out: dict = {}
-    if args.rho_lower:
-        _require(args, "g")
-        out["rho_lower"] = kernels.rho_lower(args.g).lower
-    if args.rho_upper:
-        _require(args, "g")
-        rb = kernels.rho_upper(args.g)
-        out["rho_upper_sq"] = rb.upper_sq
-        out["known_exact_sq"] = rb.known_exact_sq
-        out["undercuts_known"] = rb.undercuts_known
-    if args.ubiquity:
-        _require(args, "gamma", "alpha")
-        comp, simple = kernels.ubiquity_bound(args.gamma, args.alpha)
-        out["ubiquity_spectral"] = max(comp, 0.0)
-        out["ubiquity_counting"] = max(simple, 0.0)
-    if args.delta_half:
-        _require(args, "epsilon")
-        eps = args.epsilon
-        floor = kernels.delta_half_lower(eps)
-        out["ffinorm_floor"] = floor
-        out["delta_lower"] = floor * eps * eps / 2.0
-    if args.certificate:
-        kernel = kernels.PiecewiseLinearKernel.from_family("K5", args.T)
-        cert = kernels.BoundCertificate.from_kernel(kernel)
-        threshold, ok = kernels.delta_lower_certificate(cert)
-        out["certified_ffinorm"] = threshold
-        out["certified"] = ok
-        out["delta_quadratic_constant"] = threshold / 2.0
-    if args.zeta_integral:
-        out["zeta_integral"] = kernels.zeta_integral_check()
-    if not out:
-        raise ValueError("pick at least one bound selector")
-    _emit(out)
+    _emit(args.evaluate(args))
     return 0
 
 
@@ -366,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="decide this n only")
-    p.add_argument("--n-start", type=int, default=1)
+    p.add_argument("--n-start", type=int, default=None, help="default: 1")
     p.add_argument("--n-limit", type=int, default=None)
     p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
     p.add_argument("--threads", type=int, default=1)
@@ -403,27 +394,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_delta_k)
 
     p = sub.add_parser("kernel", help="evaluate kernel Fourier tail norms")
-    p.add_argument("action", choices=["eval"])
-    p.add_argument("--family", choices=sorted(kernels.PROFILES), default="K5")
-    p.add_argument("--T", type=int, default=10**4)
-    p.add_argument("--p", default="4/3")
-    p.add_argument("--tail-from", type=int, default=1)
-    p.add_argument("--pwl-file", default=None, help="CSV of t,y_t node values")
     p.set_defaults(fn=_cmd_kernel)
+    tail = argparse.ArgumentParser(add_help=False)
+    tail.add_argument("--p", default="4/3")
+    tail.add_argument("--tail-from", type=int, default=1)
+    sources = p.add_subparsers(dest="source", required=True)
+    for name in sorted(kernels.PROFILES):
+        s = sources.add_parser(name, parents=[tail])
+        s.add_argument("--T", type=int, default=10**4)
+        s.set_defaults(load=lambda a: kernels.PiecewiseLinearKernel.from_family(a.source, a.T))
+    s = sources.add_parser("pwl", parents=[tail])
+    s.add_argument("--pwl-file", required=True, help="CSV of t,y_t node values")
+    s.set_defaults(load=lambda a: _read_pwl_file(a.pwl_file))
 
     p = sub.add_parser("bounds", help="closed-form bound evaluators")
-    p.add_argument("--rho-lower", action="store_true")
-    p.add_argument("--rho-upper", action="store_true")
-    p.add_argument("--ubiquity", action="store_true")
-    p.add_argument("--delta-half", action="store_true")
-    p.add_argument("--certificate", action="store_true")
-    p.add_argument("--zeta-integral", action="store_true")
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--T", type=int, default=10**4)
     p.set_defaults(fn=_cmd_bounds)
+    bounds = p.add_subparsers(dest="bound", required=True)
+    for name, flags, evaluate in (
+            ("rho-lower", {"--g": int}, lambda a: {"rho_lower": kernels.rho_lower(a.g).lower}),
+            ("rho-upper", {"--g": int}, _rho_upper),
+            ("ubiquity", {"--gamma": float, "--alpha": float}, _ubiquity),
+            ("delta-half", {"--epsilon": float}, _delta_half),
+            ("zeta-integral", {}, lambda a: {"zeta_integral": kernels.zeta_integral_check()})):
+        b = bounds.add_parser(name)
+        for flag, kind in flags.items():
+            b.add_argument(flag, type=kind, required=True)
+        b.set_defaults(evaluate=evaluate)
+    b = bounds.add_parser("certificate")
+    b.add_argument("--T", type=int, default=10**4)
+    b.set_defaults(evaluate=_certificate)
 
     p = sub.add_parser("random", help="seeded probabilistic constructions")
     p.set_defaults(fn=_cmd_random)

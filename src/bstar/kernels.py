@@ -112,7 +112,7 @@ def hurwitz_zeta(s: float, a: float) -> float:
     a on a log grid over [1e-4, 1] (tests/test_kernels.py); bit for bit
     the entry that _hurwitz_array gives for the same a in any vector.
     """
-    if s <= 1:
+    if not 1 < s < math.inf:
         raise ValueError("hurwitz_zeta needs s > 1")
     if not 0 < a <= 1:
         raise ValueError("hurwitz_zeta needs 0 < a <= 1")
@@ -349,7 +349,7 @@ def quartic_argmin(cert: BoundCertificate) -> float:
 
 def green_coefficient_bound(ffinorm: float) -> float:
     """Upper bound (F/pi) sin(pi/F) for |fhat(j)|^2, F = ||f*f||_inf >= 1."""
-    if ffinorm < 1.0:
+    if not ffinorm >= 1.0:
         raise ValueError("||f*f||_inf is at least 1 for a density")
     return ffinorm / math.pi * math.sin(math.pi / ffinorm)
 

@@ -74,6 +74,13 @@ class BudgetExceeded(RuntimeError):
     """The node budget ran out before the decision was certified."""
 
 
+def _check_effort(budget: int, workers: int) -> None:
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+
+
 @dataclass(frozen=True)
 class SearchProblem:
     kind: str  # "integer" | "modular"
@@ -91,6 +98,7 @@ class SearchProblem:
             raise ValueError("g and k must be positive")
         if self.n_start > self.n_limit:
             raise ValueError("empty search range")
+        _check_effort(self.budget, self.workers)
 
 
 @dataclass(frozen=True)
@@ -380,6 +388,7 @@ def exists_set(kind: str, g: int, n: int, k: int,
     """
     if g < 1 or k < 1 or n < 1:
         raise ValueError("g, n, k must be positive")
+    _check_effort(budget, workers)
     if k > n:
         return Decision(None, 0)
     if n < infeasibility_floor(kind, g, k):

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+
+import pytest
 
 import bstar
 from bstar import kernels, search
@@ -75,24 +78,32 @@ def test_usage_error_exit_code(capsys, tmp_path):
         (["verify", "--set", "1,2", "--g", "-3"], "--g must be a positive integer"),
         (["table", "--which", "R", "--max-k", "4", "--g-min", "0", "--g-max", "1"],
          "--g-min must be a positive integer"),
-        (["bounds"], "pick at least one bound selector"),
+        (["bounds"], "the following arguments are required: bound"),
+        (["kernel"], "the following arguments are required: source"),
         (["dee"], "one of the arguments --intervals --json-file is required"),
         (["dee", "--intervals", "0:1/2", "--json-file", "e.json"],
          "argument --json-file: not allowed with argument --intervals"),
         (["dee", "--intervals", "1/2:1/4"], "interval 1/2:1/4 must have a < b"),
         (["dee", "--intervals", "0.5:0.5", "--mode", "float"], "interval 0.5:0.5 must have a < b"),
-        (["bounds", "--rho-lower"], "--g is required"),
-        (["bounds", "--delta-half"], "--epsilon is required"),
-        (["bounds", "--ubiquity"], "--gamma is required"),
-        (["bounds", "--ubiquity", "--gamma", "0.7"], "--alpha is required"),
+        (["bounds", "rho-lower"], "the following arguments are required: --g"),
+        (["bounds", "rho-upper"], "the following arguments are required: --g"),
+        (["bounds", "delta-half"], "the following arguments are required: --epsilon"),
+        (["bounds", "ubiquity"], "the following arguments are required: --gamma, --alpha"),
+        (["bounds", "ubiquity", "--gamma", "0.7"],
+         "the following arguments are required: --alpha"),
+        (["kernel", "pwl"], "the following arguments are required: --pwl-file"),
+        # a flag that another bound or kernel source reads is refused
+        (["bounds", "certificate", "--g", "4"], "unrecognized arguments: --g 4"),
+        (["kernel", "pwl", "--pwl-file", "f", "--T", "5"], "unrecognized arguments: --T 5"),
+        (["kernel", "K3", "--pwl-file", "f"], "unrecognized arguments: --pwl-file f"),
         (["random", "circle", "--n", "100"], "the following arguments are required: --epsilon"),
-        (["kernel", "eval", "--pwl-file", str(one_row)], "need node values y_0..y_T with T >= 1"),
-        (["kernel", "eval", "--pwl-file", str(three_cols)], pwl_rows),
-        (["kernel", "eval", "--pwl-file", str(t_gap)], pwl_rows),
-        (["kernel", "eval", "--pwl-file", str(empty)], pwl_rows),
-        (["kernel", "eval", "--p", "4/0"], "--p 4/0 has a zero denominator"),
-        (["kernel", "eval", "--T", "-1"], "T must be a positive integer"),
-        (["bounds", "--certificate", "--T", "-2"], "T must be a positive integer"),
+        (["kernel", "pwl", "--pwl-file", str(one_row)], "need node values y_0..y_T with T >= 1"),
+        (["kernel", "pwl", "--pwl-file", str(three_cols)], pwl_rows),
+        (["kernel", "pwl", "--pwl-file", str(t_gap)], pwl_rows),
+        (["kernel", "pwl", "--pwl-file", str(empty)], pwl_rows),
+        (["kernel", "K5", "--p", "4/0"], "--p 4/0 has a zero denominator"),
+        (["kernel", "K5", "--T", "-1"], "T must be a positive integer"),
+        (["bounds", "certificate", "--T", "-2"], "T must be a positive integer"),
         (["dee", "--intervals", "0:1/0"], "interval 0:1/0 has a zero denominator"),
         (["delta-k", "--k", "2", "--epsilon", "0.5", "--restarts", "0"],
          "restarts must be positive"),
@@ -117,20 +128,40 @@ def test_usage_error_exit_code(capsys, tmp_path):
           "--mate-json", "{}", "--g", "2", "--h", "2"], set_entries),
         # non-finite parameters; each would otherwise print NaN or Infinity
         (["random", "integer", "--n", "10", "--gamma", "nan"], "gamma must be at least pi"),
-        (["bounds", "--ubiquity", "--gamma", "nan", "--alpha", "0.5"],
+        (["bounds", "ubiquity", "--gamma", "nan", "--alpha", "0.5"],
          "gamma_ratio must be positive and finite"),
-        (["bounds", "--ubiquity", "--gamma", "inf", "--alpha", "0.5"],
+        (["bounds", "ubiquity", "--gamma", "inf", "--alpha", "0.5"],
          "gamma_ratio must be positive and finite"),
-        (["kernel", "eval", "--T", "10", "--p", "inf"], "tail norms need 1 < p < inf"),
+        (["kernel", "K5", "--T", "10", "--p", "inf"], "tail norms need 1 < p < inf"),
         # a finite p can still overflow the tail norm; no numpy warning leaks
-        (["kernel", "eval", "--p", "34"], "the tail norm overflows a float at p = 34"),
-        (["kernel", "eval", "--T", "10", "--p", "100"],
+        (["kernel", "K5", "--p", "34"], "the tail norm overflows a float at p = 34"),
+        (["kernel", "K5", "--T", "10", "--p", "100"],
          "the tail norm overflows a float at p = 100"),
         # a JSON file names its own geometry and mode
         (["dee", "--json-file", str(line_file), "--geometry", "circle", "--mode", "float"],
          "argument --geometry: not allowed with argument --json-file"),
         (["dee", "--json-file", str(line_file), "--mode", "rational"],
          "argument --mode: not allowed with argument --json-file"),
+        # --n decides one n; a range flag next to it would be ignored
+        (["search", "--kind", "integer", "--g", "2", "--k", "5", "--n", "12",
+          "--n-start", "100", "--n-limit", "3"],
+         "argument --n-start: not allowed with argument --n"),
+        (["search", "--kind", "integer", "--g", "2", "--k", "5", "--n", "12",
+          "--n-limit", "3"], "argument --n-limit: not allowed with argument --n"),
+        # a search effort that means nothing
+        (["search", "--kind", "integer", "--g", "2", "--k", "5", "--budget", "-1"],
+         "budget must be nonnegative"),
+        (["search", "--kind", "integer", "--g", "2", "--k", "5", "--n", "12", "--budget", "-1"],
+         "budget must be nonnegative"),
+        (["search", "--kind", "integer", "--g", "2", "--k", "5", "--threads", "0"],
+         "workers must be positive"),
+        (["search", "--kind", "integer", "--g", "2", "--k", "5", "--n", "12", "--threads", "-3"],
+         "workers must be positive"),
+        (["table", "--which", "R", "--max-k", "4", "--budget", "-1"],
+         "budget must be nonnegative"),
+        (["table", "--which", "R", "--max-k", "4", "--threads", "0"], "workers must be positive"),
+        (["table", "--which", "R", "--max-k", "4", "--g-min", "3", "--g-max", "2"],
+         "--g-max must be at least --g-min"),
     ]
     for argv, message in messages:
         assert run(argv) == 2, argv
@@ -146,7 +177,7 @@ def test_usage_error_exit_code(capsys, tmp_path):
 def test_non_finite_result_is_a_usage_error(capsys, monkeypatch):
     # a NaN that no parameter check catches still never prints as JSON
     monkeypatch.setattr(kernels, "zeta_integral_check", lambda: math.nan)
-    assert run(["bounds", "--zeta-integral"]) == 2
+    assert run(["bounds", "zeta-integral"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error: Out of range float values are not JSON compliant")
@@ -206,10 +237,10 @@ def test_search_single_decision(capsys):
 
 
 def test_bounds_subcommand(capsys):
-    code, obj = run_json(capsys, ["bounds", "--rho-lower", "--g", "12"])
+    code, obj = run_json(capsys, ["bounds", "rho-lower", "--g", "12"])
     assert code == 0
     assert abs(obj["rho_lower"] - 0.7746) < 1e-4
-    code, obj = run_json(capsys, ["bounds", "--zeta-integral"])
+    code, obj = run_json(capsys, ["bounds", "zeta-integral"])
     assert abs(obj["zeta_integral"] - math.sqrt(3) / 2) < 1e-9
 
 
@@ -323,7 +354,7 @@ def test_table_timings_extend_the_rows(capsys):
     assert all(float(r[7]) >= 0 for r in rows)
 
 
-def test_help_names_each_required_flag():
+def test_help_names_each_required_flag(capsys):
     # each family and model states its own flags, so --help shows them
     env = dict(os.environ, PYTHONPATH=str(Path(bstar.__file__).resolve().parents[1]))
     needs = {
@@ -346,6 +377,27 @@ def test_help_names_each_required_flag():
         for flag in needs[words]:
             # a required flag appears in the usage line without brackets
             assert flag in usage, (words, flag)
+    # each bound and kernel source lists its own flags and no other; these
+    # run in-process, so they add no interpreter start-up
+    own = {
+        ("bounds", "rho-lower"): (["--g"], []),
+        ("bounds", "rho-upper"): (["--g"], []),
+        ("bounds", "ubiquity"): (["--gamma", "--alpha"], []),
+        ("bounds", "delta-half"): (["--epsilon"], []),
+        ("bounds", "certificate"): ([], ["--T"]),
+        ("bounds", "zeta-integral"): ([], []),
+        ("kernel", "pwl"): (["--pwl-file"], ["--p", "--tail-from"]),
+        ("kernel", "K5"): ([], ["--p", "--tail-from", "--T"]),
+    }
+    for words, (required, optional) in own.items():
+        with pytest.raises(SystemExit) as exit_:
+            run([*words, "--help"])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 0 and captured.err == "", words
+        usage = captured.out.split("\n\n")[0]
+        assert all(flag in usage.split() for flag in required), words
+        assert sorted(re.findall(r"(?<![\w-])--?[\w-]+", usage)) == sorted(
+            ["-h", *required, *optional]), words
 
 
 def test_table_row_after_an_exhaustive_row_is_exhaustive(capsys):
@@ -359,9 +411,9 @@ def test_table_row_after_an_exhaustive_row_is_exhaustive(capsys):
 
 
 def test_kernel_eval_small(capsys):
-    code, obj = run_json(capsys, ["kernel", "eval", "--family", "K3", "--T", "500",
+    code, obj = run_json(capsys, ["kernel", "K3", "--T", "500",
                                   "--p", "4/3", "--tail-from", "1"])
-    assert code == 0
+    assert code == 0 and obj["family"] == "K3" and obj["T"] == 500
     assert 0.86 < obj["khat0"] < 0.88
     assert 0.20 < obj["tail_norm"] < 0.22
 
@@ -375,15 +427,15 @@ def test_kernel_eval_pwl_file(tmp_path, capsys):
     kernel = PiecewiseLinearKernel.from_profile(power_profile, T)
     path = tmp_path / "nodes.csv"
     np.savetxt(path, np.column_stack([np.arange(T + 1), kernel.y]), delimiter=",")
-    code, obj = run_json(capsys, ["kernel", "eval", "--pwl-file", str(path),
+    code, obj = run_json(capsys, ["kernel", "pwl", "--pwl-file", str(path),
                                   "--p", "4/3", "--tail-from", "2"])
-    assert code == 0
+    assert code == 0 and obj["family"] == str(path) and obj["T"] == T
     assert obj["tail_norm"] == json.loads(json.dumps(obj["tail_norm"]))
     assert abs(obj["tail_norm"] - tail_norm(kernel, 2, 4 / 3).value) < 1e-9
 
 
 def test_float_rendering_sig_digits(capsys):
-    code, obj = run_json(capsys, ["bounds", "--ubiquity", "--gamma", "0.7",
+    code, obj = run_json(capsys, ["bounds", "ubiquity", "--gamma", "0.7",
                                   "--alpha", "0.25"])
     assert code == 0
     assert obj["ubiquity_spectral"] > 0.0137382

@@ -57,8 +57,9 @@ def test_hurwitz_against_summation_oracle(s, a):
 
 
 def test_hurwitz_domain():
-    with pytest.raises(ValueError, match="hurwitz_zeta needs s > 1"):
-        hurwitz_zeta(1.0, 0.5)
+    for s in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="hurwitz_zeta needs s > 1"):
+            hurwitz_zeta(s, 0.5)
     with pytest.raises(ValueError, match="hurwitz_zeta needs 0 < a <= 1"):
         hurwitz_zeta(2.0, 1.5)
 
@@ -225,8 +226,9 @@ def test_green_coefficient_bound():
     assert green_coefficient_bound(2.0) == pytest.approx(2 / math.pi, abs=1e-15)
     assert math.sqrt(green_coefficient_bound(1.182778)) == pytest.approx(
         0.4191447, abs=1e-6)
-    with pytest.raises(ValueError, match="at least 1 for a density"):
-        green_coefficient_bound(0.9)
+    for ffinorm in (0.9, math.nan):
+        with pytest.raises(ValueError, match="at least 1 for a density"):
+            green_coefficient_bound(ffinorm)
 
 
 def test_quadratic_floor_is_a_minorant():

@@ -115,6 +115,16 @@ def test_narrow_range_is_not_exhaustive():
 def test_budget_exceeded_is_loud():
     with pytest.raises(BudgetExceeded):
         exists_set("integer", 2, 50, 9, budget=50)
+    # an effort that means nothing is refused, not run as budget 0 or serially
+    for budget, workers, message in ((-1, 1, "budget must be nonnegative"),
+                                     (0, 0, "workers must be positive"),
+                                     (0, -3, "workers must be positive")):
+        with pytest.raises(ValueError, match=message):
+            exists_set("integer", 2, 4, 1, budget, workers)
+        with pytest.raises(ValueError, match=message):
+            SearchProblem("integer", 2, 3, 1, 10, budget, workers)
+    assert exists_set("integer", 2, 4, 1, budget=0).feasible
+    assert SearchProblem("integer", 2, 3, 1, 10, budget=0).budget == 0
 
 
 def test_floor_is_sound():
