@@ -87,30 +87,51 @@ _BERNOULLI_2J = (
     1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
     -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798, -174611 / 330,
 )
-_HURWITZ_LEAD_TERMS = 40  # summed directly before the Euler-Maclaurin tail
+_HURWITZ_LEAD_TERMS = 10  # summed directly before the Euler-Maclaurin tail
 
 
 def _hurwitz_array(s: float, a: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin zeta(s, a) for s > 1 and a vector of a > 0."""
+    """Euler-Maclaurin zeta(s, a) for s > 1 and a vector of a > 0.
+
+    With N = 10 lead terms and the M = 10 Bernoulli terms, the remainder
+    obeys |R| <= 4 (s)_2M / (2 pi)^2M * (N+a)^(1-s-2M) / (s+2M-1)
+    (F. Johansson, Numer. Algorithms 69 (2015), Thm 1), at most 1.15e-18
+    for every s > 1.  On 0 < a <= 1, zeta(s, a) >= a^-s >= 1, so that is
+    far below one ulp.  The Bernoulli terms are one polynomial in
+    (N+a)^-2, evaluated by Horner's rule in place.
+    """
     a = np.asarray(a, dtype=float)
-    base = np.zeros_like(a)
+    total = np.zeros_like(a)
     for k in range(_HURWITZ_LEAD_TERMS):  # one row at a time: no terms-by-len(a) temporary
-        base += (k + a) ** (-s)
-    na = _HURWITZ_LEAD_TERMS + a
-    total = base + na ** (1.0 - s) / (s - 1.0) + 0.5 * na ** (-s)
-    for j, b2j in enumerate(_BERNOULLI_2J, start=1):
-        two_j = 2 * j
-        rising = math.prod(s + i for i in range(two_j - 1))
-        total += b2j / math.factorial(two_j) * rising * na ** (-s - two_j + 1.0)
+        total += (k + a) ** (-s)
+    # tail = (N+a)^-s [(N+a)/(s-1) + 1/2 + sum_j c_j (N+a)^(1-2j)],
+    # c_j = B_2j / (2j)! * s (s+1) ... (s+2j-2)
+    coeffs = [b2j / math.factorial(2 * j) * math.prod(s + i for i in range(2 * j - 1))
+              for j, b2j in enumerate(_BERNOULLI_2J, start=1)]
+    na = a + float(_HURWITZ_LEAD_TERMS)
+    x = np.reciprocal(na)
+    x *= x
+    tail = np.full_like(a, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        tail *= x
+        tail += c
+    u = np.power(na, -s, out=x)  # x is spent: its buffer takes (N+a)^-s
+    tail /= na
+    tail += 0.5
+    na /= s - 1.0
+    tail += na
+    tail *= u
+    total += tail
     return total
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
     """zeta(s, a) = sum_{k>=0} (k+a)^(-s).
 
-    Relative error at most 1e-14 against mpmath for s in {4/3, 2, 8/3} and
-    a on a log grid over [1e-4, 1] (tests/test_kernels.py); bit for bit
-    the entry that _hurwitz_array gives for the same a in any vector.
+    Relative error at most 2e-15 against mpmath for s in {4/3, 2, 2.6,
+    8/3, 8}, on a log grid of a over [1e-4, 1] and on a kernel's table
+    arguments j/(4T) (tests/test_kernels.py; measured 6.3e-16); bit for
+    bit the entry that _hurwitz_array gives for the same a in any vector.
     """
     if not 1 < s < math.inf:
         raise ValueError("hurwitz_zeta needs s > 1")
@@ -158,10 +179,11 @@ class PiecewiseLinearKernel:
     """Even kernel, 1 on [-1/4, 1/4], linear between x_t = 1/4 + t/(4T).
 
     y holds the T+1 node values with y[0] = 1.  The kernel caches its FFT
-    coefficients and, per exponent p, the Hurwitz zeta table that its
-    tail norms weight them with; that table depends only on (T, p), so
-    it is computed once per kernel and p.  Both caches are fixed by y, so
-    the kernel keeps its own read-only copy of it.
+    coefficients and, per exponent p, the weighted period
+    w(j) = |C(j mod 4T)|^p zeta(2p, j/(4T)) for j = 1 .. 4T+1, whose
+    slices sum to its tail norms from n = 0, 1 and 2; so the zeta table
+    is computed once per kernel and p.  Both caches are fixed by y, so the
+    kernel keeps its own read-only copy of it.
     """
 
     def __init__(self, y):
@@ -174,7 +196,7 @@ class PiecewiseLinearKernel:
         self._y = y
         self.T = len(y) - 1
         self._c: Optional[np.ndarray] = None
-        self._zeta: dict[float, np.ndarray] = {}
+        self._weights: dict[float, np.ndarray] = {}
 
     @property
     def y(self) -> np.ndarray:
@@ -203,7 +225,8 @@ class PiecewiseLinearKernel:
         """C(j) = (pi^2 j^2 / 2T) Khat(j) for one period j = 0..4T-1.
 
         The edge signal (differences of the node-value increments) has
-        support of length 4T, so one real FFT gives the whole period.
+        support of length 4T, so one real FFT gives j = 0 .. 2T, and the
+        rest of the period mirrors it: C(4T - j) = C(j) for a real signal.
         """
         if self._c is None:
             T = self.T
@@ -211,7 +234,8 @@ class PiecewiseLinearKernel:
             edge = np.zeros(4 * T)
             edge[T + 1:2 * T + 1] += d
             edge[T:2 * T] -= d
-            self._c = np.fft.fft(edge).real
+            half = np.fft.rfft(edge).real
+            self._c = np.concatenate([half, half[-2:0:-1]])
         return self._c
 
     def coefficient(self, j: int) -> float:
@@ -221,18 +245,24 @@ class PiecewiseLinearKernel:
         c = self.normalized_coefficients()
         return 2.0 * self.T * float(c[abs(j) % (4 * self.T)]) / (math.pi**2 * j * j)
 
-    def _zeta_window(self, p: float, start: int) -> np.ndarray:
-        """zeta(2p, j/(4T)) for the one period j = start .. start+4T-1.
+    def _weighted_period(self, p: float, start: int) -> np.ndarray:
+        """|C(j)|^p zeta(2p, j/(4T)) for the one period j = start .. start+4T-1.
 
-        Starts 1 and 2 slice the table over j = 1 .. 4T+1, computed on the
-        first call for this p; a later start is computed afresh.
+        Starts 1 and 2 slice the weights over j = 1 .. 4T+1, computed on
+        the first call for this p; a later start is computed afresh.
         """
         period = 4 * self.T
         if start > 2:
-            return _hurwitz_array(2.0 * p, np.arange(start, start + period) / (4.0 * self.T))
-        if p not in self._zeta:
-            self._zeta[p] = _hurwitz_array(2.0 * p, np.arange(1, period + 2) / (4.0 * self.T))
-        return self._zeta[p][start - 1:start - 1 + period]
+            return self._weights_at(p, np.arange(start, start + period))
+        if p not in self._weights:
+            self._weights[p] = self._weights_at(p, np.arange(1, period + 2))
+        return self._weights[p][start - 1:start - 1 + period]
+
+    def _weights_at(self, p: float, js: np.ndarray) -> np.ndarray:
+        """|C(j mod 4T)|^p zeta(2p, j/(4T)) for j >= 1."""
+        weights = _hurwitz_array(2.0 * p, js / (4.0 * self.T))
+        weights *= np.abs(np.take(self.normalized_coefficients(), js, mode="wrap")) ** p
+        return weights
 
 
 @dataclass(frozen=True)
@@ -249,24 +279,20 @@ def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
 
     The j-sum runs over exactly one period of C(j); nothing is truncated
     because the Hurwitz zeta factor absorbs each arithmetic progression.
-    Those zeta values depend only on (T, p): the kernel computes them once
-    per p, so the norms from n = 0, 1 and 2 share one evaluation.
+    The kernel caches the weighted period |C(j)|^p zeta(2p, j/(4T)) once
+    per p, so the norms from n = 0, 1 and 2 are sums of slices of one
+    evaluation.
     """
     if n < 0:
         raise ValueError("tail start must be nonnegative")
     if not 1 < p < math.inf:
         raise ValueError("tail norms need 1 < p < inf")
     T = kernel.T
-    c = kernel.normalized_coefficients()
-    start = max(n, 1)
-    js = np.arange(start, start + 4 * T)
     # a large p overflows zeta(2p, j/(4T)) for small j; the check below
     # refuses the result, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        zs = kernel._zeta_window(p, start)
-        body = 2.0 * (2.0 * T / ((4.0 * T) ** 2 * math.pi**2)) ** p * float(
-            np.sum(np.abs(c[js % (4 * T)]) ** p * zs)
-        )
+        weights = kernel._weighted_period(p, max(n, 1))
+        body = 2.0 * (2.0 * T / ((4.0 * T) ** 2 * math.pi**2)) ** p * float(np.sum(weights))
     if not math.isfinite(body):
         raise ValueError(f"the tail norm overflows a float at p = {p:g}")
     if n == 0:
@@ -351,6 +377,8 @@ def green_coefficient_bound(ffinorm: float) -> float:
     """Upper bound (F/pi) sin(pi/F) for |fhat(j)|^2, F = ||f*f||_inf >= 1."""
     if not ffinorm >= 1.0:
         raise ValueError("||f*f||_inf is at least 1 for a density")
+    if ffinorm == math.inf:
+        raise ValueError("the coefficient bound needs a finite ||f*f||_inf")
     return ffinorm / math.pi * math.sin(math.pi / ffinorm)
 
 

@@ -450,20 +450,25 @@ def min_n(problem: SearchProblem) -> SearchResult:
     return SearchResult(None, None, nodes, exhaustive=p.n_start <= floor)
 
 
+def first_table_k(g: int) -> int:
+    """The first k of g's table row: the first k whose full interval is no witness."""
+    return 3 if g == 2 else g + 1
+
+
 def table_rows(kind: str, g_min: int, g_max: int, max_k: int,
                budget: int = DEFAULT_BUDGET, workers: int = 1):
     """Yield (g, k, SearchResult) for the min-n table, row by row.
 
-    Each g starts at the first k whose full interval is no witness (3 for
-    g = 2, g + 1 otherwise), searches n up to 8k^2/g + 16, and stops at
-    the first k with no witness in that range.  min n is nondecreasing
+    Each g starts at first_table_k(g) (3 for g = 2, g + 1 otherwise),
+    searches n up to 8k^2/g + 16, and stops at the first k with no
+    witness in that range.  min n is nondecreasing
     in k, so each search starts at the previous row's value.  A subset
     of a B*[g] set is B*[g], so no n below that value admits a k-set
     either: a row is exhaustive when the previous one was.
     """
     for g in range(g_min, g_max + 1):
         start, below_proved = 1, True
-        for k in range(3 if g == 2 else g + 1, max_k + 1):
+        for k in range(first_table_k(g), max_k + 1):
             res = min_n(SearchProblem(kind, g, k, start, 8 * k * k // g + 16,
                                       budget, workers))
             if res.min_n is None:

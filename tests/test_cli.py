@@ -162,6 +162,11 @@ def test_usage_error_exit_code(capsys, tmp_path):
         (["table", "--which", "R", "--max-k", "4", "--threads", "0"], "workers must be positive"),
         (["table", "--which", "R", "--max-k", "4", "--g-min", "3", "--g-max", "2"],
          "--g-max must be at least --g-min"),
+        # a --max-k below the first k of --g-min would print a bare header
+        (["table", "--which", "R", "--max-k", "2"],
+         "--max-k must be at least 3, the first k of --g-min 2"),
+        (["table", "--which", "C", "--max-k", "4", "--g-min", "4", "--g-max", "6"],
+         "--max-k must be at least 5, the first k of --g-min 4"),
     ]
     for argv, message in messages:
         assert run(argv) == 2, argv

@@ -29,7 +29,12 @@ from bstar.kernels import (
     ubiquity_bound,
     zeta_integral_check,
 )
-from bstar.kernels import _hurwitz_array, _quartic_certifies
+from bstar.kernels import (
+    _BERNOULLI_2J,
+    _HURWITZ_LEAD_TERMS,
+    _hurwitz_array,
+    _quartic_certifies,
+)
 
 T_SMALL = 2000  # enough nodes for unit-test accuracy at a fraction of the cost
 
@@ -64,13 +69,32 @@ def test_hurwitz_domain():
         hurwitz_zeta(2.0, 1.5)
 
 
-@pytest.mark.parametrize("s", [8 / 3, 2.0, 4 / 3])
+def test_euler_maclaurin_remainder_is_below_one_ulp():
+    # F. Johansson, Numer. Algorithms 69 (2015), Thm 1: after N lead terms
+    # and M Bernoulli terms, |R| <= 4 (s)_2M / (2 pi)^2M * (N+a)^(1-s-2M)
+    # / (s+2M-1), largest at a -> 0.  zeta(s, a) >= 1 on 0 < a <= 1, so a
+    # bound below 2^-59 is under 1/64 of an ulp of the value.  Its maximum
+    # over s is 1.15e-18, near s = 2.6, which 2^-60 = 8.7e-19 would miss.
+    n_lead, m = _HURWITZ_LEAD_TERMS, len(_BERNOULLI_2J)
+    for s in np.linspace(1.0, 64.0, 6301)[1:]:
+        log_bound = (math.log(4.0) + math.lgamma(s + 2 * m) - math.lgamma(s)
+                     - 2 * m * math.log(2 * math.pi) + (1 - s - 2 * m) * math.log(n_lead)
+                     - math.log(s + 2 * m - 1))
+        assert log_bound < -59 * math.log(2.0), s
+
+
+@pytest.mark.parametrize("s", [4 / 3, 2.0, 2.6, 8 / 3, 8.0])
 def test_hurwitz_against_mpmath(s):
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
+    # a log grid, and a kernel's own table arguments j/(4T), j = 1..4T+1
+    table_args = np.arange(1, 4 * 50 + 2) / (4.0 * 50)
+    with mpmath.workdps(40):
         for a in np.geomspace(1e-4, 1.0, 201):
             exact = mpmath.zeta(s, float(a))
-            assert abs(hurwitz_zeta(s, float(a)) - exact) <= 1e-14 * exact, a
+            assert abs(hurwitz_zeta(s, float(a)) - exact) <= 2e-15 * exact, a
+        for a, value in zip(table_args, _hurwitz_array(s, table_args)):
+            exact = mpmath.zeta(s, float(a))
+            assert abs(value - exact) <= 2e-15 * exact, a
 
 
 def test_hurwitz_vector_matches_scalar_calls():
@@ -90,6 +114,20 @@ def test_coefficient_profile_periodicity_and_fft():
         direct = float(np.sum(np.diff(kernel.y) * (
             np.cos(2 * math.pi * j * xs[1:]) - np.cos(2 * math.pi * j * xs[:-1]))))
         assert c[j % (4 * 50)] == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 50])
+def test_real_fft_mirror_matches_the_complex_fft(T):
+    # the kernel takes j = 0..2T from a real FFT and mirrors the rest
+    kernel = PiecewiseLinearKernel.from_family("K3", T)
+    d = np.diff(kernel.y)
+    edge = np.zeros(4 * T)
+    edge[T + 1:2 * T + 1] += d
+    edge[T:2 * T] -= d
+    full = np.fft.fft(edge).real
+    c = kernel.normalized_coefficients()
+    assert c.shape == full.shape
+    assert np.max(np.abs(c - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 def test_coefficient_against_quadrature():
@@ -229,6 +267,20 @@ def test_green_coefficient_bound():
     for ffinorm in (0.9, math.nan):
         with pytest.raises(ValueError, match="at least 1 for a density"):
             green_coefficient_bound(ffinorm)
+    # (F/pi) sin(pi/F) would be inf * 0 = nan
+    with pytest.raises(ValueError, match="needs a finite"):
+        green_coefficient_bound(math.inf)
+
+
+def test_certificate_doubling_ends_on_every_tested_kernel():
+    # the bisection doubles its upper end until a threshold fails; that
+    # must happen before the threshold reaches inf, which is refused
+    certs = [BoundCertificate.from_kernel(PiecewiseLinearKernel.from_family(family, T))
+             for family in ("K1", "K3", "K5") for T in (1, 2, 3, 50, T_SMALL)]
+    certs.append(BoundCertificate(khat0=0.73, khat1=0.001, tail_m=0.4))
+    for cert in certs:
+        f, ok = delta_lower_certificate(cert)
+        assert ok and 1.0 < f < 2.0, cert
 
 
 def test_quadratic_floor_is_a_minorant():
@@ -353,15 +405,50 @@ def test_profiles_pin_the_window_edge():
     assert kernel.y[0] == 1.0
 
 
+# scripts/reproduce_constants.py's output, its timing line dropped: a
+# change in any printed digit of any constant must be seen
+REPRODUCED_CONSTANTS = """\
+== two-valued kernel (closed form) ==
+autoconvolution floor        1.074279206
+== arctan kernel, T = 10^4 ==
+Khat(0)                      0.870250799
+lnorm_1,4/3                  0.208784534
+lnorm_0,4/3                  0.965841249
+mix floor ||f*f||_2^2        1.149150757   (alpha = -0.000331)
+quadratic constant           0.574575379
+== power kernel, T = 10^4 ==
+Khat(0)                      0.631932628
+Khat(1)                      0.270776892
+lnorm_2,4/3                  0.239175395
+certified ||f*f||_inf        1.182778918   (verified: True)
+quadratic constant           0.591389459
+== measure-1/2 refinement ==
+eps=0.40: ||f*f||_inf >= 1.179974   delta >= 0.094398
+eps=0.50: ||f*f||_inf >= 1.197292   delta >= 0.149662
+eps=0.60: ||f*f||_inf >= 1.215298   delta >= 0.218754
+== density-ratio bounds ==
+rho_upper(2)^2 <= 1.238015
+rho_upper(3)^2 <= 0.155457  [undercuts known exact value]
+rho_upper(4)^2 <= 1.489222
+rho_upper(10)^2 <= 1.637651
+rho_upper(25)^2 <= 1.630158
+rho_lower(4)   >= 0.755929
+rho_lower(6)   >= 0.730297
+rho_lower(12)   >= 0.774597
+rho_lower(22)   >= 0.767523
+rho_lower(24)   >= 0.781736
+rho_lower(60)   >= 0.788941
+limit ratio 11/(8 sqrt 3) =  0.793857
+ubiquity(0.7, 0.25)          0.013738238 / 0.000000000
+quadrature self-test         0.866025403784
+"""
+
+
 def test_reproduce_constants_script():
-    # every name the script imports must still exist, and its headline
-    # lines must hold their values
     script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_constants.py"
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    certified = next(line for line in lines if line.startswith("certified ||f*f||_inf"))
-    assert float(certified.split()[2]) >= 1.182778
-    assert certified.endswith("(verified: True)")
-    assert "quadrature self-test         0.866025403784" in lines
+    lines = proc.stdout.splitlines(keepends=True)
+    assert lines[-1].startswith("total time ")
+    assert "".join(lines[:-1]) == REPRODUCED_CONSTANTS
