@@ -78,6 +78,8 @@ def _parse_intervals(text: str, exact: bool):
     number = Fraction if exact else float
     pairs = []
     for chunk in text.split(","):
+        if chunk.count(":") != 1:
+            raise ValueError(f"interval {chunk!r} must have the form a:b")
         lo, hi = chunk.split(":")
         try:
             pair = (number(lo), number(hi))
@@ -87,28 +89,6 @@ def _parse_intervals(text: str, exact: bool):
             raise ValueError(f"interval {chunk} must have a < b")
         pairs.append(pair)
     return pairs
-
-
-def _parse_interval_json(text: str) -> intervals.IntervalSet:
-    obj = json.loads(text)
-    if not (isinstance(obj, dict) and obj.get("mode") in ("rational", "float")
-            and isinstance(obj.get("intervals"), list) and "geometry" in obj):
-        raise ValueError('interval JSON must be an object with keys "geometry", '
-                         '"mode" ("rational" or "float") and "intervals" (a list)')
-    rows = obj["intervals"]
-    if obj["mode"] == "rational":
-        if not all(isinstance(row, list) and len(row) == 4
-                   and all(type(v) is int for v in row) and row[1] and row[3]
-                   for row in rows):
-            raise ValueError("rational intervals must be rows [a_num, a_den, b_num, "
-                             "b_den] of integers with nonzero denominators")
-        ivs = [(Fraction(an, ad), Fraction(bn, bd)) for an, ad, bn, bd in rows]
-    else:
-        if not all(isinstance(row, list) and len(row) == 2
-                   and all(type(v) in (int, float) for v in row) for row in rows):
-            raise ValueError("float intervals must be rows [a, b] of numbers")
-        ivs = [(a, b) for a, b in rows]
-    return intervals.IntervalSet(tuple(ivs), obj["geometry"])
 
 
 def _parse_p(text: str) -> float:
@@ -221,17 +201,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_dee(args) -> int:
-    if args.json_file:
-        # the file names its own geometry and mode
-        for flag in ("geometry", "mode"):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"argument --{flag}: not allowed with argument --json-file")
-        with open(args.json_file) as fh:
-            e = _parse_interval_json(fh.read())
-    else:
-        exact = (args.mode or "rational") == "rational"
-        e = intervals.IntervalSet.of(_parse_intervals(args.intervals, exact),
-                                     geometry=args.geometry or "line")
+    e = intervals.IntervalSet.of(_parse_intervals(args.intervals, args.mode == "rational"),
+                                 geometry=args.geometry)
     res = intervals.largest_symmetric_subset(e, include_profile=bool(args.profile_csv))
     if args.profile_csv:
         with open(args.profile_csv, "w") as fh:
@@ -378,13 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("dee", help="largest symmetric subset of an interval union")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--intervals", help="a:b,c:d,... endpoints")
-    source.add_argument("--json-file", default=None)
-    p.add_argument("--geometry", choices=["line", "circle"], default=None,
-                   help="for --intervals only (default: line)")
-    p.add_argument("--mode", choices=["rational", "float"], default=None,
-                   help="for --intervals only (default: rational)")
+    p.add_argument("--intervals", required=True, help="a:b,c:d,... endpoints")
+    p.add_argument("--geometry", choices=["line", "circle"], default="line")
+    p.add_argument("--mode", choices=["rational", "float"], default="rational")
     p.add_argument("--profile-csv", default=None,
                    help="write center vs symmetric measure samples")
     p.set_defaults(fn=_cmd_dee)

@@ -47,13 +47,6 @@ TWO_PI = 2.0 * math.pi
 # the floor is its inverse fourth power, ~1.149150619.
 PHI_FLOOR = 0.9658413 ** -4
 
-# Quadratic minorant for sum |fhat(j)|^4 in terms of F = ||f*f||_inf,
-# valid on 1.182778 <= F <= 1.229837 (validated pointwise in tests).
-THETA0 = 21.922911
-THETA1 = -33.711941
-THETA2 = 13.676987
-THETA_RANGE = (1.182778, 1.229837)
-
 # Display constants of the four-case closed-form upper bound on
 # rho_upper(g)^2; see rho_upper.
 _RHO_EVEN_SMALL = (1.74043, 1.00483)
@@ -380,11 +373,6 @@ def green_coefficient_bound(ffinorm: float) -> float:
     if ffinorm == math.inf:
         raise ValueError("the coefficient bound needs a finite ||f*f||_inf")
     return ffinorm / math.pi * math.sin(math.pi / ffinorm)
-
-
-def quartic_floor_quadratic(ffinorm: float) -> float:
-    """theta0 + theta1 F + theta2 F^2, a quadratic minorant for sum |fhat|^4."""
-    return THETA0 + THETA1 * ffinorm + THETA2 * ffinorm**2
 
 
 def _quartic_certifies(cert: BoundCertificate, threshold: float) -> bool:

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -43,18 +42,6 @@ def test_verify_modular(capsys):
 
 def test_usage_error_exit_code(capsys, tmp_path):
     set_json = 'set JSON must be an object with keys "elements" (a list) and "modulus"'
-    interval_json = ('interval JSON must be an object with keys "geometry", '
-                     '"mode" ("rational" or "float") and "intervals" (a list)')
-    line_only = tmp_path / "line.json"
-    line_only.write_text('{"geometry": "line"}')
-    bad_row = tmp_path / "row.json"
-    bad_row.write_text('{"geometry": "line", "mode": "rational", "intervals": [1]}')
-    zero_den = tmp_path / "zero.json"
-    zero_den.write_text('{"geometry": "line", "mode": "rational", "intervals": [[0, 0, 1, 2]]}')
-    text_row = tmp_path / "text.json"
-    text_row.write_text('{"geometry": "line", "mode": "float", "intervals": [["0", 0.5]]}')
-    rational_rows = ("rational intervals must be rows [a_num, a_den, b_num, b_den] "
-                     "of integers with nonzero denominators")
     set_entries = 'set JSON "elements" must be integers and "modulus" an integer or null'
     one_row = tmp_path / "one.csv"
     one_row.write_text("0,1\n")
@@ -65,8 +52,6 @@ def test_usage_error_exit_code(capsys, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     pwl_rows = "--pwl-file must hold rows t,y_t for t = 0, 1, ..., T"
-    line_file = tmp_path / "full.json"
-    line_file.write_text('{"geometry": "line", "mode": "rational", "intervals": [[0, 1, 1, 4]]}')
     messages = [
         (["construct", "ruzsa"], "the following arguments are required: --p, --k"),
         (["construct", "compose"],
@@ -80,9 +65,9 @@ def test_usage_error_exit_code(capsys, tmp_path):
          "--g-min must be a positive integer"),
         (["bounds"], "the following arguments are required: bound"),
         (["kernel"], "the following arguments are required: source"),
-        (["dee"], "one of the arguments --intervals --json-file is required"),
-        (["dee", "--intervals", "0:1/2", "--json-file", "e.json"],
-         "argument --json-file: not allowed with argument --intervals"),
+        (["dee"], "the following arguments are required: --intervals"),
+        (["dee", "--intervals", "0:1", "--json-file", "f"],
+         "unrecognized arguments: --json-file f"),
         (["dee", "--intervals", "1/2:1/4"], "interval 1/2:1/4 must have a < b"),
         (["dee", "--intervals", "0.5:0.5", "--mode", "float"], "interval 0.5:0.5 must have a < b"),
         (["bounds", "rho-lower"], "the following arguments are required: --g"),
@@ -105,6 +90,10 @@ def test_usage_error_exit_code(capsys, tmp_path):
         (["kernel", "K5", "--T", "-1"], "T must be a positive integer"),
         (["bounds", "certificate", "--T", "-2"], "T must be a positive integer"),
         (["dee", "--intervals", "0:1/0"], "interval 0:1/0 has a zero denominator"),
+        # a chunk that is not exactly a:b
+        (["dee", "--intervals", ""], "interval '' must have the form a:b"),
+        (["dee", "--intervals", "0:1/2,"], "interval '' must have the form a:b"),
+        (["dee", "--intervals", "0:1:2"], "interval '0:1:2' must have the form a:b"),
         (["delta-k", "--k", "2", "--epsilon", "0.5", "--restarts", "0"],
          "restarts must be positive"),
         (["verify", "--set", "1,2,-3", "--g", "2"], "elements must be nonnegative"),
@@ -114,10 +103,6 @@ def test_usage_error_exit_code(capsys, tmp_path):
           "--h", "2"], set_json),
         (["construct", "compose", "--set-json", "[1,2]", "--mate-json", "[1,2]", "--g", "2",
           "--h", "2"], set_json),
-        (["dee", "--json-file", str(line_only)], interval_json),
-        (["dee", "--json-file", str(bad_row)], rational_rows),
-        (["dee", "--json-file", str(zero_den)], rational_rows),
-        (["dee", "--json-file", str(text_row)], "float intervals must be rows [a, b] of numbers"),
         (["construct", "compose", "--set-json", '{"elements": ["a"], "modulus": 7}',
           "--mate-json", "{}", "--g", "2", "--h", "2"], set_entries),
         (["construct", "compose", "--set-json", '{"elements": [1.0], "modulus": 7}',
@@ -137,11 +122,6 @@ def test_usage_error_exit_code(capsys, tmp_path):
         (["kernel", "K5", "--p", "34"], "the tail norm overflows a float at p = 34"),
         (["kernel", "K5", "--T", "10", "--p", "100"],
          "the tail norm overflows a float at p = 100"),
-        # a JSON file names its own geometry and mode
-        (["dee", "--json-file", str(line_file), "--geometry", "circle", "--mode", "float"],
-         "argument --geometry: not allowed with argument --json-file"),
-        (["dee", "--json-file", str(line_file), "--mode", "rational"],
-         "argument --mode: not allowed with argument --json-file"),
         # --n decides one n; a range flag next to it would be ignored
         (["search", "--kind", "integer", "--g", "2", "--k", "5", "--n", "12",
           "--n-start", "100", "--n-limit", "3"],
@@ -290,29 +270,6 @@ def test_set_json_round_trip(capsys):
     assert code == 0 and obj["set"]["elements"] == list(expected.set.elements)
 
 
-def test_dee_json_file_both_modes(tmp_path, capsys):
-    # a --json-file set reads as the same set as its --intervals spelling
-    cases = [
-        ('{"geometry": "line", "mode": "rational", "intervals": [[0, 1, 1, 4], [3, 4, 1, 1]]}',
-         ["--intervals", "0:1/4,3/4:1"], IntervalSet.of([(F(0), F(1, 4)), (F(3, 4), F(1))])),
-        ('{"geometry": "circle", "mode": "float", "intervals": [[0, 0.25], [0.3, 0.45]]}',
-         ["--intervals", "0:0.25,0.3:0.45", "--mode", "float", "--geometry", "circle"],
-         IntervalSet.of([(0.0, 0.25), (0.3, 0.45)], geometry="circle")),
-    ]
-    for text, spelled, e in cases:
-        path = tmp_path / "e.json"
-        path.write_text(text)
-        code, obj = run_json(capsys, ["dee", "--json-file", str(path)])
-        assert code == 0 and obj["geometry"] == e.geometry
-        assert run(["dee", *spelled]) == 0
-        assert json.loads(capsys.readouterr().out) == obj
-        d = largest_symmetric_subset(e).d_value
-        if e.exact:
-            assert obj["d_value"]["num"] == d.numerator and obj["d_value"]["den"] == d.denominator
-        else:
-            assert obj["d_value"] == float(f"{d:.12g}")
-
-
 def test_dee_profile_csv(tmp_path, capsys):
     out = tmp_path / "profile.csv"
     code, obj = run_json(capsys, ["dee", "--intervals", "0:1/4,3/4:1",
@@ -321,6 +278,13 @@ def test_dee_profile_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "center,symmetric_measure"
     assert len(lines) > 3
+    # float mode on the circle prints the library's D(E) at 12 digits
+    code, obj = run_json(capsys, ["dee", "--intervals", "0:0.25,0.3:0.45", "--mode", "float",
+                                  "--geometry", "circle", "--profile-csv", str(out)])
+    e = IntervalSet.of([(0.0, 0.25), (0.3, 0.45)], geometry="circle")
+    assert code == 0 and obj["geometry"] == "circle"
+    assert obj["d_value"] == float(f"{largest_symmetric_subset(e).d_value:.12g}")
+    assert out.read_text().startswith("center,symmetric_measure\n")
 
 
 def test_seeded_random_is_byte_identical(capsys):
@@ -361,7 +325,6 @@ def test_table_timings_extend_the_rows(capsys):
 
 def test_help_names_each_required_flag(capsys):
     # each family and model states its own flags, so --help shows them
-    env = dict(os.environ, PYTHONPATH=str(Path(bstar.__file__).resolve().parents[1]))
     needs = {
         ("construct", "ruzsa"): ["--p", "--k"],
         ("construct", "bose"): ["--p", "--k"],
@@ -372,18 +335,16 @@ def test_help_names_each_required_flag(capsys):
         ("random", "circle"): ["--n", "--epsilon"],
         ("random", "integer"): ["--n", "--gamma"],
     }
-    procs = {words: subprocess.Popen([sys.executable, "-m", "bstar.cli", *words, "--help"],
-                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-             for words in needs}
-    for words, proc in procs.items():
-        out, err = proc.communicate(timeout=60)
-        assert proc.returncode == 0 and err == b"", words
-        usage = out.decode().split("\n\n")[0].split()
-        for flag in needs[words]:
+    for words, required in needs.items():
+        with pytest.raises(SystemExit) as exit_:
+            run([*words, "--help"])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 0 and captured.err == "", words
+        usage = captured.out.split("\n\n")[0].split()
+        for flag in required:
             # a required flag appears in the usage line without brackets
             assert flag in usage, (words, flag)
-    # each bound and kernel source lists its own flags and no other; these
-    # run in-process, so they add no interpreter start-up
+    # each bound and kernel source lists its own flags and no other
     own = {
         ("bounds", "rho-lower"): (["--g"], []),
         ("bounds", "rho-upper"): (["--g"], []),

@@ -8,7 +8,6 @@ import pytest
 
 from bstar.kernels import (
     PHI_FLOOR,
-    THETA_RANGE,
     BoundCertificate,
     PiecewiseLinearKernel,
     alpha_mix_optimum,
@@ -20,7 +19,6 @@ from bstar.kernels import (
     k1_closed_form,
     power_profile,
     quartic_argmin,
-    quartic_floor_quadratic,
     quartic_main_bound,
     rho_lower,
     rho_upper,
@@ -281,15 +279,6 @@ def test_certificate_doubling_ends_on_every_tested_kernel():
     for cert in certs:
         f, ok = delta_lower_certificate(cert)
         assert ok and 1.0 < f < 2.0, cert
-
-
-def test_quadratic_floor_is_a_minorant():
-    kernel = PiecewiseLinearKernel.from_family("K5", 10**4)
-    cert = BoundCertificate.from_kernel(kernel)
-    assert quartic_floor_quadratic(1.2) == pytest.approx(1.163443, abs=1e-5)
-    for f in np.linspace(*THETA_RANGE, 1001):
-        x1 = math.sqrt(green_coefficient_bound(f))
-        assert quartic_main_bound(cert, x1) > quartic_floor_quadratic(f) - 1e-9
 
 
 def test_certificate_explicit_thresholds():
