@@ -24,7 +24,7 @@ branches, one per second element in increasing order, in-process or in
 a process pool; it stops at the first witness, and its nodes and its
 budget are those of the branches it consumed, in either mode.
 
-Two rules prune the DFS:
+Three rules prune the DFS:
 
 * suffix span floors (both kinds, both engines).  A subset of a B*[g]
   set is B*[g], and a modular set read as integers in [0, n - 1] is an
@@ -40,11 +40,25 @@ Two rules prune the DFS:
   so far, the candidates stop where max(G, e - S[-1]) > n + 1 - fl[m] - e
   for m = k - depth.  The left side grows with e and the right side
   shrinks, so no larger e can pass.
+* a mirror rule (both kinds, both engines, every search), as in
+  optimal Golomb-ruler searches (Shearer 1990).  x -> S[0] + S[-1] - x
+  maps a B*[g] set to a B*[g] set on the same range with its gap
+  sequence reversed, so the DFS keeps only sets whose first gap
+  d1 = S[1] - S[0] is at most their last gap.  A branch fixes d1: the
+  last element starts at S[-1] + d1, and for m = k - depth >= 2 the
+  m - 1 elements from e to the last but one span at least fl[m - 1] - 1,
+  so e <= top + 1 - fl[m - 1] - d1.  In Z_n the reflection, translated
+  back to 0, keeps the wrap gap as the wrap gap, so a set the rotation
+  rule keeps has a reflection it keeps too, and the two rules combine.
 
-The rotation rule changes which witness is found first, so it only
-decides: when it finds a witness the plain search (floors only) runs
-again and returns the lexicographically first one.  A modular node
-count is the sum of both searches.
+The mirror rule keeps the lexicographically first witness L: L's
+reflection is a witness with the same first element whose second
+element is S[0] plus L's last gap, so L's first gap is at most its last
+gap and the DFS still meets L first.  The rotation rule does change
+which witness comes first, so it only decides: when a modular decision
+finds a witness, the search runs again at that n without it and returns
+the lexicographically first one.  The node count of a feasible modular
+n is the sum of both searches; an integer decision runs once.
 
 min_n uses that integer feasibility is monotone in n (a witness inside
 [1, n] also fits in [1, n+1]), so a binary search plus one completed
@@ -206,6 +220,15 @@ def _last_candidates(g: int, k: int, top: int) -> list[int]:
     return [top + 1 - fl[k - depth] for depth in range(k)]
 
 
+def _mirror_caps(last: list[int], d1: int) -> list[int]:
+    """last under the mirror rule, for a branch whose first gap is d1.
+
+    The last gap is at least d1, so the set without its last element ends
+    by top - d1, and its candidate at depth is at most last[depth + 1] - d1.
+    """
+    return [min(c, after - d1) for c, after in zip(last, last[1:])] + last[-1:]
+
+
 # ---------------------------------------------------------------------------
 # integer g = 2 bitmask engine
 # ---------------------------------------------------------------------------
@@ -215,12 +238,16 @@ def _decide_sidon_int(k: int, last: list[int], budget: _Budget, second: int):
 
     D is the mask of positive differences and B the mask of blocked
     future elements.  The branch fixes the second element; last is
-    _last_candidates(2, k, n).
+    _last_candidates(2, k, n), narrowed by the mirror rule to sets whose
+    last gap is at least their first, d1 = second - 1.
     """
+    d1 = second - 1
+    last = _mirror_caps(last, d1)
+
     def rec(S, D, B, depth):
         if depth == k:
             return tuple(S)
-        lo, hi = S[-1] + 1, last[depth]
+        lo, hi = S[-1] + (d1 if depth == k - 1 else 1), last[depth]
         if lo > hi:
             return None
         cand = ~B & ((1 << (hi + 1)) - 1) & -(1 << lo)
@@ -261,10 +288,14 @@ def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _
     A pair adds 2 to r and a diagonal adds 1; pair sums of the new
     element never meet each other or its diagonal, so each is tested
     against the profile before the element arrived.  The branch fixes
-    the second element; last is _last_candidates(g, k, top).
+    the second element; last is _last_candidates(g, k, top), narrowed
+    by the mirror rule to sets whose last gap is at least their first,
+    d1 = second - first.
 
-    With rotate (modular kind only) the search is confined to sets whose
-    largest cyclic gap is the wrap gap n - s_{k-1}.  G is the largest
+    With rotate (modular kind only) the search is also confined to sets
+    whose largest cyclic gap is the wrap gap n - s_{k-1}.  That rule only
+    decides: at a feasible n, exists_set runs the search again without
+    it for the lexicographically first witness.  G is the largest
     internal gap so far; the wrap gap is at most last[depth] + 1 - e, so
     the candidates end where max(G, e - S[-1]) would exceed it.
     """
@@ -272,6 +303,8 @@ def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _
     first = 0 if kind == "modular" else 1
     cap = g - 2  # a pair fits only where r[t] <= g - 2
     r = bytearray(length)
+    d1 = second - first
+    last = _mirror_caps(last, d1)
 
     def rec(S, depth, G):
         if depth == k:
@@ -282,7 +315,7 @@ def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _
         if depth == 1:
             candidates = range(second, min(second, hi) + 1)
         else:
-            candidates = range(S[-1] + 1, hi + 1)
+            candidates = range(S[-1] + (d1 if depth == k - 1 else 1), hi + 1)
         for e in candidates:
             budget.spend()
             d = 2 * e % length
@@ -355,13 +388,16 @@ def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
     A branch may spend what the consumed branches left when its job is
     built.  A pool builds jobs ahead, so a worker's limit is never below
     what is left when its result is consumed: the outcome does not
-    depend on the schedule.
+    depend on the schedule.  Under the mirror rule a branch whose first
+    gap second - first exceeds last[2] - second is empty, so the
+    branches end before it.
     """
     first = 0 if kind == "modular" else 1
     last = _last_candidates(g, k, n - 1 + first)
+    end = last[1] if k < 3 else min(last[1], (last[2] + first) // 2)
     nodes, witness = 0, None
     jobs = ((kind, g, n, k, last, second, budget - nodes, rotate)
-            for second in range(first + 1, last[1] + 1))
+            for second in range(first + 1, end + 1))
     parallel = workers > 1 and n >= _PARALLEL_MIN_N and k > 2
     with _branch_map(workers if parallel else 1) as branch_map:
         for witness, spent in branch_map(_branch, jobs):
@@ -381,10 +417,12 @@ def exists_set(kind: str, g: int, n: int, k: int,
     search never reports infeasible silently.  With workers > 1 the
     top-level branches of a large question run in separate processes;
     the answer, the node count and the budget's outcome are independent
-    of scheduling.  The modular kind decides on one rotation of each set
-    and, when it finds one, re-runs the plain search for the
-    lexicographically first witness with what is left of the budget;
-    nodes counts both searches.
+    of scheduling.  Every search keeps one reflection of each set, which
+    still meets the lexicographically first witness first.  The modular
+    kind decides on one rotation of each set too and, when it finds one,
+    runs the search again without that rule for the lexicographically
+    first witness with what is left of the budget; nodes counts both
+    searches.
     """
     if g < 1 or k < 1 or n < 1:
         raise ValueError("g, n, k must be positive")

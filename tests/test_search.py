@@ -9,6 +9,11 @@ from bstar.intsets import IntSet, is_bstar
 from bstar.search import (
     BudgetExceeded,
     SearchProblem,
+    _Budget,
+    _decide_counts,
+    _decide_sidon_int,
+    _last_candidates,
+    _search,
     exists_set,
     infeasibility_floor,
     min_n,
@@ -196,18 +201,112 @@ def test_budget_means_the_same_with_workers():
 
 def test_bitmask_engine_matches_counting_engine_witnesses():
     # integer g = 2 is the one question two engines can answer; both
-    # explore candidates in increasing order, so the full
-    # lexicographically-first witness must agree, not just feasibility
-    from bstar.search import _Budget, _decide_counts, _last_candidates
-
+    # explore candidates in increasing order under the same rules, so
+    # each branch must return the same witness, not just agree on
+    # feasibility, and the decision must return the lexicographically
+    # first witness.  Under the mirror rule a branch's witness ends on a
+    # gap no shorter than its first one, second - 1.
     for n in range(4, 26):
         for k in (3, 4, 5):
             fast = exists_set("integer", 2, n, k)
             last = _last_candidates(2, k, n)
-            branches = (_decide_counts("integer", 2, n, k, last, _Budget(10**8), second)
-                        for second in range(2, n + 1))
+            branches = [_decide_counts("integer", 2, n, k, last, _Budget(10**8), second)
+                        for second in range(2, n + 1)]
+            for second, slow in enumerate(branches, 2):
+                assert _decide_sidon_int(k, last, _Budget(10**8), second) == slow, (n, k, second)
+                if slow is not None:
+                    assert slow[-1] - slow[-2] >= second - 1, (n, k, second)
             slow = next(filter(None, branches), None)
-            if slow is None:
-                assert not fast.feasible, (n, k)
+            witness = fast.witness.elements if fast.feasible else None
+            assert witness == slow == brute_first("integer", 2, n, k), (n, k)
+
+
+def floors_first(kind, g, n, k):
+    """(lexicographically first witness or None, nodes) under the span floors alone.
+
+    A DFS in element order with the caps of _last_candidates, which
+    test_pruned_matches_brute_force checks, and no mirror or rotation
+    rule; it spends one node per candidate, as the engines do.
+    """
+    first = 0 if kind == "modular" else 1
+    length = n if kind == "modular" else 2 * n + 1
+    last = _last_candidates(g, k, n - 1 + first)
+    r = bytearray(length)
+    r[2 * first % length] = 1
+    S = [first]
+    nodes = 0
+
+    def rec(depth):
+        nonlocal nodes
+        if depth == k:
+            return tuple(S)
+        for e in range(S[-1] + 1, last[depth] + 1):
+            nodes += 1
+            d = 2 * e % length
+            if r[d] >= g:
+                continue
+            for y in S:
+                if r[(e + y) % length] > g - 2:
+                    break
             else:
-                assert fast.witness.elements == slow, (n, k)
+                r[d] += 1
+                for y in S:
+                    r[(e + y) % length] += 2
+                S.append(e)
+                out = rec(depth + 1)
+                S.pop()
+                r[d] -= 1
+                for y in S:
+                    r[(e + y) % length] -= 2
+                if out is not None:
+                    return out
+        return None
+
+    return rec(1), nodes
+
+
+def test_mirror_and_rotation_rules_match_a_floors_only_search():
+    # past brute force's reach: exists_set, with the mirror rule in every
+    # search and the rotation rule deciding in Z_n, returns the witness of
+    # a DFS with neither rule, or none when that DFS finds none.  The
+    # rotation pass's witness is a set both rules keep: first gap <= last
+    # gap and a largest gap that wraps.  Integer g = 2 runs in both
+    # engines.  Modular k = 8 at g = 2, 3 is left out: the floors-only
+    # search alone takes seconds there.
+    spent = {}  # (kind, g == 2) -> [floors-only, exists_set] nodes on infeasible n
+    for kind in ("integer", "modular"):
+        for g in range(2, 6):
+            for k in range(4, 9):
+                if kind == "modular" and k == 8 and g < 4:
+                    continue
+                floor = infeasibility_floor(kind, g, k)
+                for n in range(floor, floor + 13):
+                    case = (kind, g, n, k)
+                    reference, reference_nodes = floors_first(*case)
+                    dec = exists_set(*case)
+                    assert (dec.witness.elements if dec.feasible else None) == reference, case
+                    if reference is None:
+                        total = spent.setdefault((kind, g == 2), [0, 0])
+                        total[0] += reference_nodes
+                        total[1] += dec.nodes
+                        continue
+                    if kind == "integer":
+                        if g == 2:
+                            last = _last_candidates(g, k, n)
+                            branches = (_decide_counts(*case, last, _Budget(10**9), second)
+                                        for second in range(2, last[1] + 1))
+                            assert next(filter(None, branches), None) == reference, case
+                        continue
+                    w, _ = _search(*case, 10**9, 1, rotate=True)
+                    assert is_bstar(IntSet.of(w, n), g), case
+                    assert len(w) == k and w[0] == 0 and w[-1] < n, case
+                    gaps = [b - a for a, b in zip(w, w[1:])]
+                    assert gaps[0] <= gaps[-1] and n - w[-1] >= max(gaps), case
+    # the rules prune in every engine: the bitmask one (integer g = 2) and
+    # the counting one on either kind.  Each bound sits just above the
+    # share spent today (0.134, 0.552, 0.112, 0.117 of the floors-only
+    # nodes), so a cap one looser or a rule left out of an engine fails.
+    most = {("integer", True): 0.14, ("integer", False): 0.56,
+            ("modular", True): 0.115, ("modular", False): 0.12}
+    for group, (reference_nodes, nodes) in spent.items():
+        assert nodes <= most[group] * reference_nodes, (group, reference_nodes, nodes)
