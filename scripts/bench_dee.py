@@ -1,0 +1,173 @@
+#!/usr/bin/env python3
+"""Time exact D(E) against the number of intervals, on both of its paths.
+
+    python3 scripts/bench_dee.py [--out BENCH_dee.json]
+
+`largest_symmetric_subset` computes m at every sum of two endpoints either
+by a breakpoint sweep, O(k^2 log k) for k intervals, or by one FFT
+autoconvolution of the cells of the endpoints' grid of step 1/L,
+O(L log L); it takes the grid path when L <= 4k^2.  This script times
+both paths (`_sweep` and `_autoconvolution` on the same grid) and the
+public call on two families of seeded inputs, checks that the two paths
+return the same rows, and writes the record as JSON:
+
+- block pictures `a_of_s(S, n)` of random sets made of exactly k runs
+  of consecutive elements, k = 15 to 1643, on the line (L = n, about 4k);
+- the crossover grid: random sets of k intervals on the grid L, for L
+  from 4k^2 / 64 to 64 * 4k^2 (up to L = 2^20), on the line and on the
+  circle.
+
+Each time is the median over 5 batches of the seconds per call.  The
+sweep holds its 4k^2 breakpoints as Python tuples, about 100 bytes each,
+so it is only timed up to SWEEP_MAX_INTERVALS intervals.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from bstar import intervals  # noqa: E402
+from bstar.intsets import IntSet  # noqa: E402
+
+SEED = 19
+PICTURE_RUNS = (15, 25, 45, 109, 200, 424, 609, 1643)
+CROSSOVER_K = (5, 15, 45, 135)
+CROSSOVER_RATIOS = (1 / 64, 1 / 16, 1 / 4, 1, 4, 16, 64)  # L / (4 k^2)
+MAX_L = 1 << 20  # keeps each FFT below 100 MB
+SWEEP_MAX_INTERVALS = 609  # the sweep's tuples take about 150 MB here, 1 GB at 1643
+BATCHES = 5
+BATCH_S = 0.02  # each batch runs the call enough times to take about this long
+
+
+def seconds_per_call(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    first = time.perf_counter() - t0
+    number = max(1, int(BATCH_S / max(first, 1e-7)))
+    batches = []
+    for _ in range(BATCHES):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        batches.append((time.perf_counter() - t0) / number)
+    return statistics.median(batches)
+
+
+def runs_picture(rng: random.Random, runs: int) -> intervals.IntervalSet:
+    """a_of_s(S, n) for a random S in [1, n] made of exactly `runs` runs."""
+    elements, pos = [], 0
+    for _ in range(runs):
+        pos += rng.randint(1, 3)  # a gap of at least one
+        length = rng.randint(1, 3)
+        elements.extend(range(pos, pos + length))
+        pos += length
+    return intervals.a_of_s(IntSet(tuple(elements)), pos + rng.randint(0, 3))
+
+
+def grid_set(rng: random.Random, k: int, scale: int, geometry: str) -> intervals.IntervalSet:
+    """k intervals with distinct endpoints on the grid of step 1/scale."""
+    pts = sorted(rng.sample(range(scale + 1), 2 * k))
+    return intervals.IntervalSet(
+        tuple((Fraction(a, scale), Fraction(b, scale)) for a, b in zip(pts[0::2], pts[1::2])),
+        geometry)
+
+
+def time_both(e: intervals.IntervalSet, with_sweep: bool) -> dict:
+    scale, grid = intervals._on_grid(e.intervals)
+    circle = e.geometry == "circle"
+    sigmas, units = intervals._autoconvolution(scale, grid, circle)
+    row = {"intervals": len(e.intervals), "L": scale, "geometry": e.geometry,
+           "path": "grid" if intervals._grid_pays(scale, len(e.intervals)) else "sweep",
+           "grid_s": seconds_per_call(lambda: intervals._autoconvolution(scale, grid, circle)),
+           "sweep_s": None, "agree": None,
+           "public_s": seconds_per_call(lambda: intervals.largest_symmetric_subset(e))}
+    if with_sweep:
+        rows = intervals._sweep(scale, grid, circle)
+        row["agree"] = rows == list(zip(sigmas.tolist(), units.tolist()))
+        if not row["agree"]:
+            raise AssertionError(f"the paths disagree on {len(e.intervals)} intervals, L = {scale}")
+        row["sweep_s"] = seconds_per_call(lambda: intervals._sweep(scale, grid, circle))
+    return row
+
+
+def git_rev() -> str:
+    """HEAD's commit, with a -dirty suffix when the checkout has changes."""
+    try:
+        return subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                              cwd=ROOT, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def package_version() -> str:
+    from importlib import metadata
+    try:
+        return metadata.version("bstar")
+    except metadata.PackageNotFoundError:
+        for line in (ROOT / "pyproject.toml").read_text().splitlines():
+            if line.startswith("version"):
+                return line.split("=", 1)[1].strip().strip('"')
+    return "unknown"
+
+
+def show(row: dict) -> None:
+    sweep = f"{row['sweep_s'] * 1e3:10.3f}" if row["sweep_s"] is not None else "         -"
+    print(f"{row['geometry']:6s} k={row['intervals']:5d} L={row['L']:8d} {row['path']:5s} "
+          f"grid {row['grid_s'] * 1e3:8.3f} ms  sweep {sweep} ms  "
+          f"public {row['public_s'] * 1e3:8.3f} ms", flush=True)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", default=str(ROOT / "BENCH_dee.json"))
+    args = ap.parse_args()
+
+    rng = random.Random(SEED)
+    pictures = []
+    for runs in PICTURE_RUNS:
+        row = time_both(runs_picture(rng, runs), runs <= SWEEP_MAX_INTERVALS)
+        pictures.append(row)
+        show(row)
+    crossover = []
+    for k in CROSSOVER_K:
+        scales = {max(2 * k, round(ratio * 4 * k * k)) for ratio in CROSSOVER_RATIOS}
+        for scale in sorted(x for x in scales if x <= MAX_L):
+            for geometry in ("line", "circle"):
+                row = time_both(grid_set(rng, k, scale, geometry),
+                                k <= SWEEP_MAX_INTERVALS)
+                row["ratio_to_4k2"] = scale / (4 * k * k)
+                crossover.append(row)
+                show(row)
+
+    record = {
+        "what": "seconds per call of exact D(E): the grid path (_autoconvolution), "
+                "the sweep (_sweep) and largest_symmetric_subset, which picks one",
+        "provenance": {"package_version": package_version(), "git_rev": git_rev(),
+                       "python": platform.python_version(), "numpy": np.__version__,
+                       "nproc": os.cpu_count(), "seed": SEED,
+                       "sweep_max_intervals": SWEEP_MAX_INTERVALS},
+        "block_pictures": pictures,
+        "crossover": crossover,
+    }
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

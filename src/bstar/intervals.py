@@ -2,19 +2,41 @@
 
 The largest subset of E symmetric under x -> s - x is E & (s - E).  Its
 measure m(s) is the self-convolution of the indicator of E, so for
-E = U [a_i, b_i) it is piecewise linear in s, and its second derivative
-is a sum of point masses: +1 at a_i + a_j and b_i + b_j, -1 at a_i + b_j
-and b_i + a_j.  One sweep over these 4k^2 breakpoints in sorted order,
-accumulating the slope, gives m at every sum of two endpoints in
-O(k^2 log k); D(E) = max_s m(s) is attained at one of those sums.
+E = U [a_i, b_i) it is piecewise linear in s, with kinks only at sums
+of two endpoints; D(E) = max_s m(s) is attained at one of those sums,
+and so is the smallest center attaining it.
 
-The sweep runs on integers.  Every endpoint, Fraction or float (a float
-is a dyadic rational), is put on a common grid over the lcm of the
-denominators, and values are converted back only at the end: to
-Fractions for exact sets, to correctly rounded floats otherwise.
+Every endpoint, Fraction or float (a float is a dyadic rational), is
+put on a common integer grid of step 1/L, L the lcm of the
+denominators, and m is computed exactly, in units of 1/L, at every sum
+of two endpoints, by one of two paths:
+
+- Sweep.  The second derivative of m is a sum of point masses: +1 at
+  a_i + a_j and b_i + b_j, -1 at a_i + b_j and b_i + a_j.  One sweep
+  over these 4k^2 breakpoints in sorted order, accumulating the slope,
+  gives m at every sum in O(k^2 log k), whatever L is.
+- Grid.  E is the union of the L-grid cells [c/L, (c+1)/L) it contains.
+  Two such cells convolve to a tent of height 1/L peaking at
+  (c + c' + 1)/L, so m(sigma/L) = r(sigma - 1)/L, where r is the
+  representation profile of the cell set C.  The candidate sums are the
+  support of the profile of the endpoint set.  Each profile is one FFT
+  autoconvolution, O(L log L) whatever k is, and exact under the
+  rounding bound proved in `intsets.representation_counts`.  m is read
+  at the candidates only, not at every grid point: on the circle a
+  plateau of maxima can wrap through 0, which need not be a candidate.
+
+Cost rule: with k intervals, the grid path runs when L <= 4k^2, the
+sweep's breakpoint count (and L is within the dense profile limit);
+the sweep runs otherwise, which covers float sets with their huge
+dyadic grids.  The two paths agree exactly: both give the same integer
+m at the same candidate sums, so D, the smallest center attaining it
+and the profile are the same numbers whichever runs.  Values are
+converted back only at the end: to Fractions for exact sets, to
+correctly rounded floats otherwise.
 
 Geometry "line" reflects within the reals; "circle" reflects modulo 1,
-where m_circle(s) = m(s) + m(s + 1) for s in [0, 1).
+where m_circle(s) = m(s) + m(s + 1) for s in [0, 1).  On the grid that
+is the profile of C modulo L, and the candidates are the sums modulo L.
 """
 from __future__ import annotations
 
@@ -25,7 +47,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .intsets import IntSet
+import numpy as np
+
+from .intsets import _DENSE_LIMIT, IntSet, representation_counts
 
 Number = object  # Fraction or float, tagged by IntervalSet.exact
 
@@ -78,17 +102,24 @@ class SymmetricSubsetResult:
     per_center_function: Optional[tuple[tuple[Number, Number], ...]] = None
 
 
-def _sweep(intervals, circle: bool) -> tuple[int, list[tuple[int, int]]]:
-    """m at every candidate reflection sum, exactly, in integer units.
+def _on_grid(intervals) -> tuple[int, list[int]]:
+    """``(L, grid)``: L the lcm of the denominators, grid the endpoints times L.
 
-    Returns ``(scale, rows)`` with rows ``(sigma, units)`` in ascending
-    sigma, meaning m(sigma / scale) = units / scale.  The candidates are
-    the sums of two endpoints, reduced modulo 1 on the circle.  Pairs may
-    overlap or have zero length; there must be at least one.
+    The grid lists a0, b0, a1, b1, ... as integers.
     """
     ratios = [x.as_integer_ratio() for pair in intervals for x in pair]
     scale = math.lcm(*[den for _, den in ratios])
-    grid = [num * (scale // den) for num, den in ratios]
+    return scale, [num * (scale // den) for num, den in ratios]
+
+
+def _sweep(scale: int, grid: list[int], circle: bool) -> list[tuple[int, int]]:
+    """m at every candidate reflection sum, exactly, in integer units.
+
+    Returns rows ``(sigma, units)`` in ascending sigma, meaning
+    m(sigma / scale) = units / scale.  The candidates are the sums of two
+    endpoints, reduced modulo 1 on the circle.  Pairs may overlap or have
+    zero length; there must be at least one.
+    """
     starts, ends = grid[0::2], grid[1::2]
     kinks = []  # (position, jump in slope): the point masses of m''
     for a, b in zip(starts, ends):
@@ -110,8 +141,41 @@ def _sweep(intervals, circle: bool) -> tuple[int, list[tuple[int, int]]]:
     rows.append((prev, value))
     if circle:
         line = dict(rows)
-        return scale, [(sigma, line[sigma] + line[sigma + scale]) for sigma in sums]
-    return scale, rows
+        return [(sigma, line[sigma] + line[sigma + scale]) for sigma in sums]
+    return rows
+
+
+def _autoconvolution(scale: int, grid: list[int], circle: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `_sweep`, as two arrays ``(sigmas, units)``, from the grid cells.
+
+    The intervals must be disjoint.  m(sigma / scale) = r(sigma - 1) / scale,
+    r the representation profile of the cell set, taken modulo scale on
+    the circle; the candidate sums are the support of the endpoints'
+    profile.  Both profiles are exact integer counts.
+    """
+    points = np.asarray(grid, dtype=np.int64)
+    edges = (np.bincount(points[0::2], minlength=scale + 1)
+             - np.bincount(points[1::2], minlength=scale + 1))
+    cells = np.flatnonzero(np.cumsum(edges[:scale]))  # cell c is [c, c + 1) in grid units
+    modulus = scale if circle else None
+    counts = representation_counts(IntSet(tuple(cells.tolist()), modulus))
+    if circle:
+        units = np.roll(counts, 1)  # units[sigma] = r((sigma - 1) mod scale)
+    else:
+        units = np.zeros(2 * scale + 1, dtype=np.int64)
+        units[1:len(counts) + 1] = counts
+    sigmas = np.flatnonzero(representation_counts(IntSet.of(grid, modulus)))
+    return sigmas, units[sigmas]
+
+
+def _grid_pays(scale: int, k: int) -> bool:
+    """The cost rule: the grid path runs for k intervals on the grid of step 1/scale.
+
+    The grid path costs O(L log L) and the sweep O(k^2 log k), so the grid
+    runs when L <= 4k^2, the sweep's breakpoint count, and its profile of
+    length 2L + 1 fits the dense limit.
+    """
+    return scale <= min(4 * k * k, (_DENSE_LIMIT - 1) // 2)
 
 
 def largest_symmetric_subset(e: IntervalSet,
@@ -119,18 +183,27 @@ def largest_symmetric_subset(e: IntervalSet,
     """Exact D(E), the center attaining it, and optionally m at every candidate.
 
     Values are Fractions for exact sets and correctly rounded floats
-    otherwise.  Ties break toward the smaller center.
+    otherwise.  Ties break toward the smaller center.  `_grid_pays`
+    picks the grid path or the sweep; both give the same rows.
     """
     if not e.intervals:
         zero = Fraction(0) if e.exact else 0.0
         return SymmetricSubsetResult(zero, zero, ((zero, zero),) if include_profile else None)
-    scale, rows = _sweep(e.intervals, e.geometry == "circle")
-    sigma, units = max(rows, key=operator.itemgetter(1))
+    scale, grid = _on_grid(e.intervals)
+    circle = e.geometry == "circle"
+    if _grid_pays(scale, len(e.intervals)):
+        sigmas, units = _autoconvolution(scale, grid, circle)
+        best = int(np.argmax(units))  # the first maximum: the smallest center
+        sigma, value = int(sigmas[best]), int(units[best])
+        rows = zip(sigmas.tolist(), units.tolist()) if include_profile else None
+    else:
+        rows = _sweep(scale, grid, circle)
+        sigma, value = max(rows, key=operator.itemgetter(1))
     div = Fraction if e.exact else operator.truediv
     profile = None
     if include_profile:
         profile = tuple((div(s, 2 * scale), div(u, scale)) for s, u in rows)
-    return SymmetricSubsetResult(div(units, scale), div(sigma, 2 * scale), profile)
+    return SymmetricSubsetResult(div(value, scale), div(sigma, 2 * scale), profile)
 
 
 def a_of_s(s: IntSet, n: int) -> IntervalSet:
@@ -139,7 +212,13 @@ def a_of_s(s: IntSet, n: int) -> IntervalSet:
         raise ValueError("block picture expects a plain integer set")
     if any(v < 1 or v > n for v in s.elements):
         raise ValueError("elements must lie in {1..n}")
-    return IntervalSet.of([(Fraction(v - 1, n), Fraction(v, n)) for v in s.elements])
+    runs: list[list[int]] = []  # [first, last] of each run of consecutive elements
+    for v in s.elements:
+        if runs and runs[-1][1] == v - 1:
+            runs[-1][1] = v
+        else:
+            runs.append([v, v])
+    return IntervalSet(tuple((Fraction(lo - 1, n), Fraction(hi, n)) for lo, hi in runs))
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +249,8 @@ def _build_intervals(vec, k: int, eps: float):
 
 def _d_trial(intervals) -> float:
     """D of the optimizer's float pairs, which need not form an IntervalSet."""
-    scale, rows = _sweep(intervals, circle=False)
-    return max(units for _, units in rows) / scale
+    scale, grid = _on_grid(intervals)
+    return max(units for _, units in _sweep(scale, grid, circle=False)) / scale
 
 
 def _coarse_descent(vec, k, eps, value):

@@ -287,6 +287,44 @@ def test_dee_profile_csv(tmp_path, capsys):
     assert out.read_text().startswith("center,symmetric_measure\n")
 
 
+def test_dee_block_picture_bytes(tmp_path, capsys):
+    # the block picture of {1, 2, 3, 5, 8, 13} at n = 13: 4 intervals on the
+    # grid L = 13, so D(E) comes from the grid path; bytes frozen from the sweep
+    frozen = {
+        "line": (
+            '{"geometry": "line", "measure": {"num": 6, "den": 13, "float": 0.461538461538}, '
+            '"d_value": {"num": 3, "den": 13, "float": 0.230769230769}, '
+            '"center": {"num": 3, "den": 26, "float": 0.115384615385}}\n',
+            "center,symmetric_measure\n0,0\n0.115384615385,0.230769230769\n"
+            "0.153846153846,0.153846153846\n0.192307692308,0.230769230769\n"
+            "0.230769230769,0.153846153846\n0.269230769231,0.153846153846\n"
+            "0.307692307692,0.153846153846\n0.346153846154,0.230769230769\n"
+            "0.384615384615,0.153846153846\n0.423076923077,0\n"
+            "0.461538461538,0.153846153846\n0.5,0.153846153846\n"
+            "0.538461538462,0.153846153846\n0.576923076923,0.230769230769\n"
+            "0.615384615385,0\n0.653846153846,0.153846153846\n0.692307692308,0\n"
+            "0.730769230769,0\n0.769230769231,0.153846153846\n0.807692307692,0\n"
+            "0.923076923077,0\n0.961538461538,0.0769230769231\n1,0\n"),
+        "circle": (
+            '{"geometry": "circle", "measure": {"num": 6, "den": 13, "float": 0.461538461538}, '
+            '"d_value": {"num": 5, "den": 13, "float": 0.384615384615}, '
+            '"center": {"num": 1, "den": 13, "float": 0.0769230769231}}\n',
+            "center,symmetric_measure\n0,0.153846153846\n"
+            "0.0384615384615,0.230769230769\n0.0769230769231,0.384615384615\n"
+            "0.115384615385,0.230769230769\n0.153846153846,0.307692307692\n"
+            "0.192307692308,0.230769230769\n0.230769230769,0.153846153846\n"
+            "0.269230769231,0.307692307692\n0.307692307692,0.153846153846\n"
+            "0.346153846154,0.230769230769\n0.384615384615,0.153846153846\n"
+            "0.423076923077,0\n0.461538461538,0.230769230769\n"),
+    }
+    out = tmp_path / "profile.csv"
+    for geometry, (stdout, csv) in frozen.items():
+        assert run(["dee", "--intervals", "0:3/13,4/13:5/13,7/13:8/13,12/13:1",
+                    "--geometry", geometry, "--profile-csv", str(out)]) == 0
+        assert capsys.readouterr().out == stdout
+        assert out.read_bytes() == csv.encode()
+
+
 def test_seeded_random_is_byte_identical(capsys):
     argv = ["random", "integer", "--n", "2000", "--gamma", "20", "--seed", "9",
             "--emit-elements"]

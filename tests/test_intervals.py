@@ -1,12 +1,16 @@
+import operator
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bstar.intsets import IntSet, max_rep, representation_counts
+from bstar import intervals
 from bstar.intervals import IntervalSet, a_of_s, delta_k_upper, largest_symmetric_subset
+from test_acceptance import WITNESS_TABLE
 
 
 def random_interval_set(rng, k, exact=False):
@@ -39,6 +43,15 @@ def test_a_of_s_edges():
     assert a_of_s(IntSet.of(range(1, 8)), 7).intervals == ((F(0), F(1)),)
     with pytest.raises(ValueError):
         a_of_s(IntSet.of([0]), 5)
+
+
+def test_a_of_s_is_the_union_of_its_blocks():
+    rng = random.Random(8)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        els = rng.sample(range(1, n + 1), rng.randint(1, n))
+        blocks = IntervalSet.of([(F(v - 1, n), F(v, n)) for v in els])
+        assert a_of_s(IntSet.of(els), n) == blocks
 
 
 def test_bridge_exactness_random_sets():
@@ -179,6 +192,95 @@ def test_profile_matches_function():
             assert (fl.d_value, fl.center) == (float(res.d_value), float(res.center))
             assert fl.per_center_function == tuple(
                 (float(c), float(v)) for c, v in res.per_center_function)
+
+
+def both_paths(e):
+    """The sweep's rows and the grid path's rows for e, as (sigma, units) pairs."""
+    scale, grid = intervals._on_grid(e.intervals)
+    circle = e.geometry == "circle"
+    sigmas, units = intervals._autoconvolution(scale, grid, circle)
+    return scale, intervals._sweep(scale, grid, circle), list(zip(sigmas.tolist(),
+                                                                  units.tolist()))
+
+
+def assert_paths_agree(e):
+    """Both paths give the same rows, and the public result is the sweep's, as Fractions."""
+    scale, sweep, grid = both_paths(e)
+    assert grid == sweep, e
+    sigma, units = max(sweep, key=operator.itemgetter(1))
+    res = largest_symmetric_subset(e, include_profile=True)
+    assert res.d_value == F(units, scale) and res.center == F(sigma, 2 * scale), e
+    assert res.per_center_function == tuple((F(s, 2 * scale), F(u, scale)) for s, u in sweep)
+
+
+def grid_aligned(rng, k, scale, geometry):
+    """Up to k intervals with endpoints on the grid of step 1/scale."""
+    pts = sorted(rng.sample(range(scale + 1), min(2 * k, scale + 1) // 2 * 2))
+    return IntervalSet.of([(F(a, scale), F(b, scale)) for a, b in zip(pts[0::2], pts[1::2])],
+                          geometry)
+
+
+def test_grid_path_matches_sweep_on_random_grid_sets():
+    rng = random.Random(9)
+    for _ in range(400):
+        k = rng.randint(1, 12)
+        scale = rng.randint(1, 8 * k * k)  # both sides of the 4k^2 rule
+        for geometry in ("line", "circle"):
+            assert_paths_agree(grid_aligned(rng, k, scale, geometry))
+    for _ in range(50):  # touching intervals, which only the constructor admits
+        scale = rng.randint(7, 60)
+        pts = sorted(F(v, scale) for v in rng.sample(range(scale + 1), rng.randint(2, 8)))
+        for geometry in ("line", "circle"):
+            assert_paths_agree(IntervalSet(tuple(zip(pts, pts[1:])), geometry))
+
+
+def test_grid_path_matches_sweep_on_acceptance_sets():
+    # criterion 7's block pictures, on the line and on the circle
+    for x, witness, _ in WITNESS_TABLE.values():
+        picture = a_of_s(IntSet.of(witness), x)
+        for geometry in ("line", "circle"):
+            assert_paths_agree(IntervalSet(picture.intervals, geometry))
+    # criterion 8's sets, rounded to the largest grid the cost rule sends to
+    # the grid path and to a finer one it sends to the sweep
+    rng = np.random.default_rng(20240918)
+    for _ in range(300):
+        k = int(rng.integers(3, 6))
+        pts = np.sort(rng.random(2 * k))
+        for scale in (4 * k * k, 1009):
+            pairs = [(F(round(a * scale), scale), F(round(b * scale), scale))
+                     for a, b in zip(pts[0::2], pts[1::2])]
+            for geometry in ("line", "circle"):
+                e = IntervalSet.of(pairs, geometry)
+                if e.intervals:
+                    assert_paths_agree(e)
+
+
+def test_grid_path_keeps_a_plateau_that_wraps_through_zero():
+    # m_circle is maximal on a plateau through s = 0, which is no sum of two
+    # endpoints; the smallest candidate on it is 2/73, a center of 1/73
+    e = IntervalSet.of([(F(9, 73), F(15, 73)), (F(56, 73), F(66, 73))], "circle")
+    res = largest_symmetric_subset(e)
+    assert (res.d_value, res.center) == (F(12, 73), F(1, 73))
+    scale, _, grid = both_paths(e)
+    sigma, units = max(grid, key=operator.itemgetter(1))
+    assert (F(units, scale), F(sigma, 2 * scale)) == (F(12, 73), F(1, 73))
+    assert_paths_agree(e)
+
+
+def test_cost_rule_picks_the_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("wrong path")
+
+    monkeypatch.setattr(intervals, "_sweep", refuse)
+    fib = a_of_s(IntSet.of([1, 2, 3, 5, 8, 13]), 13)  # 4 intervals, L = 13 <= 64
+    assert largest_symmetric_subset(fib).d_value == F(3, 13)
+    monkeypatch.undo()
+    monkeypatch.setattr(intervals, "_autoconvolution", refuse)
+    tiny = largest_symmetric_subset(IntervalSet.of([(0.0, 1e-300)]))
+    assert (tiny.d_value, tiny.center) == (1e-300, 5e-301)
+    huge = IntervalSet.of([(F(0), F(1, 3)), (F(1, 2), F(1000000006, 1000000007))])
+    res = largest_symmetric_subset(huge, include_profile=True)
+    assert (res.d_value, res.center) == (F(2, 3), F(5, 12))
 
 
 def test_delta_k_single_interval_is_exact():
