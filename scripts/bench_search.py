@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Time the min-n search layer: decision nodes and nodes/s, and table totals.
+
+    python3 scripts/bench_search.py [--out BENCH_search.json]
+
+A node is one candidate tried by the counting engine, and one candidate
+that passes the blocked-element mask in the bitmask engine, so nodes/s
+compares engines only where nodes mean the same.  This script decides
+fixed questions (kind, g, n, k), all infeasible, serially:
+
+- modular (2, 47, 7) and (2, 72, 9), counting engine;
+- integer (4, 21, 10) and (3, 45, 10), counting engine;
+- integer (2, 55, 10) on both engines that can answer it: `exists_set`,
+  which takes the bitmask engine, and the counting engine's branches
+  called directly.  Both must return the same witness.
+
+Each time is the median of REPEATS runs.  The script also streams the
+tables `bstar table --which R --max-k 10 --g-max 7` and
+`--which C --max-k 9 --g-max 6` through `table_rows` once and records
+their node totals and seconds, then writes the record as JSON.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+from bench_dee import git_rev, package_version  # noqa: E402
+
+from bstar import search  # noqa: E402
+
+DECISIONS = (("modular", 2, 47, 7), ("modular", 2, 72, 9),
+             ("integer", 4, 21, 10), ("integer", 3, 45, 10), ("integer", 2, 55, 10))
+TABLES = (("R", "integer", 10, 7), ("C", "modular", 9, 6))  # which, kind, max k, max g
+REPEATS = 3
+
+
+def counting_engine(n: int, k: int):
+    """(witness or None, nodes) of integer g = 2 on the counting engine.
+
+    A branch past the mirror rule's last second element is empty and
+    costs no node, so running every second element gives the nodes of
+    exists_set with this engine.
+    """
+    last = search._last_candidates(2, k, n)
+    budget = search._Budget(search.DEFAULT_BUDGET)
+    branches = (search._decide_counts("integer", 2, n, k, last, budget, second)
+                for second in range(2, last[1] + 1))
+    witness = next(filter(None, branches), None)
+    return witness, search.DEFAULT_BUDGET - budget.left - budget.reserve
+
+
+def decide(case):
+    dec = search.exists_set(*case)
+    return (dec.witness.elements if dec.feasible else None), dec.nodes
+
+
+def engines(case):
+    """(engine, call) pairs that decide case; exists_set picks the first."""
+    kind, g, n, k = case
+    if (kind, g) != ("integer", 2):
+        return [("counting", lambda: decide(case))]
+    return [("bitmask", lambda: decide(case)), ("counting", lambda: counting_engine(n, k))]
+
+
+def timed(call) -> dict:
+    runs = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        witness, nodes = call()
+        runs.append(time.perf_counter() - t0)
+    seconds = statistics.median(runs)
+    return {"witness": None if witness is None else list(witness), "nodes": nodes,
+            "seconds": seconds, "nodes_per_s": nodes / seconds, "runs_s": runs}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", default=str(ROOT / "BENCH_search.json"))
+    args = ap.parse_args()
+
+    decisions = []
+    for case in DECISIONS:
+        witnesses = set()
+        for engine, call in engines(case):
+            row = {"case": list(case), "engine": engine, **timed(call)}
+            decisions.append(row)
+            witnesses.add(str(row["witness"]))
+            print(f"{engine:8s} {case}: {row['nodes']:9d} nodes {row['seconds']:7.3f} s "
+                  f"{row['nodes_per_s']:10.0f} nodes/s", flush=True)
+        if len(witnesses) != 1:
+            raise AssertionError(f"the engines disagree on {case}: {witnesses}")
+
+    tables = []
+    for which, kind, max_k, g_max in TABLES:
+        t0 = time.perf_counter()
+        rows = list(search.table_rows(kind, 2, g_max, max_k))
+        seconds = time.perf_counter() - t0
+        nodes = sum(res.nodes_explored for _, _, res in rows)
+        tables.append({"which": which, "max_k": max_k, "g_max": g_max, "rows": len(rows),
+                       "nodes": nodes, "seconds": seconds, "nodes_per_s": nodes / seconds})
+        print(f"table {which} --max-k {max_k} --g-max {g_max}: {len(rows)} rows "
+              f"{nodes} nodes {seconds:.1f} s", flush=True)
+
+    record = {
+        "what": "serial exists_set decisions at fixed (kind, g, n, k), nodes and the median "
+                "seconds of REPEATS runs, and the node totals of the R and C min-n tables",
+        "provenance": {"package_version": package_version(), "git_rev": git_rev(),
+                       "python": platform.python_version(), "numpy": np.__version__,
+                       "nproc": os.cpu_count(), "repeats": REPEATS},
+        "decisions": decisions,
+        "tables": tables,
+    }
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,9 @@ handler finds it, is one `error: <message>` line on stderr with nothing
 on stdout.  A reader that closes the output early
 (`bstar table ... | head -1`) is no error: the command stops silently
 with exit 0.
+
+The library modules, and numpy with them, are imported by the handlers
+that use them, so `--help` and usage errors start without them.
 """
 from __future__ import annotations
 
@@ -24,11 +27,12 @@ import time
 import warnings
 from fractions import Fraction
 
-from . import constructions, intervals, kernels, search
-from .intsets import IntSet, max_rep
-
 USAGE_ERROR = 2
 UNDECIDED = 3
+
+# sorted(kernels.PROFILES), spelled out so that building the parser
+# needs no numpy; tests/test_cli.py keeps the two equal
+_KERNEL_FAMILIES = ("K1", "K3", "K5")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +64,9 @@ def _parse_elements(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
 
 
-def _parse_set_json(text: str) -> IntSet:
+def _parse_set_json(text: str):
+    from .intsets import IntSet
+
     obj = json.loads(text)
     if not (isinstance(obj, dict) and isinstance(obj.get("elements"), list)
             and "modulus" in obj):
@@ -100,8 +106,10 @@ def _parse_p(text: str) -> float:
     return float(text)
 
 
-def _read_pwl_file(path: str) -> kernels.PiecewiseLinearKernel:
+def _read_pwl_file(path: str):
     import numpy as np
+
+    from . import kernels
 
     with warnings.catch_warnings():
         # an empty file fails the row check below; numpy's warning would
@@ -119,6 +127,8 @@ def _read_pwl_file(path: str) -> kernels.PiecewiseLinearKernel:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    from .intsets import IntSet, max_rep
+
     if args.g < 1:
         raise ValueError("--g must be a positive integer")
     s = IntSet.of(_parse_elements(args.set), args.modulus)
@@ -135,7 +145,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    rep = args.build(args)
+    from . import constructions
+
+    rep = args.build(constructions, args)
     _emit({
         "construction": rep.name,
         "params": rep.params,
@@ -148,12 +160,15 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import search
+
+    budget = search.DEFAULT_BUDGET if args.budget is None else args.budget
     if args.n is not None:
         for flag, value in (("--n-start", args.n_start), ("--n-limit", args.n_limit)):
             if value is not None:
                 raise ValueError(f"argument {flag}: not allowed with argument --n")
         dec = search.exists_set(args.kind, args.g, args.n, args.k,
-                                budget=args.budget, workers=args.threads)
+                                budget=budget, workers=args.threads)
         _emit({
             "kind": args.kind, "g": args.g, "n": args.n, "k": args.k,
             "feasible": dec.feasible,
@@ -164,7 +179,7 @@ def _cmd_search(args) -> int:
     limit = args.n_limit if args.n_limit is not None else 4 * args.k * args.k
     start = 1 if args.n_start is None else args.n_start
     res = search.min_n(search.SearchProblem(args.kind, args.g, args.k, start, limit,
-                                            args.budget, args.threads))
+                                            budget, args.threads))
     _emit({
         "kind": args.kind, "g": args.g, "k": args.k,
         "min_n": res.min_n,
@@ -176,6 +191,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import search
+
+    budget = search.DEFAULT_BUDGET if args.budget is None else args.budget
     if args.g_min < 1:
         raise ValueError("--g-min must be a positive integer")
     if args.g_max < args.g_min:
@@ -185,11 +203,11 @@ def _cmd_table(args) -> int:
         raise ValueError(f"--max-k must be at least {first_k}, the first k of --g-min {args.g_min}")
     kind = "modular" if args.which == "C" else "integer"
     # the rows are built lazily: refuse a bad budget or thread count before the header
-    search.SearchProblem(kind, args.g_min, 1, 1, 1, args.budget, args.threads)
+    search.SearchProblem(kind, args.g_min, 1, 1, 1, budget, args.threads)
     print("kind,g,k,min_n,exhaustive,witness" + (",nodes,seconds" if args.timings else ""))
     last = time.perf_counter()
     for g, k, res in search.table_rows(kind, args.g_min, args.g_max, args.max_k,
-                                       args.budget, args.threads):
+                                       budget, args.threads):
         witness = " ".join(str(e) for e in res.witness.elements)
         row = f"{kind},{g},{k},{res.min_n},{res.exhaustive},{witness}"
         if args.timings:
@@ -201,6 +219,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_dee(args) -> int:
+    from . import intervals
+
     e = intervals.IntervalSet.of(_parse_intervals(args.intervals, args.mode == "rational"),
                                  geometry=args.geometry)
     res = intervals.largest_symmetric_subset(e, include_profile=bool(args.profile_csv))
@@ -219,6 +239,8 @@ def _cmd_dee(args) -> int:
 
 
 def _cmd_delta_k(args) -> int:
+    from . import intervals
+
     value, witness = intervals.delta_k_upper(args.k, args.epsilon,
                                              restarts=args.restarts, seed=args.seed)
     _emit({
@@ -230,7 +252,9 @@ def _cmd_delta_k(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    kernel = args.load(args)
+    from . import kernels
+
+    kernel = args.load(kernels, args)
     p = _parse_p(args.p)
     tail = kernels.tail_norm(kernel, args.tail_from, p)
     khat0 = kernel.fourier_dc()
@@ -249,23 +273,23 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-def _rho_upper(args) -> dict:
+def _rho_upper(kernels, args) -> dict:
     rb = kernels.rho_upper(args.g)
     return {"rho_upper_sq": rb.upper_sq, "known_exact_sq": rb.known_exact_sq,
             "undercuts_known": rb.undercuts_known}
 
 
-def _ubiquity(args) -> dict:
+def _ubiquity(kernels, args) -> dict:
     comp, simple = kernels.ubiquity_bound(args.gamma, args.alpha)
     return {"ubiquity_spectral": max(comp, 0.0), "ubiquity_counting": max(simple, 0.0)}
 
 
-def _delta_half(args) -> dict:
+def _delta_half(kernels, args) -> dict:
     floor = kernels.delta_half_lower(args.epsilon)
     return {"ffinorm_floor": floor, "delta_lower": floor * args.epsilon * args.epsilon / 2.0}
 
 
-def _certificate(args) -> dict:
+def _certificate(kernels, args) -> dict:
     kernel = kernels.PiecewiseLinearKernel.from_family("K5", args.T)
     threshold, ok = kernels.delta_lower_certificate(kernels.BoundCertificate.from_kernel(kernel))
     return {"certified_ffinorm": threshold, "certified": ok,
@@ -273,12 +297,16 @@ def _certificate(args) -> dict:
 
 
 def _cmd_bounds(args) -> int:
-    _emit(args.evaluate(args))
+    from . import kernels
+
+    _emit(args.evaluate(kernels, args))
     return 0
 
 
 def _cmd_random(args) -> int:
-    rep = args.draw(args)
+    from . import constructions
+
+    rep = args.draw(constructions, args)
     _emit({
         "model": rep.name, "seed": rep.seed, "rule": rep.rule,
         "size": rep.size, "expected_size": rep.expected_size,
@@ -306,24 +334,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="run a named construction")
     p.set_defaults(fn=_cmd_construct)
     families = p.add_subparsers(dest="family", required=True)
-    for name, build in (("ruzsa", constructions.ruzsa_sets),
-                        ("bose", constructions.bose_sets),
-                        ("singer", constructions.singer_sets)):
+    # each build, load, evaluate and draw below takes the module its
+    # handler imports, then the parsed arguments
+    for name, build in (("ruzsa", lambda c, a: c.ruzsa_sets(a.p, a.k)),
+                        ("bose", lambda c, a: c.bose_sets(a.p, a.k)),
+                        ("singer", lambda c, a: c.singer_sets(a.p, a.k))):
         f = families.add_parser(name)
         f.add_argument("--p", type=int, required=True)
         f.add_argument("--k", type=int, required=True)
-        f.set_defaults(build=lambda a, build=build: build(a.p, a.k))
+        f.set_defaults(build=build)
     f = families.add_parser("small-gn")
     f.add_argument("--g", type=int, required=True)
-    f.set_defaults(build=lambda a: constructions.small_gn_witness(a.g))
-    for name, build in (("compose", constructions.compose_mod),
-                        ("half-modular", constructions.half_modular)):
+    f.set_defaults(build=lambda c, a: c.small_gn_witness(a.g))
+    for name, combine in (("compose", lambda c: c.compose_mod),
+                          ("half-modular", lambda c: c.half_modular)):
         f = families.add_parser(name)
         f.add_argument("--set-json", required=True, help="first operand as IntSet JSON")
         f.add_argument("--mate-json", required=True, help="second operand as IntSet JSON")
         f.add_argument("--g", type=int, required=True)
         f.add_argument("--h", type=int, required=True)
-        f.set_defaults(build=lambda a, build=build: build(
+        f.set_defaults(build=lambda c, a, combine=combine: combine(c)(
             _parse_set_json(a.set_json), a.g, _parse_set_json(a.mate_json), a.h))
 
     p = sub.add_parser("search", help="decide feasibility or minimize n")
@@ -333,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="decide this n only")
     p.add_argument("--n-start", type=int, default=None, help="default: 1")
     p.add_argument("--n-limit", type=int, default=None)
-    p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_search)
 
@@ -342,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--g-min", type=int, default=2)
     p.add_argument("--g-max", type=int, default=7)
-    p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--timings", action="store_true",
                    help="append each row's search nodes and its seconds since the last row")
@@ -369,23 +399,23 @@ def build_parser() -> argparse.ArgumentParser:
     tail.add_argument("--p", default="4/3")
     tail.add_argument("--tail-from", type=int, default=1)
     sources = p.add_subparsers(dest="source", required=True)
-    for name in sorted(kernels.PROFILES):
+    for name in _KERNEL_FAMILIES:
         s = sources.add_parser(name, parents=[tail])
         s.add_argument("--T", type=int, default=10**4)
-        s.set_defaults(load=lambda a: kernels.PiecewiseLinearKernel.from_family(a.source, a.T))
+        s.set_defaults(load=lambda kn, a: kn.PiecewiseLinearKernel.from_family(a.source, a.T))
     s = sources.add_parser("pwl", parents=[tail])
     s.add_argument("--pwl-file", required=True, help="CSV of t,y_t node values")
-    s.set_defaults(load=lambda a: _read_pwl_file(a.pwl_file))
+    s.set_defaults(load=lambda kn, a: _read_pwl_file(a.pwl_file))
 
     p = sub.add_parser("bounds", help="closed-form bound evaluators")
     p.set_defaults(fn=_cmd_bounds)
     bounds = p.add_subparsers(dest="bound", required=True)
     for name, flags, evaluate in (
-            ("rho-lower", {"--g": int}, lambda a: {"rho_lower": kernels.rho_lower(a.g).lower}),
+            ("rho-lower", {"--g": int}, lambda kn, a: {"rho_lower": kn.rho_lower(a.g).lower}),
             ("rho-upper", {"--g": int}, _rho_upper),
             ("ubiquity", {"--gamma": float, "--alpha": float}, _ubiquity),
             ("delta-half", {"--epsilon": float}, _delta_half),
-            ("zeta-integral", {}, lambda a: {"zeta_integral": kernels.zeta_integral_check()})):
+            ("zeta-integral", {}, lambda kn, a: {"zeta_integral": kn.zeta_integral_check()})):
         b = bounds.add_parser(name)
         for flag, kind in flags.items():
             b.add_argument(flag, type=kind, required=True)
@@ -399,9 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     models = p.add_subparsers(dest="model", required=True)
     for model, param, draw in (
             ("circle", "--epsilon",
-             lambda a: constructions.random_circle_set(a.n, a.epsilon, seed=a.seed)),
+             lambda c, a: c.random_circle_set(a.n, a.epsilon, seed=a.seed)),
             ("integer", "--gamma",
-             lambda a: constructions.random_integer_set(a.n, a.gamma, seed=a.seed))):
+             lambda c, a: c.random_integer_set(a.n, a.gamma, seed=a.seed))):
         m = models.add_parser(model)
         m.add_argument("--n", type=int, required=True)
         m.add_argument(param, type=float, required=True)
@@ -427,7 +457,11 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except search.BudgetExceeded as exc:
+    except RuntimeError as exc:
+        from .search import BudgetExceeded
+
+        if not isinstance(exc, BudgetExceeded):
+            raise
         print(f"error: {exc}; the search is undecided", file=sys.stderr)
         return UNDECIDED
 

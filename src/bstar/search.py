@@ -3,19 +3,20 @@
 Two decision engines answer "is there a B*[g] set of size k inside
 [1, n] (integer kind) or Z_n (modular kind)?":
 
-* a counting DFS, for every (kind, g): it updates the dense
-  representation profile r(t) in place and aborts a branch as soon as
-  some r(t) would exceed g.  Sums are indexed (e + y) % length for both
-  kinds, with length 2n + 1 for integers so that they never wrap.
+* a counting DFS, for every (kind, g): it keeps the dense
+  representation profile r(t), copied on each extension, and rejects a
+  candidate as soon as one of its sums would push some r(t) above g.
+  Sums are indexed (e + y) % length for both kinds, with length 2n + 1
+  for integers so that they never wrap.
 * integer g = 2 only: a bitmask DFS over Python big ints.  A candidate x
   is blocked exactly when some pair sum x + y would collide with an
   existing pair or diagonal sum, so the viable-extension mask is kept
   incrementally with shifts.  It stays because it decides integer Sidon
-  questions about 2x faster than the counting DFS (n = 55, k = 10, both
-  with the span floors below: 2.5-3.0 s against 5.7-5.8 s, CPython 3.11
-  on a shared 2-core x86 host).  A modular twin with rotations in place
-  of shifts was no faster than the counting DFS, so the modular kind
-  has one engine.
+  questions about 1.7x faster than the counting DFS (n = 55, k = 10,
+  infeasible, both with the rules below: 1.4-2.0 s against 2.2-3.2 s,
+  CPython 3.11 on a shared 2-core x86 host, scripts/bench_search.py).
+  A modular twin with rotations in place of shifts was no faster than
+  the counting DFS, so the modular kind has one engine.
 
 Canonical form fixes the first element (1 for integer, 0 for modular;
 translation invariance makes this lossless), so the DFS yields the
@@ -61,11 +62,14 @@ the lexicographically first one.  The node count of a feasible modular
 n is the sum of both searches; an integer decision runs once.
 
 min_n uses that integer feasibility is monotone in n (a witness inside
-[1, n] also fits in [1, n+1]), so a binary search plus one completed
-infeasibility proof at min_n - 1 certifies every smaller n.  Modular
-feasibility is not monotone; there every n is decided separately, with
-counting lower bounds used to skip provably infeasible prefixes of the
-range.
+[1, n] also fits in [1, n + 1]).  It decides n_limit and then descends:
+while the last witness ends at some w above the counting floor, it
+decides w - 1.  The first witness in [1, n] that ends at w is also the
+first one in [1, w], so the descent returns the witness that a decision
+at the minimum would, and its one infeasible decision, at min_n - 1,
+certifies every smaller n.  Modular feasibility is not monotone; there
+every n is decided separately, with counting lower bounds used to skip
+provably infeasible prefixes of the range.
 """
 from __future__ import annotations
 
@@ -157,9 +161,10 @@ def _init_worker(stop):
 class _Budget:
     """Node allowance of one branch, handed out _POLL_NODES at a time.
 
-    spend stays one decrement and one test; every refill, the first one
-    included, also polls the stop flag, so a worker quits a branch that
-    is no longer needed within _POLL_NODES nodes.
+    spend (one node) and charge (a run of count nodes) stay one
+    subtraction and one test; every refill, the first one included, also
+    polls the stop flag, so a worker quits a branch that is no longer
+    needed within _POLL_NODES nodes, or one run when that is longer.
     """
     __slots__ = ("left", "reserve")
 
@@ -171,14 +176,20 @@ class _Budget:
         if self.left < 0:
             self._refill()
 
+    def charge(self, count: int):
+        self.left -= count
+        if self.left < 0:
+            self._refill()
+
     def _refill(self):
-        if self.reserve <= 0:
+        """Cover the overdraft -left from the reserve, or raise."""
+        if self.reserve < -self.left:
             raise BudgetExceeded("node budget exhausted")
         if _stop is not None and _stop.value:
             raise _Stopped
-        take = min(self.reserve, _POLL_NODES)
+        take = min(self.reserve, max(_POLL_NODES, -self.left))
         self.reserve -= take
-        self.left = take - 1  # the node that asked for the refill
+        self.left += take
 
 
 def infeasibility_floor(kind: str, g: int, k: int) -> int:
@@ -203,7 +214,7 @@ def infeasibility_floor(kind: str, g: int, k: int) -> int:
     floor = -(-(k * k) // (2 * g))
     if g == 2:
         floor = max(floor, pairs + 1)
-    elif g == 3:
+    elif g == 3 and k > 1:
         floor = max(floor, -(-(pairs + 3) // 2))
     return max(k, floor)
 
@@ -281,16 +292,23 @@ def _decide_sidon_int(k: int, last: list[int], budget: _Budget, second: int):
 
 def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _Budget,
                    second: int, rotate: bool = False):
-    """Maintain r(t) in place; abort a branch as soon as some r(t) exceeds g.
+    """Keep the profile r(t); reject a candidate whose sums would exceed g.
 
     Both kinds index sums as (e + y) % length.  The integer kind uses
     length 2n + 1, so its sums never wrap and the same loop serves both.
     A pair adds 2 to r and a diagonal adds 1; pair sums of the new
     element never meet each other or its diagonal, so each is tested
-    against the profile before the element arrived.  The branch fixes
-    the second element; last is _last_candidates(g, k, top), narrowed
-    by the mirror rule to sets whose last gap is at least their first,
-    d1 = second - first.
+    against the profile before the element arrived.  An accepted
+    candidate extends a copy of the profile, so nothing is undone.  The
+    branch fixes the second element; last is _last_candidates(g, k, top),
+    narrowed by the mirror rule to sets whose last gap is at least their
+    first, d1 = second - first.
+
+    Every candidate is one node, charged in runs: the candidates up to an
+    accepted one before its subtree, the rest of the range when the loop
+    ends.  The charges come in the same order as one node per candidate
+    would, so the count and the point where the budget runs out are the
+    same.
 
     With rotate (modular kind only) the search is also confined to sets
     whose largest cyclic gap is the wrap gap n - s_{k-1}.  That rule only
@@ -302,45 +320,46 @@ def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _
     length = n if kind == "modular" else 2 * n + 1
     first = 0 if kind == "modular" else 1
     cap = g - 2  # a pair fits only where r[t] <= g - 2
-    r = bytearray(length)
     d1 = second - first
     last = _mirror_caps(last, d1)
+    charge = budget.charge
 
-    def rec(S, depth, G):
+    def rec(S, r, depth, G):
         if depth == k:
             return tuple(S)
         hi = last[depth]
         if rotate:
             hi = min(hi + 1 - G, (hi + 1 + S[-1]) // 2)
         if depth == 1:
-            candidates = range(second, min(second, hi) + 1)
+            lo, hi = second, min(second, hi)
         else:
-            candidates = range(S[-1] + (d1 if depth == k - 1 else 1), hi + 1)
-        for e in candidates:
-            budget.spend()
+            lo = S[-1] + (d1 if depth == k - 1 else 1)
+        charged = lo  # the candidates below charged are paid for
+        for e in range(lo, hi + 1):
             d = 2 * e % length
             if r[d] >= g:
                 continue
             for y in S:
                 if r[(e + y) % length] > cap:
                     break
-            else:  # every sum of e fits: extend, recurse, undo
+            else:  # every sum of e fits: pay up to e, extend a copy, recurse
+                charge(e + 1 - charged)
+                charged = e + 1
+                r2 = r[:]
+                r2[d] += 1
+                for y in S:
+                    r2[(e + y) % length] += 2
                 gap = e - S[-1]
-                r[d] += 1
-                for y in S:
-                    r[(e + y) % length] += 2
-                S.append(e)
-                out = rec(S, depth + 1, G if G > gap else gap)
-                S.pop()
-                r[d] -= 1
-                for y in S:
-                    r[(e + y) % length] -= 2
+                out = rec(S + [e], r2, depth + 1, G if G > gap else gap)
                 if out is not None:
                     return out
+        if hi >= charged:
+            charge(hi + 1 - charged)
         return None
 
+    r = bytearray(length)
     r[2 * first] = 1
-    return rec([first], 1, 0)
+    return rec([first], r, 1, 0)
 
 
 def _branch(args):
@@ -455,29 +474,28 @@ def min_n(problem: SearchProblem) -> SearchResult:
     nodes = 0
 
     if p.kind == "integer":
-        # Feasibility is monotone in n: binary search, then certify
-        # min_n - 1 (monotonicity covers everything below it).
-        hi_dec = exists_set(p.kind, p.g, p.n_limit, p.k, p.budget, p.workers)
-        nodes += hi_dec.nodes
-        if not hi_dec.feasible:
+        # Feasibility is monotone in n, and the first witness in [1, n]
+        # that ends at w is also the first one in [1, w]: descend through
+        # the witnesses' ends until w - 1 is infeasible, which certifies
+        # every smaller n.
+        dec = exists_set(p.kind, p.g, p.n_limit, p.k, p.budget, p.workers)
+        nodes += dec.nodes
+        if not dec.feasible:
             return SearchResult(None, None, nodes, exhaustive=True)
-        lo_bound, hi_bound, best = lo, p.n_limit, hi_dec.witness
-        proved_below = False  # completed infeasibility proof at lo_bound - 1
-        while lo_bound < hi_bound:
-            mid = (lo_bound + hi_bound) // 2
-            dec = exists_set(p.kind, p.g, mid, p.k, p.budget, p.workers)
+        best = dec.witness
+        while best.max_element >= lo:
+            end = best.max_element
+            if end == floor:
+                return SearchResult(end, best, nodes, exhaustive=True)
+            dec = exists_set(p.kind, p.g, end - 1, p.k, p.budget, p.workers)
             nodes += dec.nodes
-            if dec.feasible:
-                hi_bound, best = mid, dec.witness
-            else:
-                lo_bound, proved_below = mid + 1, True
-        found = lo_bound
-        if not proved_below and found > floor:
-            dec = exists_set(p.kind, p.g, found - 1, p.k, p.budget, p.workers)
-            nodes += dec.nodes
-            proved_below = not dec.feasible
-        return SearchResult(found, best, nodes,
-                            exhaustive=found == floor or proved_below)
+            if not dec.feasible:
+                return SearchResult(end, best, nodes, exhaustive=True)
+            if end == lo:  # lo - 1 is feasible too
+                break
+            best = dec.witness
+        # n_start lies above the minimum; best is the first witness in [1, lo]
+        return SearchResult(lo, best, nodes, exhaustive=False)
 
     # modular: feasibility is not monotone in n, so decide every n
     for n in range(lo, p.n_limit + 1):

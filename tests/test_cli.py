@@ -207,6 +207,41 @@ def test_package_import_loads_no_submodule():
     assert out == "[]\n"
 
 
+def test_cli_import_and_help_load_no_numpy():
+    # the handlers import the library: importing the front end, --help
+    # and a usage error the parser finds load neither numpy nor a
+    # library module
+    env = dict(os.environ, PYTHONPATH=str(Path(bstar.__file__).resolve().parents[1]))
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import bstar.cli",
+        "loaded = lambda: [m for m in sys.modules if m == 'numpy' or m.startswith('bstar.')]",
+        "print(loaded())",
+        "for argv in (['--help'], ['table', '--help'], ['kernel', 'K5', '--help'],",
+        "             ['search', '--kind', 'integer']):",
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        "        try:",
+        "            bstar.cli.run(argv)",
+        "        except SystemExit:",
+        "            pass",
+        "print(loaded())",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "['bstar.cli']\n['bstar.cli']\n"
+    # bstar --help itself: -X importtime lists every import on stderr,
+    # cli's own fractions among them, and numpy must not be there
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "bstar.cli", "--help"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.startswith("usage: bstar")
+    assert "| fractions" in proc.stderr and "numpy" not in proc.stderr
+
+
+def test_kernel_families_match_the_profiles():
+    from bstar import cli
+    assert cli._KERNEL_FAMILIES == tuple(sorted(kernels.PROFILES))
+
+
 def test_search_subcommand(capsys):
     code, obj = run_json(capsys, ["search", "--kind", "integer", "--g", "2",
                                   "--k", "8"])

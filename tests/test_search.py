@@ -7,6 +7,7 @@ import pytest
 
 from bstar.intsets import IntSet, is_bstar
 from bstar.search import (
+    _POLL_NODES,
     BudgetExceeded,
     SearchProblem,
     _Budget,
@@ -135,7 +136,7 @@ def test_budget_exceeded_is_loud():
 def test_floor_is_sound():
     for kind in ("integer", "modular"):
         for g in (2, 3, 4, 5):
-            for k in (3, 4, 5, 6):
+            for k in range(1, 7):
                 floor = infeasibility_floor(kind, g, k)
                 if floor - 1 > 16 or floor <= k:
                     continue
@@ -197,6 +198,82 @@ def test_budget_means_the_same_with_workers():
                 exists_set(*case, budget=serial.nodes - 1, workers=workers)
             dec = exists_set(*case, budget=serial.nodes, workers=workers)
             assert (dec.witness, dec.nodes) == (serial.witness, serial.nodes), (case, workers)
+
+
+def test_budget_boundary_inside_a_run():
+    # the counting engine charges its candidates in runs; every budget
+    # below a decision's nodes must still run out, wherever it falls in
+    # a run of rejected candidates, and the exact count must pass.  The
+    # counts are one node per candidate tried.
+    cases = [(("integer", 3, 15, 7), None, 522),
+             (("integer", 3, 28, 8), (1, 2, 3, 5, 9, 15, 20, 25), 268),
+             (("modular", 3, 17, 6), None, 358),
+             (("modular", 4, 14, 7), (0, 1, 2, 4, 8, 9, 11), 266)]
+    for case, witness, nodes in cases:
+        dec = exists_set(*case, budget=nodes)
+        assert (dec.witness.elements if dec.feasible else None, dec.nodes) == (witness, nodes)
+        for budget in range(nodes):
+            with pytest.raises(BudgetExceeded):
+                exists_set(*case, budget=budget)
+
+
+def test_budget_charges_runs():
+    budget = _Budget(10)
+    budget.charge(4)
+    budget.spend()
+    budget.charge(0)
+    budget.charge(5)
+    with pytest.raises(BudgetExceeded):
+        budget.charge(1)
+    # a run longer than one refill is covered in one go
+    budget = _Budget(3 * _POLL_NODES)
+    budget.charge(2 * _POLL_NODES + 1)
+    assert budget.left >= 0
+    assert 3 * _POLL_NODES - budget.left - budget.reserve == 2 * _POLL_NODES + 1
+    with pytest.raises(BudgetExceeded):
+        budget.charge(_POLL_NODES)
+
+
+def upward_min_n(p):
+    """(min n, witness, exhaustive) from exists_set at every n of the range, upward."""
+    for n in range(p.n_start, p.n_limit + 1):
+        dec = exists_set(p.kind, p.g, n, p.k)
+        if dec.feasible:
+            below = n > 1 and exists_set(p.kind, p.g, n - 1, p.k).feasible
+            return n, dec.witness, not below
+    return None, None, True
+
+
+def test_integer_descent_matches_upward_scan(monkeypatch):
+    # min_n descends through the ends of the witnesses it finds; it must
+    # give the upward scan's answer on every range, and when the range
+    # holds the minimum above the counting floor, exactly one decision,
+    # the one at the minimum - 1, is infeasible
+    from bstar import search
+    decided = []
+
+    def counted(*args):
+        dec = exists_set(*args)
+        decided.append(dec.feasible)
+        return dec
+
+    monkeypatch.setattr(search, "exists_set", counted)
+    for g in (2, 3, 4):
+        for k in range(1, 8):
+            floor = infeasibility_floor("integer", g, k)
+            least = upward_min_n(SearchProblem("integer", g, k, 1, 4 * k * k))[0]
+            ranges = [(1, least + 12), (floor, least), (least - 2, least + 5),
+                      (least, least), (least, least + 7), (least + 3, least + 9),
+                      (1, least - 1), (least - 3, least - 1)]
+            for n_start, n_limit in ranges:
+                if not 1 <= n_start <= n_limit:
+                    continue
+                problem = SearchProblem("integer", g, k, n_start, n_limit)
+                decided.clear()
+                res = min_n(problem)
+                assert (res.min_n, res.witness, res.exhaustive) == upward_min_n(problem), problem
+                proof = res.exhaustive and res.min_n != floor and n_limit >= floor
+                assert decided.count(False) == int(proof), (problem, decided)
 
 
 def test_bitmask_engine_matches_counting_engine_witnesses():
