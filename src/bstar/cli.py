@@ -273,12 +273,6 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-def _rho_upper(kernels, args) -> dict:
-    rb = kernels.rho_upper(args.g)
-    return {"rho_upper_sq": rb.upper_sq, "known_exact_sq": rb.known_exact_sq,
-            "undercuts_known": rb.undercuts_known}
-
-
 def _ubiquity(kernels, args) -> dict:
     comp, simple = kernels.ubiquity_bound(args.gamma, args.alpha)
     return {"ubiquity_spectral": max(comp, 0.0), "ubiquity_counting": max(simple, 0.0)}
@@ -412,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = p.add_subparsers(dest="bound", required=True)
     for name, flags, evaluate in (
             ("rho-lower", {"--g": int}, lambda kn, a: {"rho_lower": kn.rho_lower(a.g).lower}),
-            ("rho-upper", {"--g": int}, _rho_upper),
+            ("rho-upper", {"--g": int}, lambda kn, a: {"rho_upper_sq": kn.rho_upper(a.g).upper_sq}),
             ("ubiquity", {"--gamma": float, "--alpha": float}, _ubiquity),
             ("delta-half", {"--epsilon": float}, _delta_half),
             ("zeta-integral", {}, lambda kn, a: {"zeta_integral": kn.zeta_integral_check()})):

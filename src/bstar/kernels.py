@@ -69,9 +69,6 @@ _RHO_LOWER_TABLE = {
     22: 18.0 / (5.0 * math.sqrt(22.0)),
 }
 
-_KNOWN_EXACT_RHO_SQ = {2: 0.5, 3: 1.0 / 3.0}
-
-
 # ---------------------------------------------------------------------------
 # Hurwitz zeta
 # ---------------------------------------------------------------------------
@@ -459,20 +456,21 @@ class RhoBounds:
     g: int
     upper_sq: Optional[float] = None
     lower: Optional[float] = None
-    known_exact_sq: Optional[float] = None
-    undercuts_known: bool = False
 
 
 def rho_upper(g: int) -> RhoBounds:
     """Closed-form upper bound on rho_upper(g)^2, split by parity and size.
 
-    The small-odd case can dip below the known exact values rho(3)^2 =
-    1/3 (the case thresholds interact with the trivial bound), so the
-    result also carries the known exact value and an undercut flag
-    rather than silently taking a maximum.
+    g = 3 is refused: the small-odd case gives 1.74043 - 4.75492/3 =
+    0.155457 there, below the known exact value rho(3)^2 = 1/3, so it is
+    no bound.  Every other g >= 2 stays above the lower bounds this
+    module knows (rho_lower, and rho(2)^2 = 1/2).
     """
     if g < 2:
         raise ValueError("g must be at least 2")
+    if g == 3:
+        raise ValueError("rho_upper has no bound at g = 3: the small-odd formula "
+                         "gives 0.155457, below the known rho(3)^2 = 1/3")
     if g % 2 == 0:
         if g <= 8:
             a, b = _RHO_EVEN_SMALL
@@ -487,13 +485,7 @@ def rho_upper(g: int) -> RhoBounds:
         else:
             a, b, c, d, e = _RHO_ODD_LARGE
             upper = a - b / g + math.sqrt(c - d / g + e / (g * g))
-    known = _KNOWN_EXACT_RHO_SQ.get(g)
-    return RhoBounds(
-        g=g,
-        upper_sq=upper,
-        known_exact_sq=known,
-        undercuts_known=known is not None and upper < known,
-    )
+    return RhoBounds(g=g, upper_sq=upper)
 
 
 def rho_lower(g: int) -> RhoBounds:

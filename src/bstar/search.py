@@ -12,9 +12,10 @@ Two decision engines answer "is there a B*[g] set of size k inside
   is blocked exactly when some pair sum x + y would collide with an
   existing pair or diagonal sum, so the viable-extension mask is kept
   incrementally with shifts.  It stays because it decides integer Sidon
-  questions about 1.7x faster than the counting DFS (n = 55, k = 10,
-  infeasible, both with the rules below: 1.4-2.0 s against 2.2-3.2 s,
-  CPython 3.11 on a shared 2-core x86 host, scripts/bench_search.py).
+  questions about 1.8x faster than the counting DFS (n = 55, k = 10,
+  infeasible, both with the rules below and both 4,228,832 nodes: 1.3 s
+  against 2.4 s, CPython 3.11 on a shared 2-core x86 host,
+  scripts/bench_search.py).
   A modular twin with rotations in place of shifts was no faster than
   the counting DFS, so the modular kind has one engine.
 
@@ -23,7 +24,8 @@ translation invariance makes this lossless), so the DFS yields the
 lexicographically first witness.  A decision is one loop over the
 branches, one per second element in increasing order, in-process or in
 a process pool; it stops at the first witness, and its nodes and its
-budget are those of the branches it consumed, in either mode.
+budget are those of the branches it consumed, in either mode.  A node
+is one candidate tried, in both engines, whichever test rejects it.
 
 Three rules prune the DFS:
 
@@ -35,12 +37,6 @@ Three rules prune the DFS:
   e <= top + 1 - fl[k - depth], where top is the largest admissible
   element (n, or n - 1 for the modular kind).
   This is the sub-ruler bound of optimal Golomb-ruler searches.
-* a rotation rule (modular kind).  Every modular set has a translate
-  whose largest cyclic gap is the wrap gap n - s_{k-1} (ties allowed),
-  so the decision searches only those: with G the largest internal gap
-  so far, the candidates stop where max(G, e - S[-1]) > n + 1 - fl[m] - e
-  for m = k - depth.  The left side grows with e and the right side
-  shrinks, so no larger e can pass.
 * a mirror rule (both kinds, both engines, every search), as in
   optimal Golomb-ruler searches (Shearer 1990).  x -> S[0] + S[-1] - x
   maps a B*[g] set to a B*[g] set on the same range with its gap
@@ -48,18 +44,43 @@ Three rules prune the DFS:
   d1 = S[1] - S[0] is at most their last gap.  A branch fixes d1: the
   last element starts at S[-1] + d1, and for m = k - depth >= 2 the
   m - 1 elements from e to the last but one span at least fl[m - 1] - 1,
-  so e <= top + 1 - fl[m - 1] - d1.  In Z_n the reflection, translated
-  back to 0, keeps the wrap gap as the wrap gap, so a set the rotation
-  rule keeps has a reflection it keeps too, and the two rules combine.
+  so e <= top + 1 - fl[m - 1] - d1.
+* an affine canonical rule (modular kind, decision pass only), after
+  orderly generation (R. C. Read, "Every one a winner", 1978; B. D.
+  McKay, "Isomorph-free exhaustive generation", 1998).  x -> u (x - a)
+  mod n, with u a unit, maps B*[g] sets to B*[g] sets, so a decision
+  need only search the lexicographically least member L of each orbit.
+  The DFS cuts a prefix P of a set when P already shows that the set is
+  not such an L.  That is sound because more elements can only lower the
+  order statistics of an image: if an image of P starts below P, the
+  image of every completion starts below it too.  Some unit u has
+  u d = gcd(d, n), so x -> u (x - y) sends a pair y, y + d to 0 and
+  gcd(d, n); L[1] is therefore the least gcd(d, n) over the differences
+  d of L.  Three necessary conditions follow:
+  - L[1] divides n (take d = L[1]), so _search builds only the branches
+    whose second element divides n;
+  - every difference d of L has gcd(d, n) >= L[1], so a branch with
+    second = s > 1 bans every e with gcd(e - y, n) < s for a placed y;
+  - in the branch s = 1, with t = L[2]: for each ordered pair (a, b) of
+    L with b - a a unit and each other element c,
+    (c - a)(b - a)^-1 >= t; else the map sending a, b to 0, 1 gives an
+    image that starts 0, 1 and then a value below t.  The third element
+    t is checked on {0, 1, t} directly; after it, each accepted element
+    bans the residues that would break the test with a placed pair
+    (_pair_bans).
+  The bans are one bytes table per level, so the rule costs one lookup
+  per candidate.  L passes the span floors, and the mirror rule too:
+  x -> -x is in the group, so L's first gap is at most its last.
 
-The mirror rule keeps the lexicographically first witness L: L's
+The mirror rule keeps the lexicographically first witness W: W's
 reflection is a witness with the same first element whose second
-element is S[0] plus L's last gap, so L's first gap is at most its last
-gap and the DFS still meets L first.  The rotation rule does change
-which witness comes first, so it only decides: when a modular decision
-finds a witness, the search runs again at that n without it and returns
-the lexicographically first one.  The node count of a feasible modular
-n is the sum of both searches; an integer decision runs once.
+element is S[0] plus W's last gap, so W's first gap is at most its last
+gap and the DFS still meets W first.  The canonical rule does change
+which witness comes first (L need not be W), so it only decides: when a
+modular decision finds a witness, the search runs again at that n
+without it and returns the lexicographically first one.  The node count
+of a feasible modular n is the sum of both searches; an integer
+decision runs once.
 
 min_n uses that integer feasibility is monotone in n (a witness inside
 [1, n] also fits in [1, n + 1]).  It decides n_limit and then descends:
@@ -73,10 +94,12 @@ provably infeasible prefixes of the range.
 """
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from math import gcd
 from typing import Optional
 
 from .intsets import IntSet
@@ -161,20 +184,15 @@ def _init_worker(stop):
 class _Budget:
     """Node allowance of one branch, handed out _POLL_NODES at a time.
 
-    spend (one node) and charge (a run of count nodes) stay one
-    subtraction and one test; every refill, the first one included, also
-    polls the stop flag, so a worker quits a branch that is no longer
-    needed within _POLL_NODES nodes, or one run when that is longer.
+    charge (a run of count nodes) stays one subtraction and one test;
+    every refill, the first one included, also polls the stop flag, so a
+    worker quits a branch that is no longer needed within _POLL_NODES
+    nodes, or one run when that is longer.
     """
     __slots__ = ("left", "reserve")
 
     def __init__(self, limit: int):
         self.left, self.reserve = 0, limit
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            self._refill()
 
     def charge(self, count: int):
         self.left -= count
@@ -250,25 +268,32 @@ def _decide_sidon_int(k: int, last: list[int], budget: _Budget, second: int):
     D is the mask of positive differences and B the mask of blocked
     future elements.  The branch fixes the second element; last is
     _last_candidates(2, k, n), narrowed by the mirror rule to sets whose
-    last gap is at least their first, d1 = second - 1.
+    last gap is at least their first, d1 = second - 1.  Nodes are charged
+    as in _decide_counts, one per candidate of the range, blocked or not,
+    so both engines count the same nodes on the same question.
     """
     d1 = second - 1
     last = _mirror_caps(last, d1)
+    charge = budget.charge
 
     def rec(S, D, B, depth):
         if depth == k:
             return tuple(S)
-        lo, hi = S[-1] + (d1 if depth == k - 1 else 1), last[depth]
+        hi = last[depth]
+        if depth == 1:
+            lo, hi = second, min(second, hi)
+        else:
+            lo = S[-1] + (d1 if depth == k - 1 else 1)
         if lo > hi:
             return None
         cand = ~B & ((1 << (hi + 1)) - 1) & -(1 << lo)
-        if depth == 1:
-            cand &= 1 << second
+        charged = lo  # the candidates below charged are paid for
         while cand:
             lsb = cand & -cand
             e = lsb.bit_length() - 1
             cand ^= lsb
-            budget.spend()
+            charge(e + 1 - charged)
+            charged = e + 1
             new_diffs = 0
             for y in S:
                 new_diffs |= 1 << (e - y)
@@ -281,6 +306,8 @@ def _decide_sidon_int(k: int, last: list[int], budget: _Budget, second: int):
             S.pop()
             if out is not None:
                 return out
+        if hi >= charged:
+            charge(hi + 1 - charged)
         return None
 
     return rec([1], 0, 0, 1)
@@ -290,8 +317,54 @@ def _decide_sidon_int(k: int, last: list[int], budget: _Budget, second: int):
 # counting engine
 # ---------------------------------------------------------------------------
 
+def _third_element_bans(n: int) -> bytes:
+    """ban[t] = 1 when {0, 1, t} has an affine image below it, t in [2, n).
+
+    For each ordered pair (a, b) of the triple with b - a a unit, the map
+    x -> (x - a)(b - a)^-1 sends a, b to 0, 1 and the third element c to
+    v = (c - a)(b - a)^-1; the image starts 0, 1, v, so v < t puts it
+    below (0, 1, t).
+    """
+    return bytes(t > 1 and any(gcd(b - a, n) == 1 and (c - a) * pow(b - a, -1, n) % n < t
+                               for a, b, c in itertools.permutations((0, 1, t)))
+                 for t in range(n))
+
+
+def _pair_bans(n: int, t: int) -> list[int]:
+    """bans[d]: the residues that a pair {p, p + d} rules out, as a mask.
+
+    A least set of its affine orbit with second element 1 and third t has
+    v = (c - a)(b - a)^-1 >= t for each ordered pair (a, b) with b - a a
+    unit and each other element c.  For 2 <= v < t and x a unit, the
+    ordered pair (p, p + d) rules out a third element at
+    p + v d when d is a unit (the pair is a, b; the new element c),
+    p + x when d = v x (the pair is a, c; the new element b = a + x),
+    p - x when d = (v - 1) x (the pair is b, c; the new element a = b - x),
+    and bans[d] also holds what (p + d, p) rules out, shifted by d.
+    A mask holds residue o as the byte 1 at bit 8 o, so that to_bytes
+    turns it into a table.  It holds the offsets from p twice, at o and
+    n + o, so bans[d] >> 8 (n - p) has the banned residues at their own
+    bytes below n.
+    """
+    units = [x for x in range(1, n) if gcd(x, n) == 1]
+    offs = [set() for _ in range(n)]
+    for v in range(2, t):
+        for x in units:
+            offs[x].add(v * x % n)
+            offs[v * x % n].add(x)
+            offs[(v - 1) * x % n].add(n - x)
+    return [_doubled_mask(n, offs[d] | {(o + d) % n for o in offs[n - d]}) if d else 0
+            for d in range(n)]
+
+
+def _doubled_mask(n: int, residues) -> int:
+    """The residues as bytes 1 at bits 8 o and 8 (n + o)."""
+    mask = sum(1 << 8 * o for o in residues)
+    return mask | mask << 8 * n
+
+
 def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _Budget,
-                   second: int, rotate: bool = False):
+                   second: int, canonical: bool = False):
     """Keep the profile r(t); reject a candidate whose sums would exceed g.
 
     Both kinds index sums as (e + y) % length.  The integer kind uses
@@ -310,12 +383,16 @@ def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _
     would, so the count and the point where the budget runs out are the
     same.
 
-    With rotate (modular kind only) the search is also confined to sets
-    whose largest cyclic gap is the wrap gap n - s_{k-1}.  That rule only
-    decides: at a feasible n, exists_set runs the search again without
-    it for the lexicographically first witness.  G is the largest
-    internal gap so far; the wrap gap is at most last[depth] + 1 - e, so
-    the candidates end where max(G, e - S[-1]) would exceed it.
+    A candidate e with ban[e] set is rejected before its sums are tested.
+    Without canonical, ban stays all zero.  With canonical (modular kind
+    only) it holds the residues that the affine canonical rule rules out
+    for the next element, and each accepted element adds its own: in a
+    branch with second > 1, every e + o with gcd(o, n) < second; in the
+    branch second = 1, the triple test on {0, 1, t} while the third
+    element t is chosen, then _pair_bans of each new ordered pair.  The
+    bans are ORed as integer masks and read back as bytes.  That rule
+    only decides: at a feasible n, exists_set runs the search again
+    without it for the lexicographically first witness.
     """
     length = n if kind == "modular" else 2 * n + 1
     first = 0 if kind == "modular" else 1
@@ -323,19 +400,47 @@ def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _
     d1 = second - first
     last = _mirror_caps(last, d1)
     charge = budget.charge
+    mark = None  # (S, e, ban) -> the bans after e joins S; None keeps ban as it is
+    ban = bytes(n + 1)
 
-    def rec(S, r, depth, G):
+    if canonical and second > 1:
+        coarse = _doubled_mask(n, [o for o in range(1, n) if gcd(o, n) < second])
+
+        def mark(S, e, ban):
+            mask = int.from_bytes(ban, "little") | coarse >> 8 * (n - e)
+            return mask.to_bytes(2 * n, "little")
+
+        ban = mark(None, 0, ban)
+    elif canonical:
+        bans = None
+
+        def mark(S, e, ban):
+            nonlocal bans
+            if len(S) == 1:  # the triple test still bans the third element
+                return ban
+            if len(S) == 2:  # t = e fixes the pair bans; they start afresh
+                bans = _pair_bans(n, e)
+                mask = bans[1] >> 8 * n
+            else:
+                mask = int.from_bytes(ban, "little")
+            for y in S:
+                mask |= bans[(e - y) % n] >> 8 * (n - y)
+            return mask.to_bytes(2 * n, "little")
+
+        ban = _third_element_bans(n)
+
+    def rec(S, r, depth, ban):
         if depth == k:
             return tuple(S)
         hi = last[depth]
-        if rotate:
-            hi = min(hi + 1 - G, (hi + 1 + S[-1]) // 2)
         if depth == 1:
             lo, hi = second, min(second, hi)
         else:
             lo = S[-1] + (d1 if depth == k - 1 else 1)
         charged = lo  # the candidates below charged are paid for
         for e in range(lo, hi + 1):
+            if ban[e]:
+                continue
             d = 2 * e % length
             if r[d] >= g:
                 continue
@@ -349,8 +454,7 @@ def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _
                 r2[d] += 1
                 for y in S:
                     r2[(e + y) % length] += 2
-                gap = e - S[-1]
-                out = rec(S + [e], r2, depth + 1, G if G > gap else gap)
+                out = rec(S + [e], r2, depth + 1, ban if mark is None else mark(S, e, ban))
                 if out is not None:
                     return out
         if hi >= charged:
@@ -359,18 +463,18 @@ def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _
 
     r = bytearray(length)
     r[2 * first] = 1
-    return rec([first], r, 1, 0)
+    return rec([first], r, 1, ban)
 
 
 def _branch(args):
     """(witness tuple or None, nodes) of one branch; limit + 1 nodes if cut off."""
-    kind, g, n, k, last, second, limit, rotate = args
+    kind, g, n, k, last, second, limit, canonical = args
     budget = _Budget(limit)
     try:
         if g == 2 and kind == "integer":
             witness = _decide_sidon_int(k, last, budget, second)
         else:
-            witness = _decide_counts(kind, g, n, k, last, budget, second, rotate)
+            witness = _decide_counts(kind, g, n, k, last, budget, second, canonical)
     except BudgetExceeded:
         return None, limit + 1
     except _Stopped:
@@ -401,7 +505,7 @@ def _branch_map(workers: int):
 
 
 def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
-            rotate: bool):
+            canonical: bool):
     """(witness tuple or None, nodes): the branches in order, up to a witness.
 
     A branch may spend what the consumed branches left when its job is
@@ -415,8 +519,10 @@ def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
     last = _last_candidates(g, k, n - 1 + first)
     end = last[1] if k < 3 else min(last[1], (last[2] + first) // 2)
     nodes, witness = 0, None
-    jobs = ((kind, g, n, k, last, second, budget - nodes, rotate)
-            for second in range(first + 1, end + 1))
+    seconds = range(first + 1, end + 1)
+    if canonical:  # a least affine image's second element divides n
+        seconds = [s for s in seconds if n % s == 0]
+    jobs = ((kind, g, n, k, last, second, budget - nodes, canonical) for second in seconds)
     parallel = workers > 1 and n >= _PARALLEL_MIN_N and k > 2
     with _branch_map(workers if parallel else 1) as branch_map:
         for witness, spent in branch_map(_branch, jobs):
@@ -438,10 +544,10 @@ def exists_set(kind: str, g: int, n: int, k: int,
     the answer, the node count and the budget's outcome are independent
     of scheduling.  Every search keeps one reflection of each set, which
     still meets the lexicographically first witness first.  The modular
-    kind decides on one rotation of each set too and, when it finds one,
-    runs the search again without that rule for the lexicographically
-    first witness with what is left of the budget; nodes counts both
-    searches.
+    kind decides on the least member of each affine orbit and, when it
+    finds one, runs the search again without that rule for the
+    lexicographically first witness with what is left of the budget;
+    nodes counts both searches.
     """
     if g < 1 or k < 1 or n < 1:
         raise ValueError("g, n, k must be positive")
@@ -455,11 +561,11 @@ def exists_set(kind: str, g: int, n: int, k: int,
         first = 0 if kind == "modular" else 1
         return Decision(IntSet.of([first], modulus), 0)
 
-    witness, nodes = _search(kind, g, n, k, budget, workers, rotate=kind == "modular")
+    witness, nodes = _search(kind, g, n, k, budget, workers, canonical=kind == "modular")
     if witness is None:
         return Decision(None, nodes)
     if kind == "modular":
-        witness, plain = _search(kind, g, n, k, budget - nodes, workers, rotate=False)
+        witness, plain = _search(kind, g, n, k, budget - nodes, workers, canonical=False)
         nodes += plain
     return Decision(IntSet.of(witness, modulus), nodes)
 

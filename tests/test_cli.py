@@ -72,6 +72,10 @@ def test_usage_error_exit_code(capsys, tmp_path):
         (["dee", "--intervals", "0.5:0.5", "--mode", "float"], "interval 0.5:0.5 must have a < b"),
         (["bounds", "rho-lower"], "the following arguments are required: --g"),
         (["bounds", "rho-upper"], "the following arguments are required: --g"),
+        # the g = 3 formula falls below rho(3)^2 = 1/3, so it is no bound
+        (["bounds", "rho-upper", "--g", "3"],
+         "rho_upper has no bound at g = 3: the small-odd formula gives 0.155457, "
+         "below the known rho(3)^2 = 1/3"),
         (["bounds", "delta-half"], "the following arguments are required: --epsilon"),
         (["bounds", "ubiquity"], "the following arguments are required: --gamma, --alpha"),
         (["bounds", "ubiquity", "--gamma", "0.7"],
@@ -260,6 +264,8 @@ def test_bounds_subcommand(capsys):
     code, obj = run_json(capsys, ["bounds", "rho-lower", "--g", "12"])
     assert code == 0
     assert abs(obj["rho_lower"] - 0.7746) < 1e-4
+    code, obj = run_json(capsys, ["bounds", "rho-upper", "--g", "2"])
+    assert code == 0 and obj == {"rho_upper_sq": pytest.approx(1.238015, abs=1e-6)}
     code, obj = run_json(capsys, ["bounds", "zeta-integral"])
     assert abs(obj["zeta_integral"] - math.sqrt(3) / 2) < 1e-9
 

@@ -337,14 +337,23 @@ def test_delta_half_lower():
 def test_rho_upper_cases():
     assert rho_upper(2).upper_sq == pytest.approx(1.238015, abs=1e-9)
     assert rho_upper(10).upper_sq == pytest.approx(1.5807365 + math.sqrt(0.0032392356), abs=1e-6)
-    odd = rho_upper(3)
-    assert odd.upper_sq == pytest.approx(1.74043 - 4.75492 / 3, abs=1e-9)
-    assert odd.undercuts_known and odd.known_exact_sq == pytest.approx(1 / 3)
+    assert rho_upper(5).upper_sq == pytest.approx(1.74043 - 4.75492 / 5, abs=1e-9)
     assert rho_upper(25).upper_sq <= 2.0
-    for g in range(2, 60):
+    for g in (2,) + tuple(range(4, 60)):
         assert rho_upper(g).upper_sq <= 2.0
     with pytest.raises(ValueError):
         rho_upper(1)
+    # the small-odd formula gives 0.155457 at g = 3, below rho(3)^2 = 1/3
+    with pytest.raises(ValueError, match="no bound at g = 3"):
+        rho_upper(3)
+
+
+def test_rho_upper_is_above_every_lower_bound():
+    # an upper bound that a known lower bound contradicts is no bound:
+    # rho(2)^2 = 1/2 exactly, and rho_lower covers the even g >= 4
+    assert rho_upper(2).upper_sq >= 0.5
+    for g in range(4, 2001, 2):
+        assert rho_upper(g).upper_sq >= rho_lower(g).lower ** 2, g
 
 
 def test_rho_lower_values():
@@ -417,7 +426,6 @@ eps=0.50: ||f*f||_inf >= 1.197292   delta >= 0.149662
 eps=0.60: ||f*f||_inf >= 1.215298   delta >= 0.218754
 == density-ratio bounds ==
 rho_upper(2)^2 <= 1.238015
-rho_upper(3)^2 <= 0.155457  [undercuts known exact value]
 rho_upper(4)^2 <= 1.489222
 rho_upper(10)^2 <= 1.637651
 rho_upper(25)^2 <= 1.630158

@@ -1,7 +1,10 @@
+import collections
+import functools
 import itertools
 import multiprocessing
 import os
 import random
+from math import gcd
 
 import pytest
 
@@ -14,7 +17,9 @@ from bstar.search import (
     _decide_counts,
     _decide_sidon_int,
     _last_candidates,
+    _pair_bans,
     _search,
+    _third_element_bans,
     exists_set,
     infeasibility_floor,
     min_n,
@@ -78,7 +83,7 @@ def test_pruned_matches_brute_force():
         k = rng.randint(1, min(6, n))
         cases.append((kind, g, n, k))
     # every small question for the kinds and g the span floors and the
-    # rotation rule touch most: modular g = 2..4 and integer g = 2, 3
+    # canonical rule touch most: modular g = 2..4 and integer g = 2, 3
     cases += [(kind, g, n, k)
               for kind, gs in (("modular", (2, 3, 4)), ("integer", (2, 3)))
               for g in gs for n in range(3, 17) for k in range(3, min(6, n) + 1)]
@@ -165,9 +170,11 @@ def test_workers_match_serial():
 
 def test_stop_flag_ends_a_branch(monkeypatch):
     # a pool worker polls the flag at a branch's first node and then
-    # every _POLL_NODES nodes; a raised flag drops the branch at once
+    # every _POLL_NODES nodes; a raised flag drops the branch at once.
+    # The branch second = 2 of modular (3, 56, 9) is one the canonical
+    # rule keeps (2 divides 56), with no witness.
     from bstar import search
-    job = ("modular", 3, 57, 9, search._last_candidates(3, 9, 56), 2, 10**9, True)
+    job = ("modular", 3, 56, 9, search._last_candidates(3, 9, 55), 2, 10**9, True)
     monkeypatch.setattr(search, "_stop", multiprocessing.Value("b", 1, lock=False))
     assert search._branch(job) == (None, 0)
     search._stop.value = 0
@@ -207,8 +214,8 @@ def test_budget_boundary_inside_a_run():
     # counts are one node per candidate tried.
     cases = [(("integer", 3, 15, 7), None, 522),
              (("integer", 3, 28, 8), (1, 2, 3, 5, 9, 15, 20, 25), 268),
-             (("modular", 3, 17, 6), None, 358),
-             (("modular", 4, 14, 7), (0, 1, 2, 4, 8, 9, 11), 266)]
+             (("modular", 3, 17, 6), None, 261),
+             (("modular", 4, 14, 7), (0, 1, 2, 4, 8, 9, 11), 280)]
     for case, witness, nodes in cases:
         dec = exists_set(*case, budget=nodes)
         assert (dec.witness.elements if dec.feasible else None, dec.nodes) == (witness, nodes)
@@ -220,7 +227,7 @@ def test_budget_boundary_inside_a_run():
 def test_budget_charges_runs():
     budget = _Budget(10)
     budget.charge(4)
-    budget.spend()
+    budget.charge(1)
     budget.charge(0)
     budget.charge(5)
     with pytest.raises(BudgetExceeded):
@@ -276,24 +283,32 @@ def test_integer_descent_matches_upward_scan(monkeypatch):
                 assert decided.count(False) == int(proof), (problem, decided)
 
 
+def spent(decide, *args, **kwargs):
+    """(witness, nodes) of one branch call."""
+    budget = _Budget(10**8)
+    return decide(*args, budget=budget, **kwargs), 10**8 - budget.left - budget.reserve
+
+
 def test_bitmask_engine_matches_counting_engine_witnesses():
     # integer g = 2 is the one question two engines can answer; both
     # explore candidates in increasing order under the same rules, so
     # each branch must return the same witness, not just agree on
     # feasibility, and the decision must return the lexicographically
-    # first witness.  Under the mirror rule a branch's witness ends on a
-    # gap no shorter than its first one, second - 1.
+    # first witness.  Both charge one node per candidate of the range,
+    # so each branch's node count is the same too.  Under the mirror rule
+    # a branch's witness ends on a gap no shorter than its first one,
+    # second - 1.
     for n in range(4, 26):
         for k in (3, 4, 5):
             fast = exists_set("integer", 2, n, k)
             last = _last_candidates(2, k, n)
-            branches = [_decide_counts("integer", 2, n, k, last, _Budget(10**8), second)
+            branches = [spent(_decide_counts, "integer", 2, n, k, last, second=second)
                         for second in range(2, n + 1)]
             for second, slow in enumerate(branches, 2):
-                assert _decide_sidon_int(k, last, _Budget(10**8), second) == slow, (n, k, second)
-                if slow is not None:
-                    assert slow[-1] - slow[-2] >= second - 1, (n, k, second)
-            slow = next(filter(None, branches), None)
+                assert spent(_decide_sidon_int, k, last, second=second) == slow, (n, k, second)
+                if slow[0] is not None:
+                    assert slow[0][-1] - slow[0][-2] >= second - 1, (n, k, second)
+            slow = next(filter(None, (w for w, _ in branches)), None)
             witness = fast.witness.elements if fast.feasible else None
             assert witness == slow == brute_first("integer", 2, n, k), (n, k)
 
@@ -302,7 +317,7 @@ def floors_first(kind, g, n, k):
     """(lexicographically first witness or None, nodes) under the span floors alone.
 
     A DFS in element order with the caps of _last_candidates, which
-    test_pruned_matches_brute_force checks, and no mirror or rotation
+    test_pruned_matches_brute_force checks, and no mirror or canonical
     rule; it spends one node per candidate, as the engines do.
     """
     first = 0 if kind == "modular" else 1
@@ -342,14 +357,15 @@ def floors_first(kind, g, n, k):
     return rec(1), nodes
 
 
-def test_mirror_and_rotation_rules_match_a_floors_only_search():
+def test_mirror_and_canonical_rules_match_a_floors_only_search():
     # past brute force's reach: exists_set, with the mirror rule in every
-    # search and the rotation rule deciding in Z_n, returns the witness of
-    # a DFS with neither rule, or none when that DFS finds none.  The
-    # rotation pass's witness is a set both rules keep: first gap <= last
-    # gap and a largest gap that wraps.  Integer g = 2 runs in both
-    # engines.  Modular k = 8 at g = 2, 3 is left out: the floors-only
-    # search alone takes seconds there.
+    # search and the affine canonical rule deciding in Z_n, returns the
+    # witness of a DFS with neither rule, or none when that DFS finds
+    # none.  The canonical pass's witness is a set both rules keep: its
+    # second element divides n, every difference has a gcd with n at
+    # least that, and its first gap is at most its last gap.  Integer
+    # g = 2 runs in both engines.  Modular k = 8 at g = 2, 3 is left out:
+    # the floors-only search alone takes seconds there.
     spent = {}  # (kind, g == 2) -> [floors-only, exists_set] nodes on infeasible n
     for kind in ("integer", "modular"):
         for g in range(2, 6):
@@ -374,16 +390,84 @@ def test_mirror_and_rotation_rules_match_a_floors_only_search():
                                         for second in range(2, last[1] + 1))
                             assert next(filter(None, branches), None) == reference, case
                         continue
-                    w, _ = _search(*case, 10**9, 1, rotate=True)
+                    w, _ = _search(*case, 10**9, 1, canonical=True)
                     assert is_bstar(IntSet.of(w, n), g), case
                     assert len(w) == k and w[0] == 0 and w[-1] < n, case
-                    gaps = [b - a for a, b in zip(w, w[1:])]
-                    assert gaps[0] <= gaps[-1] and n - w[-1] >= max(gaps), case
+                    assert n % w[1] == 0, case
+                    pairs = itertools.combinations(w, 2)
+                    assert all(gcd(b - a, n) >= w[1] for a, b in pairs), case
+                    assert w[1] - w[0] <= w[-1] - w[-2], case
     # the rules prune in every engine: the bitmask one (integer g = 2) and
     # the counting one on either kind.  Each bound sits just above the
-    # share spent today (0.134, 0.552, 0.112, 0.117 of the floors-only
+    # share spent today (0.643, 0.552, 0.0256, 0.0967 of the floors-only
     # nodes), so a cap one looser or a rule left out of an engine fails.
-    most = {("integer", True): 0.14, ("integer", False): 0.56,
-            ("modular", True): 0.115, ("modular", False): 0.12}
+    most = {("integer", True): 0.65, ("integer", False): 0.56,
+            ("modular", True): 0.027, ("modular", False): 0.099}
     for group, (reference_nodes, nodes) in spent.items():
         assert nodes <= most[group] * reference_nodes, (group, reference_nodes, nodes)
+
+
+def least_affine_image(S, n):
+    """The least sorted image of S under x -> u (x - a) mod n, u a unit, a in S.
+
+    The least member of an orbit contains 0, so a ranges over S only.
+    """
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    return min(tuple(sorted(u * (x - a) % n for x in S)) for u in units for a in S)
+
+
+@functools.lru_cache(maxsize=None)
+def least_images(n, k):
+    """{least affine image: its largest representation count} over the
+    k-subsets of Z_n that hold 0 and are B*[4]: every orbit of B*[g] sets,
+    g <= 4, has a member holding 0."""
+    least = {}
+    for rest in itertools.combinations(range(1, n), k - 1):
+        S = (0,) + rest
+        rep = max(collections.Counter((a + b) % n for a in S for b in S).values())
+        if rep <= 4:
+            least[least_affine_image(S, n)] = rep
+    return least
+
+
+SMALL_MODULAR = [(n, k) for n in range(3, 19) for k in range(3, min(6, n) + 1)]
+
+
+def test_canonical_decision_matches_brute_force():
+    # the decision pass alone, with the affine canonical rule, finds a
+    # witness exactly when one exists
+    for n, k in SMALL_MODULAR:
+        reps = least_images(n, k).values()
+        for g in (2, 3, 4):
+            witness, _ = _search("modular", g, n, k, 10**9, 1, canonical=True)
+            assert (witness is None) == all(rep > g for rep in reps), (g, n, k)
+
+
+def test_least_affine_images_pass_the_canonical_rule():
+    # the least member L of each orbit of B*[g] sets (g <= 4) passes all
+    # three parts of the rule, and none of the engine's masks bans L's
+    # next element at any depth: the triple mask bans no L[2], and the
+    # pair bans of L[:j] ban no L[j].  The canonical branch second = L[1]
+    # of every g that L is B*[g] for finds a witness.
+    for n, k in SMALL_MODULAR:
+        branches = {(g, L[1]) for L, rep in least_images(n, k).items() for g in range(rep, 5)}
+        for g, second in branches:
+            last = _last_candidates(g, k, n - 1)
+            assert _decide_counts("modular", g, n, k, last, _Budget(10**9), second,
+                                  canonical=True) is not None, (g, n, k, second)
+        for L in least_images(n, k):
+            s, t = L[1], L[2]
+            assert n % s == 0, (n, L)
+            assert all(gcd(b - a, n) >= s for a, b in itertools.combinations(L, 2)), (n, L)
+            if s > 1:
+                continue
+            assert all((c - a) * pow(b - a, -1, n) % n >= t
+                       for a, b in itertools.permutations(L, 2) if gcd(b - a, n) == 1
+                       for c in L if c not in (a, b)), (n, L)
+            assert not _third_element_bans(n)[t], (n, L)
+            bans = _pair_bans(n, t)
+            for j in range(3, k):
+                banned = 0
+                for p, q in itertools.combinations(L[:j], 2):
+                    banned |= bans[q - p] >> 8 * (n - p)
+                assert not banned >> 8 * L[j] & 1, (n, L, j)
