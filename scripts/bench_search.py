@@ -7,7 +7,8 @@ A node is one candidate tried, in either engine, so nodes/s compares
 engines as well as questions.  This script decides fixed questions
 (kind, g, n, k), all infeasible, serially:
 
-- modular (2, 47, 7), (2, 72, 9) and (3, 53, 9), counting engine;
+- modular (2, 47, 7), (2, 72, 9), (3, 53, 9) and (5, 27, 10), counting
+  engine; (5, 27, 10) is the infeasible n just below C(5, 10) = 28;
 - integer (4, 21, 10) and (3, 45, 10), counting engine;
 - integer (2, 55, 10) on both engines that can answer it: `exists_set`,
   which takes the bitmask engine, and the counting engine's branches
@@ -38,6 +39,7 @@ from bench_dee import git_rev, package_version  # noqa: E402
 from bstar import search  # noqa: E402
 
 DECISIONS = (("modular", 2, 47, 7), ("modular", 2, 72, 9), ("modular", 3, 53, 9),
+             ("modular", 5, 27, 10),
              ("integer", 4, 21, 10), ("integer", 3, 45, 10), ("integer", 2, 55, 10))
 TABLES = (("R", "integer", 10, 7), ("C", "modular", 9, 6))  # which, kind, max k, max g
 REPEATS = 3

@@ -66,8 +66,11 @@ Three rules prune the DFS:
     (c - a)(b - a)^-1 >= t; else the map sending a, b to 0, 1 gives an
     image that starts 0, 1 and then a value below t.  The third element
     t is checked on {0, 1, t} directly; after it, each accepted element
-    bans the residues that would break the test with a placed pair
-    (_pair_bans).
+    bans the residues that would break the test with a placed pair.
+    Those pair bans are the union of what each v in [2, t) contributes,
+    and the DFS takes third elements in increasing order, finishing each
+    one's subtree first, so a branch grows one table of them as t rises
+    (_pair_bans) in place of building one for each t.
   The bans are one bytes table per level, so the rule costs one lookup
   per candidate.  L passes the span floors, and the mirror rule too:
   x -> -x is in the group, so L's first gap is at most its last.
@@ -97,6 +100,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import signal
+from collections.abc import Generator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from math import gcd
@@ -330,8 +334,8 @@ def _third_element_bans(n: int) -> bytes:
                  for t in range(n))
 
 
-def _pair_bans(n: int, t: int) -> list[int]:
-    """bans[d]: the residues that a pair {p, p + d} rules out, as a mask.
+def _pair_bans(n: int) -> Generator[list[int], int, None]:
+    """Generator of bans[d]: the residues that a pair {p, p + d} rules out.
 
     A least set of its affine orbit with second element 1 and third t has
     v = (c - a)(b - a)^-1 >= t for each ordered pair (a, b) with b - a a
@@ -345,16 +349,30 @@ def _pair_bans(n: int, t: int) -> list[int]:
     turns it into a table.  It holds the offsets from p twice, at o and
     n + o, so bans[d] >> 8 (n - p) has the banned residues at their own
     bytes below n.
+
+    The table for t is the union of what each v < t contributes, so one
+    table grows with t: the generator first yields the table for t = 2
+    (no bans), and each t sent after it, larger than the one before, ORs
+    in the contributions of the v it has not yet seen and yields the same
+    list, extended in place.
     """
     units = [x for x in range(1, n) if gcd(x, n) == 1]
-    offs = [set() for _ in range(n)]
-    for v in range(2, t):
-        for x in units:
-            offs[x].add(v * x % n)
-            offs[v * x % n].add(x)
-            offs[(v - 1) * x % n].add(n - x)
-    return [_doubled_mask(n, offs[d] | {(o + d) % n for o in offs[n - d]}) if d else 0
-            for d in range(n)]
+    at = [(1 | 1 << 8 * n) << 8 * o for o in range(n)]  # o and n + o
+    bans = [0] * n
+    grown = 2  # the table holds every v below grown
+    while True:
+        t = yield bans
+        for v in range(grown, t):
+            for x in units:
+                vx, wx = v * x % n, (v - 1) * x % n
+                # each ordered pair's offset, then the reversed pair's
+                bans[x] |= at[vx]
+                bans[n - x] |= at[wx]
+                bans[vx] |= at[x]
+                bans[n - vx] |= at[n - wx]
+                bans[wx] |= at[n - x]
+                bans[n - wx] |= at[n - vx]
+        grown = t
 
 
 def _doubled_mask(n: int, residues) -> int:
@@ -389,10 +407,11 @@ def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _
     for the next element, and each accepted element adds its own: in a
     branch with second > 1, every e + o with gcd(o, n) < second; in the
     branch second = 1, the triple test on {0, 1, t} while the third
-    element t is chosen, then _pair_bans of each new ordered pair.  The
-    bans are ORed as integer masks and read back as bytes.  That rule
-    only decides: at a feasible n, exists_set runs the search again
-    without it for the lexicographically first witness.
+    element t is chosen, then the pair bans of each new ordered pair,
+    from one _pair_bans table that the branch extends to each t it
+    accepts.  The bans are ORed as integer masks and read back as bytes.
+    That rule only decides: at a feasible n, exists_set runs the search
+    again without it for the lexicographically first witness.
     """
     length = n if kind == "modular" else 2 * n + 1
     first = 0 if kind == "modular" else 1
@@ -412,14 +431,14 @@ def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _
 
         ban = mark(None, 0, ban)
     elif canonical:
-        bans = None
+        grow = _pair_bans(n)
+        bans = next(grow)
 
         def mark(S, e, ban):
-            nonlocal bans
             if len(S) == 1:  # the triple test still bans the third element
                 return ban
-            if len(S) == 2:  # t = e fixes the pair bans; they start afresh
-                bans = _pair_bans(n, e)
+            if len(S) == 2:  # t = e: the earlier t's subtrees are done, so grow to e
+                grow.send(e)
                 mask = bans[1] >> 8 * n
             else:
                 mask = int.from_bytes(ban, "little")

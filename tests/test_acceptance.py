@@ -79,6 +79,16 @@ C_TABLE = {
 }
 
 
+def test_r_table_is_below_the_abstracts_1_31():
+    # the abstract's finite-n statement R(g, n) < 1.31 sqrt(g n), read on
+    # every frozen cell: k < 1.31 sqrt(g min_n).  The largest ratio is
+    # 10 / sqrt(84) = 1.0911, at (g, k, min_n) = (6, 10, 14).
+    ratios = {(g, k): k / math.sqrt(g * n) for (g, k), n in R_TABLE.items()}
+    assert max(ratios.values()) < 1.31
+    assert max(ratios, key=ratios.get) == (6, 10)
+    assert max(ratios.values()) == pytest.approx(1.0911, abs=1e-4)
+
+
 def note(idx, message):
     print(f"ACCEPTANCE {idx:2d} PASS  {message}")
 

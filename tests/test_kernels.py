@@ -30,6 +30,8 @@ from bstar.kernels import (
 from bstar.kernels import (
     _BERNOULLI_2J,
     _HURWITZ_LEAD_TERMS,
+    _RHO_EVEN_LARGE,
+    _RHO_ODD_LARGE,
     _hurwitz_array,
     _quartic_certifies,
 )
@@ -354,6 +356,30 @@ def test_rho_upper_is_above_every_lower_bound():
     assert rho_upper(2).upper_sq >= 0.5
     for g in range(4, 2001, 2):
         assert rho_upper(g).upper_sq >= rho_lower(g).lower ** 2, g
+
+
+def test_rho_upper_stays_below_the_abstracts_1_31():
+    # the abstract's R(g, n) < 1.31 sqrt(g n) as rho(g)^2 < 1.31^2.  Every
+    # g <= 2000 that rho_upper accepts is below it; the largest value is
+    # at g = 2000.  Past the small cases each parity's formula
+    # a - b/g + sqrt(c - d/g + e/g^2), with b > 0 and d >= e, stays below
+    # its limit a + sqrt(c) = 1.69094 for every g >= 1.
+    values = {g: rho_upper(g).upper_sq for g in range(2, 2001) if g != 3}
+    assert max(values.values()) < 1.31 ** 2
+    assert max(values, key=values.get) == 2000
+    assert values[2000] == pytest.approx(1.69074, abs=1e-5)
+    for a, b, c, d, e in (_RHO_EVEN_LARGE, _RHO_ODD_LARGE):
+        assert b > 0 and d >= e
+        assert a + math.sqrt(c) == pytest.approx(1.69094, abs=1e-5)
+        assert a + math.sqrt(c) < 1.31 ** 2
+
+
+def test_rho_lower_passes_0_79_from_612():
+    # the abstract's "rho(g) > 0.79 for sufficiently large g", with the
+    # threshold frozen: every even g in [612, 5000] has rho_lower(g) > 0.79,
+    # and 610 is the last even g at or below it
+    assert rho_lower(610).lower <= 0.79
+    assert all(rho_lower(g).lower > 0.79 for g in range(612, 5001, 2))
 
 
 def test_rho_lower_values():

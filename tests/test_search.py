@@ -443,6 +443,43 @@ def test_canonical_decision_matches_brute_force():
             assert (witness is None) == all(rep > g for rep in reps), (g, n, k)
 
 
+def pair_bans_from_scratch(n, t):
+    """The pair bans for third element t, built for this t alone: the
+    offsets that each v in [2, t) and unit x give the ordered pair
+    (p, p + d), then those of (p + d, p) shifted by d, as byte masks
+    holding each residue o at bits 8 o and 8 (n + o)."""
+    units = [x for x in range(1, n) if gcd(x, n) == 1]
+    offs = [set() for _ in range(n)]
+    for v in range(2, t):
+        for x in units:
+            offs[x].add(v * x % n)
+            offs[v * x % n].add(x)
+            offs[(v - 1) * x % n].add(n - x)
+    bans = []
+    for d in range(n):
+        residues = offs[d] | {(o + d) % n for o in offs[n - d]} if d else set()
+        mask = sum(1 << 8 * o for o in residues)
+        bans.append(mask | mask << 8 * n)
+    return bans
+
+
+def test_grown_pair_bans_match_a_table_built_for_each_t():
+    # one table grown as the third element rises, with steps of one and
+    # jumps, equals the table built from scratch for each t after every
+    # step; prime and composite n
+    rng = random.Random(1)
+    for n in range(3, 61):
+        sequences = [[t for t in (3, 4, 7, 8) if t < n], [n - 1],
+                     sorted(rng.sample(range(3, n), min(5, n - 3)))]
+        for ts in sequences:
+            grow = _pair_bans(n)
+            bans = next(grow)
+            assert bans == pair_bans_from_scratch(n, 2), n
+            for t in ts:
+                assert grow.send(t) is bans  # extended in place
+                assert bans == pair_bans_from_scratch(n, t), (n, ts, t)
+
+
 def test_least_affine_images_pass_the_canonical_rule():
     # the least member L of each orbit of B*[g] sets (g <= 4) passes all
     # three parts of the rule, and none of the engine's masks bans L's
@@ -465,7 +502,9 @@ def test_least_affine_images_pass_the_canonical_rule():
                        for a, b in itertools.permutations(L, 2) if gcd(b - a, n) == 1
                        for c in L if c not in (a, b)), (n, L)
             assert not _third_element_bans(n)[t], (n, L)
-            bans = _pair_bans(n, t)
+            grow = _pair_bans(n)
+            next(grow)
+            bans = grow.send(t)
             for j in range(3, k):
                 banned = 0
                 for p, q in itertools.combinations(L[:j], 2):
