@@ -6,7 +6,7 @@
 `largest_symmetric_subset` computes m at every sum of two endpoints either
 by a breakpoint sweep, O(k^2 log k) for k intervals, or by one FFT
 autoconvolution of the cells of the endpoints' grid of step 1/L,
-O(L log L); it takes the grid path when L <= 4k^2.  This script times
+O(L log L); `_grid_pays` picks one.  This script times
 both paths (`_sweep` and `_autoconvolution` on the same grid) and the
 public call on two families of seeded inputs, checks that the two paths
 return the same rows, and writes the record as JSON:
@@ -45,7 +45,7 @@ from bstar.intsets import IntSet  # noqa: E402
 
 SEED = 19
 PICTURE_RUNS = (15, 25, 45, 109, 200, 424, 609, 1643)
-CROSSOVER_K = (5, 15, 45, 135)
+CROSSOVER_K = (5, 8, 10, 15, 45, 135)
 CROSSOVER_RATIOS = (1 / 64, 1 / 16, 1 / 4, 1, 4, 16, 64)  # L / (4 k^2)
 MAX_L = 1 << 20  # keeps each FFT below 100 MB
 SWEEP_MAX_INTERVALS = 609  # the sweep's tuples take about 150 MB here, 1 GB at 1643
@@ -91,7 +91,7 @@ def time_both(e: intervals.IntervalSet, with_sweep: bool) -> dict:
     circle = e.geometry == "circle"
     sigmas, units = intervals._autoconvolution(scale, grid, circle)
     row = {"intervals": len(e.intervals), "L": scale, "geometry": e.geometry,
-           "path": "grid" if intervals._grid_pays(scale, len(e.intervals)) else "sweep",
+           "path": "grid" if intervals._grid_pays(scale, len(e.intervals), circle) else "sweep",
            "grid_s": seconds_per_call(lambda: intervals._autoconvolution(scale, grid, circle)),
            "sweep_s": None, "agree": None,
            "public_s": seconds_per_call(lambda: intervals.largest_symmetric_subset(e))}

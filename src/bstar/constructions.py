@@ -262,8 +262,7 @@ def random_integer_set(n: int, gamma: float, seed: int = 0) -> ProbConstructRepo
     if n < gamma:
         raise ValueError("need n >= gamma")
     rng = np.random.default_rng(seed)
-    pk = integer_inclusion_probabilities(n, gamma)
-    keep = rng.random(n) < pk
+    keep = rng.random(n) < integer_inclusion_probabilities(n, gamma)
     s = IntSet.of((np.flatnonzero(keep) + 1).tolist())
     e0 = expected_integer_size(n, gamma)
     return ProbConstructReport(

@@ -25,10 +25,13 @@ of two endpoints, by one of two paths:
   at the candidates only, not at every grid point: on the circle a
   plateau of maxima can wrap through 0, which need not be a candidate.
 
-Cost rule: with k intervals, the grid path runs when L <= 4k^2, the
-sweep's breakpoint count (and L is within the dense profile limit);
-the sweep runs otherwise, which covers float sets with their huge
-dyadic grids.  The two paths agree exactly: both give the same integer
+Cost rule (`_grid_pays`, measured in BENCH_dee.json): the grid path
+runs for k >= 10 intervals with L <= 4k^2 (the sweep's breakpoint
+count) on the line, or L <= 16k^2 on the circle, where the sweep does
+twice the work, and with L within the dense profile limit.  The sweep
+runs otherwise: for few intervals, where it is cheaper than the grid
+path's fixed numpy cost, and for float sets with their huge dyadic
+grids.  The two paths agree exactly: both give the same integer
 m at the same candidate sums, so D, the smallest center attaining it
 and the profile are the same numbers whichever runs.  Values are
 converted back only at the end: to Fractions for exact sets, to
@@ -168,14 +171,17 @@ def _autoconvolution(scale: int, grid: list[int], circle: bool) -> tuple[np.ndar
     return sigmas, units[sigmas]
 
 
-def _grid_pays(scale: int, k: int) -> bool:
+def _grid_pays(scale: int, k: int, circle: bool) -> bool:
     """The cost rule: the grid path runs for k intervals on the grid of step 1/scale.
 
-    The grid path costs O(L log L) and the sweep O(k^2 log k), so the grid
-    runs when L <= 4k^2, the sweep's breakpoint count, and its profile of
-    length 2L + 1 fits the dense limit.
+    The grid path costs O(L log L) plus two `representation_counts` calls'
+    fixed cost, and the sweep O(k^2 log k), twice that on the circle,
+    where it reads m at s and s + 1.  In BENCH_dee.json the sweep wins at
+    every L for k <= 8, and from k = 10 the grid wins up to L = 4k^2 (the
+    sweep's breakpoint count) on the line and up to 16k^2 on the circle.
+    Its profile of length 2L + 1 must also fit the dense limit.
     """
-    return scale <= min(4 * k * k, (_DENSE_LIMIT - 1) // 2)
+    return k >= 10 and scale <= min((16 if circle else 4) * k * k, (_DENSE_LIMIT - 1) // 2)
 
 
 def largest_symmetric_subset(e: IntervalSet,
@@ -191,7 +197,7 @@ def largest_symmetric_subset(e: IntervalSet,
         return SymmetricSubsetResult(zero, zero, ((zero, zero),) if include_profile else None)
     scale, grid = _on_grid(e.intervals)
     circle = e.geometry == "circle"
-    if _grid_pays(scale, len(e.intervals)):
+    if _grid_pays(scale, len(e.intervals), circle):
         sigmas, units = _autoconvolution(scale, grid, circle)
         best = int(np.argmax(units))  # the first maximum: the smallest center
         sigma, value = int(sigmas[best]), int(units[best])

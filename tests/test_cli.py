@@ -330,7 +330,7 @@ def test_dee_profile_csv(tmp_path, capsys):
 
 def test_dee_block_picture_bytes(tmp_path, capsys):
     # the block picture of {1, 2, 3, 5, 8, 13} at n = 13: 4 intervals on the
-    # grid L = 13, so D(E) comes from the grid path; bytes frozen from the sweep
+    # grid L = 13, too few for the grid path; bytes frozen from the sweep
     frozen = {
         "line": (
             '{"geometry": "line", "measure": {"num": 6, "den": 13, "float": 0.461538461538}, '

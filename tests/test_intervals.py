@@ -224,7 +224,7 @@ def test_grid_path_matches_sweep_on_random_grid_sets():
     rng = random.Random(9)
     for _ in range(400):
         k = rng.randint(1, 12)
-        scale = rng.randint(1, 8 * k * k)  # both sides of the 4k^2 rule
+        scale = rng.randint(1, 8 * k * k)  # both sides of the line's 4k^2 rule
         for geometry in ("line", "circle"):
             assert_paths_agree(grid_aligned(rng, k, scale, geometry))
     for _ in range(50):  # touching intervals, which only the constructor admits
@@ -240,8 +240,7 @@ def test_grid_path_matches_sweep_on_acceptance_sets():
         picture = a_of_s(IntSet.of(witness), x)
         for geometry in ("line", "circle"):
             assert_paths_agree(IntervalSet(picture.intervals, geometry))
-    # criterion 8's sets, rounded to the largest grid the cost rule sends to
-    # the grid path and to a finer one it sends to the sweep
+    # criterion 8's sets, rounded to the grid 4k^2 and to a finer one
     rng = np.random.default_rng(20240918)
     for _ in range(300):
         k = int(rng.integers(3, 6))
@@ -271,11 +270,17 @@ def test_cost_rule_picks_the_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("wrong path")
 
+    rng = random.Random(3)
     monkeypatch.setattr(intervals, "_sweep", refuse)
-    fib = a_of_s(IntSet.of([1, 2, 3, 5, 8, 13]), 13)  # 4 intervals, L = 13 <= 64
-    assert largest_symmetric_subset(fib).d_value == F(3, 13)
+    largest_symmetric_subset(grid_aligned(rng, 10, 400, "line"))  # k = 10 at L = 4k^2
+    largest_symmetric_subset(grid_aligned(rng, 10, 1600, "circle"))  # and at L = 16k^2
     monkeypatch.undo()
     monkeypatch.setattr(intervals, "_autoconvolution", refuse)
+    fib = a_of_s(IntSet.of([1, 2, 3, 5, 8, 13]), 13)  # 4 intervals: too few for the grid
+    assert largest_symmetric_subset(fib).d_value == F(3, 13)
+    for e in (grid_aligned(rng, 10, 401, "line"), grid_aligned(rng, 10, 1601, "circle")):
+        assert intervals._on_grid(e.intervals)[0] in (401, 1601)  # one past each bound
+        largest_symmetric_subset(e)
     tiny = largest_symmetric_subset(IntervalSet.of([(0.0, 1e-300)]))
     assert (tiny.d_value, tiny.center) == (1e-300, 5e-301)
     huge = IntervalSet.of([(F(0), F(1, 3)), (F(1, 2), F(1000000006, 1000000007))])

@@ -1,10 +1,14 @@
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bstar import intsets
 from bstar.intsets import IntSet, is_bstar, max_rep, representation_counts
 
 
@@ -114,19 +118,97 @@ def test_counts_match_a_blocked_bincount_on_large_sets():
         assert np.array_equal(representation_counts(s), _bincount_counts(s))
 
 
+def _fft_size(s):
+    """The transform size representation_counts uses for s."""
+    return 1 << (2 * s.max_element).bit_length()
+
+
+def _four_step_sets():
+    """Sets on both sides of the four-step crossover, with an independent profile each.
+
+    Linear widths 2^m - 1 and 2^m + 1, k = 1 and sets holding element 0,
+    and moduli n = 2^m - 1, 2^m, 2^m + 1, 2^m + 2 whose linear profile
+    folds past one period.
+    """
+    rng = np.random.default_rng(23)
+    m0 = intsets._FOUR_STEP_MIN.bit_length() - 1
+    for m in (m0 - 2, m0 - 1, m0, m0 + 1, m0 + 2, 21):
+        for width in (2**m - 1, 2**m + 1):
+            top = width // 2  # the largest element: width = 2 top + 1
+            yield IntSet.of([top])
+            els = rng.choice(top, size=min(top, 800), replace=False)
+            yield IntSet.of([0, top, *els.tolist()])
+        if m < 21:
+            for n in (2**m - 1, 2**m, 2**m + 1, 2**m + 2):
+                els = rng.choice(n, size=600, replace=False)
+                yield IntSet.of([0, n - 1, *els.tolist()], n)
+                yield IntSet.of([n - 1], n)
+
+
+def test_both_schedules_match_an_independent_count():
+    sizes = set()
+    for s in _four_step_sets():
+        sizes.add(_fft_size(s))
+        expected = _loop_counts(s) if len(s) == 1 else _bincount_counts(s).tolist()
+        assert representation_counts(s).tolist() == expected, (len(s), s.modulus, s.max_element)
+    assert min(sizes) < intsets._FOUR_STEP_MIN <= max(sizes)
+
+
+def test_the_crossover_is_the_benchmarked_one():
+    record = json.loads((Path(__file__).resolve().parent.parent / "BENCH_intsets.json").read_text())
+    assert intsets._FOUR_STEP_MIN == record["crossover"]
+
+
+def test_one_count_of_a_2_21_profile_peaks_near_two_arrays():
+    # the transient memory of one count at N = 2^21: the spectrum and the
+    # irfft's output, each about 8N bytes, with the indicator and the
+    # float profile gone before the next array of that size is made
+    size = 1 << 21
+    rng = np.random.default_rng(21)
+    els = rng.choice(size // 2, 10000, replace=False)
+    s = IntSet.of([size // 2 - 1, *els.tolist()])
+    assert _fft_size(s) == size
+    tracemalloc.start()
+    try:
+        representation_counts(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * size, peak / (8 * size)
+
+
 @pytest.mark.parametrize("delta", [0.3, 1.0])
 def test_a_perturbed_fft_is_refused(monkeypatch, delta):
-    # 0.3 fails the rounding check; 1.0 rounds cleanly but breaks the k^2 total
+    # 0.3 fails the rounding check; 1.0 rounds cleanly but breaks the k^2
+    # total.  The large set takes the four-step, whose irfft is 2-D.
+    large = IntSet.of(range(0, 3 * intsets._FOUR_STEP_MIN // 2, 7))
+    assert _fft_size(large) >= intsets._FOUR_STEP_MIN
     irfft = np.fft.irfft
 
     def perturbed(*args, **kwargs):
         c = irfft(*args, **kwargs)
-        c[3] += delta
+        c.flat[3] += delta
         return c
 
     monkeypatch.setattr(np.fft, "irfft", perturbed)
+    for s in (IntSet.of([1, 2, 5, 7]), large):
+        with pytest.raises(ArithmeticError):
+            representation_counts(s)
+
+
+def test_a_flipped_twiddle_sign_is_refused(monkeypatch):
+    # conjugate twiddles both ways still give an integral profile with
+    # total k^2 on this set, with counts moved between sums; the first
+    # moment check refuses it
+    rng = np.random.default_rng(5)
+    s = IntSet.of(rng.choice(2 * intsets._FOUR_STEP_MIN, 3000, replace=False).tolist())
+    assert _fft_size(s) >= intsets._FOUR_STEP_MIN
+    assert representation_counts(s).tolist() == _bincount_counts(s).tolist()
+    twiddles = intsets._twiddles
+    monkeypatch.setattr(intsets, "_twiddles",
+                        lambda *args: tuple(w.conj() for w in twiddles(*args)))
     with pytest.raises(ArithmeticError):
-        representation_counts(IntSet.of([1, 2, 5, 7]))
+        representation_counts(s)
 
 
 int_sets = st.builds(

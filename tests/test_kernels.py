@@ -358,6 +358,25 @@ def test_rho_upper_is_above_every_lower_bound():
         assert rho_upper(g).upper_sq >= rho_lower(g).lower ** 2, g
 
 
+def test_rho_upper_is_above_the_monotone_lower_bound():
+    # g rho(g)^2 is nondecreasing in g, so rho(g)^2 >= (g'/g) L(g') for
+    # every g' <= g, with L(2) = 1/2, L(3) = 1/3 and L = rho_lower^2 on the
+    # even g' >= 4.  The least slack is at g = 5.
+    def known_lower_sq(g):
+        if g in (2, 3):
+            return 1 / g
+        return rho_lower(g).lower ** 2 if g % 2 == 0 else 0.0
+
+    best, slack = 0.0, {}  # best: max over g' <= g of g' L(g')
+    for g in range(2, 2001):
+        best = max(best, g * known_lower_sq(g))
+        if g != 3:
+            slack[g] = rho_upper(g).upper_sq - best / g
+    assert min(slack.values()) > 0
+    assert min(slack, key=slack.get) == 5
+    assert slack[5] == pytest.approx(0.3323, abs=1e-4)
+
+
 def test_rho_upper_stays_below_the_abstracts_1_31():
     # the abstract's R(g, n) < 1.31 sqrt(g n) as rho(g)^2 < 1.31^2.  Every
     # g <= 2000 that rho_upper accepts is below it; the largest value is
