@@ -3,16 +3,17 @@
 
     python3 scripts/bench_search.py [--out BENCH_search.json]
 
-A node is one candidate tried, in either engine, so nodes/s compares
+A node is one candidate tried, in every engine, so nodes/s compares
 engines as well as questions.  This script decides fixed questions
 (kind, g, n, k), all infeasible, serially:
 
-- modular (2, 47, 7), (2, 72, 9), (3, 53, 9) and (5, 27, 10), counting
-  engine; (5, 27, 10) is the infeasible n just below C(5, 10) = 28;
-- integer (4, 21, 10) and (3, 45, 10), counting engine;
+- modular (2, 47, 7), (2, 72, 9), (3, 53, 9) and (5, 27, 10), modular
+  mask engine; (5, 27, 10) is the infeasible n just below C(5, 10) = 28;
+- integer (4, 21, 10) and (3, 45, 10), integer counting engine;
 - integer (2, 55, 10) on both engines that can answer it: `exists_set`,
-  which takes the bitmask engine, and the counting engine's branches
-  called directly.  Both must return the same witness and nodes.
+  which takes the bitmask engine, and the integer counting engine's
+  branches called directly.  Both must return the same witness and
+  nodes.
 
 Each time is the median of REPEATS runs.  The script also streams the
 tables `bstar table --which R --max-k 10 --g-max 7` and
@@ -46,7 +47,7 @@ REPEATS = 3
 
 
 def counting_engine(n: int, k: int):
-    """(witness or None, nodes) of integer g = 2 on the counting engine.
+    """(witness or None, nodes) of integer g = 2 on the integer counting engine.
 
     A branch past the mirror rule's last second element is empty and
     costs no node, so running every second element gives the nodes of
@@ -54,7 +55,7 @@ def counting_engine(n: int, k: int):
     """
     last = search._last_candidates(2, k, n)
     budget = search._Budget(search.DEFAULT_BUDGET)
-    branches = (search._decide_counts("integer", 2, n, k, last, budget, second)
+    branches = (search._decide_counts_int(2, n, k, last, budget, second)
                 for second in range(2, last[1] + 1))
     witness = next(filter(None, branches), None)
     return witness, search.DEFAULT_BUDGET - budget.left - budget.reserve
@@ -68,9 +69,12 @@ def decide(case):
 def engines(case):
     """(engine, call) pairs that decide case; exists_set picks the first."""
     kind, g, n, k = case
-    if (kind, g) != ("integer", 2):
-        return [("counting", lambda: decide(case))]
-    return [("bitmask", lambda: decide(case)), ("counting", lambda: counting_engine(n, k))]
+    if kind == "modular":
+        return [("modular mask", lambda: decide(case))]
+    if g > 2:
+        return [("integer counting", lambda: decide(case))]
+    return [("bitmask", lambda: decide(case)),
+            ("integer counting", lambda: counting_engine(n, k))]
 
 
 def timed(call) -> dict:
@@ -96,7 +100,7 @@ def main() -> int:
             row = {"case": list(case), "engine": engine, **timed(call)}
             decisions.append(row)
             outcomes.add((str(row["witness"]), row["nodes"]))
-            print(f"{engine:8s} {case}: {row['nodes']:9d} nodes {row['seconds']:7.3f} s "
+            print(f"{engine:16s} {case}: {row['nodes']:9d} nodes {row['seconds']:7.3f} s "
                   f"{row['nodes_per_s']:10.0f} nodes/s", flush=True)
         if len(outcomes) != 1:
             raise AssertionError(f"the engines disagree on {case}: {outcomes}")

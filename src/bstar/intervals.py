@@ -153,8 +153,9 @@ def _autoconvolution(scale: int, grid: list[int], circle: bool) -> tuple[np.ndar
 
     The intervals must be disjoint.  m(sigma / scale) = r(sigma - 1) / scale,
     r the representation profile of the cell set, taken modulo scale on
-    the circle; the candidate sums are the support of the endpoints'
-    profile.  Both profiles are exact integer counts.
+    the circle, an exact integer count.  The candidate sums are the
+    (2k)^2 pair sums of the endpoints, reduced modulo scale on the circle,
+    found by one bincount.
     """
     points = np.asarray(grid, dtype=np.int64)
     edges = (np.bincount(points[0::2], minlength=scale + 1)
@@ -167,16 +168,19 @@ def _autoconvolution(scale: int, grid: list[int], circle: bool) -> tuple[np.ndar
     else:
         units = np.zeros(2 * scale + 1, dtype=np.int64)
         units[1:len(counts) + 1] = counts
-    sigmas = np.flatnonzero(representation_counts(IntSet.of(grid, modulus)))
+    sums = (points[:, None] + points).ravel()
+    sigmas = np.flatnonzero(np.bincount(sums % scale if circle else sums))
     return sigmas, units[sigmas]
 
 
 def _grid_pays(scale: int, k: int, circle: bool) -> bool:
     """The cost rule: the grid path runs for k intervals on the grid of step 1/scale.
 
-    The grid path costs O(L log L) plus two `representation_counts` calls'
-    fixed cost, and the sweep O(k^2 log k), twice that on the circle,
-    where it reads m at s and s + 1.  In BENCH_dee.json the sweep wins at
+    The grid path costs O(L log L) plus one `representation_counts` call's
+    fixed cost and an O(k^2) bincount, and the sweep O(k^2 log k), twice
+    that on the circle, where it reads m at s and s + 1.  In BENCH_dee.json
+    (recorded when the grid path made a second count for the candidate
+    sums, so its grid times are upper bounds) the sweep wins at
     every L for k <= 8, and from k = 10 the grid wins up to L = 4k^2 (the
     sweep's breakpoint count) on the line and up to 16k^2 on the circle.
     Its profile of length 2L + 1 must also fit the dense limit.

@@ -1,23 +1,32 @@
 """Exhaustive branch-and-bound search for extremal B*[g] sets.
 
-Two decision engines answer "is there a B*[g] set of size k inside
+Three decision engines answer "is there a B*[g] set of size k inside
 [1, n] (integer kind) or Z_n (modular kind)?":
 
-* a counting DFS, for every (kind, g): it keeps the dense
-  representation profile r(t), copied on each extension, and rejects a
-  candidate as soon as one of its sums would push some r(t) above g.
-  Sums are indexed (e + y) % length for both kinds, with length 2n + 1
-  for integers so that they never wrap.
-* integer g = 2 only: a bitmask DFS over Python big ints.  A candidate x
-  is blocked exactly when some pair sum x + y would collide with an
-  existing pair or diagonal sum, so the viable-extension mask is kept
-  incrementally with shifts.  It stays because it decides integer Sidon
-  questions about 1.8x faster than the counting DFS (n = 55, k = 10,
-  infeasible, both with the rules below and both 4,228,832 nodes: 1.3 s
-  against 2.4 s, CPython 3.11 on a shared 2-core x86 host,
-  scripts/bench_search.py).
-  A modular twin with rotations in place of shifts was no faster than
-  the counting DFS, so the modular kind has one engine.
+* modular mask engine: a counting DFS that keeps the dense
+  representation profile r(t), copied on each extension, and holds its
+  rejections as bit masks over Python big ints: the sums where no pair
+  fits any more, the candidates they block, and the canonical bans
+  below.  About one modular candidate in ten is accepted (DFS calls
+  against nodes: 903 of 10,984 at (g, n, k) = (2, 47, 7), 29,874 of
+  297,896 at (3, 53, 9)), so a level reads its candidates off one mask
+  and tests only their diagonal.
+* integer counting engine, for g >= 3: the same DFS as a range loop
+  that tests each candidate's sums against r(t), indexed by the sum
+  itself (length 2n + 1, so integer sums never wrap).  It accepts far
+  more of its candidates (54,976 of 252,244 at (3, 36, 10), 11,612 of
+  26,040 at (4, 21, 10)), and there the masks' work on each accepted
+  element does not pay: the mask engine, given an integer question as
+  the same question in Z_(2n - 1), where its sums do not wrap, spent
+  1.89 s against 1.15 s at (3, 45, 10), with the same nodes.
+* integer g = 2: a bitmask DFS.  A candidate x is blocked exactly when
+  some pair sum x + y would collide with an existing pair or diagonal
+  sum, so the viable-extension mask is kept incrementally with shifts.
+  It stays because it decides integer Sidon questions about 1.3x faster
+  than the integer counting engine (n = 55, k = 10, infeasible, both
+  with the rules below and both 4,228,832 nodes: 1.12 s against 1.43 s,
+  the least of 8 alternating runs, CPython 3.11 on a shared 2-core x86
+  host).
 
 Canonical form fixes the first element (1 for integer, 0 for modular;
 translation invariance makes this lossless), so the DFS yields the
@@ -25,11 +34,11 @@ lexicographically first witness.  A decision is one loop over the
 branches, one per second element in increasing order, in-process or in
 a process pool; it stops at the first witness, and its nodes and its
 budget are those of the branches it consumed, in either mode.  A node
-is one candidate tried, in both engines, whichever test rejects it.
+is one candidate tried, in every engine, whichever test rejects it.
 
 Three rules prune the DFS:
 
-* suffix span floors (both kinds, both engines).  A subset of a B*[g]
+* suffix span floors (both kinds, every engine).  A subset of a B*[g]
   set is B*[g], and a modular set read as integers in [0, n - 1] is an
   integer one, so the last m elements of a k-set span at least
   fl[m] - 1 with fl[m] = infeasibility_floor("integer", g, m).  With
@@ -37,7 +46,7 @@ Three rules prune the DFS:
   e <= top + 1 - fl[k - depth], where top is the largest admissible
   element (n, or n - 1 for the modular kind).
   This is the sub-ruler bound of optimal Golomb-ruler searches.
-* a mirror rule (both kinds, both engines, every search), as in
+* a mirror rule (both kinds, every engine, every search), as in
   optimal Golomb-ruler searches (Shearer 1990).  x -> S[0] + S[-1] - x
   maps a B*[g] set to a B*[g] set on the same range with its gap
   sequence reversed, so the DFS keeps only sets whose first gap
@@ -71,8 +80,10 @@ Three rules prune the DFS:
     and the DFS takes third elements in increasing order, finishing each
     one's subtree first, so a branch grows one table of them as t rises
     (_pair_bans) in place of building one for each t.
-  The bans are one bytes table per level, so the rule costs one lookup
-  per candidate.  L passes the span floors, and the mirror rule too:
+  The bans are one-bit-per-residue int masks: each accepted element ORs
+  in its own, shifted to its position, and a level's candidates are read
+  off the mask with the blocked ones, so the rule costs nothing per
+  candidate.  L passes the span floors, and the mirror rule too:
   x -> -x is in the group, so L's first gap is at most its last.
 
 The mirror rule keeps the lexicographically first witness W: W's
@@ -273,7 +284,7 @@ def _decide_sidon_int(k: int, last: list[int], budget: _Budget, second: int):
     future elements.  The branch fixes the second element; last is
     _last_candidates(2, k, n), narrowed by the mirror rule to sets whose
     last gap is at least their first, d1 = second - 1.  Nodes are charged
-    as in _decide_counts, one per candidate of the range, blocked or not,
+    as in _decide_counts_int, one per candidate of the range, blocked or not,
     so both engines count the same nodes on the same question.
     """
     d1 = second - 1
@@ -318,20 +329,85 @@ def _decide_sidon_int(k: int, last: list[int], budget: _Budget, second: int):
 
 
 # ---------------------------------------------------------------------------
-# counting engine
+# integer counting engine
 # ---------------------------------------------------------------------------
 
-def _third_element_bans(n: int) -> bytes:
-    """ban[t] = 1 when {0, 1, t} has an affine image below it, t in [2, n).
+def _decide_counts_int(g: int, n: int, k: int, last: list[int], budget: _Budget,
+                       second: int):
+    """Keep the profile r(t); reject a candidate whose sums would exceed g.
+
+    Integers in [1, n] have sums in [2, 2n], so r has length 2n + 1 and
+    is indexed by the sum itself.  A pair adds 2 to r and a diagonal adds
+    1; pair sums of the new element never meet each other or its
+    diagonal, so each is tested against the profile before the element
+    arrived.  An accepted candidate extends a copy of the profile, so
+    nothing is undone.  The branch fixes the second element; last is
+    _last_candidates(g, k, n), narrowed by the mirror rule to sets whose
+    last gap is at least their first, d1 = second - 1.
+
+    Every candidate is one node, charged in runs: the candidates up to an
+    accepted one before its subtree, the rest of the range when the loop
+    ends.  The charges come in the same order as one node per candidate
+    would, so the count and the point where the budget runs out are the
+    same.  exists_set takes _decide_sidon_int for g = 2; this engine
+    answers g = 2 as well, and the tests hold the two to the same
+    witnesses and nodes.
+    """
+    cap = g - 2  # a pair fits only where r[t] <= g - 2
+    d1 = second - 1
+    last = _mirror_caps(last, d1)
+    charge = budget.charge
+
+    def rec(S, r, depth):
+        if depth == k:
+            return tuple(S)
+        hi = last[depth]
+        if depth == 1:
+            lo, hi = second, min(second, hi)
+        else:
+            lo = S[-1] + (d1 if depth == k - 1 else 1)
+        charged = lo  # the candidates below charged are paid for
+        for e in range(lo, hi + 1):
+            d = 2 * e
+            if r[d] >= g:
+                continue
+            for y in S:
+                if r[e + y] > cap:
+                    break
+            else:  # every sum of e fits: pay up to e, extend a copy, recurse
+                charge(e + 1 - charged)
+                charged = e + 1
+                r2 = r[:]
+                r2[d] += 1
+                for y in S:
+                    r2[e + y] += 2
+                out = rec(S + [e], r2, depth + 1)
+                if out is not None:
+                    return out
+        if hi >= charged:
+            charge(hi + 1 - charged)
+        return None
+
+    r = bytearray(2 * n + 1)
+    r[2] = 1
+    return rec([1], r, 1)
+
+
+# ---------------------------------------------------------------------------
+# modular mask engine
+# ---------------------------------------------------------------------------
+
+def _third_element_bans(n: int) -> int:
+    """Mask of the t in [2, n) for which {0, 1, t} has an affine image below it.
 
     For each ordered pair (a, b) of the triple with b - a a unit, the map
     x -> (x - a)(b - a)^-1 sends a, b to 0, 1 and the third element c to
     v = (c - a)(b - a)^-1; the image starts 0, 1, v, so v < t puts it
     below (0, 1, t).
     """
-    return bytes(t > 1 and any(gcd(b - a, n) == 1 and (c - a) * pow(b - a, -1, n) % n < t
-                               for a, b, c in itertools.permutations((0, 1, t)))
-                 for t in range(n))
+    return sum(1 << t for t in range(2, n)
+               if any(gcd(b - a, n) == 1 and (c - a) * pow(b - a, -1, n) % n < t
+                      for a, b, c in itertools.permutations((0, 1, t))))
 
 
 def _pair_bans(n: int) -> Generator[list[int], int, None]:
@@ -345,10 +421,8 @@ def _pair_bans(n: int) -> Generator[list[int], int, None]:
     p + x when d = v x (the pair is a, c; the new element b = a + x),
     p - x when d = (v - 1) x (the pair is b, c; the new element a = b - x),
     and bans[d] also holds what (p + d, p) rules out, shifted by d.
-    A mask holds residue o as the byte 1 at bit 8 o, so that to_bytes
-    turns it into a table.  It holds the offsets from p twice, at o and
-    n + o, so bans[d] >> 8 (n - p) has the banned residues at their own
-    bytes below n.
+    A mask holds each offset o from p twice, at bits o and n + o, so
+    bans[d] >> n - p has the banned residues at their own bits below n.
 
     The table for t is the union of what each v < t contributes, so one
     table grows with t: the generator first yields the table for t = 2
@@ -357,7 +431,7 @@ def _pair_bans(n: int) -> Generator[list[int], int, None]:
     list, extended in place.
     """
     units = [x for x in range(1, n) if gcd(x, n) == 1]
-    at = [(1 | 1 << 8 * n) << 8 * o for o in range(n)]  # o and n + o
+    at = [(1 | 1 << n) << o for o in range(n)]  # o and n + o
     bans = [0] * n
     grown = 2  # the table holds every v below grown
     while True:
@@ -375,59 +449,45 @@ def _pair_bans(n: int) -> Generator[list[int], int, None]:
         grown = t
 
 
-def _doubled_mask(n: int, residues) -> int:
-    """The residues as bytes 1 at bits 8 o and 8 (n + o)."""
-    mask = sum(1 << 8 * o for o in residues)
-    return mask | mask << 8 * n
+def _decide_modular(g: int, n: int, k: int, last: list[int], budget: _Budget,
+                    second: int, canonical: bool = False):
+    """The counting DFS in Z_n, with the rejections kept as bit masks.
 
+    r(t) is kept as a bytearray for the exact counts, copied on each
+    extension.  sat holds the sums with r(t) > g - 2, where no pair sum
+    fits, doubled at bits t and n + t, so sat >> y has bit e set exactly
+    when r((e + y) mod n) is full.  B, the candidates that some placed y
+    blocks, is OR_y sat >> y; an accepted e extends it from the newly
+    full sums only, B | sat >> e | OR_y new >> y.  The candidates of a
+    level are the set bits of ~(B | ban) in [lo, hi], and only the
+    diagonal test r(2e mod n) >= g is made for each.  Nodes are charged
+    in runs, as in _decide_counts_int: one per candidate of the range,
+    whether a mask or the diagonal test rejects it.  The branch fixes the
+    second element; last is _last_candidates(g, k, n - 1), narrowed by
+    the mirror rule with d1 = second.
 
-def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _Budget,
-                   second: int, canonical: bool = False):
-    """Keep the profile r(t); reject a candidate whose sums would exceed g.
-
-    Both kinds index sums as (e + y) % length.  The integer kind uses
-    length 2n + 1, so its sums never wrap and the same loop serves both.
-    A pair adds 2 to r and a diagonal adds 1; pair sums of the new
-    element never meet each other or its diagonal, so each is tested
-    against the profile before the element arrived.  An accepted
-    candidate extends a copy of the profile, so nothing is undone.  The
-    branch fixes the second element; last is _last_candidates(g, k, top),
-    narrowed by the mirror rule to sets whose last gap is at least their
-    first, d1 = second - first.
-
-    Every candidate is one node, charged in runs: the candidates up to an
-    accepted one before its subtree, the rest of the range when the loop
-    ends.  The charges come in the same order as one node per candidate
-    would, so the count and the point where the budget runs out are the
-    same.
-
-    A candidate e with ban[e] set is rejected before its sums are tested.
-    Without canonical, ban stays all zero.  With canonical (modular kind
-    only) it holds the residues that the affine canonical rule rules out
-    for the next element, and each accepted element adds its own: in a
-    branch with second > 1, every e + o with gcd(o, n) < second; in the
-    branch second = 1, the triple test on {0, 1, t} while the third
-    element t is chosen, then the pair bans of each new ordered pair,
-    from one _pair_bans table that the branch extends to each t it
-    accepts.  The bans are ORed as integer masks and read back as bytes.
-    That rule only decides: at a feasible n, exists_set runs the search
-    again without it for the lexicographically first witness.
+    ban is 0 without canonical.  With canonical it holds the residues
+    that the affine canonical rule rules out for the next element, and
+    each accepted element adds its own: in a branch with second > 1,
+    every e + o with gcd(o, n) < second; in the branch second = 1, the
+    triple test on {0, 1, t} while the third element t is chosen, then
+    the pair bans of each new ordered pair, from one _pair_bans table
+    that the branch extends to each t it accepts.  That rule only
+    decides: at a feasible n, exists_set runs the search again without
+    it for the lexicographically first witness.
     """
-    length = n if kind == "modular" else 2 * n + 1
-    first = 0 if kind == "modular" else 1
     cap = g - 2  # a pair fits only where r[t] <= g - 2
-    d1 = second - first
-    last = _mirror_caps(last, d1)
+    last = _mirror_caps(last, second)
     charge = budget.charge
+    at = [(1 | 1 << n) << t for t in range(n)]  # t and n + t
     mark = None  # (S, e, ban) -> the bans after e joins S; None keeps ban as it is
-    ban = bytes(n + 1)
+    ban = 0
 
     if canonical and second > 1:
-        coarse = _doubled_mask(n, [o for o in range(1, n) if gcd(o, n) < second])
+        coarse = sum(at[o] for o in range(1, n) if gcd(o, n) < second)
 
         def mark(S, e, ban):
-            mask = int.from_bytes(ban, "little") | coarse >> 8 * (n - e)
-            return mask.to_bytes(2 * n, "little")
+            return ban | coarse >> n - e
 
         ban = mark(None, 0, ban)
     elif canonical:
@@ -439,50 +499,60 @@ def _decide_counts(kind: str, g: int, n: int, k: int, last: list[int], budget: _
                 return ban
             if len(S) == 2:  # t = e: the earlier t's subtrees are done, so grow to e
                 grow.send(e)
-                mask = bans[1] >> 8 * n
-            else:
-                mask = int.from_bytes(ban, "little")
+                ban = bans[1] >> n
             for y in S:
-                mask |= bans[(e - y) % n] >> 8 * (n - y)
-            return mask.to_bytes(2 * n, "little")
+                ban |= bans[e - y] >> n - y
+            return ban
 
         ban = _third_element_bans(n)
 
-    def rec(S, r, depth, ban):
+    def rec(S, r, sat, B, ban, depth):
         if depth == k:
             return tuple(S)
         hi = last[depth]
         if depth == 1:
             lo, hi = second, min(second, hi)
         else:
-            lo = S[-1] + (d1 if depth == k - 1 else 1)
+            lo = S[-1] + (second if depth == k - 1 else 1)
+        if lo > hi:
+            return None
+        cand = ~(B | ban) & ((1 << hi + 1) - 1) & -(1 << lo)
         charged = lo  # the candidates below charged are paid for
-        for e in range(lo, hi + 1):
-            if ban[e]:
-                continue
-            d = 2 * e % length
+        while cand:
+            lsb = cand & -cand
+            e = lsb.bit_length() - 1
+            cand ^= lsb
+            d = 2 * e - n if 2 * e >= n else 2 * e
             if r[d] >= g:
                 continue
+            # every sum of e fits: pay up to e, extend copies, recurse
+            charge(e + 1 - charged)
+            charged = e + 1
+            r2 = r[:]
+            r2[d] += 1
+            new = at[d] if r2[d] > cap else 0
             for y in S:
-                if r[(e + y) % length] > cap:
-                    break
-            else:  # every sum of e fits: pay up to e, extend a copy, recurse
-                charge(e + 1 - charged)
-                charged = e + 1
-                r2 = r[:]
-                r2[d] += 1
+                t = e + y - n if e + y >= n else e + y
+                r2[t] += 2
+                if r2[t] > cap:
+                    new |= at[t]
+            sat2 = sat | new
+            B2 = B | sat2 >> e
+            if new:
                 for y in S:
-                    r2[(e + y) % length] += 2
-                out = rec(S + [e], r2, depth + 1, ban if mark is None else mark(S, e, ban))
-                if out is not None:
-                    return out
+                    B2 |= new >> y
+            out = rec(S + [e], r2, sat2, B2, ban if mark is None else mark(S, e, ban),
+                      depth + 1)
+            if out is not None:
+                return out
         if hi >= charged:
             charge(hi + 1 - charged)
         return None
 
-    r = bytearray(length)
-    r[2 * first] = 1
-    return rec([first], r, 1, ban)
+    r = bytearray(n)
+    r[0] = 1
+    sat = at[0] if 1 > cap else 0
+    return rec([0], r, sat, sat, ban, 1)  # B = sat >> 0 for S = [0]
 
 
 def _branch(args):
@@ -490,10 +560,12 @@ def _branch(args):
     kind, g, n, k, last, second, limit, canonical = args
     budget = _Budget(limit)
     try:
-        if g == 2 and kind == "integer":
+        if kind == "modular":
+            witness = _decide_modular(g, n, k, last, budget, second, canonical)
+        elif g == 2:
             witness = _decide_sidon_int(k, last, budget, second)
         else:
-            witness = _decide_counts(kind, g, n, k, last, budget, second, canonical)
+            witness = _decide_counts_int(g, n, k, last, budget, second)
     except BudgetExceeded:
         return None, limit + 1
     except _Stopped:

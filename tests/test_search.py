@@ -14,9 +14,11 @@ from bstar.search import (
     BudgetExceeded,
     SearchProblem,
     _Budget,
-    _decide_counts,
+    _decide_counts_int,
+    _decide_modular,
     _decide_sidon_int,
     _last_candidates,
+    _mirror_caps,
     _pair_bans,
     _search,
     _third_element_bans,
@@ -208,7 +210,7 @@ def test_budget_means_the_same_with_workers():
 
 
 def test_budget_boundary_inside_a_run():
-    # the counting engine charges its candidates in runs; every budget
+    # the engines charge their candidates in runs; every budget
     # below a decision's nodes must still run out, wherever it falls in
     # a run of rejected candidates, and the exact count must pass.  The
     # counts are one node per candidate tried.
@@ -302,7 +304,7 @@ def test_bitmask_engine_matches_counting_engine_witnesses():
         for k in (3, 4, 5):
             fast = exists_set("integer", 2, n, k)
             last = _last_candidates(2, k, n)
-            branches = [spent(_decide_counts, "integer", 2, n, k, last, second=second)
+            branches = [spent(_decide_counts_int, 2, n, k, last, second=second)
                         for second in range(2, n + 1)]
             for second, slow in enumerate(branches, 2):
                 assert spent(_decide_sidon_int, k, last, second=second) == slow, (n, k, second)
@@ -386,7 +388,7 @@ def test_mirror_and_canonical_rules_match_a_floors_only_search():
                     if kind == "integer":
                         if g == 2:
                             last = _last_candidates(g, k, n)
-                            branches = (_decide_counts(*case, last, _Budget(10**9), second)
+                            branches = (_decide_counts_int(g, n, k, last, _Budget(10**9), second)
                                         for second in range(2, last[1] + 1))
                             assert next(filter(None, branches), None) == reference, case
                         continue
@@ -397,8 +399,8 @@ def test_mirror_and_canonical_rules_match_a_floors_only_search():
                     pairs = itertools.combinations(w, 2)
                     assert all(gcd(b - a, n) >= w[1] for a, b in pairs), case
                     assert w[1] - w[0] <= w[-1] - w[-2], case
-    # the rules prune in every engine: the bitmask one (integer g = 2) and
-    # the counting one on either kind.  Each bound sits just above the
+    # the rules prune in every engine: the bitmask one (integer g = 2),
+    # the integer counting one and the modular mask one.  Each bound sits just above the
     # share spent today (0.643, 0.552, 0.0256, 0.0967 of the floors-only
     # nodes), so a cap one looser or a rule left out of an engine fails.
     most = {("integer", True): 0.65, ("integer", False): 0.56,
@@ -446,8 +448,8 @@ def test_canonical_decision_matches_brute_force():
 def pair_bans_from_scratch(n, t):
     """The pair bans for third element t, built for this t alone: the
     offsets that each v in [2, t) and unit x give the ordered pair
-    (p, p + d), then those of (p + d, p) shifted by d, as byte masks
-    holding each residue o at bits 8 o and 8 (n + o)."""
+    (p, p + d), then those of (p + d, p) shifted by d, as masks holding
+    each residue o at bits o and n + o."""
     units = [x for x in range(1, n) if gcd(x, n) == 1]
     offs = [set() for _ in range(n)]
     for v in range(2, t):
@@ -458,9 +460,113 @@ def pair_bans_from_scratch(n, t):
     bans = []
     for d in range(n):
         residues = offs[d] | {(o + d) % n for o in offs[n - d]} if d else set()
-        mask = sum(1 << 8 * o for o in residues)
-        bans.append(mask | mask << 8 * n)
+        mask = sum(1 << o for o in residues)
+        bans.append(mask | mask << n)
     return bans
+
+
+@functools.lru_cache(maxsize=None)
+def byte_pair_bans(n, t):
+    """pair_bans_from_scratch(n, t) as byte masks: bit o moved to bit 8 o."""
+    return [sum(1 << 8 * o for o in range(2 * n) if mask >> o & 1)
+            for mask in pair_bans_from_scratch(n, t)]
+
+
+def byte_table_branch(g, n, k, last, budget, second, canonical=False):
+    """A modular branch as a range loop over a byte table of bans.
+
+    The reference for _decide_modular: it tests each candidate of the
+    range in turn, a ban byte first, then its diagonal and pair sums
+    against r(t) indexed (e + y) % n, and charges nodes in the same runs.
+    With canonical, each level's bans are a bytes table: the gcd test of
+    a branch with second > 1, the triple test while the third element t
+    is chosen, then the pair bans of pair_bans_from_scratch(n, t) for
+    every pair placed, read back from integer masks with to_bytes.
+    """
+    cap = g - 2
+    last = _mirror_caps(last, second)
+    charge = budget.charge
+    mark = None
+    ban = bytes(n)
+    if canonical and second > 1:
+        coarse = {o for o in range(1, n) if gcd(o, n) < second}
+
+        def mark(S, e, ban):
+            return bytes(ban[x] or (x - e) % n in coarse for x in range(n))
+
+        ban = mark(None, 0, ban)
+    elif canonical:
+        def mark(S, e, ban):
+            if len(S) == 1:
+                return ban
+            if len(S) == 2:
+                bans = byte_pair_bans(n, e)
+                mask = bans[1] >> 8 * n
+            else:
+                bans = byte_pair_bans(n, S[2])
+                mask = int.from_bytes(ban, "little")
+            for y in S:
+                mask |= bans[(e - y) % n] >> 8 * (n - y)
+            return mask.to_bytes(2 * n, "little")
+
+        ban = bytes(t > 1 and any(gcd(b - a, n) == 1 and (c - a) * pow(b - a, -1, n) % n < t
+                                  for a, b, c in itertools.permutations((0, 1, t)))
+                    for t in range(n))
+
+    def rec(S, r, depth, ban):
+        if depth == k:
+            return tuple(S)
+        hi = last[depth]
+        if depth == 1:
+            lo, hi = second, min(second, hi)
+        else:
+            lo = S[-1] + (second if depth == k - 1 else 1)
+        charged = lo
+        for e in range(lo, hi + 1):
+            if ban[e]:
+                continue
+            d = 2 * e % n
+            if r[d] >= g:
+                continue
+            for y in S:
+                if r[(e + y) % n] > cap:
+                    break
+            else:
+                charge(e + 1 - charged)
+                charged = e + 1
+                r2 = r[:]
+                r2[d] += 1
+                for y in S:
+                    r2[(e + y) % n] += 2
+                out = rec(S + [e], r2, depth + 1, ban if mark is None else mark(S, e, ban))
+                if out is not None:
+                    return out
+        if hi >= charged:
+            charge(hi + 1 - charged)
+        return None
+
+    r = bytearray(n)
+    r[0] = 1
+    return rec([0], r, 1, ban)
+
+
+def test_mask_engine_matches_the_byte_table_loop():
+    # every modular branch, with and without the canonical rule, returns
+    # the byte-table loop's witness and nodes, and one node less of budget
+    # runs out in both
+    for n, k in SMALL_MODULAR:
+        for g in range(2, 6):
+            last = _last_candidates(g, k, n - 1)
+            for canonical in (False, True):
+                for second in range(1, last[1] + 1):
+                    case = (g, n, k, last)
+                    kwargs = {"second": second, "canonical": canonical}
+                    reference = spent(byte_table_branch, *case, **kwargs)
+                    assert spent(_decide_modular, *case, **kwargs) == reference, (case, kwargs)
+                    if reference[1]:
+                        for decide in (byte_table_branch, _decide_modular):
+                            with pytest.raises(BudgetExceeded):
+                                decide(*case, _Budget(reference[1] - 1), **kwargs)
 
 
 def test_grown_pair_bans_match_a_table_built_for_each_t():
@@ -490,8 +596,8 @@ def test_least_affine_images_pass_the_canonical_rule():
         branches = {(g, L[1]) for L, rep in least_images(n, k).items() for g in range(rep, 5)}
         for g, second in branches:
             last = _last_candidates(g, k, n - 1)
-            assert _decide_counts("modular", g, n, k, last, _Budget(10**9), second,
-                                  canonical=True) is not None, (g, n, k, second)
+            assert _decide_modular(g, n, k, last, _Budget(10**9), second,
+                                   canonical=True) is not None, (g, n, k, second)
         for L in least_images(n, k):
             s, t = L[1], L[2]
             assert n % s == 0, (n, L)
@@ -501,12 +607,38 @@ def test_least_affine_images_pass_the_canonical_rule():
             assert all((c - a) * pow(b - a, -1, n) % n >= t
                        for a, b in itertools.permutations(L, 2) if gcd(b - a, n) == 1
                        for c in L if c not in (a, b)), (n, L)
-            assert not _third_element_bans(n)[t], (n, L)
+            assert not _third_element_bans(n) >> t & 1, (n, L)
             grow = _pair_bans(n)
             next(grow)
             bans = grow.send(t)
             for j in range(3, k):
                 banned = 0
                 for p, q in itertools.combinations(L[:j], 2):
-                    banned |= bans[q - p] >> 8 * (n - p)
-                assert not banned >> 8 * L[j] & 1, (n, L, j)
+                    banned |= bans[q - p] >> n - p
+                assert not banned >> L[j] & 1, (n, L, j)
+    # positive control: after a prefix (0, 1, t) that passes the triple
+    # test, the pair bans hold exactly the c > t for which a triple of
+    # (0, 1, t, c) holding c maps an ordered pair with a unit difference to
+    # 0, 1 and its third element below t, and each such prefix has an
+    # affine image below it
+    controls = 0
+    for n in (13, 16, 17, 18):
+        triple = _third_element_bans(n)
+        grow = _pair_bans(n)
+        next(grow)
+        for t in range(2, n - 1):
+            if triple >> t & 1:
+                continue
+            bans = grow.send(t)
+            banned = 0
+            for p, q in itertools.combinations((0, 1, t), 2):
+                banned |= bans[q - p] >> n - p
+            for c in range(t + 1, n):
+                P = (0, 1, t, c)
+                below = any(gcd(b - a, n) == 1 and (w - a) * pow(b - a, -1, n) % n < t
+                            for a, b, w in itertools.permutations(P, 3) if c in (a, b, w))
+                assert bool(banned >> c & 1) == below, (n, P)
+                if below:
+                    assert least_affine_image(P, n) < P, (n, P)
+                    controls += 1
+    assert controls, "no prefix was banned"
