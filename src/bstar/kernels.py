@@ -80,6 +80,47 @@ _BERNOULLI_2J = (
 _HURWITZ_LEAD_TERMS = 10  # summed directly before the Euler-Maclaurin tail
 
 
+# Values of a per block: a block's six arrays (its j, arguments, result
+# and three work rows, 128 KiB each) stay in a core's L2 cache through
+# the ~30 elementwise passes of one evaluation.  BENCH_kernels.json's
+# sweep of the size is flat from 2^14 to 2^16; 2^11 costs a third more.
+_HURWITZ_BLOCK = 1 << 14
+
+
+def _euler_maclaurin_coefficients(s: float) -> list[float]:
+    """c_j = B_2j / (2j)! * s (s+1) ... (s+2j-2), j = 1..10."""
+    return [b2j / math.factorial(2 * j) * math.prod(s + i for i in range(2 * j - 1))
+            for j, b2j in enumerate(_BERNOULLI_2J, start=1)]
+
+
+def _hurwitz_block(s: float, coeffs: list[float], a: np.ndarray, out: np.ndarray,
+                   work: np.ndarray) -> None:
+    """zeta(s, a) into out for one block of a, through the three rows of work.
+
+    tail = (N+a)^-s [(N+a)/(s-1) + 1/2 + sum_j c_j (N+a)^(1-2j)], its
+    Bernoulli terms one polynomial in (N+a)^-2 evaluated by Horner's rule.
+    """
+    term, na, tail = work
+    np.power(a, -s, out=out)  # the k = 0 lead term
+    for k in range(1, _HURWITZ_LEAD_TERMS):
+        np.add(a, k, out=term)
+        out += np.power(term, -s, out=term)
+    np.add(a, float(_HURWITZ_LEAD_TERMS), out=na)
+    x = np.reciprocal(na, out=term)
+    x *= x
+    tail.fill(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        tail *= x
+        tail += c
+    u = np.power(na, -s, out=term)  # x is spent: its buffer takes (N+a)^-s
+    tail /= na
+    tail += 0.5
+    na /= s - 1.0
+    tail += na
+    tail *= u
+    out += tail
+
+
 def _hurwitz_array(s: float, a: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin zeta(s, a) for s > 1 and a vector of a > 0.
 
@@ -87,32 +128,19 @@ def _hurwitz_array(s: float, a: np.ndarray) -> np.ndarray:
     obeys |R| <= 4 (s)_2M / (2 pi)^2M * (N+a)^(1-s-2M) / (s+2M-1)
     (F. Johansson, Numer. Algorithms 69 (2015), Thm 1), at most 1.15e-18
     for every s > 1.  On 0 < a <= 1, zeta(s, a) >= a^-s >= 1, so that is
-    far below one ulp.  The Bernoulli terms are one polynomial in
-    (N+a)^-2, evaluated by Horner's rule in place.
+    far below one ulp.  The vector is evaluated _HURWITZ_BLOCK values at a
+    time, each block through the same sequence of elementwise operations
+    on block-sized buffers, so every entry gets the same arithmetic and
+    none depends on its block, its place in it or the vector's length.
     """
     a = np.asarray(a, dtype=float)
-    total = np.zeros_like(a)
-    for k in range(_HURWITZ_LEAD_TERMS):  # one row at a time: no terms-by-len(a) temporary
-        total += (k + a) ** (-s)
-    # tail = (N+a)^-s [(N+a)/(s-1) + 1/2 + sum_j c_j (N+a)^(1-2j)],
-    # c_j = B_2j / (2j)! * s (s+1) ... (s+2j-2)
-    coeffs = [b2j / math.factorial(2 * j) * math.prod(s + i for i in range(2 * j - 1))
-              for j, b2j in enumerate(_BERNOULLI_2J, start=1)]
-    na = a + float(_HURWITZ_LEAD_TERMS)
-    x = np.reciprocal(na)
-    x *= x
-    tail = np.full_like(a, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        tail *= x
-        tail += c
-    u = np.power(na, -s, out=x)  # x is spent: its buffer takes (N+a)^-s
-    tail /= na
-    tail += 0.5
-    na /= s - 1.0
-    tail += na
-    tail *= u
-    total += tail
-    return total
+    out = np.empty_like(a)
+    coeffs = _euler_maclaurin_coefficients(s)
+    work = np.empty((3, min(len(a), _HURWITZ_BLOCK)))
+    for lo in range(0, len(a), _HURWITZ_BLOCK):
+        hi = min(lo + _HURWITZ_BLOCK, len(a))
+        _hurwitz_block(s, coeffs, a[lo:hi], out[lo:hi], work[:, :hi - lo])
+    return out
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
@@ -172,7 +200,10 @@ class PiecewiseLinearKernel:
     coefficients and, per exponent p, the weighted period
     w(j) = |C(j mod 4T)|^p zeta(2p, j/(4T)) for j = 1 .. 4T+1, whose
     slices sum to its tail norms from n = 0, 1 and 2; so the zeta table
-    is computed once per kernel and p.  Both caches are fixed by y, so the
+    is computed once per kernel and p.  It is evaluated _HURWITZ_BLOCK
+    values of j at a time, so the weights are the only array of their
+    length that it makes, and every weight is the one a whole-period
+    evaluation gives, bit for bit.  Both caches are fixed by y, so the
     kernel keeps its own read-only copy of it.
     """
 
@@ -243,15 +274,30 @@ class PiecewiseLinearKernel:
         """
         period = 4 * self.T
         if start > 2:
-            return self._weights_at(p, np.arange(start, start + period))
+            return self._weights_at(p, start, period)
         if p not in self._weights:
-            self._weights[p] = self._weights_at(p, np.arange(1, period + 2))
+            self._weights[p] = self._weights_at(p, 1, period + 1)
         return self._weights[p][start - 1:start - 1 + period]
 
-    def _weights_at(self, p: float, js: np.ndarray) -> np.ndarray:
-        """|C(j mod 4T)|^p zeta(2p, j/(4T)) for j >= 1."""
-        weights = _hurwitz_array(2.0 * p, js / (4.0 * self.T))
-        weights *= np.abs(np.take(self.normalized_coefficients(), js, mode="wrap")) ** p
+    def _weights_at(self, p: float, start: int, count: int) -> np.ndarray:
+        """|C(j mod 4T)|^p zeta(2p, j/(4T)) for j = start .. start+count-1, start >= 1.
+
+        One block of j at a time: its arguments j/(4T), its zeta values
+        and its |C(j)|^p stay in the block's buffers, and only the
+        weights fill a count-long array.
+        """
+        s, scale, c = 2.0 * p, 4.0 * self.T, self.normalized_coefficients()
+        coeffs = _euler_maclaurin_coefficients(s)
+        weights = np.empty(count)
+        size = min(count, _HURWITZ_BLOCK)
+        a, work = np.empty(size), np.empty((3, size))
+        for lo in range(0, count, _HURWITZ_BLOCK):
+            m = min(_HURWITZ_BLOCK, count - lo)
+            j = np.arange(start + lo, start + lo + m)
+            out = weights[lo:lo + m]
+            _hurwitz_block(s, coeffs, np.divide(j, scale, out=a[:m]), out, work[:, :m])
+            cp = np.take(c, j, mode="wrap", out=work[0, :m])
+            out *= np.power(np.abs(cp, out=cp), p, out=cp)
         return weights
 
 

@@ -54,7 +54,7 @@ Three rules prune the DFS:
   last element starts at S[-1] + d1, and for m = k - depth >= 2 the
   m - 1 elements from e to the last but one span at least fl[m - 1] - 1,
   so e <= top + 1 - fl[m - 1] - d1.
-* an affine canonical rule (modular kind, decision pass only), after
+* an affine canonical rule (modular kind), after
   orderly generation (R. C. Read, "Every one a winner", 1978; B. D.
   McKay, "Isomorph-free exhaustive generation", 1998).  x -> u (x - a)
   mod n, with u a unit, maps B*[g] sets to B*[g] sets, so a decision
@@ -89,12 +89,11 @@ Three rules prune the DFS:
 The mirror rule keeps the lexicographically first witness W: W's
 reflection is a witness with the same first element whose second
 element is S[0] plus W's last gap, so W's first gap is at most its last
-gap and the DFS still meets W first.  The canonical rule does change
-which witness comes first (L need not be W), so it only decides: when a
-modular decision finds a witness, the search runs again at that n
-without it and returns the lexicographically first one.  The node count
-of a feasible modular n is the sum of both searches; an integer
-decision runs once.
+gap and the DFS still meets W first.  The canonical rule keeps W too:
+every image of W that contains 0 is itself a witness, so it is not
+below W, and W is the least member of its own orbit.  The DFS runs in
+lexicographic order, so it meets W before any other canonical witness,
+and one search returns the lexicographically first witness.
 
 min_n uses that integer feasibility is monotone in n (a witness inside
 [1, n] also fits in [1, n + 1]).  It decides n_limit and then descends:
@@ -472,9 +471,8 @@ def _decide_modular(g: int, n: int, k: int, last: list[int], budget: _Budget,
     every e + o with gcd(o, n) < second; in the branch second = 1, the
     triple test on {0, 1, t} while the third element t is chosen, then
     the pair bans of each new ordered pair, from one _pair_bans table
-    that the branch extends to each t it accepts.  That rule only
-    decides: at a feasible n, exists_set runs the search again without
-    it for the lexicographically first witness.
+    that the branch extends to each t it accepts.  That rule keeps the
+    lexicographically first witness, the least member of its orbit.
     """
     cap = g - 2  # a pair fits only where r[t] <= g - 2
     last = _mirror_caps(last, second)
@@ -635,10 +633,8 @@ def exists_set(kind: str, g: int, n: int, k: int,
     the answer, the node count and the budget's outcome are independent
     of scheduling.  Every search keeps one reflection of each set, which
     still meets the lexicographically first witness first.  The modular
-    kind decides on the least member of each affine orbit and, when it
-    finds one, runs the search again without that rule for the
-    lexicographically first witness with what is left of the budget;
-    nodes counts both searches.
+    kind searches only the least member of each affine orbit, which the
+    lexicographically first witness is.
     """
     if g < 1 or k < 1 or n < 1:
         raise ValueError("g, n, k must be positive")
@@ -653,12 +649,7 @@ def exists_set(kind: str, g: int, n: int, k: int,
         return Decision(IntSet.of([first], modulus), 0)
 
     witness, nodes = _search(kind, g, n, k, budget, workers, canonical=kind == "modular")
-    if witness is None:
-        return Decision(None, nodes)
-    if kind == "modular":
-        witness, plain = _search(kind, g, n, k, budget - nodes, workers, canonical=False)
-        nodes += plain
-    return Decision(IntSet.of(witness, modulus), nodes)
+    return Decision(None if witness is None else IntSet.of(witness, modulus), nodes)
 
 
 def min_n(problem: SearchProblem) -> SearchResult:

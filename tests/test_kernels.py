@@ -1,6 +1,8 @@
+import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from bstar.kernels import (
 )
 from bstar.kernels import (
     _BERNOULLI_2J,
+    _HURWITZ_BLOCK,
     _HURWITZ_LEAD_TERMS,
     _RHO_EVEN_LARGE,
     _RHO_ODD_LARGE,
@@ -99,11 +102,83 @@ def test_hurwitz_against_mpmath(s):
 
 def test_hurwitz_vector_matches_scalar_calls():
     # a kernel's tail norms slice one vector evaluation, so an entry must
-    # not depend on the vector's length or on its place in it
+    # not depend on the vector's length, on its place in it or on its block
     table_args = np.arange(1, 4 * 50 + 1) / (4.0 * 50)
+    long_args = np.geomspace(1e-4, 1.0, 2 * _HURWITZ_BLOCK + 3)
+    edges = np.r_[0:40, _HURWITZ_BLOCK - 40:_HURWITZ_BLOCK + 40, 2 * _HURWITZ_BLOCK - 40:len(long_args)]
     for s in (8 / 3, 2.0):
         for a in (np.geomspace(1e-4, 1.0, 201), table_args, table_args[7:20]):
             assert np.array_equal(_hurwitz_array(s, a), [hurwitz_zeta(s, float(x)) for x in a])
+        values = _hurwitz_array(s, long_args)
+        assert np.array_equal(values[edges], [hurwitz_zeta(s, float(x)) for x in long_args[edges]])
+        assert np.array_equal(values[5:-7], _hurwitz_array(s, long_args[5:-7]))
+
+
+def full_array_hurwitz(s, a):
+    """zeta(s, a) as it was evaluated before blocks: each step over all of a."""
+    total = np.zeros_like(a)
+    for k in range(_HURWITZ_LEAD_TERMS):
+        total += (k + a) ** (-s)
+    coeffs = [b2j / math.factorial(2 * j) * math.prod(s + i for i in range(2 * j - 1))
+              for j, b2j in enumerate(_BERNOULLI_2J, start=1)]
+    na = a + float(_HURWITZ_LEAD_TERMS)
+    x = np.reciprocal(na)
+    x *= x
+    tail = np.full_like(a, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        tail *= x
+        tail += c
+    u = np.power(na, -s, out=x)
+    tail /= na
+    tail += 0.5
+    na /= s - 1.0
+    tail += na
+    tail *= u
+    total += tail
+    return total
+
+
+def full_array_weights(kernel, p, js):
+    weights = full_array_hurwitz(2.0 * p, js / (4.0 * kernel.T))
+    weights *= np.abs(np.take(kernel.normalized_coefficients(), js, mode="wrap")) ** p
+    return weights
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4096, 10**5])
+def test_blocked_weights_match_the_full_array_evaluation(T):
+    # at T = 4096 the 4T + 1 weights from j = 1 end in a block of one
+    kernel = PiecewiseLinearKernel.from_family("K5", T)
+    for p in (1.1, 4 / 3, 2.0, 4.0):
+        for start in (1, 2, 3, 7):
+            count = 4 * T + (start == 1)
+            js = np.arange(start, start + count)
+            assert np.array_equal(kernel._weights_at(p, start, count),
+                                  full_array_weights(kernel, p, js)), (p, start)
+            if start <= 3:
+                assert np.array_equal(kernel._weighted_period(p, start),
+                                      full_array_weights(kernel, p, js[:4 * T])), (p, start)
+        a = np.arange(1, 4 * T + 2) / (4.0 * T)
+        assert np.array_equal(_hurwitz_array(2.0 * p, a), full_array_hurwitz(2.0 * p, a)), p
+
+
+def test_one_tail_norm_peaks_near_one_weights_array():
+    # the blocks leave the weights as the only 4T-long array; the
+    # full-array evaluation peaked at six
+    T = 10**5
+    kernel = PiecewiseLinearKernel.from_family("K5", T)
+    kernel.normalized_coefficients()
+    tracemalloc.start()
+    try:
+        tail_norm(kernel, 2, 4 / 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * (4 * T + 1)
+
+
+def test_the_block_is_the_benchmarked_one():
+    record = json.loads((Path(__file__).resolve().parent.parent / "BENCH_kernels.json").read_text())
+    assert _HURWITZ_BLOCK == record["block"]
 
 
 def test_coefficient_profile_periodicity_and_fft():

@@ -156,7 +156,7 @@ def test_workers_match_serial():
     # count equals the serial one, feasible or not
     cases = [
         (("modular", 2, 31, 6), True),
-        (("modular", 3, 30, 7), True),    # the plain re-run is sharded too
+        (("modular", 3, 30, 7), True),    # the canonical search is sharded too
         (("modular", 2, 44, 7), False),
         (("integer", 3, 30, 7), True),
         (("integer", 2, 30, 7), True),    # bitmask engine in the workers
@@ -217,7 +217,7 @@ def test_budget_boundary_inside_a_run():
     cases = [(("integer", 3, 15, 7), None, 522),
              (("integer", 3, 28, 8), (1, 2, 3, 5, 9, 15, 20, 25), 268),
              (("modular", 3, 17, 6), None, 261),
-             (("modular", 4, 14, 7), (0, 1, 2, 4, 8, 9, 11), 280)]
+             (("modular", 4, 14, 7), (0, 1, 2, 4, 8, 9, 11), 140)]
     for case, witness, nodes in cases:
         dec = exists_set(*case, budget=nodes)
         assert (dec.witness.elements if dec.feasible else None, dec.nodes) == (witness, nodes)
