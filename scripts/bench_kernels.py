@@ -11,8 +11,9 @@ evaluation that came before the blocks (`full_array_weights`: one
 T = 10^4, 10^5 and 10^6 records
 
 - the seconds of one `tail_norm(kernel, 2, 4/3)` on each evaluation, the
-  kernel's coefficients computed beforehand and its weight cache emptied
-  before each call, with the two results asserted equal bit for bit;
+  kernel's coefficients computed beforehand and its period sums emptied
+  before each call, with the two results and the weights over
+  j = 1 .. 4T+1 asserted equal bit for bit;
 - the tracemalloc peak of one such call, also in units of 8 (4T + 1)
   bytes, the size of the weights array itself.
 
@@ -102,8 +103,17 @@ def evaluation(full_array: bool = False, block: int | None = None):
 
 
 def one_tail(kernel) -> float:
-    kernel._weights.clear()
+    kernel._sums.clear()
     return tail_norm(kernel, N, P).value
+
+
+def check_full_array_identity(kernel) -> None:
+    """Assert that both evaluations give the same weights and tail norm, bit for bit."""
+    count = 4 * kernel.T + 1
+    blocked, weights = one_tail(kernel), kernel._weights_at(P, 1, count)
+    with evaluation(full_array=True):
+        if one_tail(kernel) != blocked or not np.array_equal(kernel._weights_at(P, 1, count), weights):
+            raise AssertionError(f"the blocked weights differ from the full-array ones at T = {kernel.T}")
 
 
 def rounds_of_seconds(kernel, contexts, rounds: int) -> list[list[float]]:
@@ -121,7 +131,7 @@ def rounds_of_seconds(kernel, contexts, rounds: int) -> list[list[float]]:
 
 
 def peak_bytes(kernel) -> int:
-    kernel._weights.clear()
+    kernel._sums.clear()
     tracemalloc.start()
     try:
         tail_norm(kernel, N, P)
@@ -139,11 +149,8 @@ def main() -> int:
     for T in SIZES:
         kernel = PiecewiseLinearKernel.from_family(FAMILY, T)
         kernel.normalized_coefficients()
-        blocked = one_tail(kernel)
-        weights = kernel._weighted_period(P, N).copy()
+        check_full_array_identity(kernel)
         with evaluation(full_array=True):
-            if one_tail(kernel) != blocked or not np.array_equal(kernel._weighted_period(P, N), weights):
-                raise AssertionError(f"the blocked weights differ from the full-array ones at T = {T}")
             full_peak = peak_bytes(kernel)
         peak = peak_bytes(kernel)
         times = rounds_of_seconds(kernel, (lambda: evaluation(full_array=True), evaluation),

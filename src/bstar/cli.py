@@ -98,12 +98,14 @@ def _parse_intervals(text: str, exact: bool):
 
 
 def _parse_p(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/")
-        if float(den) == 0:
-            raise ValueError(f"--p {text} has a zero denominator")
-        return float(num) / float(den)
-    return float(text)
+    num, slash, den = text.partition("/")
+    try:
+        num, den = float(num), (float(den) if slash else 1.0)
+    except ValueError:
+        raise ValueError(f"--p {text} must be a number or a fraction a/b") from None
+    if den == 0:
+        raise ValueError(f"--p {text} has a zero denominator")
+    return num / den
 
 
 def _read_pwl_file(path: str):

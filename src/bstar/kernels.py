@@ -95,10 +95,17 @@ def _euler_maclaurin_coefficients(s: float) -> list[float]:
 
 def _hurwitz_block(s: float, coeffs: list[float], a: np.ndarray, out: np.ndarray,
                    work: np.ndarray) -> None:
-    """zeta(s, a) into out for one block of a, through the three rows of work.
+    """Euler-Maclaurin zeta(s, a) into out for one block of a > 0, s > 1.
 
-    tail = (N+a)^-s [(N+a)/(s-1) + 1/2 + sum_j c_j (N+a)^(1-2j)], its
-    Bernoulli terms one polynomial in (N+a)^-2 evaluated by Horner's rule.
+    N = 10 lead terms, then tail = (N+a)^-s [(N+a)/(s-1) + 1/2 +
+    sum_j c_j (N+a)^(1-2j)], its M = 10 Bernoulli terms one polynomial in
+    (N+a)^-2 evaluated by Horner's rule, through the three rows of work.
+    The remainder obeys |R| <= 4 (s)_2M / (2 pi)^2M * (N+a)^(1-s-2M) /
+    (s+2M-1) (F. Johansson, Numer. Algorithms 69 (2015), Thm 1), at most
+    1.15e-18 for every s > 1.  On 0 < a <= 1, zeta(s, a) >= a^-s >= 1, so
+    that is far below one ulp.  Every entry gets the same sequence of
+    elementwise operations, so none depends on its block, its place in it
+    or the block's length.
     """
     term, na, tail = work
     np.power(a, -s, out=out)  # the k = 0 lead term
@@ -121,41 +128,22 @@ def _hurwitz_block(s: float, coeffs: list[float], a: np.ndarray, out: np.ndarray
     out += tail
 
 
-def _hurwitz_array(s: float, a: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin zeta(s, a) for s > 1 and a vector of a > 0.
-
-    With N = 10 lead terms and the M = 10 Bernoulli terms, the remainder
-    obeys |R| <= 4 (s)_2M / (2 pi)^2M * (N+a)^(1-s-2M) / (s+2M-1)
-    (F. Johansson, Numer. Algorithms 69 (2015), Thm 1), at most 1.15e-18
-    for every s > 1.  On 0 < a <= 1, zeta(s, a) >= a^-s >= 1, so that is
-    far below one ulp.  The vector is evaluated _HURWITZ_BLOCK values at a
-    time, each block through the same sequence of elementwise operations
-    on block-sized buffers, so every entry gets the same arithmetic and
-    none depends on its block, its place in it or the vector's length.
-    """
-    a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
-    coeffs = _euler_maclaurin_coefficients(s)
-    work = np.empty((3, min(len(a), _HURWITZ_BLOCK)))
-    for lo in range(0, len(a), _HURWITZ_BLOCK):
-        hi = min(lo + _HURWITZ_BLOCK, len(a))
-        _hurwitz_block(s, coeffs, a[lo:hi], out[lo:hi], work[:, :hi - lo])
-    return out
-
-
 def hurwitz_zeta(s: float, a: float) -> float:
     """zeta(s, a) = sum_{k>=0} (k+a)^(-s).
 
     Relative error at most 2e-15 against mpmath for s in {4/3, 2, 2.6,
     8/3, 8}, on a log grid of a over [1e-4, 1] and on a kernel's table
     arguments j/(4T) (tests/test_kernels.py; measured 6.3e-16); bit for
-    bit the entry that _hurwitz_array gives for the same a in any vector.
+    bit the entry that _hurwitz_block gives for the same a in any block.
     """
     if not 1 < s < math.inf:
         raise ValueError("hurwitz_zeta needs s > 1")
     if not 0 < a <= 1:
         raise ValueError("hurwitz_zeta needs 0 < a <= 1")
-    return float(_hurwitz_array(s, np.array([a]))[0])
+    out = np.empty(1)
+    _hurwitz_block(s, _euler_maclaurin_coefficients(s), np.array([a], dtype=float), out,
+                   np.empty((3, 1)))
+    return float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -196,28 +184,28 @@ PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 class PiecewiseLinearKernel:
     """Even kernel, 1 on [-1/4, 1/4], linear between x_t = 1/4 + t/(4T).
 
-    y holds the T+1 node values with y[0] = 1.  The kernel caches its FFT
-    coefficients and, per exponent p, the weighted period
-    w(j) = |C(j mod 4T)|^p zeta(2p, j/(4T)) for j = 1 .. 4T+1, whose
-    slices sum to its tail norms from n = 0, 1 and 2; so the zeta table
-    is computed once per kernel and p.  It is evaluated _HURWITZ_BLOCK
-    values of j at a time, so the weights are the only array of their
-    length that it makes, and every weight is the one a whole-period
-    evaluation gives, bit for bit.  Both caches are fixed by y, so the
-    kernel keeps its own read-only copy of it.
+    y holds the finite T+1 node values with y[0] = 1.  The kernel caches
+    its FFT coefficients and, per exponent p, the two period sums of
+    w(j) = |C(j mod 4T)|^p zeta(2p, j/(4T)) that its tail norms from
+    n = 0, 1 and 2 read (see _period_sum); so the zeta values are
+    computed once per kernel and p, and no weights array outlives the
+    call that made it.  Both caches are fixed by y, so the kernel keeps
+    its own read-only copy of it.
     """
 
     def __init__(self, y):
         y = np.array(y, dtype=float)
         if y.ndim != 1 or len(y) < 2:
             raise ValueError("need node values y_0..y_T with T >= 1")
+        if not np.isfinite(y).all():
+            raise ValueError("kernel node values must be finite")
         if y[0] != 1.0:
             raise ValueError("kernel must equal 1 at x = 1/4 (y_0 = 1)")
         y.setflags(write=False)
         self._y = y
         self.T = len(y) - 1
         self._c: Optional[np.ndarray] = None
-        self._weights: dict[float, np.ndarray] = {}
+        self._sums: dict[float, tuple[float, float]] = {}
 
     @property
     def y(self) -> np.ndarray:
@@ -266,18 +254,22 @@ class PiecewiseLinearKernel:
         c = self.normalized_coefficients()
         return 2.0 * self.T * float(c[abs(j) % (4 * self.T)]) / (math.pi**2 * j * j)
 
-    def _weighted_period(self, p: float, start: int) -> np.ndarray:
-        """|C(j)|^p zeta(2p, j/(4T)) for the one period j = start .. start+4T-1.
+    def _period_sum(self, p: float, start: int) -> float:
+        """Sum of |C(j)|^p zeta(2p, j/(4T)) over the period j = start .. start+4T-1.
 
-        Starts 1 and 2 slice the weights over j = 1 .. 4T+1, computed on
-        the first call for this p; a later start is computed afresh.
+        The first call for p at start 1 or 2 evaluates the weights over
+        j = 1 .. 4T+1 once and keeps only np.sum of each of the two
+        periods in it; a later start sums a fresh evaluation.  Each sum
+        runs over the whole period's slice, so its pairwise order, and
+        with it every bit, does not depend on the blocks.
         """
         period = 4 * self.T
         if start > 2:
-            return self._weights_at(p, start, period)
-        if p not in self._weights:
-            self._weights[p] = self._weights_at(p, 1, period + 1)
-        return self._weights[p][start - 1:start - 1 + period]
+            return float(np.sum(self._weights_at(p, start, period)))
+        if p not in self._sums:
+            w = self._weights_at(p, 1, period + 1)
+            self._sums[p] = (float(np.sum(w[:period])), float(np.sum(w[1:])))
+        return self._sums[p][start - 1]
 
     def _weights_at(self, p: float, start: int, count: int) -> np.ndarray:
         """|C(j mod 4T)|^p zeta(2p, j/(4T)) for j = start .. start+count-1, start >= 1.
@@ -315,9 +307,9 @@ def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
 
     The j-sum runs over exactly one period of C(j); nothing is truncated
     because the Hurwitz zeta factor absorbs each arithmetic progression.
-    The kernel caches the weighted period |C(j)|^p zeta(2p, j/(4T)) once
-    per p, so the norms from n = 0, 1 and 2 are sums of slices of one
-    evaluation.
+    The kernel keeps that sum for the periods from j = 1 and 2 once per
+    p, so the norms from n = 0, 1 and 2 cost one weights evaluation, and
+    no weights are kept after it.
     """
     if n < 0:
         raise ValueError("tail start must be nonnegative")
@@ -327,8 +319,8 @@ def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
     # a large p overflows zeta(2p, j/(4T)) for small j; the check below
     # refuses the result, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = kernel._weighted_period(p, max(n, 1))
-        body = 2.0 * (2.0 * T / ((4.0 * T) ** 2 * math.pi**2)) ** p * float(np.sum(weights))
+        total = kernel._period_sum(p, max(n, 1))
+    body = 2.0 * (2.0 * T / ((4.0 * T) ** 2 * math.pi**2)) ** p * total
     if not math.isfinite(body):
         raise ValueError(f"the tail norm overflows a float at p = {p:g}")
     if n == 0:

@@ -51,6 +51,12 @@ def test_usage_error_exit_code(capsys, tmp_path):
     t_gap.write_text("0,1\n2,0.5\n")
     empty = tmp_path / "empty.csv"
     empty.write_text("")
+    non_finite = []  # each would otherwise end in a tail norm overflow
+    for bad in ("nan", "inf", "-inf"):
+        path = tmp_path / f"{bad}.csv"
+        path.write_text(f"0,1\n1,{bad}\n2,0.3\n")
+        non_finite += [(["kernel", "pwl", "--pwl-file", str(path), "--p", p],
+                        "kernel node values must be finite") for p in ("4/3", "2")]
     pwl_rows = "--pwl-file must hold rows t,y_t for t = 0, 1, ..., T"
     messages = [
         (["construct", "ruzsa"], "the following arguments are required: --p, --k"),
@@ -90,7 +96,10 @@ def test_usage_error_exit_code(capsys, tmp_path):
         (["kernel", "pwl", "--pwl-file", str(three_cols)], pwl_rows),
         (["kernel", "pwl", "--pwl-file", str(t_gap)], pwl_rows),
         (["kernel", "pwl", "--pwl-file", str(empty)], pwl_rows),
+        *non_finite,
         (["kernel", "K5", "--p", "4/0"], "--p 4/0 has a zero denominator"),
+        (["kernel", "K5", "--p", "4/3/2"], "--p 4/3/2 must be a number or a fraction a/b"),
+        (["kernel", "K5", "--p", "abc"], "--p abc must be a number or a fraction a/b"),
         (["kernel", "K5", "--T", "-1"], "T must be a positive integer"),
         (["bounds", "certificate", "--T", "-2"], "T must be a positive integer"),
         (["dee", "--intervals", "0:1/0"], "interval 0:1/0 has a zero denominator"),

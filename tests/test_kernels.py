@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import subprocess
@@ -35,7 +36,8 @@ from bstar.kernels import (
     _HURWITZ_LEAD_TERMS,
     _RHO_EVEN_LARGE,
     _RHO_ODD_LARGE,
-    _hurwitz_array,
+    _euler_maclaurin_coefficients,
+    _hurwitz_block,
     _quartic_certifies,
 )
 
@@ -49,6 +51,13 @@ def brute_hurwitz_bracket(s, a, terms=10**6):
     lo = partial + (terms + a) ** (1 - s) / (s - 1)
     hi = partial + (terms - 1 + a) ** (1 - s) / (s - 1)
     return lo, hi
+
+
+def hurwitz_one_block(s, a):
+    """zeta(s, a) for every entry of a, in one _hurwitz_block call."""
+    out = np.empty_like(a)
+    _hurwitz_block(s, _euler_maclaurin_coefficients(s), a, out, np.empty((3, len(a))))
+    return out
 
 
 def test_hurwitz_spot_values():
@@ -89,29 +98,38 @@ def test_euler_maclaurin_remainder_is_below_one_ulp():
 @pytest.mark.parametrize("s", [4 / 3, 2.0, 2.6, 8 / 3, 8.0])
 def test_hurwitz_against_mpmath(s):
     mpmath = pytest.importorskip("mpmath")
-    # a log grid, and a kernel's own table arguments j/(4T), j = 1..4T+1
+    # a log grid, and a kernel's own table arguments j/(4T), j = 1..4T+1;
+    # hurwitz_zeta refuses the last, 1 + 1/(4T), so the block takes them
     table_args = np.arange(1, 4 * 50 + 2) / (4.0 * 50)
     with mpmath.workdps(40):
         for a in np.geomspace(1e-4, 1.0, 201):
             exact = mpmath.zeta(s, float(a))
             assert abs(hurwitz_zeta(s, float(a)) - exact) <= 2e-15 * exact, a
-        for a, value in zip(table_args, _hurwitz_array(s, table_args)):
+        for a, value in zip(table_args, hurwitz_one_block(s, table_args)):
             exact = mpmath.zeta(s, float(a))
             assert abs(value - exact) <= 2e-15 * exact, a
 
 
 def test_hurwitz_vector_matches_scalar_calls():
-    # a kernel's tail norms slice one vector evaluation, so an entry must
-    # not depend on the vector's length, on its place in it or on its block
+    # a kernel's weights are evaluated in blocks, so an entry must not
+    # depend on its block's length, on its place in it or on its block
     table_args = np.arange(1, 4 * 50 + 1) / (4.0 * 50)
     long_args = np.geomspace(1e-4, 1.0, 2 * _HURWITZ_BLOCK + 3)
     edges = np.r_[0:40, _HURWITZ_BLOCK - 40:_HURWITZ_BLOCK + 40, 2 * _HURWITZ_BLOCK - 40:len(long_args)]
     for s in (8 / 3, 2.0):
         for a in (np.geomspace(1e-4, 1.0, 201), table_args, table_args[7:20]):
-            assert np.array_equal(_hurwitz_array(s, a), [hurwitz_zeta(s, float(x)) for x in a])
-        values = _hurwitz_array(s, long_args)
+            assert np.array_equal(hurwitz_one_block(s, a), [hurwitz_zeta(s, float(x)) for x in a])
+        values = hurwitz_one_block(s, long_args)
         assert np.array_equal(values[edges], [hurwitz_zeta(s, float(x)) for x in long_args[edges]])
-        assert np.array_equal(values[5:-7], _hurwitz_array(s, long_args[5:-7]))
+        assert np.array_equal(values[5:-7], hurwitz_one_block(s, long_args[5:-7]))
+    # a kernel whose 4T + 1 weights span three blocks: the entries at the
+    # block edges equal one-entry evaluations
+    T = _HURWITZ_BLOCK // 2 + 1
+    kernel = PiecewiseLinearKernel.from_family("K5", T)
+    js = np.r_[1:41, _HURWITZ_BLOCK - 40:_HURWITZ_BLOCK + 40, 2 * _HURWITZ_BLOCK - 40:4 * T + 2]
+    for p in (4 / 3, 2.0):
+        weights = kernel._weights_at(p, 1, 4 * T + 1)
+        assert np.array_equal(weights[js - 1], [kernel._weights_at(p, int(j), 1)[0] for j in js])
 
 
 def full_array_hurwitz(s, a):
@@ -155,10 +173,10 @@ def test_blocked_weights_match_the_full_array_evaluation(T):
             assert np.array_equal(kernel._weights_at(p, start, count),
                                   full_array_weights(kernel, p, js)), (p, start)
             if start <= 3:
-                assert np.array_equal(kernel._weighted_period(p, start),
-                                      full_array_weights(kernel, p, js[:4 * T])), (p, start)
+                assert kernel._period_sum(p, start) == float(
+                    np.sum(full_array_weights(kernel, p, js[:4 * T]))), (p, start)
         a = np.arange(1, 4 * T + 2) / (4.0 * T)
-        assert np.array_equal(_hurwitz_array(2.0 * p, a), full_array_hurwitz(2.0 * p, a)), p
+        assert np.array_equal(hurwitz_one_block(2.0 * p, a), full_array_hurwitz(2.0 * p, a)), p
 
 
 def test_one_tail_norm_peaks_near_one_weights_array():
@@ -176,9 +194,46 @@ def test_one_tail_norm_peaks_near_one_weights_array():
     assert peak <= 1.5 * 8 * (4 * T + 1)
 
 
+def test_tail_norms_keep_no_weights_array():
+    # a kernel keeps two sums per p, not its 4T + 1 weights, so sixteen
+    # tail norms leave no array behind and never hold two at once
+    T = 10**5
+    unit = 8 * (4 * T + 1)
+    kernel = PiecewiseLinearKernel.from_family("K5", T)
+    kernel.normalized_coefficients()
+    tracemalloc.start()
+    try:
+        for p in (1.1, 4 / 3, 1.6, 2.0):
+            for n in range(4):
+                tail_norm(kernel, n, p)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current <= 0.01 * unit
+    assert peak <= 1.5 * unit
+
+
 def test_the_block_is_the_benchmarked_one():
     record = json.loads((Path(__file__).resolve().parent.parent / "BENCH_kernels.json").read_text())
     assert _HURWITZ_BLOCK == record["block"]
+
+
+def test_bench_kernels_script_runs_at_a_small_T(monkeypatch):
+    # scripts/bench_kernels.py reads the kernel's private names; a rename
+    # must fail here, not at the next benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    bench = importlib.import_module("bench_kernels")
+    kernel = PiecewiseLinearKernel.from_family(bench.FAMILY, 50)
+    value = tail_norm(PiecewiseLinearKernel.from_family(bench.FAMILY, 50), bench.N, bench.P).value
+    assert bench.one_tail(kernel) == value
+    bench.check_full_array_identity(kernel)
+    with bench.evaluation(full_array=True):
+        assert PiecewiseLinearKernel._weights_at is bench.full_array_weights
+        assert bench.peak_bytes(kernel) > 0
+    assert PiecewiseLinearKernel._weights_at is not bench.full_array_weights
+    with bench.evaluation(block=7):
+        assert bench.one_tail(kernel) == value
+    assert bench.peak_bytes(kernel) > 0
 
 
 def test_coefficient_profile_periodicity_and_fft():
@@ -241,7 +296,7 @@ def test_tail_norm_monotone_in_n_and_p():
 
 
 def test_tail_norms_do_not_depend_on_call_order():
-    # the kernel caches one zeta table per p; asking in a mixed order must
+    # the kernel caches two period sums per p; asking in a mixed order must
     # give every value a fresh kernel gives, bit for bit
     kernel = PiecewiseLinearKernel.from_family("K5", T_SMALL)
     for p in (2.0, 4 / 3):
@@ -270,7 +325,7 @@ def test_parseval_cross_check():
 
 
 def test_kernel_keeps_a_read_only_copy_of_its_nodes():
-    # T, the FFT coefficients and the zeta tables are fixed by y at build
+    # T, the FFT coefficients and the period sums are fixed by y at build
     # time, so y must not change under them
     y = PiecewiseLinearKernel.from_family("K5", 50).y.copy()
     before = y.copy()
@@ -282,6 +337,13 @@ def test_kernel_keeps_a_read_only_copy_of_its_nodes():
     assert np.array_equal(y, before)
     y[1] = 0.5  # nor does a write to the caller's array reach the kernel
     assert np.array_equal(kernel.y, before)
+
+
+def test_kernel_refuses_non_finite_nodes():
+    for bad in (math.nan, math.inf, -math.inf):
+        for y in ([1.0, bad, 0.5], [1.0, 0.5, bad], [bad, 0.5]):
+            with pytest.raises(ValueError, match="kernel node values must be finite"):
+                PiecewiseLinearKernel(y)
 
 
 def test_k1_closed_form_value():
