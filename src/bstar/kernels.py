@@ -13,6 +13,14 @@ on an interval of length 1/2 has ||f*f||_inf >= c":
 
   with C(j) = sum_t (y_t - y_{t-1}) (cos(2 pi j x_t) - cos(2 pi j x_{t-1})),
 
+* the zeta values of the tail norms from n = 0, 1 and 2 all have
+  0 < a <= 5/4, where zeta(s, a) is two direct terms plus one Taylor
+  polynomial of zeta(s, 2 + a) about a = 5/8, its truncation proven
+  below 2^-59 of the value: two powers per value where Euler-Maclaurin
+  takes eleven.  Euler-Maclaurin gives the polynomial's coefficients,
+  and the values past a = 5/4 of later tail starts.  Both are within
+  2e-15 relative of mpmath (measured 5.1e-16 at most),
+
 * a mixing optimum: blending K with the constant 1 minimizes the
   l^{4/3} coefficient norm and yields the floor
   ||f*f||_2^2 >= 1 + ((1 - Khat(0)) / lnorm_1)^4,
@@ -79,70 +87,186 @@ _BERNOULLI_2J = (
 )
 _HURWITZ_LEAD_TERMS = 10  # summed directly before the Euler-Maclaurin tail
 
+# On 0 < a <= 2 * _TAYLOR_CENTER = 5/4, which holds every argument j/(4T),
+# j = 1 .. 4T+1, of the tail norms from n = 0, 1 and 2, zeta(s, a) is
+# _TAYLOR_LEAD_TERMS direct terms plus one Taylor polynomial of
+# zeta(s, K + a) about a = 5/8 (see _taylor_block).  BENCH_kernels.json's
+# sweep of K picks 2; its cap on the polynomial's length keeps that
+# evaluation to s below about 209, past which Euler-Maclaurin takes over.
+_TAYLOR_LEAD_TERMS = 2
+_TAYLOR_CENTER = 0.625
+_TAYLOR_MAX_TERMS = 64
 
-# Values of a per block: a block's six arrays (its j, arguments, result
-# and three work rows, 128 KiB each) stay in a core's L2 cache through
-# the ~30 elementwise passes of one evaluation.  BENCH_kernels.json's
-# sweep of the size is flat from 2^14 to 2^16; 2^11 costs a third more.
-_HURWITZ_BLOCK = 1 << 14
+# Values of a per block: a block's five arrays (its j, arguments, result
+# and two work rows, 256 KiB each) stay in a core's L2 cache through the
+# ~70 elementwise passes of one evaluation, whose Python cost per block
+# larger blocks spread thinner.  In five runs of BENCH_kernels.json's
+# sweep 2^15 was 3% faster than 2^14 on average (from 2% slower to 8%
+# faster) and never more than 5% behind any size that keeps one tail
+# norm's peak at T = 10^5 within 1.5 weight arrays; 2^16 takes it to 1.8.
+_HURWITZ_BLOCK = 1 << 15
 
 
-def _euler_maclaurin_coefficients(s: float) -> list[float]:
-    """c_j = B_2j / (2j)! * s (s+1) ... (s+2j-2), j = 1..10."""
-    return [b2j / math.factorial(2 * j) * math.prod(s + i for i in range(2 * j - 1))
-            for j, b2j in enumerate(_BERNOULLI_2J, start=1)]
+def _euler_maclaurin_coefficients(s):
+    """c_j = B_2j / (2j)! * s (s+1) ... (s+2j-2), j = 1..10; s a float or an array."""
+    coeffs, rising = [], s
+    for j, b2j in enumerate(_BERNOULLI_2J, start=1):
+        if j > 1:
+            rising = rising * (s + (2 * j - 3)) * (s + (2 * j - 2))
+        coeffs.append(b2j / math.factorial(2 * j) * rising)
+    return coeffs
 
 
-def _hurwitz_block(s: float, coeffs: list[float], a: np.ndarray, out: np.ndarray,
-                   work: np.ndarray) -> None:
+def _euler_maclaurin_block(s, coeffs: list, a: np.ndarray, out: np.ndarray,
+                           work: np.ndarray) -> None:
     """Euler-Maclaurin zeta(s, a) into out for one block of a > 0, s > 1.
 
     N = 10 lead terms, then tail = (N+a)^-s [(N+a)/(s-1) + 1/2 +
     sum_j c_j (N+a)^(1-2j)], its M = 10 Bernoulli terms one polynomial in
-    (N+a)^-2 evaluated by Horner's rule, through the three rows of work.
+    (N+a)^-2 evaluated by Horner's rule, through the two rows of work:
+    N+a is formed again each time it is read, the same value each time.
     The remainder obeys |R| <= 4 (s)_2M / (2 pi)^2M * (N+a)^(1-s-2M) /
     (s+2M-1) (F. Johansson, Numer. Algorithms 69 (2015), Thm 1), at most
-    1.15e-18 for every s > 1.  On 0 < a <= 1, zeta(s, a) >= a^-s >= 1, so
-    that is far below one ulp.  Every entry gets the same sequence of
-    elementwise operations, so none depends on its block, its place in it
-    or the block's length.
+    1.15e-18 for every s > 1, and at most 2.8e-19 of a^-s < zeta(s, a)
+    for every s > 1 and 0 < a <= 5: far below one ulp.  s may also be an
+    array as long as a; _taylor_coefficients takes all its zeta values
+    in one such call.
     """
-    term, na, tail = work
+    term, tail = work
     np.power(a, -s, out=out)  # the k = 0 lead term
     for k in range(1, _HURWITZ_LEAD_TERMS):
         np.add(a, k, out=term)
         out += np.power(term, -s, out=term)
-    np.add(a, float(_HURWITZ_LEAD_TERMS), out=na)
-    x = np.reciprocal(na, out=term)
+    n = float(_HURWITZ_LEAD_TERMS)
+    x = np.reciprocal(np.add(a, n, out=term), out=term)
     x *= x
-    tail.fill(coeffs[-1])
+    tail[...] = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         tail *= x
         tail += c
-    u = np.power(na, -s, out=term)  # x is spent: its buffer takes (N+a)^-s
-    tail /= na
+    tail /= np.add(a, n, out=term)
     tail += 0.5
-    na /= s - 1.0
-    tail += na
-    tail *= u
+    tail += np.divide(term, s - 1.0, out=term)
+    tail *= np.power(np.add(a, n, out=term), -s, out=term)
     out += tail
+
+
+def _taylor_terms(s: float) -> Optional[int]:
+    """Length of the Taylor polynomial in _taylor_block, or None past the cap.
+
+    With x = K + a0 and h = a0, the m-th term is bounded on the interval
+    by b_m = (s)_m / m! zeta(s+m, x) h^m, and zeta(s+m+1, x) <= zeta(s+m, x)
+    / x gives b_(m+1) / b_m <= r_m = (s+m)/(m+1) * h/x, which does not
+    grow with m.  So once r_M < 1 the terms from M on sum to at most
+    b_M / (1 - r_M), where zeta(s+M, x) <= x^(-s-M) + x^(1-s-M)/(s+M-1).
+    M is the least length that brings this below 2^-59 of zeta(s, 5/4) >=
+    (5/4)^-s + (9/4)^(1-s)/(s-1), the least value on the interval: under
+    1/64 of an ulp of every value.  Everything is summed in logarithms.
+    """
+    x, h = _TAYLOR_LEAD_TERMS + _TAYLOR_CENTER, _TAYLOR_CENTER
+    lead, rest = -s * math.log(2.0 * h), (1.0 - s) * math.log(2.0 * h + 1.0) - math.log(s - 1.0)
+    log_floor = (max(lead, rest) + math.log1p(math.exp(-abs(lead - rest)))
+                 - 59.0 * math.log(2.0))
+    log_binomial = 0.0  # log (s)_m / m!
+    for m in range(_TAYLOR_MAX_TERMS + 1):
+        ratio = (s + m) / (m + 1) * h / x
+        if ratio < 1.0:
+            log_zeta = -(s + m) * math.log(x) + math.log1p(x / (s + m - 1.0))
+            if log_binomial + m * math.log(h) + log_zeta - math.log1p(-ratio) < log_floor:
+                return m
+        log_binomial += math.log((s + m) / (m + 1))
+    return None
+
+
+def _taylor_coefficients(s: float) -> Optional[list[float]]:
+    """(s)_m / m! zeta(s+m, K + a0) for m < _taylor_terms(s), or None.
+
+    The zeta values come from one Euler-Maclaurin call on the vector of
+    exponents s + m.
+    """
+    terms = _taylor_terms(s)
+    if terms is None:
+        return None
+    m = np.arange(terms)
+    sigma = s + m
+    zeta = np.empty(terms)
+    _euler_maclaurin_block(sigma, _euler_maclaurin_coefficients(sigma),
+                           np.full(terms, _TAYLOR_LEAD_TERMS + _TAYLOR_CENTER), zeta,
+                           np.empty((2, terms)))
+    binomial = np.cumprod(np.r_[1.0, sigma[:-1] / m[1:]])
+    return (binomial * zeta).tolist()
+
+
+def _taylor_block(s: float, coeffs: list[float], a: np.ndarray, out: np.ndarray,
+                  work: np.ndarray) -> None:
+    """zeta(s, a) into out for one block of 0 < a <= 5/4, s > 1.
+
+    zeta(s, a) = sum_{k<K} (k+a)^-s + zeta(s, K+a), and zeta(s, K+a) =
+    sum_m (s)_m / m! zeta(s+m, K+a0) (a0 - a)^m, whose nearest
+    singularity lies K + a0 away from a0 = 5/8 while |a0 - a| < 5/8.  The
+    polynomial's coefficients come from _taylor_coefficients, its length
+    from the proven bound of _taylor_terms (31 terms at s = 8/3, at most
+    49 for s <= 64), and it is evaluated by Horner's rule; then the K = 2
+    direct terms are added, the largest last: two powers per value in
+    place of Euler-Maclaurin's eleven.  Against mpmath at 40 digits the
+    relative error is at most 2e-15 (tests/test_kernels.py); measured,
+    it is at most 4.2e-16 for s from 4/3 to 64, and the tail-norm
+    weights moved by at most 8.9e-16 from their Euler-Maclaurin values.
+    """
+    u, term = work
+    np.subtract(_TAYLOR_CENTER, a, out=u)
+    out.fill(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        out *= u
+        out += c
+    for k in range(_TAYLOR_LEAD_TERMS - 1, 0, -1):
+        np.add(a, k, out=term)
+        out += np.power(term, -s, out=term)
+    out += np.power(a, -s, out=term)
+
+
+def _hurwitz_coefficients(s: float) -> tuple[Optional[list[float]], list[float]]:
+    """What _hurwitz_block needs for s: the Taylor and Euler-Maclaurin coefficients."""
+    return _taylor_coefficients(s), _euler_maclaurin_coefficients(s)
+
+
+def _hurwitz_block(s: float, coeffs: tuple, a: np.ndarray, out: np.ndarray,
+                   work: np.ndarray) -> None:
+    """zeta(s, a) into out for one block of ascending a > 0, s > 1.
+
+    The values a <= 5/4 go to _taylor_block, the rest, and every value
+    when s is past the Taylor cap, to _euler_maclaurin_block.  Which one
+    an entry takes depends on s and a alone, and each gives every entry
+    the same sequence of elementwise operations, so no entry depends on
+    its block, its place in it or the block's length.
+    """
+    taylor, euler_maclaurin = coeffs
+    near = 0 if taylor is None else int(np.searchsorted(a, 2.0 * _TAYLOR_CENTER, side="right"))
+    if near:
+        _taylor_block(s, taylor, a[:near], out[:near], work[:, :near])
+    if near < len(a):
+        _euler_maclaurin_block(s, euler_maclaurin, a[near:], out[near:], work[:, near:])
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
     """zeta(s, a) = sum_{k>=0} (k+a)^(-s).
 
-    Relative error at most 2e-15 against mpmath for s in {4/3, 2, 2.6,
-    8/3, 8}, on a log grid of a over [1e-4, 1] and on a kernel's table
-    arguments j/(4T) (tests/test_kernels.py; measured 6.3e-16); bit for
-    bit the entry that _hurwitz_block gives for the same a in any block.
+    Two direct terms and a Taylor polynomial of zeta(s, 2 + a), its
+    remainder proven below 2^-59 of the value (_taylor_block), or past
+    s ~ 209 Euler-Maclaurin.  Relative error at most 2e-15 against
+    mpmath for s in {4/3, 2, 2.6, 8/3, 8}, on a log grid of a over
+    [1e-4, 1], on a kernel's table arguments j/(4T) and, through the
+    block, on (1, 5]; measured 2.5e-16 below a = 5/4 and 5.1e-16 above
+    it (tests/test_kernels.py).  Bit for bit the entry that
+    _hurwitz_block gives for the same a in any block.
     """
     if not 1 < s < math.inf:
         raise ValueError("hurwitz_zeta needs s > 1")
     if not 0 < a <= 1:
         raise ValueError("hurwitz_zeta needs 0 < a <= 1")
     out = np.empty(1)
-    _hurwitz_block(s, _euler_maclaurin_coefficients(s), np.array([a], dtype=float), out,
-                   np.empty((3, 1)))
+    _hurwitz_block(s, _hurwitz_coefficients(s), np.array([a], dtype=float), out,
+                   np.empty((2, 1)))
     return float(out[0])
 
 
@@ -279,10 +403,10 @@ class PiecewiseLinearKernel:
         weights fill a count-long array.
         """
         s, scale, c = 2.0 * p, 4.0 * self.T, self.normalized_coefficients()
-        coeffs = _euler_maclaurin_coefficients(s)
+        coeffs = _hurwitz_coefficients(s)
         weights = np.empty(count)
         size = min(count, _HURWITZ_BLOCK)
-        a, work = np.empty(size), np.empty((3, size))
+        a, work = np.empty(size), np.empty((2, size))
         for lo in range(0, count, _HURWITZ_BLOCK):
             m = min(_HURWITZ_BLOCK, count - lo)
             j = np.arange(start + lo, start + lo + m)
@@ -349,7 +473,11 @@ def alpha_mix_optimum(khat0: float, tail1: float, p: float) -> tuple[float, floa
     has coefficient norm (1 - (1-alpha)M)^p + (1-alpha)^p N, stationary
     at alpha = 1 - M^{q/p} / (M^q + N^{q/p}), where the norm^p equals
     N (M^q + N^{q/p})^{1-p} and the resulting ||f*f||_2^2 floor is
-    1 + (M / tail1)^q.
+    1 + (M / tail1)^q.  Both are computed from R = (M / tail1)^q, as
+    alpha = 1 - R / (1 + R) / M (M^{q/p} tail1^{-q} = R / M, since q/p - q
+    = -1) and the floor 1 + R, so no power overflows on the way; as p
+    nears 1, q grows without bound and R goes to 0 or to inf.  A floor
+    past the float range is refused.
     """
     if not 0 < khat0 <= 1:
         raise ValueError("need 0 < khat0 <= 1")
@@ -359,10 +487,13 @@ def alpha_mix_optimum(khat0: float, tail1: float, p: float) -> tuple[float, floa
     m = 1.0 - khat0
     if m == 0.0:
         return 1.0, 1.0
-    n = tail1**p
-    alpha = 1.0 - m ** (q / p) / (m**q + n ** (q / p))
-    norm_pp = n * (m**q + n ** (q / p)) ** (1.0 - p)
-    return alpha, norm_pp ** (-q / p)
+    try:
+        ratio = (m / tail1) ** q
+    except OverflowError:
+        ratio = math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"the mix floor overflows a float at p = {p:g}")
+    return 1.0 - ratio / (1.0 + ratio) / m, 1.0 + ratio
 
 
 @dataclass(frozen=True)
@@ -429,8 +560,8 @@ def delta_lower_certificate(cert: BoundCertificate, grid: float = 1e-6) -> tuple
     """Largest F such that quartic + reflection bounds exclude ||f*f||_inf < F.
 
     The largest verifiable threshold is located by bisection (the
-    feasible set is downward closed) and returned with its certificate
-    flag.  Halving the certified value gives the quadratic constant in
+    feasible set is downward closed), which stops when no float lies
+    strictly between its ends, and returned with its certificate flag.  Halving the certified value gives the quadratic constant in
     the symmetric-subset lower bound delta(eps) >= (F/2) eps^2.
 
     grid is ignored: the check evaluates B once, at its exact minimum.
@@ -438,8 +569,7 @@ def delta_lower_certificate(cert: BoundCertificate, grid: float = 1e-6) -> tuple
     lo, hi = 1.0, 2.0  # every threshold <= 1 certifies
     while _quartic_certifies(cert, hi):
         hi = 1.0 + 2.0 * (hi - 1.0)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # then lo and hi are adjacent floats
         if _quartic_certifies(cert, mid):
             lo = mid
         else:
@@ -466,7 +596,8 @@ def delta_half_lower(epsilon: float) -> float:
     The coefficient floor F below must satisfy F^2 <= (x/pi) sin(pi/x),
     and the right side increases in x, so every admissible x lies above
     the bisection's lower end, where the right side still falls short
-    of F^2.  That end is returned; it exceeds 1.1092 + 0.176158 eps on
+    of F^2.  The bisection stops when no float lies strictly between its
+    ends, and that lower end is returned; it exceeds 1.1092 + 0.176158 eps on
     the whole range.  Multiplying by eps^2/2 bounds the symmetric-subset
     threshold at measure eps.
     """
@@ -474,8 +605,7 @@ def delta_half_lower(epsilon: float) -> float:
         raise ValueError("refinement applies for 3/8 < epsilon < 5/8")
     target = _reflection_coefficient_floor(epsilon) ** 2
     lo, hi = 1.0, 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # then lo and hi are adjacent floats
         if green_coefficient_bound(mid) < target:
             lo = mid
         else:

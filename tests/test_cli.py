@@ -472,6 +472,14 @@ def test_kernel_eval_small(capsys):
     assert 0.20 < obj["tail_norm"] < 0.22
 
 
+def test_kernel_mix_near_p_one(capsys):
+    # q = p/(p-1) is 100001 at p = 1.00001: the mix used to overflow there
+    # and end in a traceback
+    for p in ("1.00001", "1.001"):
+        code, obj = run_json(capsys, ["kernel", "K5", "--T", "10", "--p", p])
+        assert code == 0 and obj["mix_alpha"] == 1.0 and obj["mix_floor"] == 1.0, p
+
+
 def test_kernel_eval_pwl_file(tmp_path, capsys):
     import numpy as np
 

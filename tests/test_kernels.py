@@ -36,9 +36,14 @@ from bstar.kernels import (
     _HURWITZ_LEAD_TERMS,
     _RHO_EVEN_LARGE,
     _RHO_ODD_LARGE,
-    _euler_maclaurin_coefficients,
+    _TAYLOR_CENTER,
+    _TAYLOR_LEAD_TERMS,
+    _TAYLOR_MAX_TERMS,
     _hurwitz_block,
+    _hurwitz_coefficients,
     _quartic_certifies,
+    _taylor_coefficients,
+    _taylor_terms,
 )
 
 T_SMALL = 2000  # enough nodes for unit-test accuracy at a fraction of the cost
@@ -54,9 +59,9 @@ def brute_hurwitz_bracket(s, a, terms=10**6):
 
 
 def hurwitz_one_block(s, a):
-    """zeta(s, a) for every entry of a, in one _hurwitz_block call."""
+    """zeta(s, a) for every entry of an ascending a, in one _hurwitz_block call."""
     out = np.empty_like(a)
-    _hurwitz_block(s, _euler_maclaurin_coefficients(s), a, out, np.empty((3, len(a))))
+    _hurwitz_block(s, _hurwitz_coefficients(s), a, out, np.empty((2, len(a))))
     return out
 
 
@@ -93,21 +98,93 @@ def test_euler_maclaurin_remainder_is_below_one_ulp():
                      - 2 * m * math.log(2 * math.pi) + (1 - s - 2 * m) * math.log(n_lead)
                      - math.log(s + 2 * m - 1))
         assert log_bound < -59 * math.log(2.0), s
+    # the Taylor coefficients are Euler-Maclaurin values at a = K + 5/8,
+    # at exponents up to about 270; there the bound is at most 2.3e-19
+    # of the value's first term (K + 5/8)^-s
+    x = _TAYLOR_LEAD_TERMS + _TAYLOR_CENTER
+    for s in np.linspace(1.0, 300.0, 2991)[1:]:
+        log_bound = (math.log(4.0) + math.lgamma(s + 2 * m) - math.lgamma(s)
+                     - 2 * m * math.log(2 * math.pi) + (1 - s - 2 * m) * math.log(n_lead + x)
+                     - math.log(s + 2 * m - 1))
+        assert log_bound + s * math.log(x) < math.log(2.3e-19), s
+
+
+def test_taylor_remainder_is_below_one_ulp():
+    # after M terms the Taylor remainder of zeta(s, K + a), 0 < a <= 5/4,
+    # is at most b_M / (1 - r_M) with b_M = (s)_M / M! zeta(s+M, K + 5/8)
+    # (5/8)^M and r_M = (s+M)/(M+1) (5/8)/(K + 5/8); _taylor_terms picks
+    # M so that this is below 2^-59 of zeta(s, 5/4), the least value on
+    # the interval.  Recomputed here in plain floats, with zeta(s+M, x)
+    # bounded above and zeta(s, 5/4) below by their integral brackets.
+    x, h = _TAYLOR_LEAD_TERMS + _TAYLOR_CENTER, _TAYLOR_CENTER
+    for s in np.linspace(1.0, 64.0, 6301)[1:]:
+        terms = _taylor_terms(float(s))
+        assert terms is not None and terms <= 49, s
+        ratio = (s + terms) / (terms + 1) * h / x
+        assert ratio < 1.0, s
+        b = math.prod((s + i) / (i + 1) * h for i in range(terms))
+        b *= x ** (-s - terms) + x ** (1 - s - terms) / (s + terms - 1)
+        least = 1.25 ** -s + 2.25 ** (1 - s) / (s - 1)
+        assert b / (1.0 - ratio) < 2.0**-59 * least, s
+    assert _taylor_terms(8 / 3) == 31
+    assert _taylor_terms(250.0) is None and _taylor_coefficients(250.0) is None
+
+
+def test_taylor_remainder_bounds_the_true_truncation_error():
+    # the bound of _taylor_terms holds against the truncated series'
+    # actual error at both ends of the interval, summed in mpmath
+    mpmath = pytest.importorskip("mpmath")
+    x, h = _TAYLOR_LEAD_TERMS + _TAYLOR_CENTER, _TAYLOR_CENTER
+    with mpmath.workdps(60):
+        for s in (1.01, 4 / 3, 8 / 3, 8.0, 64.0):
+            terms = _taylor_terms(s)
+            ms = mpmath.mpf(s)
+            coeffs = [mpmath.rf(ms, m) / mpmath.factorial(m) * mpmath.zeta(ms + m, x)
+                      for m in range(terms)]
+            ratio = (s + terms) / (terms + 1) * h / x
+            bound = (mpmath.rf(ms, terms) / mpmath.factorial(terms) * mpmath.zeta(ms + terms, x)
+                     * mpmath.mpf(h) ** terms / (1 - ratio))
+            for a in (mpmath.mpf("1e-12"), mpmath.mpf(5) / 4):
+                u = mpmath.mpf(h) - a
+                error = abs(mpmath.zeta(ms, _TAYLOR_LEAD_TERMS + a)
+                            - sum(c * u**m for m, c in enumerate(coeffs)))
+                assert error <= bound, (s, a)
 
 
 @pytest.mark.parametrize("s", [4 / 3, 2.0, 2.6, 8 / 3, 8.0])
 def test_hurwitz_against_mpmath(s):
     mpmath = pytest.importorskip("mpmath")
-    # a log grid, and a kernel's own table arguments j/(4T), j = 1..4T+1;
-    # hurwitz_zeta refuses the last, 1 + 1/(4T), so the block takes them
+    # a log grid; a kernel's own table arguments j/(4T), j = 1..4T+1; the
+    # rest of the Taylor interval, (1, 5/4]; and a > 5/4, which Euler-
+    # Maclaurin evaluates.  hurwitz_zeta refuses a > 1, so the block
+    # takes all but the first
     table_args = np.arange(1, 4 * 50 + 2) / (4.0 * 50)
+    edge = 2.0 * _TAYLOR_CENTER
+    block_args = np.r_[np.linspace(1.0, edge, 51)[1:], np.nextafter(edge, 2.0),
+                       np.linspace(edge, 5.0, 51)[1:]]
     with mpmath.workdps(40):
         for a in np.geomspace(1e-4, 1.0, 201):
             exact = mpmath.zeta(s, float(a))
             assert abs(hurwitz_zeta(s, float(a)) - exact) <= 2e-15 * exact, a
-        for a, value in zip(table_args, hurwitz_one_block(s, table_args)):
+        for args in (table_args, block_args):
+            for a, value in zip(args, hurwitz_one_block(s, args)):
+                exact = mpmath.zeta(s, float(a))
+                assert abs(value - exact) <= 2e-15 * exact, a
+
+
+def test_hurwitz_past_the_taylor_cap():
+    # past s ~ 209 the polynomial would need more than _TAYLOR_MAX_TERMS
+    # terms, and Euler-Maclaurin evaluates every a
+    mpmath = pytest.importorskip("mpmath")
+    s = 300.0
+    assert _taylor_terms(s) is None and _taylor_terms(200.0) <= _TAYLOR_MAX_TERMS
+    args = np.linspace(0.3, 2.0, 35)
+    with mpmath.workdps(40):
+        for a, value in zip(args, hurwitz_one_block(s, args)):
             exact = mpmath.zeta(s, float(a))
             assert abs(value - exact) <= 2e-15 * exact, a
+            if a <= 1.0:
+                assert hurwitz_zeta(s, float(a)) == value
 
 
 def test_hurwitz_vector_matches_scalar_calls():
@@ -122,6 +199,14 @@ def test_hurwitz_vector_matches_scalar_calls():
         values = hurwitz_one_block(s, long_args)
         assert np.array_equal(values[edges], [hurwitz_zeta(s, float(x)) for x in long_args[edges]])
         assert np.array_equal(values[5:-7], hurwitz_one_block(s, long_args[5:-7]))
+        # at the edge of the Taylor interval, where Euler-Maclaurin takes over
+        edge = 2.0 * _TAYLOR_CENTER
+        around = np.r_[np.linspace(1.0, edge, 41), np.nextafter(edge, 2.0), np.linspace(edge, 2.0, 41)[1:]]
+        values = hurwitz_one_block(s, around)
+        assert np.array_equal(values, [hurwitz_one_block(s, around[i:i + 1])[0]
+                                       for i in range(len(around))])
+        assert values[40] == hurwitz_one_block(s, np.array([edge]))[0]
+        assert hurwitz_one_block(s, np.array([1.0]))[0] == hurwitz_zeta(s, 1.0) == values[0]
     # a kernel whose 4T + 1 weights span three blocks: the entries at the
     # block edges equal one-entry evaluations
     T = _HURWITZ_BLOCK // 2 + 1
@@ -130,10 +215,15 @@ def test_hurwitz_vector_matches_scalar_calls():
     for p in (4 / 3, 2.0):
         weights = kernel._weights_at(p, 1, 4 * T + 1)
         assert np.array_equal(weights[js - 1], [kernel._weights_at(p, int(j), 1)[0] for j in js])
+    # a T = 3 kernel's weights from j = 7 cross a = 5/4 at j = 15
+    kernel = PiecewiseLinearKernel.from_family("K5", 3)
+    for p in (4 / 3, 2.0):
+        weights = kernel._weights_at(p, 7, 12)
+        assert np.array_equal(weights, [kernel._weights_at(p, j, 1)[0] for j in range(7, 19)])
 
 
-def full_array_hurwitz(s, a):
-    """zeta(s, a) as it was evaluated before blocks: each step over all of a."""
+def full_array_euler_maclaurin(s, a):
+    """Euler-Maclaurin zeta(s, a) as it was evaluated before blocks: each step over all of a."""
     total = np.zeros_like(a)
     for k in range(_HURWITZ_LEAD_TERMS):
         total += (k + a) ** (-s)
@@ -153,6 +243,29 @@ def full_array_hurwitz(s, a):
     tail += na
     tail *= u
     total += tail
+    return total
+
+
+def full_array_taylor(s, a):
+    """The Taylor evaluation of _taylor_block, each step over all of a."""
+    coeffs = _taylor_coefficients(s)
+    total = np.full_like(a, coeffs[-1])
+    u = _TAYLOR_CENTER - a
+    for c in reversed(coeffs[:-1]):
+        total *= u
+        total += c
+    for k in range(_TAYLOR_LEAD_TERMS - 1, 0, -1):
+        total += (k + a) ** (-s)
+    total += a ** (-s)
+    return total
+
+
+def full_array_hurwitz(s, a):
+    """zeta(s, a) as _hurwitz_block evaluates it, but each step over all of a."""
+    near = a <= 2.0 * _TAYLOR_CENTER
+    total = np.empty_like(a)
+    total[near] = full_array_taylor(s, a[near])
+    total[~near] = full_array_euler_maclaurin(s, a[~near])
     return total
 
 
@@ -218,6 +331,12 @@ def test_the_block_is_the_benchmarked_one():
     assert _HURWITZ_BLOCK == record["block"]
 
 
+def test_the_lead_terms_are_the_benchmarked_ones():
+    record = json.loads((Path(__file__).resolve().parent.parent / "BENCH_kernels.json").read_text())
+    assert _TAYLOR_LEAD_TERMS == record["lead_terms"]
+    assert record["taylor_interval"] == [0.0, 2.0 * _TAYLOR_CENTER]
+
+
 def test_bench_kernels_script_runs_at_a_small_T(monkeypatch):
     # scripts/bench_kernels.py reads the kernel's private names; a rename
     # must fail here, not at the next benchmark run
@@ -227,13 +346,25 @@ def test_bench_kernels_script_runs_at_a_small_T(monkeypatch):
     value = tail_norm(PiecewiseLinearKernel.from_family(bench.FAMILY, 50), bench.N, bench.P).value
     assert bench.one_tail(kernel) == value
     bench.check_full_array_identity(kernel)
-    with bench.evaluation(full_array=True):
+    assert bench.euler_maclaurin_difference(kernel) <= bench.AGREEMENT
+    with bench.evaluation(weights=bench.full_array_weights):
         assert PiecewiseLinearKernel._weights_at is bench.full_array_weights
         assert bench.peak_bytes(kernel) > 0
     assert PiecewiseLinearKernel._weights_at is not bench.full_array_weights
     with bench.evaluation(block=7):
         assert bench.one_tail(kernel) == value
+    with bench.evaluation(lead_terms=3):
+        assert bench.euler_maclaurin_difference(kernel) <= bench.AGREEMENT
     assert bench.peak_bytes(kernel) > 0
+    assert bench.one_tail(kernel) == value  # every setting is restored
+    # the full-array form also covers the Euler-Maclaurin entries, a > 5/4
+    small = PiecewiseLinearKernel.from_family(bench.FAMILY, 1)
+    assert np.array_equal(bench.full_array_weights(small, bench.P, 3, 4), small._weights_at(bench.P, 3, 4))
+    # a sweep keeps the current value unless another beats it by more than the tie
+    rows = [{"v": 1, "relative": 1.04}, {"v": 2, "relative": 1.0}, {"v": 3, "relative": 1.01}]
+    assert bench.keep_unless_beaten(rows, "v", 1) == 1
+    rows[0]["relative"] = 1.06
+    assert bench.keep_unless_beaten(rows, "v", 1) == 2
 
 
 def test_coefficient_profile_periodicity_and_fft():
@@ -378,6 +509,38 @@ def test_alpha_mix_identity_and_edge():
     assert alpha_mix_optimum(1.0, 0.3, 4 / 3) == (1.0, 1.0)
 
 
+def test_alpha_mix_near_p_one_cannot_overflow():
+    # q = p/(p-1) is 100001 at p = 1.00001, where tail1^(q) overflowed a
+    # float; the floor is 1 + (M/tail1)^q and alpha = 1 - R/(1+R)/M
+    kernel = PiecewiseLinearKernel.from_family("K5", 10)
+    khat0 = kernel.fourier_dc()
+    for p in (1.00001, 1.001):
+        tail1 = tail_norm(kernel, 1, p).value
+        assert 1.0 - khat0 < tail1  # (M/tail1)^q underflows to 0
+        assert alpha_mix_optimum(khat0, tail1, p) == (1.0, 1.0)
+    # a floor of 1.25^1001 ~ 1e97 is still a float; 5^1001 is not
+    alpha, floor = alpha_mix_optimum(0.5, 0.4, 1.001)
+    assert alpha == -1.0 and floor == pytest.approx(1.25 ** (1.001 / (1.001 - 1.0)), rel=1e-12)
+    with pytest.raises(ValueError, match="the mix floor overflows a float at p = 1.001"):
+        alpha_mix_optimum(0.5, 0.1, 1.001)
+
+
+def test_alpha_mix_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    with mpmath.workdps(40):
+        for khat0, tail1, p in zip(rng.uniform(0.05, 0.95, 50), rng.uniform(0.05, 1.5, 50),
+                                   rng.uniform(1.05, 1.95, 50)):
+            alpha, floor = alpha_mix_optimum(float(khat0), float(tail1), float(p))
+            mp_p = mpmath.mpf(float(p))
+            q, m, t = mp_p / (mp_p - 1), 1 - mpmath.mpf(float(khat0)), mpmath.mpf(float(tail1))
+            n = t**mp_p
+            exact_alpha = 1 - m ** (q / mp_p) / (m**q + n ** (q / mp_p))
+            exact_floor = (n * (m**q + n ** (q / mp_p)) ** (1 - mp_p)) ** (-q / mp_p)
+            assert abs(floor - exact_floor) <= 1e-14 * exact_floor
+            assert abs(alpha - exact_alpha) <= 1e-14 * (1 + abs(exact_alpha)) / float(m)
+
+
 def test_quartic_bound_values():
     kernel = PiecewiseLinearKernel.from_family("K5", 10**4)
     cert = BoundCertificate.from_kernel(kernel)
@@ -456,6 +619,38 @@ def test_certificate_matches_dense_minimum():
             dense = float(np.min(1.0 + 2.0 * xs**4 + (cert.linear_head(xs) / cert.tail_m) ** 4))
             assert _quartic_certifies(cert, threshold) == (dense > threshold)
             assert (dense > threshold) == (threshold < f)
+
+
+def halve(lo, hi, accepts, steps):
+    """The bisections as they ran before they stopped on convergence: a fixed count."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if accepts(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_bisections_end_where_the_fixed_count_loops_did():
+    # delta_half_lower halved 80 times and delta_lower_certificate 60;
+    # they stop once no float lies strictly between the ends, after
+    # which every halving left both ends as they were
+    from bstar.kernels import _reflection_coefficient_floor
+
+    for eps in [0.376 + 0.001 * i for i in range(249)] + [0.3751, 0.4, 0.5, 0.6, 0.6249]:
+        target = _reflection_coefficient_floor(eps) ** 2
+        assert delta_half_lower(eps) == halve(1.0, 2.0, lambda x: green_coefficient_bound(x) < target,
+                                              80), eps
+    certs = [BoundCertificate.from_kernel(PiecewiseLinearKernel.from_family(family, T))
+             for family in ("K1", "K3", "K5") for T in (1, 2, 50, T_SMALL)]
+    certs.append(BoundCertificate(khat0=0.73, khat1=0.001, tail_m=0.4))
+    for cert in certs:
+        hi = 2.0
+        while _quartic_certifies(cert, hi):
+            hi = 1.0 + 2.0 * (hi - 1.0)
+        expected = halve(1.0, hi, lambda x: _quartic_certifies(cert, x), 60)
+        assert delta_lower_certificate(cert) == (expected, True), cert
 
 
 def test_delta_half_lower():
