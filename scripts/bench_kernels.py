@@ -14,7 +14,9 @@ references:
   blocks, every zeta value by `kernels._euler_maclaurin_block` (ten direct
   terms and ten Bernoulli terms), about twelve powers per j in all;
 - `full_array_weights`, the Taylor evaluation with each step over the
-  whole 4T + 1 values, as if there were one block.
+  whole 4T + 1 values, as if there were one block, and the entries past
+  a = 5/4 by Euler-Maclaurin written out on its own; tests/test_kernels.py
+  checks the blocked evaluation against it too.
 
 For the K5 kernel at T = 10^4, 10^5 and 10^6 it records
 
@@ -96,23 +98,55 @@ def euler_maclaurin_weights(kernel, p: float, start: int, count: int) -> np.ndar
     return weights
 
 
+def full_array_euler_maclaurin(s: float, a: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin zeta(s, a) as it was evaluated before blocks: each step over all of a.
+
+    It is written out here, not taken from kernels._euler_maclaurin_block,
+    so that the blocked evaluation is checked against a separate statement
+    of the same sequence of operations.
+    """
+    total = np.zeros_like(a)
+    for k in range(kernels._HURWITZ_LEAD_TERMS):
+        total += (k + a) ** (-s)
+    coeffs = [b2j / math.factorial(2 * j) * math.prod(s + i for i in range(2 * j - 1))
+              for j, b2j in enumerate(kernels._BERNOULLI_2J, start=1)]
+    na = a + float(kernels._HURWITZ_LEAD_TERMS)
+    x = np.reciprocal(na)
+    x *= x
+    tail = np.full_like(a, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        tail *= x
+        tail += c
+    u = np.power(na, -s, out=x)
+    tail /= na
+    tail += 0.5
+    na /= s - 1.0
+    tail += na
+    tail *= u
+    total += tail
+    return total
+
+
+def full_array_taylor(s: float, a: np.ndarray) -> np.ndarray:
+    """The Taylor evaluation of kernels._taylor_block, each step over all of a."""
+    coeffs = kernels._taylor_coefficients(s)
+    total = np.full_like(a, coeffs[-1])
+    u = kernels._TAYLOR_CENTER - a
+    for c in reversed(coeffs[:-1]):
+        total *= u
+        total += c
+    for k in range(kernels._TAYLOR_LEAD_TERMS - 1, 0, -1):
+        total += (k + a) ** (-s)
+    total += a ** (-s)
+    return total
+
+
 def full_array_hurwitz(s: float, a: np.ndarray) -> np.ndarray:
     """zeta(s, a) as _hurwitz_block evaluates it for s below the Taylor cap, each step over all of a."""
-    coeffs, em_coeffs = kernels._hurwitz_coefficients(s)
     near = a <= 2.0 * kernels._TAYLOR_CENTER
-    b, far = a[near], a[~near]
-    poly = np.full_like(b, coeffs[-1])
-    u = kernels._TAYLOR_CENTER - b
-    for c in reversed(coeffs[:-1]):
-        poly *= u
-        poly += c
-    for k in range(kernels._TAYLOR_LEAD_TERMS - 1, 0, -1):
-        poly += (k + b) ** (-s)
-    poly += b ** (-s)
-    em = np.empty_like(far)
-    kernels._euler_maclaurin_block(s, em_coeffs, far, em, np.empty((2, len(far))))
     total = np.empty_like(a)
-    total[near], total[~near] = poly, em
+    total[near] = full_array_taylor(s, a[near])
+    total[~near] = full_array_euler_maclaurin(s, a[~near])
     return total
 
 

@@ -55,7 +55,7 @@ def counting_engine(n: int, k: int):
     """
     last = search._last_candidates(2, k, n)
     budget = search._Budget(search.DEFAULT_BUDGET)
-    branches = (search._decide_counts_int(2, n, k, last, budget, second)
+    branches = (search._decide_counts_int(2, n, k, *search._bounds(last, 1, second), budget)
                 for second in range(2, last[1] + 1))
     witness = next(filter(None, branches), None)
     return witness, search.DEFAULT_BUDGET - budget.left - budget.reserve

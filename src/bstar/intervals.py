@@ -43,6 +43,7 @@ is the profile of C modulo L, and the candidates are the sums modulo L.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -263,67 +264,67 @@ def _d_trial(intervals) -> float:
     return max(units for _, units in _sweep(scale, grid, circle=False)) / scale
 
 
-def _coarse_descent(vec, k, eps, value):
-    step = 0.25
-    while step > 1e-4:
+def _descend(state, value, moves, step, stop, tol):
+    """Step-halving pattern search from state, whose D is value.
+
+    move(state, d) gives (trial state, its intervals), or None when the
+    trial is out of bounds.  A pass tries every move at +step and then
+    -step, in order, and takes each trial whose D is below value - tol;
+    a pass that takes none halves step, until step is at most stop.
+    """
+    while step > stop:
         improved = False
-        for i in range(len(vec)):
+        for move in moves:
             for sgn in (1.0, -1.0):
-                trial = list(vec)
-                trial[i] = max(0.0, trial[i] + sgn * step)
-                ivs = _build_intervals(trial, k, eps)
-                if ivs is None:
+                trial = move(state, sgn * step)
+                if trial is None:
                     continue
-                v = _d_trial(ivs)
-                if v < value - 1e-12:
-                    vec, value = trial, v
+                v = _d_trial(trial[1])
+                if v < value - tol:
+                    state, value = trial[0], v
                     improved = True
         if not improved:
             step *= 0.5
-    return vec, value
+    return state, value
 
 
-def _polish(intervals, value):
-    """Measure-preserving moves: whole-interval shifts and length transfers."""
-    ivs = [list(p) for p in intervals]
-    k = len(ivs)
+def _coordinate_moves(k, eps):
+    """Coarse moves on the gap/length vector: one coordinate, floored at 0."""
+    def nudge(i, vec, d):
+        trial = list(vec)
+        trial[i] = max(0.0, trial[i] + d)
+        ivs = _build_intervals(trial, k, eps)
+        return None if ivs is None else (trial, ivs)
 
-    def valid(v):
+    return [functools.partial(nudge, i) for i in range(2 * k + 1)]
+
+
+def _polish_moves(k):
+    """Measure-preserving moves: whole-interval shifts, then length
+    transfers from interval i's right end to interval j's right or left end."""
+    def ordered(ivs):
         pos = 0.0
-        for a, b in v:
+        for a, b in ivs:
             if a < pos - 1e-15 or b <= a:
-                return False
+                return None
             pos = b
-        return pos <= 1.0 + 1e-15
+        return (ivs, ivs) if pos <= 1.0 + 1e-15 else None
 
-    moves = [("shift", i, 0) for i in range(k)]
-    moves += [(kind, i, j) for i in range(k) for j in range(k) if i != j
-              for kind in ("xfer_rr", "xfer_rl")]
-    step = 0.02
-    while step > 1e-9:
-        improved = False
-        for kind, i, j in moves:
-            for sgn in (1.0, -1.0):
-                d = sgn * step
-                trial = [list(p) for p in ivs]
-                if kind == "shift":
-                    trial[i][0] += d
-                    trial[i][1] += d
-                elif kind == "xfer_rr":
-                    trial[i][1] -= d
-                    trial[j][1] += d
-                else:
-                    trial[i][1] -= d
-                    trial[j][0] -= d
-                if not valid(trial):
-                    continue
-                v = _d_trial(trial)
-                if v < value - 1e-15:
-                    ivs, value = trial, v
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return [tuple(p) for p in ivs], value
+    def shift(i, ivs, d):
+        trial = [list(p) for p in ivs]
+        trial[i][0] += d
+        trial[i][1] += d
+        return ordered(trial)
+
+    def transfer(i, j, end, ivs, d):
+        trial = [list(p) for p in ivs]
+        trial[i][1] -= d
+        trial[j][end] += d if end else -d
+        return ordered(trial)
+
+    return [functools.partial(shift, i) for i in range(k)] + [
+        functools.partial(transfer, i, j, end)
+        for i in range(k) for j in range(k) if i != j for end in (1, 0)]
 
 
 def delta_k_upper(k: int, epsilon: float, restarts: int = 200,
@@ -347,13 +348,14 @@ def delta_k_upper(k: int, epsilon: float, restarts: int = 200,
     rng = random.Random(seed)
     dim = 2 * k + 1
     best_val, best_ivs = math.inf, None
+    coarse, polish = _coordinate_moves(k, epsilon), _polish_moves(k)
     for _ in range(restarts):
         vec = [rng.random() for _ in range(dim)]
         ivs = _build_intervals(vec, k, epsilon)
         if ivs is None:
             continue
-        vec, val = _coarse_descent(vec, k, epsilon, _d_trial(ivs))
-        ivs, val = _polish(_build_intervals(vec, k, epsilon), val)
+        vec, val = _descend(vec, _d_trial(ivs), coarse, 0.25, 1e-4, 1e-12)
+        ivs, val = _descend(_build_intervals(vec, k, epsilon), val, polish, 0.02, 1e-9, 1e-15)
         if val < best_val:
             best_val, best_ivs = val, ivs
     clipped = [(min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)) for a, b in best_ivs]

@@ -481,8 +481,10 @@ def alpha_mix_optimum(khat0: float, tail1: float, p: float) -> tuple[float, floa
     """
     if not 0 < khat0 <= 1:
         raise ValueError("need 0 < khat0 <= 1")
-    if tail1 <= 0 or not 1 < p < 2:
-        raise ValueError("need tail1 > 0 and 1 < p < 2")
+    if not 0 < tail1 < math.inf:
+        raise ValueError(f"need a finite tail1 > 0, got tail1 = {tail1!r}")
+    if not 1 < p < 2:
+        raise ValueError("need 1 < p < 2")
     q = p / (p - 1.0)
     m = 1.0 - khat0
     if m == 0.0:

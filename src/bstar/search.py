@@ -86,6 +86,14 @@ Three rules prune the DFS:
   candidate.  L passes the span floors, and the mirror rule too:
   x -> -x is in the group, so L's first gap is at most its last.
 
+_bounds applies the first two rules once per branch: a candidate at
+depth d lies in [S[-1] + gap[d], cap[d]], with gap[1] = gap[k - 1] = d1,
+every other gap 1, and cap the span floors' caps narrowed by the mirror
+rule, cap[1] at most the fixed second element.  Integer candidates
+exceed every placed element, so a candidate's diagonal 2e lies above
+every sum in the profile, and the integer counting engine tests its
+pair sums only; modular sums wrap, so the modular engine tests it.
+
 The mirror rule keeps the lexicographically first witness W: W's
 reflection is a witness with the same first element whose second
 element is S[0] plus W's last gap, so W's first gap is at most its last
@@ -263,41 +271,41 @@ def _last_candidates(g: int, k: int, top: int) -> list[int]:
     return [top + 1 - fl[k - depth] for depth in range(k)]
 
 
-def _mirror_caps(last: list[int], d1: int) -> list[int]:
-    """last under the mirror rule, for a branch whose first gap is d1.
+def _bounds(last: list[int], first: int, second: int) -> tuple[list[int], list[int]]:
+    """(gap, cap): a candidate at depth d of the branch lies in [S[-1] + gap[d], cap[d]].
 
-    The last gap is at least d1, so the set without its last element ends
-    by top - d1, and its candidate at depth is at most last[depth + 1] - d1.
+    The branch fixes second, so d1 = second - first.  The mirror rule
+    makes the last gap at least d1, so the set without its last element
+    ends by top - d1, and its candidate at depth d is at most
+    last[d + 1] - d1.
     """
-    return [min(c, after - d1) for c, after in zip(last, last[1:])] + last[-1:]
+    d1 = second - first
+    cap = [min(c, after - d1) for c, after in zip(last, last[1:])] + last[-1:]
+    cap[1] = min(cap[1], second)
+    gap = [1] * len(last)
+    gap[1] = gap[-1] = d1
+    return gap, cap
 
 
 # ---------------------------------------------------------------------------
 # integer g = 2 bitmask engine
 # ---------------------------------------------------------------------------
 
-def _decide_sidon_int(k: int, last: list[int], budget: _Budget, second: int):
+def _decide_sidon_int(k: int, gap: list[int], cap: list[int], budget: _Budget):
     """All unordered pair sums (diagonals included) distinct; integers in [1, n].
 
     D is the mask of positive differences and B the mask of blocked
-    future elements.  The branch fixes the second element; last is
-    _last_candidates(2, k, n), narrowed by the mirror rule to sets whose
-    last gap is at least their first, d1 = second - 1.  Nodes are charged
-    as in _decide_counts_int, one per candidate of the range, blocked or not,
+    future elements.  (gap, cap) are the branch's _bounds for
+    _last_candidates(2, k, n).  Nodes are charged as in
+    _decide_counts_int, one per candidate of the range, blocked or not,
     so both engines count the same nodes on the same question.
     """
-    d1 = second - 1
-    last = _mirror_caps(last, d1)
     charge = budget.charge
 
     def rec(S, D, B, depth):
         if depth == k:
             return tuple(S)
-        hi = last[depth]
-        if depth == 1:
-            lo, hi = second, min(second, hi)
-        else:
-            lo = S[-1] + (d1 if depth == k - 1 else 1)
+        lo, hi = S[-1] + gap[depth], cap[depth]
         if lo > hi:
             return None
         cand = ~B & ((1 << (hi + 1)) - 1) & -(1 << lo)
@@ -331,18 +339,19 @@ def _decide_sidon_int(k: int, last: list[int], budget: _Budget, second: int):
 # integer counting engine
 # ---------------------------------------------------------------------------
 
-def _decide_counts_int(g: int, n: int, k: int, last: list[int], budget: _Budget,
-                       second: int):
+def _decide_counts_int(g: int, n: int, k: int, gap: list[int], cap: list[int],
+                       budget: _Budget):
     """Keep the profile r(t); reject a candidate whose sums would exceed g.
 
     Integers in [1, n] have sums in [2, 2n], so r has length 2n + 1 and
     is indexed by the sum itself.  A pair adds 2 to r and a diagonal adds
     1; pair sums of the new element never meet each other or its
     diagonal, so each is tested against the profile before the element
-    arrived.  An accepted candidate extends a copy of the profile, so
-    nothing is undone.  The branch fixes the second element; last is
-    _last_candidates(g, k, n), narrowed by the mirror rule to sets whose
-    last gap is at least their first, d1 = second - 1.
+    arrived.  A candidate e exceeds every placed element, so every sum
+    in r is at most 2 S[-1] < 2e: r(2e) is 0, and the diagonal is not
+    tested.  An accepted candidate extends a copy of the profile, so
+    nothing is undone.  (gap, cap) are the branch's _bounds for
+    _last_candidates(g, k, n).
 
     Every candidate is one node, charged in runs: the candidates up to an
     accepted one before its subtree, the rest of the range when the loop
@@ -352,32 +361,23 @@ def _decide_counts_int(g: int, n: int, k: int, last: list[int], budget: _Budget,
     answers g = 2 as well, and the tests hold the two to the same
     witnesses and nodes.
     """
-    cap = g - 2  # a pair fits only where r[t] <= g - 2
-    d1 = second - 1
-    last = _mirror_caps(last, d1)
+    most = g - 2  # a pair fits only where r[t] <= g - 2
     charge = budget.charge
 
     def rec(S, r, depth):
         if depth == k:
             return tuple(S)
-        hi = last[depth]
-        if depth == 1:
-            lo, hi = second, min(second, hi)
-        else:
-            lo = S[-1] + (d1 if depth == k - 1 else 1)
+        lo, hi = S[-1] + gap[depth], cap[depth]
         charged = lo  # the candidates below charged are paid for
         for e in range(lo, hi + 1):
-            d = 2 * e
-            if r[d] >= g:
-                continue
             for y in S:
-                if r[e + y] > cap:
+                if r[e + y] > most:
                     break
             else:  # every sum of e fits: pay up to e, extend a copy, recurse
                 charge(e + 1 - charged)
                 charged = e + 1
                 r2 = r[:]
-                r2[d] += 1
+                r2[2 * e] += 1
                 for y in S:
                     r2[e + y] += 2
                 out = rec(S + [e], r2, depth + 1)
@@ -448,8 +448,8 @@ def _pair_bans(n: int) -> Generator[list[int], int, None]:
         grown = t
 
 
-def _decide_modular(g: int, n: int, k: int, last: list[int], budget: _Budget,
-                    second: int, canonical: bool = False):
+def _decide_modular(g: int, n: int, k: int, gap: list[int], cap: list[int],
+                    budget: _Budget, second: int, canonical: bool = False):
     """The counting DFS in Z_n, with the rejections kept as bit masks.
 
     r(t) is kept as a bytearray for the exact counts, copied on each
@@ -461,9 +461,9 @@ def _decide_modular(g: int, n: int, k: int, last: list[int], budget: _Budget,
     level are the set bits of ~(B | ban) in [lo, hi], and only the
     diagonal test r(2e mod n) >= g is made for each.  Nodes are charged
     in runs, as in _decide_counts_int: one per candidate of the range,
-    whether a mask or the diagonal test rejects it.  The branch fixes the
-    second element; last is _last_candidates(g, k, n - 1), narrowed by
-    the mirror rule with d1 = second.
+    whether a mask or the diagonal test rejects it.  (gap, cap) are the
+    branch's _bounds for _last_candidates(g, k, n - 1); second is the
+    element that the branch fixes, read only by the canonical bans.
 
     ban is 0 without canonical.  With canonical it holds the residues
     that the affine canonical rule rules out for the next element, and
@@ -474,8 +474,7 @@ def _decide_modular(g: int, n: int, k: int, last: list[int], budget: _Budget,
     that the branch extends to each t it accepts.  That rule keeps the
     lexicographically first witness, the least member of its orbit.
     """
-    cap = g - 2  # a pair fits only where r[t] <= g - 2
-    last = _mirror_caps(last, second)
+    most = g - 2  # a pair fits only where r[t] <= g - 2
     charge = budget.charge
     at = [(1 | 1 << n) << t for t in range(n)]  # t and n + t
     mark = None  # (S, e, ban) -> the bans after e joins S; None keeps ban as it is
@@ -507,11 +506,7 @@ def _decide_modular(g: int, n: int, k: int, last: list[int], budget: _Budget,
     def rec(S, r, sat, B, ban, depth):
         if depth == k:
             return tuple(S)
-        hi = last[depth]
-        if depth == 1:
-            lo, hi = second, min(second, hi)
-        else:
-            lo = S[-1] + (second if depth == k - 1 else 1)
+        lo, hi = S[-1] + gap[depth], cap[depth]
         if lo > hi:
             return None
         cand = ~(B | ban) & ((1 << hi + 1) - 1) & -(1 << lo)
@@ -528,11 +523,11 @@ def _decide_modular(g: int, n: int, k: int, last: list[int], budget: _Budget,
             charged = e + 1
             r2 = r[:]
             r2[d] += 1
-            new = at[d] if r2[d] > cap else 0
+            new = at[d] if r2[d] > most else 0
             for y in S:
                 t = e + y - n if e + y >= n else e + y
                 r2[t] += 2
-                if r2[t] > cap:
+                if r2[t] > most:
                     new |= at[t]
             sat2 = sat | new
             B2 = B | sat2 >> e
@@ -549,7 +544,7 @@ def _decide_modular(g: int, n: int, k: int, last: list[int], budget: _Budget,
 
     r = bytearray(n)
     r[0] = 1
-    sat = at[0] if 1 > cap else 0
+    sat = at[0] if 1 > most else 0
     return rec([0], r, sat, sat, ban, 1)  # B = sat >> 0 for S = [0]
 
 
@@ -557,13 +552,14 @@ def _branch(args):
     """(witness tuple or None, nodes) of one branch; limit + 1 nodes if cut off."""
     kind, g, n, k, last, second, limit, canonical = args
     budget = _Budget(limit)
+    gap, cap = _bounds(last, 0 if kind == "modular" else 1, second)
     try:
         if kind == "modular":
-            witness = _decide_modular(g, n, k, last, budget, second, canonical)
+            witness = _decide_modular(g, n, k, gap, cap, budget, second, canonical)
         elif g == 2:
-            witness = _decide_sidon_int(k, last, budget, second)
+            witness = _decide_sidon_int(k, gap, cap, budget)
         else:
-            witness = _decide_counts_int(g, n, k, last, budget, second)
+            witness = _decide_counts_int(g, n, k, gap, cap, budget)
     except BudgetExceeded:
         return None, limit + 1
     except _Stopped:

@@ -222,74 +222,28 @@ def test_hurwitz_vector_matches_scalar_calls():
         assert np.array_equal(weights, [kernel._weights_at(p, j, 1)[0] for j in range(7, 19)])
 
 
-def full_array_euler_maclaurin(s, a):
-    """Euler-Maclaurin zeta(s, a) as it was evaluated before blocks: each step over all of a."""
-    total = np.zeros_like(a)
-    for k in range(_HURWITZ_LEAD_TERMS):
-        total += (k + a) ** (-s)
-    coeffs = [b2j / math.factorial(2 * j) * math.prod(s + i for i in range(2 * j - 1))
-              for j, b2j in enumerate(_BERNOULLI_2J, start=1)]
-    na = a + float(_HURWITZ_LEAD_TERMS)
-    x = np.reciprocal(na)
-    x *= x
-    tail = np.full_like(a, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        tail *= x
-        tail += c
-    u = np.power(na, -s, out=x)
-    tail /= na
-    tail += 0.5
-    na /= s - 1.0
-    tail += na
-    tail *= u
-    total += tail
-    return total
-
-
-def full_array_taylor(s, a):
-    """The Taylor evaluation of _taylor_block, each step over all of a."""
-    coeffs = _taylor_coefficients(s)
-    total = np.full_like(a, coeffs[-1])
-    u = _TAYLOR_CENTER - a
-    for c in reversed(coeffs[:-1]):
-        total *= u
-        total += c
-    for k in range(_TAYLOR_LEAD_TERMS - 1, 0, -1):
-        total += (k + a) ** (-s)
-    total += a ** (-s)
-    return total
-
-
-def full_array_hurwitz(s, a):
-    """zeta(s, a) as _hurwitz_block evaluates it, but each step over all of a."""
-    near = a <= 2.0 * _TAYLOR_CENTER
-    total = np.empty_like(a)
-    total[near] = full_array_taylor(s, a[near])
-    total[~near] = full_array_euler_maclaurin(s, a[~near])
-    return total
-
-
-def full_array_weights(kernel, p, js):
-    weights = full_array_hurwitz(2.0 * p, js / (4.0 * kernel.T))
-    weights *= np.abs(np.take(kernel.normalized_coefficients(), js, mode="wrap")) ** p
-    return weights
+@pytest.fixture
+def bench(monkeypatch):
+    """scripts/bench_kernels.py, which keeps the full-array reference evaluation."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    return importlib.import_module("bench_kernels")
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 4096, 10**5])
-def test_blocked_weights_match_the_full_array_evaluation(T):
+def test_blocked_weights_match_the_full_array_evaluation(T, bench):
     # at T = 4096 the 4T + 1 weights from j = 1 end in a block of one
     kernel = PiecewiseLinearKernel.from_family("K5", T)
     for p in (1.1, 4 / 3, 2.0, 4.0):
         for start in (1, 2, 3, 7):
             count = 4 * T + (start == 1)
-            js = np.arange(start, start + count)
             assert np.array_equal(kernel._weights_at(p, start, count),
-                                  full_array_weights(kernel, p, js)), (p, start)
+                                  bench.full_array_weights(kernel, p, start, count)), (p, start)
             if start <= 3:
                 assert kernel._period_sum(p, start) == float(
-                    np.sum(full_array_weights(kernel, p, js[:4 * T]))), (p, start)
+                    np.sum(bench.full_array_weights(kernel, p, start, 4 * T))), (p, start)
         a = np.arange(1, 4 * T + 2) / (4.0 * T)
-        assert np.array_equal(hurwitz_one_block(2.0 * p, a), full_array_hurwitz(2.0 * p, a)), p
+        assert np.array_equal(hurwitz_one_block(2.0 * p, a),
+                              bench.full_array_hurwitz(2.0 * p, a)), p
 
 
 def test_one_tail_norm_peaks_near_one_weights_array():
@@ -337,11 +291,9 @@ def test_the_lead_terms_are_the_benchmarked_ones():
     assert record["taylor_interval"] == [0.0, 2.0 * _TAYLOR_CENTER]
 
 
-def test_bench_kernels_script_runs_at_a_small_T(monkeypatch):
+def test_bench_kernels_script_runs_at_a_small_T(bench):
     # scripts/bench_kernels.py reads the kernel's private names; a rename
     # must fail here, not at the next benchmark run
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
-    bench = importlib.import_module("bench_kernels")
     kernel = PiecewiseLinearKernel.from_family(bench.FAMILY, 50)
     value = tail_norm(PiecewiseLinearKernel.from_family(bench.FAMILY, 50), bench.N, bench.P).value
     assert bench.one_tail(kernel) == value
@@ -507,6 +459,12 @@ def test_alpha_mix_identity_and_edge():
     _, bound = alpha_mix_optimum(khat0, tail1, 4 / 3)
     assert bound == pytest.approx(1 + ((1 - khat0) / tail1) ** 4, abs=1e-12)
     assert alpha_mix_optimum(1.0, 0.3, 4 / 3) == (1.0, 1.0)
+    # an infinite tail is no negligible tail, and a NaN one overflows nothing
+    for tail1 in (math.inf, math.nan, -math.inf, 0.0, -0.5):
+        with pytest.raises(ValueError, match=f"need a finite tail1 > 0, got tail1 = {tail1!r}"):
+            alpha_mix_optimum(0.5, tail1, 4 / 3)
+    with pytest.raises(ValueError, match="need a finite tail1 > 0"):
+        alpha_mix_optimum(1.0, math.inf, 4 / 3)
 
 
 def test_alpha_mix_near_p_one_cannot_overflow():

@@ -1,10 +1,12 @@
 import collections
 import functools
+import importlib
 import itertools
 import multiprocessing
 import os
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +15,12 @@ from bstar.search import (
     _POLL_NODES,
     BudgetExceeded,
     SearchProblem,
+    _bounds,
     _Budget,
     _decide_counts_int,
     _decide_modular,
     _decide_sidon_int,
     _last_candidates,
-    _mirror_caps,
     _pair_bans,
     _search,
     _third_element_bans,
@@ -304,15 +306,27 @@ def test_bitmask_engine_matches_counting_engine_witnesses():
         for k in (3, 4, 5):
             fast = exists_set("integer", 2, n, k)
             last = _last_candidates(2, k, n)
-            branches = [spent(_decide_counts_int, 2, n, k, last, second=second)
+            branches = [spent(_decide_counts_int, 2, n, k, *_bounds(last, 1, second))
                         for second in range(2, n + 1)]
             for second, slow in enumerate(branches, 2):
-                assert spent(_decide_sidon_int, k, last, second=second) == slow, (n, k, second)
+                assert spent(_decide_sidon_int, k, *_bounds(last, 1, second)) == slow, (n, k, second)
                 if slow[0] is not None:
                     assert slow[0][-1] - slow[0][-2] >= second - 1, (n, k, second)
             slow = next(filter(None, (w for w, _ in branches)), None)
             witness = fast.witness.elements if fast.feasible else None
             assert witness == slow == brute_first("integer", 2, n, k), (n, k)
+
+
+def test_bench_search_script_runs_on_a_small_cell(monkeypatch):
+    # scripts/bench_search.py calls the counting engine's branches by
+    # their private names; a changed signature must fail here, not at the
+    # next benchmark run.  R(2, 7) = 26: one cell on each side of it.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    bench = importlib.import_module("bench_search")
+    for n in (25, 26):
+        dec = exists_set("integer", 2, n, 7)
+        assert bench.counting_engine(n, 7) == (dec.witness.elements if dec.feasible else None,
+                                               dec.nodes), n
 
 
 def floors_first(kind, g, n, k):
@@ -388,7 +402,8 @@ def test_mirror_and_canonical_rules_match_a_floors_only_search():
                     if kind == "integer":
                         if g == 2:
                             last = _last_candidates(g, k, n)
-                            branches = (_decide_counts_int(g, n, k, last, _Budget(10**9), second)
+                            branches = (_decide_counts_int(g, n, k, *_bounds(last, 1, second),
+                                                           _Budget(10**9))
                                         for second in range(2, last[1] + 1))
                             assert next(filter(None, branches), None) == reference, case
                         continue
@@ -475,16 +490,16 @@ def byte_pair_bans(n, t):
 def byte_table_branch(g, n, k, last, budget, second, canonical=False):
     """A modular branch as a range loop over a byte table of bans.
 
-    The reference for _decide_modular: it tests each candidate of the
-    range in turn, a ban byte first, then its diagonal and pair sums
-    against r(t) indexed (e + y) % n, and charges nodes in the same runs.
+    The reference for _decide_modular: it works out each level's range
+    from last and second itself, where the engine reads it off _bounds,
+    tests each candidate of the range in turn, a ban byte first, then its
+    diagonal and pair sums against r(t) indexed (e + y) % n, and charges
+    nodes in the same runs.
     With canonical, each level's bans are a bytes table: the gcd test of
     a branch with second > 1, the triple test while the third element t
     is chosen, then the pair bans of pair_bans_from_scratch(n, t) for
     every pair placed, read back from integer masks with to_bytes.
     """
-    cap = g - 2
-    last = _mirror_caps(last, second)
     charge = budget.charge
     mark = None
     ban = bytes(n)
@@ -516,7 +531,9 @@ def byte_table_branch(g, n, k, last, budget, second, canonical=False):
     def rec(S, r, depth, ban):
         if depth == k:
             return tuple(S)
-        hi = last[depth]
+        # the last gap is at least the first, second: the elements before
+        # the last one end by last[k - 1] - second, and so on down
+        hi = last[depth] if depth == k - 1 else min(last[depth], last[depth + 1] - second)
         if depth == 1:
             lo, hi = second, min(second, hi)
         else:
@@ -529,7 +546,7 @@ def byte_table_branch(g, n, k, last, budget, second, canonical=False):
             if r[d] >= g:
                 continue
             for y in S:
-                if r[(e + y) % n] > cap:
+                if r[(e + y) % n] > g - 2:
                     break
             else:
                 charge(e + 1 - charged)
@@ -559,12 +576,14 @@ def test_mask_engine_matches_the_byte_table_loop():
             last = _last_candidates(g, k, n - 1)
             for canonical in (False, True):
                 for second in range(1, last[1] + 1):
-                    case = (g, n, k, last)
                     kwargs = {"second": second, "canonical": canonical}
-                    reference = spent(byte_table_branch, *case, **kwargs)
-                    assert spent(_decide_modular, *case, **kwargs) == reference, (case, kwargs)
+                    cases = {byte_table_branch: (g, n, k, last),
+                             _decide_modular: (g, n, k, *_bounds(last, 0, second))}
+                    reference = spent(byte_table_branch, *cases[byte_table_branch], **kwargs)
+                    assert spent(_decide_modular, *cases[_decide_modular], **kwargs) == reference, \
+                        (g, n, k, kwargs)
                     if reference[1]:
-                        for decide in (byte_table_branch, _decide_modular):
+                        for decide, case in cases.items():
                             with pytest.raises(BudgetExceeded):
                                 decide(*case, _Budget(reference[1] - 1), **kwargs)
 
@@ -596,7 +615,7 @@ def test_least_affine_images_pass_the_canonical_rule():
         branches = {(g, L[1]) for L, rep in least_images(n, k).items() for g in range(rep, 5)}
         for g, second in branches:
             last = _last_candidates(g, k, n - 1)
-            assert _decide_modular(g, n, k, last, _Budget(10**9), second,
+            assert _decide_modular(g, n, k, *_bounds(last, 0, second), _Budget(10**9), second,
                                    canonical=True) is not None, (g, n, k, second)
         for L in least_images(n, k):
             s, t = L[1], L[2]
