@@ -1,49 +1,53 @@
 #!/usr/bin/env python3
-"""Time one tail norm against T, Taylor against Euler-Maclaurin zeta, and sweep K and the block size.
+"""Time the tail norm's FFT and folded sums against the full-period reference, and sweep the block size.
 
     python3 scripts/bench_kernels.py [--out BENCH_kernels.json]
 
-`kernels.tail_norm` sums the weighted period w(j) = |C(j)|^p zeta(2p, j/(4T))
-for j = 1 .. 4T+1, which `PiecewiseLinearKernel._weights_at` evaluates
-`_HURWITZ_BLOCK` values of j at a time, each zeta value as K =
-`_TAYLOR_LEAD_TERMS` direct terms plus one Taylor polynomial of
-zeta(s, K + a) (`kernels._taylor_block`).  This script keeps two
-references:
+`kernels.tail_norm` reads the sums S_n = sum over i >= n of |C(i)|^p
+(i/(4T))^-2p, n = 1 and 2, of one kernel.  `PiecewiseLinearKernel` keeps
+the real FFT's C(j) for j = 0..2T and folds the period at j <-> 4T - j:
+`_folded_weights` gives each pair one |C|^p, two direct powers and one
+even zeta polynomial, `_HURWITZ_BLOCK` values of j at a time.  This
+script keeps one reference, the full period written out as before the
+fold:
 
-- `euler_maclaurin_weights`, the evaluation before the polynomial: the same
-  blocks, every zeta value by `kernels._euler_maclaurin_block` (ten direct
-  terms and ten Bernoulli terms), about twelve powers per j in all;
-- `full_array_weights`, the Taylor evaluation with each step over the
-  whole 4T + 1 values, as if there were one block, and the entries past
-  a = 5/4 by Euler-Maclaurin written out on its own; tests/test_kernels.py
-  checks the blocked evaluation against it too.
+- `full_period_coefficients`, C(j) for j = 0..4T-1, the kernel's half
+  spectrum mirrored into one period;
+- `full_period_weights`, |C(j mod 4T)|^p zeta(2p, j/(4T)) for j = n ..
+  n+4T-1, every zeta value by Euler-Maclaurin (`full_array_euler_maclaurin`,
+  ten direct and ten Bernoulli terms), each step over the whole period.
+  Its sum is S_n; tests/test_kernels.py checks the folded sums against its
+  `math.fsum`.
 
 For the K5 kernel at T = 10^4, 10^5 and 10^6 it records
 
-- the seconds of one `tail_norm(kernel, 2, 4/3)` on the kernel's own and on
-  the Euler-Maclaurin evaluation, the kernel's coefficients computed
-  beforehand and its period sums emptied before each call; the weights
-  over j = 1 .. 4T+1 of the two agree within 2e-15 relative, and the
-  largest relative difference is recorded;
+- `fft`: seconds of the kernel's half-spectrum FFT (`half_s`) against the
+  same FFT mirrored into the full period (`mirrored_s`,
+  `reference_coefficients`);
+- `sums`: seconds of one `tail_norm(kernel, 2, 4/3)` (S_1 and S_2 from one
+  folded evaluation, `folded_s`), the coefficients computed beforehand
+  and the sums emptied before each call, against `np.sum` of the
+  reference weights of the same two periods (`reference_s`); the largest relative difference of the folded
+  S_1 and S_2 from the `math.fsum` of the reference, asserted within
+  AGREEMENT;
 - the tracemalloc peak of one such call, also in units of 8 (4T + 1)
-  bytes, the size of the weights array itself;
+  bytes, the size of the full-period weights array;
+- the minor page faults of a fresh kernel's first tail norms and
+  certificate (`resource.getrusage` of this process), the work of one
+  `spectral` question.
 
-and asserts that the full-array weights and tail norm equal the blocked
-ones bit for bit.
-
-At T = 10^5 it then sweeps the number K of direct terms from 1 to 4 and
-the block size from 2^11 to 2^17.  The calls run in alternating rounds,
-one call per round on each side, and a time is the median over the
-rounds.  A sweep ranks its values by the median of their `relative`
+Each pair runs in alternating rounds, one call per round on each side
+and the side that goes first alternating, and a time is the median over
+the rounds.  At T = 10^5 it then sweeps the block size from 2^11 to
+2^17 in the same way, ranks the sizes by the median of their `relative`
 times, each call's seconds over the fastest call of its round, which the
-load of a shared host, changing from one round to the next, moves less.
-A sweep keeps the module's current value unless another value's rank
-beats it by more than 5%, and then takes the best; so a rerun of
-unchanged code records the same `lead_terms` and `block`, which
-`_TAYLOR_LEAD_TERMS` and `_HURWITZ_BLOCK` should equal.  The block sweep
-also records each size's tracemalloc peak and ranks only the sizes that
-keep it within 1.5 weight arrays, the budget tests/test_kernels.py holds
-one tail norm at T = 10^5 to.
+load of a shared host, changing from one round to the next, moves less,
+and keeps the module's current size unless another's rank beats it by
+more than 5%; so a rerun of unchanged code records the same `block`,
+which `_HURWITZ_BLOCK` should equal.  The sweep also records each size's
+tracemalloc peak and ranks only the sizes that keep it within 1.5
+weight arrays, the budget tests/test_kernels.py holds one tail norm at
+T = 10^5 to.
 """
 from __future__ import annotations
 
@@ -53,6 +57,7 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import sys
 import time
@@ -66,44 +71,25 @@ import numpy as np  # noqa: E402
 from bench_dee import git_rev, package_version  # noqa: E402
 
 from bstar import kernels  # noqa: E402
-from bstar.kernels import PiecewiseLinearKernel, tail_norm  # noqa: E402
+from bstar.kernels import BoundCertificate, PiecewiseLinearKernel, tail_norm  # noqa: E402
 
 FAMILY, N, P = "K5", 2, 4.0 / 3.0  # the certificate's tail lnorm_{2,4/3}
 SIZES = (10**4, 10**5, 10**6)
 SIZE_ROUNDS = {10**4: 41, 10**5: 15, 10**6: 5}
 SWEEP_T = 10**5
-SWEEP_LEAD_TERMS = (1, 2, 3, 4)
 SWEEP_BLOCKS = tuple(1 << m for m in range(11, 18))
 SWEEP_ROUNDS = 41
-TIE = 1.05  # a sweep's current value stays unless another's rank is more than 5% better
-AGREEMENT = 2e-15  # largest relative difference allowed against Euler-Maclaurin
+TIE = 1.05  # the current block stays unless another's rank is more than 5% better
+AGREEMENT = 1e-15  # largest relative difference of a folded sum from the reference's fsum
 PEAK_BUDGET = 1.5  # weight arrays, at T = SWEEP_T: larger blocks are not ranked
 
 
-def euler_maclaurin_weights(kernel, p: float, start: int, count: int) -> np.ndarray:
-    """The weights as evaluated before the Taylor polynomial: Euler-Maclaurin for every j."""
-    s, scale, c = 2.0 * p, 4.0 * kernel.T, kernel.normalized_coefficients()
-    coeffs = kernels._euler_maclaurin_coefficients(s)
-    weights = np.empty(count)
-    block = kernels._HURWITZ_BLOCK
-    size = min(count, block)
-    a, work = np.empty(size), np.empty((2, size))
-    for lo in range(0, count, block):
-        m = min(block, count - lo)
-        j = np.arange(start + lo, start + lo + m)
-        out = weights[lo:lo + m]
-        kernels._euler_maclaurin_block(s, coeffs, np.divide(j, scale, out=a[:m]), out, work[:, :m])
-        cp = np.take(c, j, mode="wrap", out=work[0, :m])
-        out *= np.power(np.abs(cp, out=cp), p, out=cp)
-    return weights
-
-
 def full_array_euler_maclaurin(s: float, a: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin zeta(s, a) as it was evaluated before blocks: each step over all of a.
+    """Euler-Maclaurin zeta(s, a), each step over all of a.
 
     It is written out here, not taken from kernels._euler_maclaurin_block,
-    so that the blocked evaluation is checked against a separate statement
-    of the same sequence of operations.
+    so that the kernel is checked against a separate statement of the
+    zeta values.
     """
     total = np.zeros_like(a)
     for k in range(kernels._HURWITZ_LEAD_TERMS):
@@ -127,51 +113,39 @@ def full_array_euler_maclaurin(s: float, a: np.ndarray) -> np.ndarray:
     return total
 
 
-def full_array_taylor(s: float, a: np.ndarray) -> np.ndarray:
-    """The Taylor evaluation of kernels._taylor_block, each step over all of a."""
-    coeffs = kernels._taylor_coefficients(s)
-    total = np.full_like(a, coeffs[-1])
-    u = kernels._TAYLOR_CENTER - a
-    for c in reversed(coeffs[:-1]):
-        total *= u
-        total += c
-    for k in range(kernels._TAYLOR_LEAD_TERMS - 1, 0, -1):
-        total += (k + a) ** (-s)
-    total += a ** (-s)
-    return total
+def full_period_coefficients(kernel) -> np.ndarray:
+    """C(j) for one period, j = 0..4T-1: the kernel's half spectrum and its mirror C(4T - j) = C(j)."""
+    half = kernel.normalized_coefficients()
+    return np.concatenate([half, half[-2:0:-1]])
 
 
-def full_array_hurwitz(s: float, a: np.ndarray) -> np.ndarray:
-    """zeta(s, a) as _hurwitz_block evaluates it for s below the Taylor cap, each step over all of a."""
-    near = a <= 2.0 * kernels._TAYLOR_CENTER
-    total = np.empty_like(a)
-    total[near] = full_array_taylor(s, a[near])
-    total[~near] = full_array_euler_maclaurin(s, a[~near])
-    return total
-
-
-def full_array_weights(kernel, p: float, start: int, count: int) -> np.ndarray:
-    js = np.arange(start, start + count)
-    weights = full_array_hurwitz(2.0 * p, js / (4.0 * kernel.T))
-    weights *= np.abs(np.take(kernel.normalized_coefficients(), js, mode="wrap")) ** p
+def full_period_weights(kernel, p: float, start: int, count: int | None = None) -> np.ndarray:
+    """|C(j mod 4T)|^p zeta(2p, j/(4T)) for j = start .. start+count-1; over one period,
+    the default count, their sum is S_start."""
+    js = np.arange(start, start + (4 * kernel.T if count is None else count))
+    weights = full_array_euler_maclaurin(2.0 * p, js / (4.0 * kernel.T))
+    weights *= np.abs(np.take(full_period_coefficients(kernel), js, mode="wrap")) ** p
     return weights
 
 
-@contextlib.contextmanager
-def evaluation(weights=None, block: int | None = None, lead_terms: int | None = None):
-    """Make tail_norm evaluate its weights with `weights` in place of _weights_at,
-    in blocks of `block`, or with `lead_terms` direct terms before the polynomial."""
-    saved = kernels._HURWITZ_BLOCK, kernels._TAYLOR_LEAD_TERMS, PiecewiseLinearKernel._weights_at
-    if block is not None:
-        kernels._HURWITZ_BLOCK = block
-    if lead_terms is not None:
-        kernels._TAYLOR_LEAD_TERMS = lead_terms
-    if weights is not None:
-        PiecewiseLinearKernel._weights_at = weights
-    try:
-        yield
-    finally:
-        kernels._HURWITZ_BLOCK, kernels._TAYLOR_LEAD_TERMS, PiecewiseLinearKernel._weights_at = saved
+def reference_sum(kernel, p: float, start: int) -> float:
+    return math.fsum(full_period_weights(kernel, p, start))
+
+
+def reference_coefficients(kernel) -> np.ndarray:
+    """The FFT as it was before the fold: the real FFT's real part, mirrored into one period."""
+    T = kernel.T
+    d = np.diff(kernel.y)
+    edge = np.zeros(4 * T)
+    edge[T + 1:2 * T + 1] += d
+    edge[T:2 * T] -= d
+    half = np.fft.rfft(edge).real
+    return np.concatenate([half, half[-2:0:-1]])
+
+
+def fresh_coefficients(kernel) -> np.ndarray:
+    kernel._c = None
+    return kernel.normalized_coefficients()
 
 
 def one_tail(kernel) -> float:
@@ -179,39 +153,43 @@ def one_tail(kernel) -> float:
     return tail_norm(kernel, N, P).value
 
 
-def check_full_array_identity(kernel) -> None:
-    """Assert that the blocked and full-array forms give the same weights and tail norm, bit for bit."""
-    count = 4 * kernel.T + 1
-    blocked, weights = one_tail(kernel), kernel._weights_at(P, 1, count)
-    with evaluation(weights=full_array_weights):
-        if one_tail(kernel) != blocked or not np.array_equal(kernel._weights_at(P, 1, count), weights):
-            raise AssertionError(f"the blocked weights differ from the full-array ones at T = {kernel.T}")
+def reference_tail(kernel) -> float:
+    """np.sum of each of the two periods in the reference weights over j = 1 .. 4T+1, as one_tail sums them."""
+    weights = full_period_weights(kernel, P, 1, 4 * kernel.T + 1)
+    return float(np.sum(weights[:-1])) + float(np.sum(weights[1:]))
 
 
-def euler_maclaurin_difference(kernel) -> float:
-    """Largest relative difference of the weights from the Euler-Maclaurin ones, asserted <= AGREEMENT."""
-    count = 4 * kernel.T + 1
-    weights = kernel._weights_at(P, 1, count)
-    reference = euler_maclaurin_weights(kernel, P, 1, count)
-    nonzero = reference != 0.0
-    if not np.array_equal(weights == 0.0, ~nonzero):
-        raise AssertionError(f"the weights vanish at other j than Euler-Maclaurin's at T = {kernel.T}")
-    worst = float(np.max(np.abs(weights[nonzero] / reference[nonzero] - 1.0)))
+def agreement(kernel) -> float:
+    """Largest relative difference of the folded S_1, S_2 from the reference's fsum, asserted <= AGREEMENT."""
+    kernel._sums.clear()
+    worst = max(abs(kernel._period_sum(P, start) / reference_sum(kernel, P, start) - 1.0)
+                for start in (1, 2))
     if not worst <= AGREEMENT:
-        raise AssertionError(f"the weights differ from Euler-Maclaurin's by {worst:.3g} at T = {kernel.T}")
+        raise AssertionError(f"the folded sums differ from the reference by {worst:.3g} at T = {kernel.T}")
     return worst
 
 
-def rounds_of_seconds(kernel, contexts, rounds: int) -> list[list[float]]:
-    """Seconds of one tail norm in each round, under each context in turn."""
+@contextlib.contextmanager
+def evaluation(block: int):
+    """Make tail_norm evaluate its folded weights in blocks of `block`."""
+    saved = kernels._HURWITZ_BLOCK
+    kernels._HURWITZ_BLOCK = block
+    try:
+        yield
+    finally:
+        kernels._HURWITZ_BLOCK = saved
+
+
+def rounds_of_seconds(calls, rounds: int) -> list[list[float]]:
+    """Seconds of each call in each round; odd rounds run the calls in reverse order."""
     times = []
-    for _ in range(rounds):
-        row = []
-        for ctx in contexts:
-            with ctx():
-                t0 = time.perf_counter()
-                one_tail(kernel)
-                row.append(time.perf_counter() - t0)
+    for r in range(rounds):
+        row = [0.0] * len(calls)
+        order = range(len(calls)) if r % 2 == 0 else reversed(range(len(calls)))
+        for i in order:
+            t0 = time.perf_counter()
+            calls[i]()
+            row[i] = time.perf_counter() - t0
         times.append(row)
     return times
 
@@ -226,11 +204,24 @@ def peak_bytes(kernel) -> int:
         tracemalloc.stop()
 
 
-def sweep(kernel, key: str, values, context) -> list[dict]:
-    """Median seconds and relative time of one tail norm under context(value), for each value."""
-    times = rounds_of_seconds(kernel, [lambda v=v: context(v) for v in values], SWEEP_ROUNDS)
+def page_faults(T: int) -> int:
+    """Minor page faults of a fresh kernel's tail norms from n = 0, 1, 2 and its certificate."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    kernel = PiecewiseLinearKernel.from_family(FAMILY, T)
+    for n in (0, 1, 2):
+        tail_norm(kernel, n, P)
+    BoundCertificate.from_kernel(kernel)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def sweep(kernel, values) -> list[dict]:
+    """Median seconds and relative time of one tail norm in blocks of each value."""
+    def call(v):
+        with evaluation(block=v):
+            one_tail(kernel)
+    times = rounds_of_seconds([lambda v=v: call(v) for v in values], SWEEP_ROUNDS)
     relative = [[t / min(row) for t in row] for row in times]
-    return [{key: v, "seconds": statistics.median(ts), "relative": statistics.median(rs)}
+    return [{"block": v, "seconds": statistics.median(ts), "relative": statistics.median(rs)}
             for v, ts, rs in zip(values, zip(*times), zip(*relative))]
 
 
@@ -250,40 +241,34 @@ def main() -> int:
     rows = []
     for T in SIZES:
         kernel = PiecewiseLinearKernel.from_family(FAMILY, T)
-        kernel.normalized_coefficients()
-        check_full_array_identity(kernel)
-        difference = euler_maclaurin_difference(kernel)
+        difference = agreement(kernel)
         peak = peak_bytes(kernel)
-        times = rounds_of_seconds(
-            kernel, (lambda: evaluation(weights=euler_maclaurin_weights), evaluation), SIZE_ROUNDS[T])
-        before_s, after_s = (statistics.median(ts) for ts in zip(*times))
+        faults = statistics.median(page_faults(T) for _ in range(5))
+        fft = rounds_of_seconds([lambda: reference_coefficients(kernel), lambda: fresh_coefficients(kernel)],
+                                SIZE_ROUNDS[T])
+        sums = rounds_of_seconds([lambda: reference_tail(kernel), lambda: one_tail(kernel)],
+                                 SIZE_ROUNDS[T])
+        (fft_ref, fft_s), (sums_ref, sums_s) = ([statistics.median(ts) for ts in zip(*times)]
+                                                for times in (fft, sums))
         unit = 8 * (4 * T + 1)
-        row = {"T": T, "euler_maclaurin_s": before_s, "taylor_s": after_s, "speedup": before_s / after_s,
-               "taylor_peak_bytes": peak, "taylor_peak_units": peak / unit,
+        row = {"T": T,
+               "fft": {"mirrored_s": fft_ref, "half_s": fft_s, "speedup": fft_ref / fft_s},
+               "sums": {"reference_s": sums_ref, "folded_s": sums_s, "speedup": sums_ref / sums_s},
+               "peak_bytes": peak, "peak_units": peak / unit, "minor_page_faults": faults,
                "max_relative_difference": difference}
         rows.append(row)
-        print(f"T={T:>8d} Euler-Maclaurin {before_s * 1e3:8.2f} ms   Taylor {after_s * 1e3:8.2f} ms "
-              f"{peak / 1e6:7.2f} MB   x{row['speedup']:.2f}   max rel diff {difference:.2g}", flush=True)
+        print(f"T={T:>8d} FFT {fft_ref * 1e3:8.2f} -> {fft_s * 1e3:8.2f} ms   "
+              f"sums {sums_ref * 1e3:8.2f} -> {sums_s * 1e3:8.2f} ms   {peak / 1e6:7.2f} MB   "
+              f"{faults:.0f} page faults   max rel diff {difference:.2g}", flush=True)
 
     kernel = PiecewiseLinearKernel.from_family(FAMILY, SWEEP_T)
     kernel.normalized_coefficients()
-    for lead_terms in SWEEP_LEAD_TERMS:
-        with evaluation(lead_terms=lead_terms):
-            euler_maclaurin_difference(kernel)
-    lead_sweep = sweep(kernel, "lead_terms", SWEEP_LEAD_TERMS, lambda k: evaluation(lead_terms=k))
-    for row in lead_sweep:
-        with evaluation(lead_terms=row["lead_terms"]):
-            row["taylor_terms"] = kernels._taylor_terms(2.0 * P)
-        print(f"K={row['lead_terms']} ({row['taylor_terms']} Taylor terms) at T={SWEEP_T}: "
-              f"{row['seconds'] * 1e3:7.2f} ms  x{row['relative']:.3f} of its round's fastest", flush=True)
-    lead_terms = keep_unless_beaten(lead_sweep, "lead_terms", kernels._TAYLOR_LEAD_TERMS)
-
     reference = one_tail(kernel)
     for block in SWEEP_BLOCKS:
         with evaluation(block=block):
             if one_tail(kernel) != reference:
                 raise AssertionError(f"block size {block} changes the tail norm")
-    block_sweep = sweep(kernel, "block", SWEEP_BLOCKS, lambda b: evaluation(block=b))
+    block_sweep = sweep(kernel, SWEEP_BLOCKS)
     for row in block_sweep:
         with evaluation(block=row["block"]):
             row["peak_units"] = peak_bytes(kernel) / (8 * (4 * SWEEP_T + 1))
@@ -294,24 +279,19 @@ def main() -> int:
                                "block", kernels._HURWITZ_BLOCK)
 
     record = {
-        "what": f"seconds and tracemalloc peak bytes of one tail_norm({FAMILY} kernel, {N}, 4/3), "
-                "its zeta values from K direct terms and one Taylor polynomial against "
-                "Euler-Maclaurin, and sweeps of K and of the block size at "
+        "what": f"seconds of the {FAMILY} kernel's FFT and of one tail_norm(kernel, {N}, 4/3), "
+                "folded at j <-> 4T - j, against the full-period reference; tracemalloc peak "
+                "bytes, minor page faults of a fresh kernel, and a sweep of the block size at "
                 f"T = {SWEEP_T}",
         "provenance": {"package_version": package_version(), "git_rev": git_rev(),
                        "python": platform.python_version(), "numpy": np.__version__,
                        "nproc": os.cpu_count()},
-        "lead_terms": lead_terms,
-        "taylor_lead_terms": kernels._TAYLOR_LEAD_TERMS,
-        "taylor_interval": [0.0, 2.0 * kernels._TAYLOR_CENTER],
         "block": block,
         "hurwitz_block": kernels._HURWITZ_BLOCK,
         "sizes": rows,
-        "lead_terms_sweep": lead_sweep,
         "sweep": block_sweep,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    print(f"lead_terms = {lead_terms}, kernels._TAYLOR_LEAD_TERMS = {kernels._TAYLOR_LEAD_TERMS}")
     print(f"block = {block}, kernels._HURWITZ_BLOCK = {kernels._HURWITZ_BLOCK}")
     print(f"wrote {args.out}")
     return 0

@@ -15,10 +15,17 @@ engines as well as questions.  This script decides fixed questions
   branches called directly.  Both must return the same witness and
   nodes.
 
-Each time is the median of REPEATS runs.  The script also streams the
-tables `bstar table --which R --max-k 10 --g-max 7` and
-`--which C --max-k 9 --g-max 6` through `table_rows` once and records
-their node totals and seconds, then writes the record as JSON.
+The decisions run in ROUNDS alternating rounds, each round every
+decision once, the order reversed in every other round, so that the
+load of a shared host, which changes from one round to the next, falls
+on every decision alike.  A decision's `seconds` is the median over the
+rounds, and its `relative` time, by which the record ranks them as
+`bench_kernels.py` ranks its sweeps, is the median of its seconds over
+the fastest decision of each round.  Every round must give the same
+witness and nodes.  The script also streams the tables `bstar table
+--which R --max-k 10 --g-max 7` and `--which C --max-k 9 --g-max 6`
+through `table_rows` once and records their node totals and seconds,
+then writes the record as JSON.
 """
 from __future__ import annotations
 
@@ -43,7 +50,7 @@ DECISIONS = (("modular", 2, 47, 7), ("modular", 2, 72, 9), ("modular", 3, 53, 9)
              ("modular", 5, 27, 10),
              ("integer", 4, 21, 10), ("integer", 3, 45, 10), ("integer", 2, 55, 10))
 TABLES = (("R", "integer", 10, 7), ("C", "modular", 9, 6))  # which, kind, max k, max g
-REPEATS = 3
+ROUNDS = 5
 
 
 def counting_engine(n: int, k: int):
@@ -77,15 +84,28 @@ def engines(case):
             ("integer counting", lambda: counting_engine(n, k))]
 
 
-def timed(call) -> dict:
-    runs = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        witness, nodes = call()
-        runs.append(time.perf_counter() - t0)
-    seconds = statistics.median(runs)
-    return {"witness": None if witness is None else list(witness), "nodes": nodes,
-            "seconds": seconds, "nodes_per_s": nodes / seconds, "runs_s": runs}
+def timed_rounds(calls) -> list[dict]:
+    """Witness, nodes and seconds of each call over ROUNDS rounds, the order reversed every other round."""
+    outcomes, times = [None] * len(calls), []
+    for r in range(ROUNDS):
+        row = [0.0] * len(calls)
+        for i in (range(len(calls)) if r % 2 == 0 else reversed(range(len(calls)))):
+            t0 = time.perf_counter()
+            witness, nodes = calls[i]()
+            row[i] = time.perf_counter() - t0
+            outcome = (None if witness is None else list(witness), nodes)
+            if outcomes[i] not in (None, outcome):
+                raise AssertionError(f"call {i} answered {outcome} after {outcomes[i]}")
+            outcomes[i] = outcome
+        times.append(row)
+    relative = [[t / min(row) for t in row] for row in times]
+    rows = []
+    for (witness, nodes), ts, rs in zip(outcomes, zip(*times), zip(*relative)):
+        seconds = statistics.median(ts)
+        rows.append({"witness": witness, "nodes": nodes, "seconds": seconds,
+                     "nodes_per_s": nodes / seconds, "relative": statistics.median(rs),
+                     "runs_s": list(ts)})
+    return rows
 
 
 def main() -> int:
@@ -93,15 +113,15 @@ def main() -> int:
     ap.add_argument("--out", default=str(ROOT / "BENCH_search.json"))
     args = ap.parse_args()
 
-    decisions = []
+    pairs = [(case, engine, call) for case in DECISIONS for engine, call in engines(case)]
+    decisions = [{"case": list(case), "engine": engine, **row}
+                 for (case, engine, _), row in zip(pairs, timed_rounds([call for _, _, call in pairs]))]
+    for row in decisions:
+        print(f"{row['engine']:16s} {tuple(row['case'])}: {row['nodes']:9d} nodes {row['seconds']:7.3f} s "
+              f"{row['nodes_per_s']:10.0f} nodes/s  x{row['relative']:.1f} of its round's fastest",
+              flush=True)
     for case in DECISIONS:
-        outcomes = set()
-        for engine, call in engines(case):
-            row = {"case": list(case), "engine": engine, **timed(call)}
-            decisions.append(row)
-            outcomes.add((str(row["witness"]), row["nodes"]))
-            print(f"{engine:16s} {case}: {row['nodes']:9d} nodes {row['seconds']:7.3f} s "
-                  f"{row['nodes_per_s']:10.0f} nodes/s", flush=True)
+        outcomes = {(str(row["witness"]), row["nodes"]) for row in decisions if row["case"] == list(case)}
         if len(outcomes) != 1:
             raise AssertionError(f"the engines disagree on {case}: {outcomes}")
 
@@ -117,11 +137,12 @@ def main() -> int:
               f"{nodes} nodes {seconds:.1f} s", flush=True)
 
     record = {
-        "what": "serial exists_set decisions at fixed (kind, g, n, k), nodes and the median "
-                "seconds of REPEATS runs, and the node totals of the R and C min-n tables",
+        "what": "serial exists_set decisions at fixed (kind, g, n, k), nodes, the median "
+                "seconds over ROUNDS alternating rounds and the median time relative to each "
+                "round's fastest decision, and the node totals of the R and C min-n tables",
         "provenance": {"package_version": package_version(), "git_rev": git_rev(),
                        "python": platform.python_version(), "numpy": np.__version__,
-                       "nproc": os.cpu_count(), "repeats": REPEATS},
+                       "nproc": os.cpu_count(), "rounds": ROUNDS},
         "decisions": decisions,
         "tables": tables,
     }

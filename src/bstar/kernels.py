@@ -13,13 +13,13 @@ on an interval of length 1/2 has ||f*f||_inf >= c":
 
   with C(j) = sum_t (y_t - y_{t-1}) (cos(2 pi j x_t) - cos(2 pi j x_{t-1})),
 
-* the zeta values of the tail norms from n = 0, 1 and 2 all have
-  0 < a <= 5/4, where zeta(s, a) is two direct terms plus one Taylor
-  polynomial of zeta(s, 2 + a) about a = 5/8, its truncation proven
-  below 2^-59 of the value: two powers per value where Euler-Maclaurin
-  takes eleven.  Euler-Maclaurin gives the polynomial's coefficients,
-  and the values past a = 5/4 of later tail starts.  Both are within
-  2e-15 relative of mpmath (measured 5.1e-16 at most),
+* the fold j <-> 4T - j: C is even, so C(4T - j) = C(j), and by the
+  reflection identity zeta(s, x+b) + zeta(s, x-b) is one polynomial in
+  b^2 whose truncation is proven below 2^-59 of the value.  Each pair
+  j, 4T - j then takes one |C|^p, two direct powers and that even
+  polynomial, over half the spectrum; Euler-Maclaurin gives its
+  coefficients and the scalar hurwitz_zeta, within 2e-15 relative of
+  mpmath (tests/test_kernels.py),
 
 * a mixing optimum: blending K with the constant 1 minimizes the
   l^{4/3} coefficient norm and yields the floor
@@ -87,23 +87,19 @@ _BERNOULLI_2J = (
 )
 _HURWITZ_LEAD_TERMS = 10  # summed directly before the Euler-Maclaurin tail
 
-# On 0 < a <= 2 * _TAYLOR_CENTER = 5/4, which holds every argument j/(4T),
-# j = 1 .. 4T+1, of the tail norms from n = 0, 1 and 2, zeta(s, a) is
-# _TAYLOR_LEAD_TERMS direct terms plus one Taylor polynomial of
-# zeta(s, K + a) about a = 5/8 (see _taylor_block).  BENCH_kernels.json's
-# sweep of K picks 2; its cap on the polynomial's length keeps that
-# evaluation to s below about 209, past which Euler-Maclaurin takes over.
-_TAYLOR_LEAD_TERMS = 2
-_TAYLOR_CENTER = 0.625
-_TAYLOR_MAX_TERMS = 64
+# The even zeta polynomial of the tail norms (_fold_coefficients) takes
+# its coefficients zeta(s + 2k, x) at exponents up to this one, where
+# tests/test_kernels.py proves Euler-Maclaurin's remainder below 2^-59 of
+# every value and no binomial factor overflows; at x = 3/2 it admits s up
+# to about 360, p up to about 180.
+_FOLD_MAX_EXPONENT = 1000.0
 
-# Values of a per block: a block's five arrays (its j, arguments, result
-# and two work rows, 256 KiB each) stay in a core's L2 cache through the
-# ~70 elementwise passes of one evaluation, whose Python cost per block
-# larger blocks spread thinner.  In five runs of BENCH_kernels.json's
-# sweep 2^15 was 3% faster than 2^14 on average (from 2% slower to 8%
-# faster) and never more than 5% behind any size that keeps one tail
-# norm's peak at T = 10^5 within 1.5 weight arrays; 2^16 takes it to 1.8.
+# Values of j per block: a block's arrays (its j, u, work row and slice
+# of the weights, 256 KiB each) stay in a core's L2 cache through the ~50
+# elementwise passes of one evaluation, whose Python cost per block
+# larger blocks spread thinner.  In BENCH_kernels.json's sweep 2^16 came
+# within 2% of 2^15 and 2^14 4% behind it; tests/test_kernels.py holds
+# the module to the recorded size.
 _HURWITZ_BLOCK = 1 << 15
 
 
@@ -129,8 +125,8 @@ def _euler_maclaurin_block(s, coeffs: list, a: np.ndarray, out: np.ndarray,
     (s+2M-1) (F. Johansson, Numer. Algorithms 69 (2015), Thm 1), at most
     1.15e-18 for every s > 1, and at most 2.8e-19 of a^-s < zeta(s, a)
     for every s > 1 and 0 < a <= 5: far below one ulp.  s may also be an
-    array as long as a; _taylor_coefficients takes all its zeta values
-    in one such call.
+    array as long as a; _fold_coefficients takes all its zeta values in
+    one such call.
     """
     term, tail = work
     np.power(a, -s, out=out)  # the k = 0 lead term
@@ -151,122 +147,64 @@ def _euler_maclaurin_block(s, coeffs: list, a: np.ndarray, out: np.ndarray,
     out += tail
 
 
-def _taylor_terms(s: float) -> Optional[int]:
-    """Length of the Taylor polynomial in _taylor_block, or None past the cap.
+def _fold_terms(s: float, x: float) -> Optional[int]:
+    """Length of the even polynomial of _fold_coefficients, or None past _FOLD_MAX_EXPONENT.
 
-    With x = K + a0 and h = a0, the m-th term is bounded on the interval
-    by b_m = (s)_m / m! zeta(s+m, x) h^m, and zeta(s+m+1, x) <= zeta(s+m, x)
-    / x gives b_(m+1) / b_m <= r_m = (s+m)/(m+1) * h/x, which does not
-    grow with m.  So once r_M < 1 the terms from M on sum to at most
-    b_M / (1 - r_M), where zeta(s+M, x) <= x^(-s-M) + x^(1-s-M)/(s+M-1).
-    M is the least length that brings this below 2^-59 of zeta(s, 5/4) >=
-    (5/4)^-s + (9/4)^(1-s)/(s-1), the least value on the interval: under
-    1/64 of an ulp of every value.  Everything is summed in logarithms.
+    For |b| <= 1/2 < x, H(b) = zeta(s, x+b) + zeta(s, x-b) is the series
+    sum_k t_k with t_k = 2 (s)_2k / (2k)! zeta(s+2k, x) b^2k >= 0.  Since
+    zeta(s+2k+2, x) <= zeta(s+2k, x) / x^2 term by term, t_(k+1) / t_k <=
+    r_k = (s+2k)(s+2k+1) / ((2k+1)(2k+2)) / (4x^2), which falls with k,
+    and t_k <= (s)_2k / (2k)! (4x^2)^-k H(0), where H(0) <= H(b).  So once
+    r_K < 1 the terms from K on sum to at most (s)_2K / (2K)! (4x^2)^-K /
+    (1 - r_K) of the value, and K is the least length that brings this
+    below 2^-59: under 1/64 of an ulp.  Everything is summed in logarithms.
     """
-    x, h = _TAYLOR_LEAD_TERMS + _TAYLOR_CENTER, _TAYLOR_CENTER
-    lead, rest = -s * math.log(2.0 * h), (1.0 - s) * math.log(2.0 * h + 1.0) - math.log(s - 1.0)
-    log_floor = (max(lead, rest) + math.log1p(math.exp(-abs(lead - rest)))
-                 - 59.0 * math.log(2.0))
-    log_binomial = 0.0  # log (s)_m / m!
-    for m in range(_TAYLOR_MAX_TERMS + 1):
-        ratio = (s + m) / (m + 1) * h / x
-        if ratio < 1.0:
-            log_zeta = -(s + m) * math.log(x) + math.log1p(x / (s + m - 1.0))
-            if log_binomial + m * math.log(h) + log_zeta - math.log1p(-ratio) < log_floor:
-                return m
-        log_binomial += math.log((s + m) / (m + 1))
+    log_term, k = 0.0, 0  # log (s)_2k / (2k)! (4x^2)^-k
+    while s + 2 * k <= _FOLD_MAX_EXPONENT:
+        ratio = (s + 2 * k) * (s + 2 * k + 1) / ((2 * k + 1) * (2 * k + 2)) / (4.0 * x * x)
+        if ratio < 1.0 and log_term - math.log1p(-ratio) < -59.0 * math.log(2.0):
+            return k
+        log_term += math.log(ratio)
+        k += 1
     return None
 
 
-def _taylor_coefficients(s: float) -> Optional[list[float]]:
-    """(s)_m / m! zeta(s+m, K + a0) for m < _taylor_terms(s), or None.
+def _fold_coefficients(s: float, x: float) -> Optional[list[float]]:
+    """2 (s)_2k / (2k)! zeta(s+2k, x) for k < _fold_terms(s, x), or None.
 
-    The zeta values come from one Euler-Maclaurin call on the vector of
-    exponents s + m.
+    H(b) = zeta(s, x+b) + zeta(s, x-b) is the polynomial with these
+    coefficients in u = b^2, to 2^-59 of its value on |b| <= 1/2.  The
+    zeta values come from one Euler-Maclaurin call on the vector of
+    exponents s + 2k.
     """
-    terms = _taylor_terms(s)
+    terms = _fold_terms(s, x)
     if terms is None:
         return None
-    m = np.arange(terms)
-    sigma = s + m
+    k = np.arange(terms)
+    sigma = s + 2.0 * k
     zeta = np.empty(terms)
-    _euler_maclaurin_block(sigma, _euler_maclaurin_coefficients(sigma),
-                           np.full(terms, _TAYLOR_LEAD_TERMS + _TAYLOR_CENTER), zeta,
+    _euler_maclaurin_block(sigma, _euler_maclaurin_coefficients(sigma), np.full(terms, x), zeta,
                            np.empty((2, terms)))
-    binomial = np.cumprod(np.r_[1.0, sigma[:-1] / m[1:]])
-    return (binomial * zeta).tolist()
-
-
-def _taylor_block(s: float, coeffs: list[float], a: np.ndarray, out: np.ndarray,
-                  work: np.ndarray) -> None:
-    """zeta(s, a) into out for one block of 0 < a <= 5/4, s > 1.
-
-    zeta(s, a) = sum_{k<K} (k+a)^-s + zeta(s, K+a), and zeta(s, K+a) =
-    sum_m (s)_m / m! zeta(s+m, K+a0) (a0 - a)^m, whose nearest
-    singularity lies K + a0 away from a0 = 5/8 while |a0 - a| < 5/8.  The
-    polynomial's coefficients come from _taylor_coefficients, its length
-    from the proven bound of _taylor_terms (31 terms at s = 8/3, at most
-    49 for s <= 64), and it is evaluated by Horner's rule; then the K = 2
-    direct terms are added, the largest last: two powers per value in
-    place of Euler-Maclaurin's eleven.  Against mpmath at 40 digits the
-    relative error is at most 2e-15 (tests/test_kernels.py); measured,
-    it is at most 4.2e-16 for s from 4/3 to 64, and the tail-norm
-    weights moved by at most 8.9e-16 from their Euler-Maclaurin values.
-    """
-    u, term = work
-    np.subtract(_TAYLOR_CENTER, a, out=u)
-    out.fill(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        out *= u
-        out += c
-    for k in range(_TAYLOR_LEAD_TERMS - 1, 0, -1):
-        np.add(a, k, out=term)
-        out += np.power(term, -s, out=term)
-    out += np.power(a, -s, out=term)
-
-
-def _hurwitz_coefficients(s: float) -> tuple[Optional[list[float]], list[float]]:
-    """What _hurwitz_block needs for s: the Taylor and Euler-Maclaurin coefficients."""
-    return _taylor_coefficients(s), _euler_maclaurin_coefficients(s)
-
-
-def _hurwitz_block(s: float, coeffs: tuple, a: np.ndarray, out: np.ndarray,
-                   work: np.ndarray) -> None:
-    """zeta(s, a) into out for one block of ascending a > 0, s > 1.
-
-    The values a <= 5/4 go to _taylor_block, the rest, and every value
-    when s is past the Taylor cap, to _euler_maclaurin_block.  Which one
-    an entry takes depends on s and a alone, and each gives every entry
-    the same sequence of elementwise operations, so no entry depends on
-    its block, its place in it or the block's length.
-    """
-    taylor, euler_maclaurin = coeffs
-    near = 0 if taylor is None else int(np.searchsorted(a, 2.0 * _TAYLOR_CENTER, side="right"))
-    if near:
-        _taylor_block(s, taylor, a[:near], out[:near], work[:, :near])
-    if near < len(a):
-        _euler_maclaurin_block(s, euler_maclaurin, a[near:], out[near:], work[:, near:])
+    growth = np.cumprod(np.r_[2.0, sigma[:-1] * (sigma[:-1] + 1.0) / ((2 * k[1:] - 1) * (2 * k[1:]))])
+    return (growth * zeta).tolist()
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
-    """zeta(s, a) = sum_{k>=0} (k+a)^(-s).
+    """zeta(s, a) = sum_{k>=0} (k+a)^(-s), by Euler-Maclaurin (_euler_maclaurin_block).
 
-    Two direct terms and a Taylor polynomial of zeta(s, 2 + a), its
-    remainder proven below 2^-59 of the value (_taylor_block), or past
-    s ~ 209 Euler-Maclaurin.  Relative error at most 2e-15 against
-    mpmath for s in {4/3, 2, 2.6, 8/3, 8}, on a log grid of a over
-    [1e-4, 1], on a kernel's table arguments j/(4T) and, through the
-    block, on (1, 5]; measured 2.5e-16 below a = 5/4 and 5.1e-16 above
-    it (tests/test_kernels.py).  Bit for bit the entry that
-    _hurwitz_block gives for the same a in any block.
+    Relative error at most 2e-15 against mpmath for s in {4/3, 2, 2.6,
+    8/3, 8}, on a log grid of a over [1e-4, 1] and on a kernel's table
+    arguments j/(4T), through the block also on (1, 5], and for s = 300
+    on [0.3, 2] (tests/test_kernels.py).  Bit for bit the entry that
+    _euler_maclaurin_block gives for the same a in any block.
     """
     if not 1 < s < math.inf:
         raise ValueError("hurwitz_zeta needs s > 1")
     if not 0 < a <= 1:
         raise ValueError("hurwitz_zeta needs 0 < a <= 1")
     out = np.empty(1)
-    _hurwitz_block(s, _hurwitz_coefficients(s), np.array([a], dtype=float), out,
-                   np.empty((2, 1)))
+    _euler_maclaurin_block(s, _euler_maclaurin_coefficients(s), np.array([a], dtype=float), out,
+                           np.empty((2, 1)))
     return float(out[0])
 
 
@@ -309,12 +247,12 @@ class PiecewiseLinearKernel:
     """Even kernel, 1 on [-1/4, 1/4], linear between x_t = 1/4 + t/(4T).
 
     y holds the finite T+1 node values with y[0] = 1.  The kernel caches
-    its FFT coefficients and, per exponent p, the two period sums of
-    w(j) = |C(j mod 4T)|^p zeta(2p, j/(4T)) that its tail norms from
-    n = 0, 1 and 2 read (see _period_sum); so the zeta values are
-    computed once per kernel and p, and no weights array outlives the
-    call that made it.  Both caches are fixed by y, so the kernel keeps
-    its own read-only copy of it.
+    its FFT coefficients C(j) for half a period, j = 0..2T, and, per
+    exponent p, the two sums S_1 and S_2 that its tail norms from n = 0,
+    1 and 2 read (see _period_sum); so the zeta values are computed once
+    per kernel and p, and no weights array outlives the call that made
+    it.  Both caches are fixed by y, so the kernel keeps its own
+    read-only copy of it.
     """
 
     def __init__(self, y):
@@ -355,11 +293,12 @@ class PiecewiseLinearKernel:
         return 0.5 + (y[0] / 2 + y[1:-1].sum() + y[-1] / 2) / (2.0 * T)
 
     def normalized_coefficients(self) -> np.ndarray:
-        """C(j) = (pi^2 j^2 / 2T) Khat(j) for one period j = 0..4T-1.
+        """C(j) = (pi^2 j^2 / 2T) Khat(j) for half a period, j = 0..2T.
 
         The edge signal (differences of the node-value increments) has
         support of length 4T, so one real FFT gives j = 0 .. 2T, and the
-        rest of the period mirrors it: C(4T - j) = C(j) for a real signal.
+        kernel keeps only their real parts: C is even with period 4T, so
+        C(4T - j) = C(j) gives the rest of every period (see coefficient).
         """
         if self._c is None:
             T = self.T
@@ -367,53 +306,87 @@ class PiecewiseLinearKernel:
             edge = np.zeros(4 * T)
             edge[T + 1:2 * T + 1] += d
             edge[T:2 * T] -= d
-            half = np.fft.rfft(edge).real
-            self._c = np.concatenate([half, half[-2:0:-1]])
+            self._c = np.fft.rfft(edge).real.copy()
         return self._c
 
     def coefficient(self, j: int) -> float:
-        """Khat(j) = 2T C(j) / (pi j)^2 for j != 0."""
+        """Khat(j) = 2T C(j) / (pi j)^2 for j != 0, with j mod 4T folded into [0, 2T]."""
         if j == 0:
             return self.fourier_dc()
-        c = self.normalized_coefficients()
-        return 2.0 * self.T * float(c[abs(j) % (4 * self.T)]) / (math.pi**2 * j * j)
+        period = 4 * self.T
+        m = abs(j) % period
+        c = self.normalized_coefficients()[min(m, period - m)]
+        return 2.0 * self.T * float(c) / (math.pi**2 * j * j)
 
     def _period_sum(self, p: float, start: int) -> float:
-        """Sum of |C(j)|^p zeta(2p, j/(4T)) over the period j = start .. start+4T-1.
+        """S = sum over i >= start of |C(i)|^p (i/(4T))^-2p, start >= 1.
 
-        The first call for p at start 1 or 2 evaluates the weights over
-        j = 1 .. 4T+1 once and keeps only np.sum of each of the two
-        periods in it; a later start sums a fresh evaluation.  Each sum
-        runs over the whole period's slice, so its pairwise order, and
-        with it every bit, does not depend on the blocks.
+        It equals the period sum of |C(j)|^p zeta(2p, j/(4T)) over j =
+        start .. start+4T-1.  S_1 and S_2 share one evaluation, kept per
+        p: S_2 is the sum of _folded_weights(p, 2), and S_1 adds to it the
+        one term that S_2 leaves out, |C(1)|^p (1/(4T))^-2p, the power of
+        the rounded argument as every direct power takes it, so nothing is
+        subtracted.  A later start sums its own evaluation.
         """
-        period = 4 * self.T
         if start > 2:
-            return float(np.sum(self._weights_at(p, start, period)))
+            return float(np.sum(self._folded_weights(p, start)))
         if p not in self._sums:
-            w = self._weights_at(p, 1, period + 1)
-            self._sums[p] = (float(np.sum(w[:period])), float(np.sum(w[1:])))
+            rest = float(np.sum(self._folded_weights(p, 2)))
+            head = abs(self.normalized_coefficients()[1]) ** p * np.power(1.0 / (4 * self.T), -2.0 * p)
+            self._sums[p] = (float(rest + head), rest)
         return self._sums[p][start - 1]
 
-    def _weights_at(self, p: float, start: int, count: int) -> np.ndarray:
-        """|C(j mod 4T)|^p zeta(2p, j/(4T)) for j = start .. start+count-1, start >= 1.
+    def _folded_weights(self, p: float, start: int) -> np.ndarray:
+        """w(j) for j = 0..2T, whose sum is S = sum over i >= start of |C(i)|^p (i/N)^-s.
 
-        One block of j at a time: its arguments j/(4T), its zeta values
-        and its |C(j)|^p stay in the block's buffers, and only the
-        weights fill a count-long array.
+        With N = 4T, s = 2p and r = (start - 1) // N, S takes i below
+        N (r+1) one direct power each, and the rest through the classes
+        j = i mod N: C(N - j) = C(j), and zeta(s, r+1+a) + zeta(s, r+2-a)
+        = H(a - 1/2) with a = j/N, the even polynomial of _fold_coefficients
+        about x = r + 3/2.  So j = 1..2T-1 carries the pair j, N - j:
+        |C(j)|^p times H and the direct powers ((rN + j)/N)^-s, for j >=
+        start - rN, and ((rN + N - j)/N)^-s, for j <= N - (start - rN).
+        j = 2T counts once: H/2 and its one direct power.  j = 0 takes
+        zeta(s, r+1) = (H(-1/2) + (r+1)^-s) / 2; C(0) need not vanish.
+        One block of j at a time, with the same elementwise operations
+        for each entry, so no entry depends on its block.
         """
-        s, scale, c = 2.0 * p, 4.0 * self.T, self.normalized_coefficients()
-        coeffs = _hurwitz_coefficients(s)
-        weights = np.empty(count)
-        size = min(count, _HURWITZ_BLOCK)
-        a, work = np.empty(size), np.empty((2, size))
-        for lo in range(0, count, _HURWITZ_BLOCK):
-            m = min(_HURWITZ_BLOCK, count - lo)
-            j = np.arange(start + lo, start + lo + m)
-            out = weights[lo:lo + m]
-            _hurwitz_block(s, coeffs, np.divide(j, scale, out=a[:m]), out, work[:, :m])
-            cp = np.take(c, j, mode="wrap", out=work[0, :m])
-            out *= np.power(np.abs(cp, out=cp), p, out=cp)
+        T, s = self.T, 2.0 * p
+        period, half = 4 * T, 2 * T
+        r = (start - 1) // period
+        base, first = r * period, start - r * period
+        coeffs = _fold_coefficients(s, r + 1.5)
+        if coeffs is None:
+            raise ValueError(f"the tail norm's zeta series needs exponents past "
+                             f"{_FOLD_MAX_EXPONENT:g} at p = {p:g}")
+        c = self.normalized_coefficients()
+        weights = np.empty(half + 1)
+        work = np.empty((2, min(half + 1, _HURWITZ_BLOCK)))
+        for lo in range(0, half + 1, _HURWITZ_BLOCK):
+            hi = min(lo + _HURWITZ_BLOCK, half + 1)
+            j, out, m = np.arange(lo, hi, dtype=float), weights[lo:hi], hi - lo
+            u, term = work[:, :m]
+            np.subtract(j, half, out=u)  # u = (a - 1/2)^2
+            u /= period
+            u *= u
+            out.fill(coeffs[-1])
+            for coeff in reversed(coeffs[:-1]):
+                out *= u
+                out += coeff
+            if lo == 0:
+                out[0] = 0.5 * (out[0] + (r + 1.0) ** -s)
+            if hi == half + 1:
+                out[-1] *= 0.5
+            own = max(first, lo) - lo  # the direct powers of j itself
+            if own < m:
+                t = np.add(j[own:], base, out=term[own:])
+                out[own:] += np.power(np.divide(t, period, out=t), -s, out=t)
+            mlo, mhi = max(1, lo) - lo, min(half, period - first + 1, hi) - lo  # those of N - j
+            if mlo < mhi:
+                t = np.subtract(base + period, j[mlo:mhi], out=term[mlo:mhi])
+                out[mlo:mhi] += np.power(np.divide(t, period, out=t), -s, out=t)
+            cp = np.abs(c[lo:hi], out=term)
+            out *= np.power(cp, p, out=cp)
         return weights
 
 
@@ -429,11 +402,12 @@ class SpectralTail:
 def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
     """Closed-form lnorm_{n,p}(Khat); n = 0 adds the |Khat(0)|^p term.
 
-    The j-sum runs over exactly one period of C(j); nothing is truncated
-    because the Hurwitz zeta factor absorbs each arithmetic progression.
-    The kernel keeps that sum for the periods from j = 1 and 2 once per
-    p, so the norms from n = 0, 1 and 2 cost one weights evaluation, and
-    no weights are kept after it.
+    The j-sum runs over exactly one period of C(j), folded at j <-> 4T - j
+    into the pairs of half of it; nothing is truncated because the
+    Hurwitz zeta factor absorbs each arithmetic progression.  The kernel
+    keeps the sums from j = 1 and 2 once per p, so the norms from n = 0,
+    1 and 2 cost one folded evaluation, and no weights are kept after
+    it; every other start takes the same path.
     """
     if n < 0:
         raise ValueError("tail start must be nonnegative")

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bstar import kernels
 from bstar.kernels import (
     PHI_FLOOR,
     BoundCertificate,
@@ -32,18 +33,16 @@ from bstar.kernels import (
 )
 from bstar.kernels import (
     _BERNOULLI_2J,
+    _FOLD_MAX_EXPONENT,
     _HURWITZ_BLOCK,
     _HURWITZ_LEAD_TERMS,
     _RHO_EVEN_LARGE,
     _RHO_ODD_LARGE,
-    _TAYLOR_CENTER,
-    _TAYLOR_LEAD_TERMS,
-    _TAYLOR_MAX_TERMS,
-    _hurwitz_block,
-    _hurwitz_coefficients,
+    _euler_maclaurin_block,
+    _euler_maclaurin_coefficients,
+    _fold_coefficients,
+    _fold_terms,
     _quartic_certifies,
-    _taylor_coefficients,
-    _taylor_terms,
 )
 
 T_SMALL = 2000  # enough nodes for unit-test accuracy at a fraction of the cost
@@ -59,9 +58,9 @@ def brute_hurwitz_bracket(s, a, terms=10**6):
 
 
 def hurwitz_one_block(s, a):
-    """zeta(s, a) for every entry of an ascending a, in one _hurwitz_block call."""
+    """zeta(s, a) for every entry of a, in one _euler_maclaurin_block call."""
     out = np.empty_like(a)
-    _hurwitz_block(s, _hurwitz_coefficients(s), a, out, np.empty((2, len(a))))
+    _euler_maclaurin_block(s, _euler_maclaurin_coefficients(s), a, out, np.empty((2, len(a))))
     return out
 
 
@@ -93,75 +92,92 @@ def test_euler_maclaurin_remainder_is_below_one_ulp():
     # bound below 2^-59 is under 1/64 of an ulp of the value.  Its maximum
     # over s is 1.15e-18, near s = 2.6, which 2^-60 = 8.7e-19 would miss.
     n_lead, m = _HURWITZ_LEAD_TERMS, len(_BERNOULLI_2J)
+
+    def log_bound(s, a):
+        return (math.log(4.0) + math.lgamma(s + 2 * m) - math.lgamma(s)
+                - 2 * m * math.log(2 * math.pi) + (1 - s - 2 * m) * math.log(n_lead + a)
+                - math.log(s + 2 * m - 1))
+
     for s in np.linspace(1.0, 64.0, 6301)[1:]:
-        log_bound = (math.log(4.0) + math.lgamma(s + 2 * m) - math.lgamma(s)
-                     - 2 * m * math.log(2 * math.pi) + (1 - s - 2 * m) * math.log(n_lead)
-                     - math.log(s + 2 * m - 1))
-        assert log_bound < -59 * math.log(2.0), s
-    # the Taylor coefficients are Euler-Maclaurin values at a = K + 5/8,
-    # at exponents up to about 270; there the bound is at most 2.3e-19
-    # of the value's first term (K + 5/8)^-s
-    x = _TAYLOR_LEAD_TERMS + _TAYLOR_CENTER
-    for s in np.linspace(1.0, 300.0, 2991)[1:]:
-        log_bound = (math.log(4.0) + math.lgamma(s + 2 * m) - math.lgamma(s)
-                     - 2 * m * math.log(2 * math.pi) + (1 - s - 2 * m) * math.log(n_lead + x)
-                     - math.log(s + 2 * m - 1))
-        assert log_bound + s * math.log(x) < math.log(2.3e-19), s
+        assert log_bound(s, 0.0) < -59 * math.log(2.0), s
+    # the even polynomial's coefficients are Euler-Maclaurin values at
+    # a = x = r + 3/2 >= 3/2 and exponents up to _FOLD_MAX_EXPONENT; there
+    # the bound is below 2^-59 of zeta(s, x) > x^-s + (x+1)^(1-s)/(s-1),
+    # at most 4.3e-19 of it (x = 100.5, s = 194), and past x = 10^6 it
+    # only falls, as (x + 10)^-19 does
+    for x in [1.5 + i for i in range(60)] + [100.5, 1000.5, 1e4 + 0.5, 1e6 + 0.5]:
+        for s in np.linspace(1.0, _FOLD_MAX_EXPONENT, 1999)[1:]:
+            lead, rest = -s * math.log(x), (1 - s) * math.log(x + 1) - math.log(s - 1)
+            log_least = max(lead, rest) + math.log1p(math.exp(-abs(lead - rest)))
+            assert log_bound(s, x) - log_least < -59 * math.log(2.0), (s, x)
+
+
+def fold_growth(s, x, terms):
+    """(s)_2K / (2K)! (4x^2)^-K and r_K for K = terms, in plain floats."""
+    ratio = (s + 2 * terms) * (s + 2 * terms + 1) / ((2 * terms + 1) * (2 * terms + 2)) / (4 * x * x)
+    return math.prod((s + i) / (i + 1) for i in range(2 * terms)) / (4 * x * x) ** terms, ratio
 
 
 def test_taylor_remainder_is_below_one_ulp():
-    # after M terms the Taylor remainder of zeta(s, K + a), 0 < a <= 5/4,
-    # is at most b_M / (1 - r_M) with b_M = (s)_M / M! zeta(s+M, K + 5/8)
-    # (5/8)^M and r_M = (s+M)/(M+1) (5/8)/(K + 5/8); _taylor_terms picks
-    # M so that this is below 2^-59 of zeta(s, 5/4), the least value on
-    # the interval.  Recomputed here in plain floats, with zeta(s+M, x)
-    # bounded above and zeta(s, 5/4) below by their integral brackets.
-    x, h = _TAYLOR_LEAD_TERMS + _TAYLOR_CENTER, _TAYLOR_CENTER
-    for s in np.linspace(1.0, 64.0, 6301)[1:]:
-        terms = _taylor_terms(float(s))
-        assert terms is not None and terms <= 49, s
-        ratio = (s + terms) / (terms + 1) * h / x
-        assert ratio < 1.0, s
-        b = math.prod((s + i) / (i + 1) * h for i in range(terms))
-        b *= x ** (-s - terms) + x ** (1 - s - terms) / (s + terms - 1)
-        least = 1.25 ** -s + 2.25 ** (1 - s) / (s - 1)
-        assert b / (1.0 - ratio) < 2.0**-59 * least, s
-    assert _taylor_terms(8 / 3) == 31
-    assert _taylor_terms(250.0) is None and _taylor_coefficients(250.0) is None
+    # H(b) = zeta(s, x+b) + zeta(s, x-b) is an even Taylor series about
+    # b = 0; after K terms its remainder on |b| <= 1/2 is at most
+    # (s)_2K / (2K)! (4x^2)^-K / (1 - r_K) of the value, with r_K =
+    # (s+2K)(s+2K+1) / ((2K+1)(2K+2)) / (4x^2) < 1, and _fold_terms picks
+    # K so that this is below 2^-59.  Recomputed here in plain floats.
+    for x in (1.5, 2.5, 5.5, 100.5):
+        for s in np.linspace(1.0, 300.0, 1197)[1:]:
+            terms = _fold_terms(float(s), x)
+            assert terms is not None and s + 2 * terms <= _FOLD_MAX_EXPONENT, (s, x)
+            growth, ratio = fold_growth(s, x, terms)
+            assert ratio < 1.0 and growth / (1.0 - ratio) < 2.0**-59, (s, x)
+            if terms:
+                growth, ratio = fold_growth(s, x, terms - 1)
+                assert ratio >= 1.0 or growth / (1.0 - ratio) >= 2.0**-59, (s, x)
+    # the certificate's s = 8/3 about x = 3/2, the tails from n = 1 and 2
+    assert _fold_terms(8 / 3, 1.5) == 22
+    # past the largest exponent the tail norm is refused by name
+    assert _fold_terms(400.0, 1.5) is None and _fold_coefficients(400.0, 1.5) is None
+    with pytest.raises(ValueError, match="exponents past 1000 at p = 200$"):
+        tail_norm(PiecewiseLinearKernel.from_family("K5", 3), 12, 200.0)
 
 
 def test_taylor_remainder_bounds_the_true_truncation_error():
-    # the bound of _taylor_terms holds against the truncated series'
-    # actual error at both ends of the interval, summed in mpmath
+    # the bound of _fold_terms holds against the truncated series' actual
+    # error at the middle and the ends of |b| <= 1/2, summed in mpmath.
+    # The float coefficients of _fold_coefficients are each within 1e-14
+    # of the series' own (measured 2.0e-15 at most, the rounding of their
+    # binomial factors, which falls on terms that u^k makes small), and
+    # their polynomial, by Horner's rule as the kernel evaluates it, is
+    # within 1e-15 of H(b)
     mpmath = pytest.importorskip("mpmath")
-    x, h = _TAYLOR_LEAD_TERMS + _TAYLOR_CENTER, _TAYLOR_CENTER
     with mpmath.workdps(60):
-        for s in (1.01, 4 / 3, 8 / 3, 8.0, 64.0):
-            terms = _taylor_terms(s)
-            ms = mpmath.mpf(s)
-            coeffs = [mpmath.rf(ms, m) / mpmath.factorial(m) * mpmath.zeta(ms + m, x)
-                      for m in range(terms)]
-            ratio = (s + terms) / (terms + 1) * h / x
-            bound = (mpmath.rf(ms, terms) / mpmath.factorial(terms) * mpmath.zeta(ms + terms, x)
-                     * mpmath.mpf(h) ** terms / (1 - ratio))
-            for a in (mpmath.mpf("1e-12"), mpmath.mpf(5) / 4):
-                u = mpmath.mpf(h) - a
-                error = abs(mpmath.zeta(ms, _TAYLOR_LEAD_TERMS + a)
-                            - sum(c * u**m for m, c in enumerate(coeffs)))
-                assert error <= bound, (s, a)
+        for x in (1.5, 2.5):
+            for s in (1.01, 4 / 3, 8 / 3, 8.0, 64.0):
+                terms = _fold_terms(s, x)
+                ms, mx = mpmath.mpf(s), mpmath.mpf(x)
+                coeffs = [2 * mpmath.rf(ms, 2 * k) / mpmath.factorial(2 * k) * mpmath.zeta(ms + 2 * k, mx)
+                          for k in range(terms)]
+                floats = _fold_coefficients(s, x)
+                for value, exact in zip(floats, coeffs):
+                    assert abs(value - exact) <= 1e-14 * exact, (s, x)
+                growth, ratio = fold_growth(s, x, terms)
+                for b in (mpmath.mpf(0), mpmath.mpf(1) / 4, mpmath.mpf(1) / 2):
+                    value = mpmath.zeta(ms, mx + b) + mpmath.zeta(ms, mx - b)
+                    error = abs(value - sum(c * b ** (2 * k) for k, c in enumerate(coeffs)))
+                    assert error <= growth / (1 - ratio) * value < 2.0**-59 * value, (s, x, b)
+                    horner, u = floats[-1], float(b) ** 2
+                    for c in reversed(floats[:-1]):
+                        horner = horner * u + c
+                    assert abs(horner - value) <= 1e-15 * value, (s, x, b)
 
 
 @pytest.mark.parametrize("s", [4 / 3, 2.0, 2.6, 8 / 3, 8.0])
 def test_hurwitz_against_mpmath(s):
     mpmath = pytest.importorskip("mpmath")
-    # a log grid; a kernel's own table arguments j/(4T), j = 1..4T+1; the
-    # rest of the Taylor interval, (1, 5/4]; and a > 5/4, which Euler-
-    # Maclaurin evaluates.  hurwitz_zeta refuses a > 1, so the block
-    # takes all but the first
+    # a log grid; a kernel's own table arguments j/(4T), j = 1..4T+1; and
+    # a in (1, 5], which hurwitz_zeta refuses and the block evaluates
     table_args = np.arange(1, 4 * 50 + 2) / (4.0 * 50)
-    edge = 2.0 * _TAYLOR_CENTER
-    block_args = np.r_[np.linspace(1.0, edge, 51)[1:], np.nextafter(edge, 2.0),
-                       np.linspace(edge, 5.0, 51)[1:]]
+    block_args = np.linspace(1.0, 5.0, 101)[1:]
     with mpmath.workdps(40):
         for a in np.geomspace(1e-4, 1.0, 201):
             exact = mpmath.zeta(s, float(a))
@@ -172,12 +188,11 @@ def test_hurwitz_against_mpmath(s):
                 assert abs(value - exact) <= 2e-15 * exact, a
 
 
-def test_hurwitz_past_the_taylor_cap():
-    # past s ~ 209 the polynomial would need more than _TAYLOR_MAX_TERMS
-    # terms, and Euler-Maclaurin evaluates every a
+def test_hurwitz_at_a_large_exponent():
+    # Euler-Maclaurin alone evaluates every s; at s = 300 zeta(s, a)
+    # overflows below a = 0.1, so the grid starts at 0.3
     mpmath = pytest.importorskip("mpmath")
     s = 300.0
-    assert _taylor_terms(s) is None and _taylor_terms(200.0) <= _TAYLOR_MAX_TERMS
     args = np.linspace(0.3, 2.0, 35)
     with mpmath.workdps(40):
         for a, value in zip(args, hurwitz_one_block(s, args)):
@@ -188,8 +203,9 @@ def test_hurwitz_past_the_taylor_cap():
 
 
 def test_hurwitz_vector_matches_scalar_calls():
-    # a kernel's weights are evaluated in blocks, so an entry must not
-    # depend on its block's length, on its place in it or on its block
+    # hurwitz_zeta is one entry of _euler_maclaurin_block, and an entry
+    # must not depend on its block's length, on its place in it or on
+    # the block
     table_args = np.arange(1, 4 * 50 + 1) / (4.0 * 50)
     long_args = np.geomspace(1e-4, 1.0, 2 * _HURWITZ_BLOCK + 3)
     edges = np.r_[0:40, _HURWITZ_BLOCK - 40:_HURWITZ_BLOCK + 40, 2 * _HURWITZ_BLOCK - 40:len(long_args)]
@@ -199,56 +215,48 @@ def test_hurwitz_vector_matches_scalar_calls():
         values = hurwitz_one_block(s, long_args)
         assert np.array_equal(values[edges], [hurwitz_zeta(s, float(x)) for x in long_args[edges]])
         assert np.array_equal(values[5:-7], hurwitz_one_block(s, long_args[5:-7]))
-        # at the edge of the Taylor interval, where Euler-Maclaurin takes over
-        edge = 2.0 * _TAYLOR_CENTER
-        around = np.r_[np.linspace(1.0, edge, 41), np.nextafter(edge, 2.0), np.linspace(edge, 2.0, 41)[1:]]
-        values = hurwitz_one_block(s, around)
-        assert np.array_equal(values, [hurwitz_one_block(s, around[i:i + 1])[0]
-                                       for i in range(len(around))])
-        assert values[40] == hurwitz_one_block(s, np.array([edge]))[0]
-        assert hurwitz_one_block(s, np.array([1.0]))[0] == hurwitz_zeta(s, 1.0) == values[0]
-    # a kernel whose 4T + 1 weights span three blocks: the entries at the
-    # block edges equal one-entry evaluations
-    T = _HURWITZ_BLOCK // 2 + 1
-    kernel = PiecewiseLinearKernel.from_family("K5", T)
-    js = np.r_[1:41, _HURWITZ_BLOCK - 40:_HURWITZ_BLOCK + 40, 2 * _HURWITZ_BLOCK - 40:4 * T + 2]
-    for p in (4 / 3, 2.0):
-        weights = kernel._weights_at(p, 1, 4 * T + 1)
-        assert np.array_equal(weights[js - 1], [kernel._weights_at(p, int(j), 1)[0] for j in js])
-    # a T = 3 kernel's weights from j = 7 cross a = 5/4 at j = 15
-    kernel = PiecewiseLinearKernel.from_family("K5", 3)
-    for p in (4 / 3, 2.0):
-        weights = kernel._weights_at(p, 7, 12)
-        assert np.array_equal(weights, [kernel._weights_at(p, j, 1)[0] for j in range(7, 19)])
+
+
+def test_folded_weights_do_not_depend_on_their_block(monkeypatch):
+    # the 2T + 1 folded weights are evaluated in blocks of _HURWITZ_BLOCK
+    # values of j; other block sizes, down to one j, and a block of one
+    # at the end (2T + 1 = _HURWITZ_BLOCK + 3 at the larger T) give the
+    # same entries, the ends j = 0 and 2T included
+    for T, blocks in ((3, (1, 2, 7)), (_HURWITZ_BLOCK // 2 + 1, (_HURWITZ_BLOCK - 1, 4099))):
+        kernel = PiecewiseLinearKernel.from_family("K5", T)
+        for p in (4 / 3, 2.0):
+            for start in (2, 5, 4 * T + 1, 9 * T + 3):
+                weights = kernel._folded_weights(p, start)
+                for block in blocks:
+                    monkeypatch.setattr(kernels, "_HURWITZ_BLOCK", block)
+                    assert np.array_equal(kernel._folded_weights(p, start), weights), (T, p, start, block)
+                    monkeypatch.undo()
 
 
 @pytest.fixture
 def bench(monkeypatch):
-    """scripts/bench_kernels.py, which keeps the full-array reference evaluation."""
+    """scripts/bench_kernels.py, which keeps the full-period reference evaluation."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
     return importlib.import_module("bench_kernels")
 
 
-@pytest.mark.parametrize("T", [1, 2, 3, 4096, 10**5])
+@pytest.mark.parametrize("T", [1, 2, 3, 7, 50, 2000, 4096, 10**5])
 def test_blocked_weights_match_the_full_array_evaluation(T, bench):
-    # at T = 4096 the 4T + 1 weights from j = 1 end in a block of one
-    kernel = PiecewiseLinearKernel.from_family("K5", T)
-    for p in (1.1, 4 / 3, 2.0, 4.0):
-        for start in (1, 2, 3, 7):
-            count = 4 * T + (start == 1)
-            assert np.array_equal(kernel._weights_at(p, start, count),
-                                  bench.full_array_weights(kernel, p, start, count)), (p, start)
-            if start <= 3:
-                assert kernel._period_sum(p, start) == float(
-                    np.sum(bench.full_array_weights(kernel, p, start, 4 * T))), (p, start)
-        a = np.arange(1, 4 * T + 2) / (4.0 * T)
-        assert np.array_equal(hurwitz_one_block(2.0 * p, a),
-                              bench.full_array_hurwitz(2.0 * p, a)), p
+    # every start the folded sums serve, the ends of the fold's first
+    # period and starts past it (r = 1 and 2), within 1e-15 relative of
+    # math.fsum of the full-period Euler-Maclaurin weights; at T = 4096
+    # the 2T + 1 folded weights end in a block of one
+    for family in ("K3", "K5") if T <= 4096 else ("K5",):
+        kernel = PiecewiseLinearKernel.from_family(family, T)
+        for p in (1.1, 4 / 3, 2.0, 4.0):
+            for start in (1, 2, 3, 5, 4 * T, 4 * T + 1, 4 * T + 2, 9 * T + 3):
+                reference = bench.reference_sum(kernel, p, start)
+                assert abs(kernel._period_sum(p, start) / reference - 1.0) <= 1e-15, (family, p, start)
 
 
 def test_one_tail_norm_peaks_near_one_weights_array():
-    # the blocks leave the weights as the only 4T-long array; the
-    # full-array evaluation peaked at six
+    # the blocks leave the 2T + 1 folded weights as the only long array;
+    # the full-array evaluation before blocks peaked at six arrays of 4T + 1
     T = 10**5
     kernel = PiecewiseLinearKernel.from_family("K5", T)
     kernel.normalized_coefficients()
@@ -262,8 +270,8 @@ def test_one_tail_norm_peaks_near_one_weights_array():
 
 
 def test_tail_norms_keep_no_weights_array():
-    # a kernel keeps two sums per p, not its 4T + 1 weights, so sixteen
-    # tail norms leave no array behind and never hold two at once
+    # a kernel keeps two sums per p, not its weights, so sixteen tail
+    # norms leave no array behind and never hold two at once
     T = 10**5
     unit = 8 * (4 * T + 1)
     kernel = PiecewiseLinearKernel.from_family("K5", T)
@@ -285,33 +293,24 @@ def test_the_block_is_the_benchmarked_one():
     assert _HURWITZ_BLOCK == record["block"]
 
 
-def test_the_lead_terms_are_the_benchmarked_ones():
-    record = json.loads((Path(__file__).resolve().parent.parent / "BENCH_kernels.json").read_text())
-    assert _TAYLOR_LEAD_TERMS == record["lead_terms"]
-    assert record["taylor_interval"] == [0.0, 2.0 * _TAYLOR_CENTER]
-
-
 def test_bench_kernels_script_runs_at_a_small_T(bench):
     # scripts/bench_kernels.py reads the kernel's private names; a rename
     # must fail here, not at the next benchmark run
     kernel = PiecewiseLinearKernel.from_family(bench.FAMILY, 50)
     value = tail_norm(PiecewiseLinearKernel.from_family(bench.FAMILY, 50), bench.N, bench.P).value
     assert bench.one_tail(kernel) == value
-    bench.check_full_array_identity(kernel)
-    assert bench.euler_maclaurin_difference(kernel) <= bench.AGREEMENT
-    with bench.evaluation(weights=bench.full_array_weights):
-        assert PiecewiseLinearKernel._weights_at is bench.full_array_weights
-        assert bench.peak_bytes(kernel) > 0
-    assert PiecewiseLinearKernel._weights_at is not bench.full_array_weights
+    assert bench.agreement(kernel) <= bench.AGREEMENT
+    assert np.array_equal(bench.reference_coefficients(kernel), bench.full_period_coefficients(kernel))
+    assert np.array_equal(bench.fresh_coefficients(kernel), kernel.normalized_coefficients())
+    assert bench.reference_tail(kernel) == pytest.approx(
+        sum(kernel._period_sum(bench.P, start) for start in (1, 2)), rel=1e-15)
     with bench.evaluation(block=7):
+        assert kernels._HURWITZ_BLOCK == 7
         assert bench.one_tail(kernel) == value
-    with bench.evaluation(lead_terms=3):
-        assert bench.euler_maclaurin_difference(kernel) <= bench.AGREEMENT
-    assert bench.peak_bytes(kernel) > 0
-    assert bench.one_tail(kernel) == value  # every setting is restored
-    # the full-array form also covers the Euler-Maclaurin entries, a > 5/4
-    small = PiecewiseLinearKernel.from_family(bench.FAMILY, 1)
-    assert np.array_equal(bench.full_array_weights(small, bench.P, 3, 4), small._weights_at(bench.P, 3, 4))
+    assert kernels._HURWITZ_BLOCK == _HURWITZ_BLOCK  # every setting is restored
+    assert bench.peak_bytes(kernel) > 0 and bench.page_faults(50) >= 0
+    times = bench.rounds_of_seconds([lambda: None, lambda: None], 3)
+    assert len(times) == 3 and all(len(row) == 2 for row in times)
     # a sweep keeps the current value unless another beats it by more than the tie
     rows = [{"v": 1, "relative": 1.04}, {"v": 2, "relative": 1.0}, {"v": 3, "relative": 1.01}]
     assert bench.keep_unless_beaten(rows, "v", 1) == 1
@@ -320,27 +319,33 @@ def test_bench_kernels_script_runs_at_a_small_T(bench):
 
 
 def test_coefficient_profile_periodicity_and_fft():
+    # coefficient(j) reads C(j mod 4T) through the fold; over two periods
+    # and past them it matches the direct cosine sum
     kernel = PiecewiseLinearKernel.from_family("K5", 50)
-    c = kernel.normalized_coefficients()
-    xs = 0.25 + np.arange(kernel.T + 1) / (4 * kernel.T)
-    for j in (1, 7, 123, 1 + 4 * 50, 7 + 8 * 50):
+    T = kernel.T
+    xs = 0.25 + np.arange(T + 1) / (4 * T)
+    for j in range(1, 8 * T + 8):
         direct = float(np.sum(np.diff(kernel.y) * (
             np.cos(2 * math.pi * j * xs[1:]) - np.cos(2 * math.pi * j * xs[:-1]))))
-        assert c[j % (4 * 50)] == pytest.approx(direct, abs=1e-12)
+        c = kernel.coefficient(j) * (math.pi * j) ** 2 / (2 * T)
+        assert c == pytest.approx(direct, abs=1e-12), j
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 50])
 def test_real_fft_mirror_matches_the_complex_fft(T):
-    # the kernel takes j = 0..2T from a real FFT and mirrors the rest
+    # the kernel keeps j = 0..2T of a real FFT and reads the rest of
+    # every period through the fold C(4T - j) = C(j)
     kernel = PiecewiseLinearKernel.from_family("K3", T)
     d = np.diff(kernel.y)
     edge = np.zeros(4 * T)
     edge[T + 1:2 * T + 1] += d
     edge[T:2 * T] -= d
     full = np.fft.fft(edge).real
-    c = kernel.normalized_coefficients()
-    assert c.shape == full.shape
-    assert np.max(np.abs(c - full)) <= 1e-12 * np.max(np.abs(full))
+    assert kernel.normalized_coefficients().shape == (2 * T + 1,)
+    for j in range(1, 8 * T + 8):
+        c = kernel.coefficient(j) * (math.pi * j) ** 2 / (2 * T)
+        assert abs(c - full[j % (4 * T)]) <= 1e-12 * np.max(np.abs(full)), j
+        assert kernel.coefficient(-j) == kernel.coefficient(j)
 
 
 def test_coefficient_against_quadrature():
@@ -359,8 +364,8 @@ def test_tail_norm_against_truncated_sum():
     p = 4 / 3
     for n in (1, 2, 5):
         js = np.arange(n, 2 * 10**6)
-        c = kernel.normalized_coefficients()
-        coeffs = 2 * kernel.T * np.abs(c[js % (4 * kernel.T)]) / (math.pi**2 * js * js)
+        c, m = kernel.normalized_coefficients(), js % (4 * kernel.T)
+        coeffs = 2 * kernel.T * np.abs(c[np.minimum(m, 4 * kernel.T - m)]) / (math.pi**2 * js * js)
         partial = float(np.sum(coeffs**p)) * 2.0
         cmax = float(np.abs(c).max())
         tail_cap = 2.0 * (2 * kernel.T * cmax / math.pi**2) ** p * (

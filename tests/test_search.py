@@ -327,6 +327,10 @@ def test_bench_search_script_runs_on_a_small_cell(monkeypatch):
         dec = exists_set("integer", 2, n, 7)
         assert bench.counting_engine(n, 7) == (dec.witness.elements if dec.feasible else None,
                                                dec.nodes), n
+    # the timed rounds keep each call's answer and one time per round
+    rows = bench.timed_rounds([lambda: bench.counting_engine(26, 7), lambda: bench.decide(("integer", 2, 26, 7))])
+    assert rows[0]["nodes"] == rows[1]["nodes"] and rows[0]["witness"] == rows[1]["witness"]
+    assert all(len(row["runs_s"]) == bench.ROUNDS and row["relative"] >= 1.0 for row in rows)
 
 
 def floors_first(kind, g, n, k):
