@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Time the tail norm's FFT and folded sums against the full-period reference, and sweep the block size.
+"""Time the kernel's coefficient transforms and folded sums against their references, and sweep the block size.
 
     python3 scripts/bench_kernels.py [--out BENCH_kernels.json]
 
-`kernels.tail_norm` reads the sums S_n = sum over i >= n of |C(i)|^p
-(i/(4T))^-2p, n = 1 and 2, of one kernel.  `PiecewiseLinearKernel` keeps
-the real FFT's C(j) for j = 0..2T and folds the period at j <-> 4T - j:
-`_folded_weights` gives each pair one |C|^p, two direct powers and one
-even zeta polynomial, `_HURWITZ_BLOCK` values of j at a time.  This
-script keeps one reference, the full period written out as before the
-fold:
+`kernels.tail_norm` reads the sums S_n = sum over i >= n of |C(i)/c|^p
+(i/(4T))^-2p, n = 1 and 2, of one kernel, c the power of two that scales
+its largest |C| into [1/2, 1).  `PiecewiseLinearKernel` takes C(j) for
+j = 0..2T from the T + 1 edge samples, the even j by one real FFT of
+length 2T and the odd j by one real inverse FFT of length T, and folds
+the period at j <-> 4T - j: `_folded_weights` gives each pair one
+|C/c|^p, two direct powers and one even zeta polynomial,
+`_HURWITZ_BLOCK` values of j at a time.  This script keeps the
+references, written out as before the split and the fold:
 
+- `reference_coefficients`, C(j) for j = 0..2T as the real part of one
+  real FFT of the edge signal zero-padded to length 4T;
 - `full_period_coefficients`, C(j) for j = 0..4T-1, the kernel's half
   spectrum mirrored into one period;
-- `full_period_weights`, |C(j mod 4T)|^p zeta(2p, j/(4T)) for j = n ..
+- `full_period_weights`, |C(j mod 4T)/c|^p zeta(2p, j/(4T)) for j = n ..
   n+4T-1, every zeta value by Euler-Maclaurin (`full_array_euler_maclaurin`,
   ten direct and ten Bernoulli terms), each step over the whole period.
   Its sum is S_n; tests/test_kernels.py checks the folded sums against its
@@ -21,9 +25,12 @@ fold:
 
 For the K5 kernel at T = 10^4, 10^5 and 10^6 it records
 
-- `fft`: seconds of the kernel's half-spectrum FFT (`half_s`) against the
-  same FFT mirrored into the full period (`mirrored_s`,
-  `reference_coefficients`);
+- `fft`: seconds of a fresh kernel's `normalized_coefficients`, the two
+  half-length transforms (`split_s`), against the 4T reference
+  (`reference_s`); the tracemalloc peak of each, also in units of
+  8 (2T + 1) bytes, the size of the kernel's coefficient array; and
+  the largest difference of the two, in units of 2^-53 sum |e| log2(4T)
+  over the edge samples e, asserted within FFT_AGREEMENT;
 - `sums`: seconds of one `tail_norm(kernel, 2, 4/3)` (S_1 and S_2 from one
   folded evaluation, `folded_s`), the coefficients computed beforehand
   and the sums emptied before each call, against `np.sum` of the
@@ -81,6 +88,7 @@ SWEEP_BLOCKS = tuple(1 << m for m in range(11, 18))
 SWEEP_ROUNDS = 41
 TIE = 1.05  # the current block stays unless another's rank is more than 5% better
 AGREEMENT = 1e-15  # largest relative difference of a folded sum from the reference's fsum
+FFT_AGREEMENT = 4.0  # largest difference of the two transforms, in units of 2^-53 sum |e| log2(4T)
 PEAK_BUDGET = 1.5  # weight arrays, at T = SWEEP_T: larger blocks are not ranked
 
 
@@ -124,7 +132,7 @@ def full_period_weights(kernel, p: float, start: int, count: int | None = None) 
     the default count, their sum is S_start."""
     js = np.arange(start, start + (4 * kernel.T if count is None else count))
     weights = full_array_euler_maclaurin(2.0 * p, js / (4.0 * kernel.T))
-    weights *= np.abs(np.take(full_period_coefficients(kernel), js, mode="wrap")) ** p
+    weights *= np.abs(np.take(full_period_coefficients(kernel), js, mode="wrap") / kernel._scale) ** p
     return weights
 
 
@@ -132,15 +140,29 @@ def reference_sum(kernel, p: float, start: int) -> float:
     return math.fsum(full_period_weights(kernel, p, start))
 
 
-def reference_coefficients(kernel) -> np.ndarray:
-    """The FFT as it was before the fold: the real FFT's real part, mirrored into one period."""
-    T = kernel.T
+def edge_samples(kernel) -> np.ndarray:
+    """e[m] = d[m-1] - d[m] for m = 0..T, d = diff(y) and zero outside its range."""
     d = np.diff(kernel.y)
+    return np.r_[0.0, d] - np.r_[d, 0.0]
+
+
+def reference_coefficients(kernel) -> np.ndarray:
+    """C(j) for j = 0..2T as before the split: the real part of one real FFT of the
+    edge samples at T..2T of a zero signal of length 4T."""
+    T = kernel.T
     edge = np.zeros(4 * T)
-    edge[T + 1:2 * T + 1] += d
-    edge[T:2 * T] -= d
-    half = np.fft.rfft(edge).real
-    return np.concatenate([half, half[-2:0:-1]])
+    edge[T:2 * T + 1] = edge_samples(kernel)
+    return np.fft.rfft(edge).real.copy()
+
+
+def fft_difference(kernel) -> float:
+    """Largest difference of the kernel's coefficients from the reference's, in units of
+    2^-53 sum |e| log2(4T), asserted <= FFT_AGREEMENT."""
+    unit = 2.0**-53 * float(np.sum(np.abs(edge_samples(kernel)))) * math.log2(4 * kernel.T)
+    worst = float(np.max(np.abs(fresh_coefficients(kernel) - reference_coefficients(kernel)))) / unit
+    if not worst <= FFT_AGREEMENT:
+        raise AssertionError(f"the two transforms differ by {worst:.3g} units at T = {kernel.T}")
+    return worst
 
 
 def fresh_coefficients(kernel) -> np.ndarray:
@@ -194,14 +216,18 @@ def rounds_of_seconds(calls, rounds: int) -> list[list[float]]:
     return times
 
 
-def peak_bytes(kernel) -> int:
-    kernel._sums.clear()
+def traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        tail_norm(kernel, N, P)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def peak_bytes(kernel) -> int:
+    kernel._sums.clear()
+    return traced_peak(lambda: tail_norm(kernel, N, P))
 
 
 def page_faults(T: int) -> int:
@@ -241,8 +267,10 @@ def main() -> int:
     rows = []
     for T in SIZES:
         kernel = PiecewiseLinearKernel.from_family(FAMILY, T)
-        difference = agreement(kernel)
+        difference, fft_units = agreement(kernel), fft_difference(kernel)
         peak = peak_bytes(kernel)
+        fft_peaks = [traced_peak(call) for call in (lambda: reference_coefficients(kernel),
+                                                    lambda: fresh_coefficients(kernel))]
         faults = statistics.median(page_faults(T) for _ in range(5))
         fft = rounds_of_seconds([lambda: reference_coefficients(kernel), lambda: fresh_coefficients(kernel)],
                                 SIZE_ROUNDS[T])
@@ -250,14 +278,19 @@ def main() -> int:
                                  SIZE_ROUNDS[T])
         (fft_ref, fft_s), (sums_ref, sums_s) = ([statistics.median(ts) for ts in zip(*times)]
                                                 for times in (fft, sums))
-        unit = 8 * (4 * T + 1)
+        unit, coefficient_unit = 8 * (4 * T + 1), 8 * (2 * T + 1)
         row = {"T": T,
-               "fft": {"mirrored_s": fft_ref, "half_s": fft_s, "speedup": fft_ref / fft_s},
+               "fft": {"reference_s": fft_ref, "split_s": fft_s, "speedup": fft_ref / fft_s,
+                       "reference_peak_bytes": fft_peaks[0], "split_peak_bytes": fft_peaks[1],
+                       "reference_peak_units": fft_peaks[0] / coefficient_unit,
+                       "split_peak_units": fft_peaks[1] / coefficient_unit,
+                       "max_difference_units": fft_units},
                "sums": {"reference_s": sums_ref, "folded_s": sums_s, "speedup": sums_ref / sums_s},
                "peak_bytes": peak, "peak_units": peak / unit, "minor_page_faults": faults,
                "max_relative_difference": difference}
         rows.append(row)
-        print(f"T={T:>8d} FFT {fft_ref * 1e3:8.2f} -> {fft_s * 1e3:8.2f} ms   "
+        print(f"T={T:>8d} FFT {fft_ref * 1e3:8.2f} -> {fft_s * 1e3:8.2f} ms, "
+              f"peak {fft_peaks[0] / coefficient_unit:.2f} -> {fft_peaks[1] / coefficient_unit:.2f} units   "
               f"sums {sums_ref * 1e3:8.2f} -> {sums_s * 1e3:8.2f} ms   {peak / 1e6:7.2f} MB   "
               f"{faults:.0f} page faults   max rel diff {difference:.2g}", flush=True)
 
@@ -279,10 +312,10 @@ def main() -> int:
                                "block", kernels._HURWITZ_BLOCK)
 
     record = {
-        "what": f"seconds of the {FAMILY} kernel's FFT and of one tail_norm(kernel, {N}, 4/3), "
-                "folded at j <-> 4T - j, against the full-period reference; tracemalloc peak "
-                "bytes, minor page faults of a fresh kernel, and a sweep of the block size at "
-                f"T = {SWEEP_T}",
+        "what": f"seconds and tracemalloc peaks of the {FAMILY} kernel's two half-length transforms "
+                f"against the 4T FFT, and seconds of one tail_norm(kernel, {N}, 4/3), folded at "
+                "j <-> 4T - j, against the full-period reference; tracemalloc peak bytes, minor page "
+                f"faults of a fresh kernel, and a sweep of the block size at T = {SWEEP_T}",
         "provenance": {"package_version": package_version(), "git_rev": git_rev(),
                        "python": platform.python_version(), "numpy": np.__version__,
                        "nproc": os.cpu_count()},

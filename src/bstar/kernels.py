@@ -13,6 +13,13 @@ on an interval of length 1/2 has ||f*f||_inf >= c":
 
   with C(j) = sum_t (y_t - y_{t-1}) (cos(2 pi j x_t) - cos(2 pi j x_{t-1})),
 
+* C(j) for j = 0..2T from the T + 1 edge samples e_m = d_(m-1) - d_m,
+  d = diff(y), by two transforms of half length split by the parity of
+  j: the even j are a DCT-I of size T + 1, the real part of one real
+  FFT of length 2T, and the odd j a DCT-III of size T, one inverse real
+  FFT of length T in Makhoul's form with O(T) twiddles; no array in
+  them is longer than 2T + 1,
+
 * the fold j <-> 4T - j: C is even, so C(4T - j) = C(j), and by the
   reflection identity zeta(s, x+b) + zeta(s, x-b) is one polynomial in
   b^2 whose truncation is proven below 2^-59 of the value.  Each pair
@@ -243,15 +250,48 @@ PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
+def _odd_coefficients(e: np.ndarray, out: np.ndarray) -> None:
+    """C(2k+1) = -sum_{n<T} e[T-n] cos(pi (2k+1) n / 2T), k = 0..T-1, into out.
+
+    The sum is the DCT-III X_k of x_n = e[T-n], n = 0..T-1, which
+    Makhoul's form (J. Makhoul, IEEE Trans. ASSP 28 (1980)) takes through
+    one real inverse FFT of length T: z_0 = 2 x_0 and z_k = W^k (x_k -
+    i x_(T-k)) for 0 < k <= T/2, W = exp(i pi / 2T), give v = irfft(z)
+    with X_2n = v_n / 2 and X_(2n+1) = v_(T-1-n) / 2.  The factor -1/2
+    rides on the twiddles, where it is exact; each twiddle's angle is
+    the exact integer phase k times pi / 2T, so two roundings, in
+    [0, pi/4].
+    """
+    T = len(e) - 1
+    half = T // 2 + 1
+    angle = np.arange(half) * (math.pi / (2 * T))
+    cos, sin = np.cos(angle), np.sin(angle, out=angle)
+    cos *= -0.5
+    sin *= -0.5
+    x, mirror = e[T:T - half:-1], e[:half]  # x_k = e[T-k] and x_(T-k) = e[k]
+    z = np.empty(half, dtype=complex)
+    np.multiply(cos, x, out=z.real)
+    z.real += np.multiply(sin, mirror)
+    np.multiply(sin, x, out=z.imag)
+    z.imag -= np.multiply(cos, mirror, out=cos)
+    z[0] = -e[T]
+    v = np.fft.irfft(z, T, norm="forward")
+    out[0::2] = v[:(T + 1) // 2]
+    out[1::2] = v[::-1][:T // 2]
+
+
 class PiecewiseLinearKernel:
     """Even kernel, 1 on [-1/4, 1/4], linear between x_t = 1/4 + t/(4T).
 
     y holds the finite T+1 node values with y[0] = 1.  The kernel caches
-    its FFT coefficients C(j) for half a period, j = 0..2T, and, per
-    exponent p, the two sums S_1 and S_2 that its tail norms from n = 0,
-    1 and 2 read (see _period_sum); so the zeta values are computed once
+    its coefficients C(j) for half a period, j = 0..2T, from a real FFT
+    of length 2T (even j) and an inverse real FFT of length T (odd j;
+    see normalized_coefficients), with the power of two _scale that
+    brings max |C| into [1/2, 1), and, per exponent p, the two sums S_1
+    and S_2 of |C/_scale|^p weights that its tail norms from n = 0, 1
+    and 2 read (see _period_sum); so the zeta values are computed once
     per kernel and p, and no weights array outlives the call that made
-    it.  Both caches are fixed by y, so the kernel keeps its own
+    it.  The caches are fixed by y, so the kernel keeps its own
     read-only copy of it.
     """
 
@@ -267,6 +307,7 @@ class PiecewiseLinearKernel:
         self._y = y
         self.T = len(y) - 1
         self._c: Optional[np.ndarray] = None
+        self._scale = 1.0
         self._sums: dict[float, tuple[float, float]] = {}
 
     @property
@@ -295,18 +336,38 @@ class PiecewiseLinearKernel:
     def normalized_coefficients(self) -> np.ndarray:
         """C(j) = (pi^2 j^2 / 2T) Khat(j) for half a period, j = 0..2T.
 
-        The edge signal (differences of the node-value increments) has
-        support of length 4T, so one real FFT gives j = 0 .. 2T, and the
-        kernel keeps only their real parts: C is even with period 4T, so
-        C(4T - j) = C(j) gives the rest of every period (see coefficient).
+        With d = diff(y) and the edge samples e[m] = d[m-1] - d[m], m =
+        0..T (d zero outside its range), C(j) = sum_m e[m] cos(pi j (T +
+        m) / 2T), and the parity of j splits it into two transforms:
+
+        - even j = 2k: C(2k) = (-1)^k sum_m e[m] cos(pi k m / T), k =
+          0..T, a DCT-I of size T + 1.  Stage 1 is the real part of
+          np.fft.rfft(e, 2T); stage 2 flips the sign of every odd k.
+        - odd j = 2k+1: C(2k+1) = -sum_{n<T} e[T-n] cos(pi (2k+1) n /
+          2T), k = 0..T-1, a DCT-III of size T (_odd_coefficients).
+          Stage 1 forms T/2 + 1 twiddled pairs, each twiddle's cos and
+          sin from an exact integer phase; stage 2 is one np.fft.irfft
+          of length T; stage 3 interleaves its outputs from both ends.
+
+        Both hold for every T >= 1, odd T and T = 1, 2 included.  C is
+        even with period 4T, so C(4T - j) = C(j) gives the rest of every
+        period (see coefficient).  The kernel also keeps _scale, the
+        power of two that brings max |C| into [1/2, 1), by which the
+        tail sums divide C so that |C|^p does not underflow.
         """
         if self._c is None:
             T = self.T
             d = np.diff(self.y)
-            edge = np.zeros(4 * T)
-            edge[T + 1:2 * T + 1] += d
-            edge[T:2 * T] -= d
-            self._c = np.fft.rfft(edge).real.copy()
+            e = np.zeros(T + 1)
+            e[1:] = d
+            e[:-1] -= d
+            del d
+            c = np.empty(2 * T + 1)
+            c[0::2] = np.fft.rfft(e, 2 * T).real
+            c[2::4] *= -1.0
+            _odd_coefficients(e, c[1::2])
+            self._c = c
+            self._scale = 2.0 ** math.frexp(max(c.max(), -c.min()))[1]
         return self._c
 
     def coefficient(self, j: int) -> float:
@@ -319,12 +380,12 @@ class PiecewiseLinearKernel:
         return 2.0 * self.T * float(c) / (math.pi**2 * j * j)
 
     def _period_sum(self, p: float, start: int) -> float:
-        """S = sum over i >= start of |C(i)|^p (i/(4T))^-2p, start >= 1.
+        """S = sum over i >= start of |C(i)/_scale|^p (i/(4T))^-2p, start >= 1.
 
-        It equals the period sum of |C(j)|^p zeta(2p, j/(4T)) over j =
+        It equals the period sum of |C(j)/_scale|^p zeta(2p, j/(4T)) over j =
         start .. start+4T-1.  S_1 and S_2 share one evaluation, kept per
         p: S_2 is the sum of _folded_weights(p, 2), and S_1 adds to it the
-        one term that S_2 leaves out, |C(1)|^p (1/(4T))^-2p, the power of
+        one term that S_2 leaves out, |C(1)/_scale|^p (1/(4T))^-2p, the power of
         the rounded argument as every direct power takes it, so nothing is
         subtracted.  A later start sums its own evaluation.
         """
@@ -332,19 +393,20 @@ class PiecewiseLinearKernel:
             return float(np.sum(self._folded_weights(p, start)))
         if p not in self._sums:
             rest = float(np.sum(self._folded_weights(p, 2)))
-            head = abs(self.normalized_coefficients()[1]) ** p * np.power(1.0 / (4 * self.T), -2.0 * p)
+            c1 = self.normalized_coefficients()[1] / self._scale
+            head = abs(c1) ** p * np.power(1.0 / (4 * self.T), -2.0 * p)
             self._sums[p] = (float(rest + head), rest)
         return self._sums[p][start - 1]
 
     def _folded_weights(self, p: float, start: int) -> np.ndarray:
-        """w(j) for j = 0..2T, whose sum is S = sum over i >= start of |C(i)|^p (i/N)^-s.
+        """w(j) for j = 0..2T, whose sum is S = sum over i >= start of |C(i)/_scale|^p (i/N)^-s.
 
         With N = 4T, s = 2p and r = (start - 1) // N, S takes i below
         N (r+1) one direct power each, and the rest through the classes
         j = i mod N: C(N - j) = C(j), and zeta(s, r+1+a) + zeta(s, r+2-a)
         = H(a - 1/2) with a = j/N, the even polynomial of _fold_coefficients
         about x = r + 3/2.  So j = 1..2T-1 carries the pair j, N - j:
-        |C(j)|^p times H and the direct powers ((rN + j)/N)^-s, for j >=
+        |C(j)/_scale|^p times H and the direct powers ((rN + j)/N)^-s, for j >=
         start - rN, and ((rN + N - j)/N)^-s, for j <= N - (start - rN).
         j = 2T counts once: H/2 and its one direct power.  j = 0 takes
         zeta(s, r+1) = (H(-1/2) + (r+1)^-s) / 2; C(0) need not vanish.
@@ -386,6 +448,7 @@ class PiecewiseLinearKernel:
                 t = np.subtract(base + period, j[mlo:mhi], out=term[mlo:mhi])
                 out[mlo:mhi] += np.power(np.divide(t, period, out=t), -s, out=t)
             cp = np.abs(c[lo:hi], out=term)
+            cp /= self._scale
             out *= np.power(cp, p, out=cp)
         return weights
 
@@ -407,7 +470,10 @@ def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
     Hurwitz zeta factor absorbs each arithmetic progression.  The kernel
     keeps the sums from j = 1 and 2 once per p, so the norms from n = 0,
     1 and 2 cost one folded evaluation, and no weights are kept after
-    it; every other start takes the same path.
+    it; every other start takes the same path.  The p-th root is taken
+    of each term before they are added, scaled by the largest, so a norm
+    a float can hold never reads 0.0; a start whose zeta weights all
+    underflow is refused by name, as an overflow is.
     """
     if n < 0:
         raise ValueError("tail start must be nonnegative")
@@ -418,12 +484,20 @@ def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
     # refuses the result, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         total = kernel._period_sum(p, max(n, 1))
-    body = 2.0 * (2.0 * T / ((4.0 * T) ** 2 * math.pi**2)) ** p * total
-    if not math.isfinite(body):
+    if not math.isfinite(total):
         raise ValueError(f"the tail norm overflows a float at p = {p:g}")
+    if total == 0.0 and kernel.normalized_coefficients().any():
+        raise ValueError(f"the tail norm's zeta weights underflow at p = {p:g}")
+    # lnorm^p = 2 (2T scale / ((4T)^2 pi^2))^p total (+ |Khat(0)|^p): each
+    # term's root is taken first and the sum scaled by the largest, so no
+    # p-th power of a norm-sized value is formed and none underflows
+    roots = [2.0 * T * kernel._scale / ((4.0 * T) ** 2 * math.pi**2) * (2.0 * total) ** (1.0 / p)]
     if n == 0:
-        body += abs(kernel.fourier_dc()) ** p
-    return SpectralTail(n, p, body ** (1.0 / p))
+        roots.append(abs(kernel.fourier_dc()))
+    largest = max(roots)
+    if largest == 0.0:
+        return SpectralTail(n, p, 0.0)
+    return SpectralTail(n, p, largest * sum((r / largest) ** p for r in roots) ** (1.0 / p))
 
 
 def k1_closed_form() -> float:
@@ -582,7 +656,8 @@ def delta_half_lower(epsilon: float) -> float:
     target = _reflection_coefficient_floor(epsilon) ** 2
     lo, hi = 1.0, 2.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:  # then lo and hi are adjacent floats
-        if green_coefficient_bound(mid) < target:
+        # green_coefficient_bound(mid), whose domain checks 1 < mid < 2 always passes
+        if mid / math.pi * math.sin(math.pi / mid) < target:
             lo = mid
         else:
             hi = mid

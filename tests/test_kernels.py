@@ -300,7 +300,11 @@ def test_bench_kernels_script_runs_at_a_small_T(bench):
     value = tail_norm(PiecewiseLinearKernel.from_family(bench.FAMILY, 50), bench.N, bench.P).value
     assert bench.one_tail(kernel) == value
     assert bench.agreement(kernel) <= bench.AGREEMENT
-    assert np.array_equal(bench.reference_coefficients(kernel), bench.full_period_coefficients(kernel))
+    # the 4T reference rounds differently from the kernel's two half-length
+    # transforms, so the two agree to the bound of transform_bound, not bit for bit
+    assert np.max(np.abs(bench.reference_coefficients(kernel) - kernel.normalized_coefficients())) <= \
+        transform_bound(kernel.y)
+    assert bench.fft_difference(kernel) <= bench.FFT_AGREEMENT
     assert np.array_equal(bench.fresh_coefficients(kernel), kernel.normalized_coefficients())
     assert bench.reference_tail(kernel) == pytest.approx(
         sum(kernel._period_sum(bench.P, start) for start in (1, 2)), rel=1e-15)
@@ -309,6 +313,7 @@ def test_bench_kernels_script_runs_at_a_small_T(bench):
         assert bench.one_tail(kernel) == value
     assert kernels._HURWITZ_BLOCK == _HURWITZ_BLOCK  # every setting is restored
     assert bench.peak_bytes(kernel) > 0 and bench.page_faults(50) >= 0
+    assert bench.traced_peak(lambda: bench.fresh_coefficients(kernel)) >= 8 * (2 * kernel.T + 1)
     times = bench.rounds_of_seconds([lambda: None, lambda: None], 3)
     assert len(times) == 3 and all(len(row) == 2 for row in times)
     # a sweep keeps the current value unless another beats it by more than the tie
@@ -316,6 +321,40 @@ def test_bench_kernels_script_runs_at_a_small_T(bench):
     assert bench.keep_unless_beaten(rows, "v", 1) == 1
     rows[0]["relative"] = 1.06
     assert bench.keep_unless_beaten(rows, "v", 1) == 2
+
+
+def transform_bound(y) -> float:
+    """4 log2(4T) 2^-53 sum |e_m| over the edge samples e_m = d_(m-1) - d_m, d = diff(y)."""
+    d = np.diff(y)
+    return 4.0 * math.log2(4 * (len(y) - 1)) * 2.0**-53 * float(np.sum(np.abs(np.r_[0.0, d] - np.r_[d, 0.0])))
+
+
+def direct_coefficient(y, j: int) -> float:
+    """C(j) = sum_t d_t (cos 2 pi j x_t - cos 2 pi j x_(t-1)), x_t = 1/4 + t/(4T), by math.fsum.
+
+    Each angle 2 pi j x_t = pi (j (T + t) mod 4T) / 2T comes from an exact
+    integer phase.
+    """
+    T = len(y) - 1
+    cos = [math.cos(math.pi * (j * (T + t) % (4 * T)) / (2 * T)) for t in range(T + 1)]
+    d = np.diff(y).tolist()
+    return math.fsum(term for t in range(1, T + 1) for term in (d[t - 1] * cos[t], -d[t - 1] * cos[t - 1]))
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 7, 50, 51])
+def test_coefficients_match_the_direct_sum(T):
+    # the even j come from a real FFT of length 2T and the odd j from a
+    # DCT-III by one inverse real FFT of length T, whose interleave has
+    # its edge cases at T = 1 and 2 and at odd T
+    rng = np.random.default_rng(T)
+    kernels_ = [PiecewiseLinearKernel.from_family(family, T) for family in ("K1", "K3", "K5")]
+    kernels_.append(PiecewiseLinearKernel(np.r_[1.0, rng.uniform(-1.0, 1.0, T)]))
+    for kernel in kernels_:
+        c = kernel.normalized_coefficients()
+        assert c.shape == (2 * T + 1,)
+        bound = transform_bound(kernel.y)
+        for j in range(2 * T + 1):
+            assert abs(c[j] - direct_coefficient(kernel.y, j)) <= bound, (kernel.y[1], j)
 
 
 def test_coefficient_profile_periodicity_and_fft():
@@ -372,6 +411,32 @@ def test_tail_norm_against_truncated_sum():
             (js[-1]) ** (1 - 2 * p) / (2 * p - 1))
         value = tail_norm(kernel, n, p).value ** p
         assert partial - 1e-12 <= value <= partial + tail_cap + 1e-12
+
+
+def test_tail_norm_at_a_large_p_against_mpmath():
+    # at T = 10 the factor (2T / ((4T)^2 pi^2))^p is below 1e-290 at p = 100
+    # and underflows at p = 150; each term's root is taken before the sum,
+    # so the norm stays a float near 3.4e-4.  n = 0 adds |Khat(0)|^p, the
+    # larger term at p = 50.  The j-sum runs until (j/n)^-2p is negligible
+    mpmath = pytest.importorskip("mpmath")
+    kernel = PiecewiseLinearKernel.from_family("K5", 10)
+    T, c = kernel.T, kernel.normalized_coefficients()
+    with mpmath.workdps(40):
+        for n, p in ((40, 100.0), (40, 150.0), (0, 50.0)):
+            total = mpmath.mpf(0)
+            for j in range(max(n, 1), max(n, 1) + 400):
+                m = j % (4 * T)
+                khat = 2 * T * mpmath.mpf(float(c[min(m, 4 * T - m)])) / (mpmath.pi * j) ** 2
+                total += 2 * abs(khat) ** p
+            if n == 0:
+                total += abs(mpmath.mpf(float(kernel.fourier_dc()))) ** p
+            exact = total ** (1 / mpmath.mpf(p))
+            value = tail_norm(kernel, n, p).value
+            assert value > 0.0 and abs(value - exact) <= 1e-13 * exact, (n, p)
+    # past the first periods the zeta weights themselves underflow, and the
+    # norm is refused by name rather than read as 0.0
+    with pytest.raises(ValueError, match="underflow at p = 150$"):
+        tail_norm(kernel, 4000 * T, 150.0)
 
 
 def test_tail_norm_monotone_in_n_and_p():
@@ -614,6 +679,26 @@ def test_bisections_end_where_the_fixed_count_loops_did():
             hi = 1.0 + 2.0 * (hi - 1.0)
         expected = halve(1.0, hi, lambda x: _quartic_certifies(cert, x), 60)
         assert delta_lower_certificate(cert) == (expected, True), cert
+
+
+def test_delta_half_lower_matches_the_checked_bisection():
+    # the bisection tests (F/pi) sin(pi/F) < target inline; through
+    # green_coefficient_bound and its domain checks, the same loop ends on
+    # the same float for 1248 eps across (3/8, 5/8)
+    from bstar.kernels import _reflection_coefficient_floor
+
+    def checked(eps):
+        target = _reflection_coefficient_floor(eps) ** 2
+        lo, hi = 1.0, 2.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if green_coefficient_bound(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    for eps in np.linspace(0.375, 0.625, 1250)[1:-1].tolist():
+        assert delta_half_lower(eps) == checked(eps), eps
 
 
 def test_delta_half_lower():
