@@ -24,9 +24,9 @@ Three decision engines answer "is there a B*[g] set of size k inside
   sum, so the viable-extension mask is kept incrementally with shifts.
   It stays because it decides integer Sidon questions about 1.3x faster
   than the integer counting engine (n = 55, k = 10, infeasible, both
-  with the rules below and both 4,228,832 nodes: 1.12 s against 1.43 s,
-  the least of 8 alternating runs, CPython 3.11 on a shared 2-core x86
-  host).
+  with the rules below and both 642,314 nodes: 0.43 s against 0.55 s,
+  the median of 5 alternating rounds of scripts/bench_search.py,
+  CPython 3.11 on a shared 2-core x86 host).
 
 Canonical form fixes the first element (1 for integer, 0 for modular;
 translation invariance makes this lossless), so the DFS yields the
@@ -36,7 +36,7 @@ a process pool; it stops at the first witness, and its nodes and its
 budget are those of the branches it consumed, in either mode.  A node
 is one candidate tried, in every engine, whichever test rejects it.
 
-Three rules prune the DFS:
+Four rules prune the DFS:
 
 * suffix span floors (both kinds, every engine).  A subset of a B*[g]
   set is B*[g], and a modular set read as integers in [0, n - 1] is an
@@ -85,6 +85,22 @@ Three rules prune the DFS:
   off the mask with the blocked ones, so the rule costs nothing per
   candidate.  L passes the span floors, and the mirror rule too:
   x -> -x is in the group, so L's first gap is at most its last.
+* a Golomb-ruler distance bound (integer kind, g = 2, both engines that
+  answer it), as in exhaustive Golomb-ruler searches (J. B. Shearer,
+  IEEE Trans. Inf. Theory 36, 1990; A. Dollas, W. T. Rankin and
+  D. McCracken, IEEE Trans. Inf. Theory 44, 1998).  An integer set is
+  B*[2] exactly when its positive differences are distinct, since
+  a - b = c - d means a + d = b + c.  Let a candidate e join, D be the
+  mask of the differences of the set with e, and r = k - 1 - depth the
+  elements still to come.  With e they form a ruler of r + 1 marks in
+  [e, n]: its C(r + 1, 2) differences are distinct, miss D and lie in
+  [1, n - e], and its r consecutive gaps are r of them that sum to its
+  span.  So e is rejected when [1, n - e] holds fewer than C(r + 1, 2)
+  integers outside D, or when the r least of them sum to more than
+  n - e (_ruler_span).  e's own differences only add to D, so the same
+  test on the level's D, before any e joins, already rejects every e
+  above n minus its span, and the level's walk ends there.  A rejected
+  candidate is one node, as under every rule.
 
 _bounds applies the first two rules once per branch: a candidate at
 depth d lies in [S[-1] + gap[d], cap[d]], with gap[1] = gap[k - 1] = d1,
@@ -99,7 +115,9 @@ reflection is a witness with the same first element whose second
 element is S[0] plus W's last gap, so W's first gap is at most its last
 gap and the DFS still meets W first.  The canonical rule keeps W too:
 every image of W that contains 0 is itself a witness, so it is not
-below W, and W is the least member of its own orbit.  The DFS runs in
+below W, and W is the least member of its own orbit.  The distance
+bound cuts only prefixes that no B*[2] set in [1, n] completes, so it
+never cuts a prefix of W.  The DFS runs in
 lexicographic order, so it meets W before any other canonical witness,
 and one search returns the lexicographically first witness.
 
@@ -288,6 +306,33 @@ def _bounds(last: list[int], first: int, second: int) -> tuple[list[int], list[i
 
 
 # ---------------------------------------------------------------------------
+# Golomb-ruler distance bound (integer g = 2, both engines)
+# ---------------------------------------------------------------------------
+
+def _ruler_span(D: int, r: int, room: int) -> int:
+    """Least span of r more marks after the last one, or room + 1 if above room.
+
+    D is the mask of the differences used so far.  With the last mark the
+    r marks form a ruler of r + 1 marks, whose C(r + 1, 2) differences are
+    distinct, miss D and lie in [1, span]; its r consecutive gaps are r of
+    them and sum to span.  So the span is at least the sum of the r least
+    integers outside D, and it fits in room only if [1, room] holds at least
+    C(r + 1, 2) of them.  The walk stops as soon as the sum passes room.
+    """
+    free = ~D & ((2 << room) - 2)  # bits 1..room
+    if free.bit_count() < r * (r + 1) // 2:
+        return room + 1
+    span = 0
+    for _ in range(r):
+        low = free & -free
+        span += low.bit_length() - 1
+        if span > room:
+            return room + 1
+        free ^= low
+    return span
+
+
+# ---------------------------------------------------------------------------
 # integer g = 2 bitmask engine
 # ---------------------------------------------------------------------------
 
@@ -296,11 +341,15 @@ def _decide_sidon_int(k: int, gap: list[int], cap: list[int], budget: _Budget):
 
     D is the mask of positive differences and B the mask of blocked
     future elements.  (gap, cap) are the branch's _bounds for
-    _last_candidates(2, k, n).  Nodes are charged as in
-    _decide_counts_int, one per candidate of the range, blocked or not,
-    so both engines count the same nodes on the same question.
+    _last_candidates(2, k, n).  The distance bound rejects a candidate e
+    when _ruler_span of D with e's differences passes n - e, and ends a
+    level's walk at n minus _ruler_span of the level's D.  Nodes are
+    charged as in _decide_counts_int, one per candidate of the range,
+    blocked or not, so both engines count the same nodes on the same
+    question.
     """
     charge = budget.charge
+    top = cap[-1]  # n, the last element's cap
 
     def rec(S, D, B, depth):
         if depth == k:
@@ -308,7 +357,9 @@ def _decide_sidon_int(k: int, gap: list[int], cap: list[int], budget: _Budget):
         lo, hi = S[-1] + gap[depth], cap[depth]
         if lo > hi:
             return None
-        cand = ~B & ((1 << (hi + 1)) - 1) & -(1 << lo)
+        rest = k - 1 - depth  # marks still to come after e
+        end = min(hi, top - _ruler_span(D, rest, top - lo))
+        cand = ~B & ((2 << end) - 1) & -(1 << lo)
         charged = lo  # the candidates below charged are paid for
         while cand:
             lsb = cand & -cand
@@ -320,6 +371,8 @@ def _decide_sidon_int(k: int, gap: list[int], cap: list[int], budget: _Budget):
             for y in S:
                 new_diffs |= 1 << (e - y)
             D2 = D | new_diffs
+            if _ruler_span(D2, rest, top - e) > top - e:
+                continue
             B2 = B | (D2 << e)
             for y in S:
                 B2 |= new_diffs << y
@@ -353,6 +406,12 @@ def _decide_counts_int(g: int, n: int, k: int, gap: list[int], cap: list[int],
     nothing is undone.  (gap, cap) are the branch's _bounds for
     _last_candidates(g, k, n).
 
+    At g = 2 the engine also keeps D, the mask of positive differences,
+    and applies the Golomb-ruler distance bound as _decide_sidon_int
+    does: the level's range ends at n minus _ruler_span of D, and a
+    candidate whose remaining marks cannot fit with its differences
+    added is rejected.  For g >= 3, D stays 0 and is never read.
+
     Every candidate is one node, charged in runs: the candidates up to an
     accepted one before its subtree, the rest of the range when the loop
     ends.  The charges come in the same order as one node per candidate
@@ -363,24 +422,35 @@ def _decide_counts_int(g: int, n: int, k: int, gap: list[int], cap: list[int],
     """
     most = g - 2  # a pair fits only where r[t] <= g - 2
     charge = budget.charge
+    sidon = g == 2
 
-    def rec(S, r, depth):
+    def rec(S, r, D, depth):
         if depth == k:
             return tuple(S)
         lo, hi = S[-1] + gap[depth], cap[depth]
+        end = hi
+        if sidon and lo <= hi:
+            rest = k - 1 - depth  # marks still to come after e
+            end = min(hi, n - _ruler_span(D, rest, n - lo))
         charged = lo  # the candidates below charged are paid for
-        for e in range(lo, hi + 1):
+        for e in range(lo, end + 1):
             for y in S:
                 if r[e + y] > most:
                     break
             else:  # every sum of e fits: pay up to e, extend a copy, recurse
                 charge(e + 1 - charged)
                 charged = e + 1
+                D2 = D
+                if sidon:
+                    for y in S:
+                        D2 |= 1 << (e - y)
+                    if _ruler_span(D2, rest, n - e) > n - e:
+                        continue
                 r2 = r[:]
                 r2[2 * e] += 1
                 for y in S:
                     r2[e + y] += 2
-                out = rec(S + [e], r2, depth + 1)
+                out = rec(S + [e], r2, D2, depth + 1)
                 if out is not None:
                     return out
         if hi >= charged:
@@ -389,7 +459,7 @@ def _decide_counts_int(g: int, n: int, k: int, gap: list[int], cap: list[int],
 
     r = bytearray(2 * n + 1)
     r[2] = 1
-    return rec([1], r, 1)
+    return rec([1], r, 0, 1)
 
 
 # ---------------------------------------------------------------------------

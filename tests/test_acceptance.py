@@ -89,6 +89,22 @@ def test_r_table_is_below_the_abstracts_1_31():
     assert max(ratios.values()) == pytest.approx(1.0911, abs=1e-4)
 
 
+# k -> G(k), the length of the shortest Golomb ruler with k marks
+# (J. B. Shearer, IEEE Trans. Inf. Theory 36, 1990).  An integer set is
+# B*[2] exactly when its differences are distinct, so R(2, k) = G(k) + 1.
+GOLOMB_LENGTHS = {3: 3, 4: 6, 5: 11, 6: 17, 7: 25, 8: 34, 9: 44, 10: 55}
+
+# A witness for R(2, 11) = G(11) + 1 = 73, not yet in R_TABLE.
+R_2_11_WITNESS = (1, 2, 5, 14, 29, 34, 48, 55, 65, 71, 73)
+
+
+def test_r_table_g2_row_is_the_golomb_ruler_lengths_plus_one():
+    assert {k: R_TABLE[2, k] - 1 for k in GOLOMB_LENGTHS} == GOLOMB_LENGTHS
+    s = IntSet.of(R_2_11_WITNESS)
+    assert len(s) == 11 and min(R_2_11_WITNESS) >= 1 and s.max_element == 73
+    assert is_bstar(s, 2)
+
+
 def note(idx, message):
     print(f"ACCEPTANCE {idx:2d} PASS  {message}")
 

@@ -22,6 +22,7 @@ from bstar.search import (
     _decide_sidon_int,
     _last_candidates,
     _pair_bans,
+    _ruler_span,
     _search,
     _third_element_bans,
     exists_set,
@@ -216,8 +217,12 @@ def test_budget_boundary_inside_a_run():
     # below a decision's nodes must still run out, wherever it falls in
     # a run of rejected candidates, and the exact count must pass.  The
     # counts are one node per candidate tried.
+    # Integer (2, 26, 7) spends 862 nodes under the floors, the mirror rule
+    # and the masks alone; the Golomb-ruler distance bound rejects
+    # candidates that the masks accept, and still charges each one.
     cases = [(("integer", 3, 15, 7), None, 522),
              (("integer", 3, 28, 8), (1, 2, 3, 5, 9, 15, 20, 25), 268),
+             (("integer", 2, 26, 7), (1, 2, 5, 11, 19, 24, 26), 200),
              (("modular", 3, 17, 6), None, 261),
              (("modular", 4, 14, 7), (0, 1, 2, 4, 8, 9, 11), 140)]
     for case, witness, nodes in cases:
@@ -243,6 +248,44 @@ def test_budget_charges_runs():
     assert 3 * _POLL_NODES - budget.left - budget.reserve == 2 * _POLL_NODES + 1
     with pytest.raises(BudgetExceeded):
         budget.charge(_POLL_NODES)
+
+
+def ruler_difference_masks(r, room):
+    """The difference masks of the rulers 0 < x1 < ... < xr <= room with 0 as a mark
+    and all C(r + 1, 2) differences distinct."""
+    masks = []
+    for marks in itertools.combinations(range(1, room + 1), r):
+        diffs = [b - a for a, b in itertools.combinations((0,) + marks, 2)]
+        if len(set(diffs)) == len(diffs):
+            masks.append(sum(1 << d for d in diffs))
+    return masks
+
+
+def test_ruler_span_admits_every_ruler_that_fits():
+    # the Golomb-ruler distance bound against brute force: for every mask D
+    # of used differences over [1, room], whenever r marks can follow a
+    # mark within room on distinct differences that miss D, the bound
+    # accepts (a span of at most room); otherwise it may reject, and a
+    # rejection reads room + 1.  Differences above room never matter.
+    rejected = 0
+    for room in range(15):
+        for r in range(5):
+            rulers = ruler_difference_masks(r, room)
+            for D in range(0, 2 << room, 2):
+                span = _ruler_span(D, r, room)
+                assert span == _ruler_span(D | 1 << room + 1 | 1 << room + 9, r, room)
+                if any(not U & D for U in rulers):
+                    assert span <= room, (D, r, room)
+                else:
+                    assert span <= room + 1, (D, r, room)
+                    rejected += span == room + 1
+    # positive control: the bound rejects, by either of its two tests.
+    # With 1, 2, 3 used, two more marks within 8 need gaps 4 and 5 at
+    # least; with 3 used, the three differences of two more marks cannot
+    # all lie in [1, 3].
+    assert rejected > 0
+    assert _ruler_span(0b1110, 2, 8) == 9 and _ruler_span(0b1110, 2, 9) == 9
+    assert _ruler_span(0b1000, 2, 3) == 4 and _ruler_span(0b1000, 2, 4) == 3
 
 
 def upward_min_n(p):
@@ -384,8 +427,9 @@ def test_mirror_and_canonical_rules_match_a_floors_only_search():
     # none.  The canonical pass's witness is a set both rules keep: its
     # second element divides n, every difference has a gcd with n at
     # least that, and its first gap is at most its last gap.  Integer
-    # g = 2 runs in both engines.  Modular k = 8 at g = 2, 3 is left out:
-    # the floors-only search alone takes seconds there.
+    # g = 2 runs in both engines, with the same witness and nodes.
+    # Modular k = 8 at g = 2, 3 is left out: the floors-only search alone
+    # takes seconds there.
     spent = {}  # (kind, g == 2) -> [floors-only, exists_set] nodes on infeasible n
     for kind in ("integer", "modular"):
         for g in range(2, 6):
@@ -398,18 +442,20 @@ def test_mirror_and_canonical_rules_match_a_floors_only_search():
                     reference, reference_nodes = floors_first(*case)
                     dec = exists_set(*case)
                     assert (dec.witness.elements if dec.feasible else None) == reference, case
+                    if kind == "integer" and g == 2:
+                        last = _last_candidates(g, k, n)
+                        budget = _Budget(10**9)
+                        branches = (_decide_counts_int(g, n, k, *_bounds(last, 1, second), budget)
+                                    for second in range(2, last[1] + 1))
+                        counted = (next(filter(None, branches), None),
+                                   10**9 - budget.left - budget.reserve)
+                        assert counted == (reference, dec.nodes), case
                     if reference is None:
                         total = spent.setdefault((kind, g == 2), [0, 0])
                         total[0] += reference_nodes
                         total[1] += dec.nodes
                         continue
                     if kind == "integer":
-                        if g == 2:
-                            last = _last_candidates(g, k, n)
-                            branches = (_decide_counts_int(g, n, k, *_bounds(last, 1, second),
-                                                           _Budget(10**9))
-                                        for second in range(2, last[1] + 1))
-                            assert next(filter(None, branches), None) == reference, case
                         continue
                     w, _ = _search(*case, 10**9, 1, canonical=True)
                     assert is_bstar(IntSet.of(w, n), g), case
@@ -420,9 +466,13 @@ def test_mirror_and_canonical_rules_match_a_floors_only_search():
                     assert w[1] - w[0] <= w[-1] - w[-2], case
     # the rules prune in every engine: the bitmask one (integer g = 2),
     # the integer counting one and the modular mask one.  Each bound sits just above the
-    # share spent today (0.643, 0.552, 0.0256, 0.0967 of the floors-only
+    # share spent today (0.112, 0.552, 0.0256, 0.0967 of the floors-only
     # nodes), so a cap one looser or a rule left out of an engine fails.
-    most = {("integer", True): 0.65, ("integer", False): 0.56,
+    # Integer g = 2 spends 0.643 without the Golomb-ruler distance bound;
+    # the counting engine runs every integer g = 2 case above and must
+    # spend the bitmask engine's nodes, so the bound cannot be left out
+    # of either engine.
+    most = {("integer", True): 0.12, ("integer", False): 0.56,
             ("modular", True): 0.027, ("modular", False): 0.099}
     for group, (reference_nodes, nodes) in spent.items():
         assert nodes <= most[group] * reference_nodes, (group, reference_nodes, nodes)
