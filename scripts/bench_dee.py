@@ -125,6 +125,20 @@ def package_version() -> str:
     return "unknown"
 
 
+def rounds_of_seconds(calls, rounds: int) -> list[list[float]]:
+    """Seconds of each call in each round; odd rounds run the calls in reverse order."""
+    times = []
+    for r in range(rounds):
+        row = [0.0] * len(calls)
+        order = range(len(calls)) if r % 2 == 0 else reversed(range(len(calls)))
+        for i in order:
+            t0 = time.perf_counter()
+            calls[i]()
+            row[i] = time.perf_counter() - t0
+        times.append(row)
+    return times
+
+
 def show(row: dict) -> None:
     sweep = f"{row['sweep_s'] * 1e3:10.3f}" if row["sweep_s"] is not None else "         -"
     print(f"{row['geometry']:6s} k={row['intervals']:5d} L={row['L']:8d} {row['path']:5s} "

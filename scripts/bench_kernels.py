@@ -25,14 +25,14 @@ references, written out as before the split and the fold:
 
 For the K5 kernel at T = 10^4, 10^5 and 10^6 it records
 
-- `fft`: seconds of a fresh kernel's `normalized_coefficients`, the two
+- `fft`: seconds of `_half_period_coefficients`, the kernel's two
   half-length transforms (`split_s`), against the 4T reference
   (`reference_s`); the tracemalloc peak of each, also in units of
   8 (2T + 1) bytes, the size of the kernel's coefficient array; and
   the largest difference of the two, in units of 2^-53 sum |e| log2(4T)
   over the edge samples e, asserted within FFT_AGREEMENT;
 - `sums`: seconds of one `tail_norm(kernel, 2, 4/3)` (S_1 and S_2 from one
-  folded evaluation, `folded_s`), the coefficients computed beforehand
+  folded evaluation, `folded_s`), the coefficients computed with the kernel
   and the sums emptied before each call, against `np.sum` of the
   reference weights of the same two periods (`reference_s`); the largest relative difference of the folded
   S_1 and S_2 from the `math.fsum` of the reference, asserted within
@@ -67,7 +67,6 @@ import platform
 import resource
 import statistics
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -75,7 +74,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
-from bench_dee import git_rev, package_version  # noqa: E402
+from bench_dee import git_rev, package_version, rounds_of_seconds  # noqa: E402
 
 from bstar import kernels  # noqa: E402
 from bstar.kernels import BoundCertificate, PiecewiseLinearKernel, tail_norm  # noqa: E402
@@ -95,7 +94,7 @@ PEAK_BUDGET = 1.5  # weight arrays, at T = SWEEP_T: larger blocks are not ranked
 def full_array_euler_maclaurin(s: float, a: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin zeta(s, a), each step over all of a.
 
-    It is written out here, not taken from kernels._euler_maclaurin_block,
+    It is written out here, not taken from kernels._euler_maclaurin,
     so that the kernel is checked against a separate statement of the
     zeta values.
     """
@@ -166,8 +165,8 @@ def fft_difference(kernel) -> float:
 
 
 def fresh_coefficients(kernel) -> np.ndarray:
-    kernel._c = None
-    return kernel.normalized_coefficients()
+    """C(j) for j = 0..2T by the kernel's two half-length transforms, computed again."""
+    return kernels._half_period_coefficients(kernel.y)
 
 
 def one_tail(kernel) -> float:
@@ -200,20 +199,6 @@ def evaluation(block: int):
         yield
     finally:
         kernels._HURWITZ_BLOCK = saved
-
-
-def rounds_of_seconds(calls, rounds: int) -> list[list[float]]:
-    """Seconds of each call in each round; odd rounds run the calls in reverse order."""
-    times = []
-    for r in range(rounds):
-        row = [0.0] * len(calls)
-        order = range(len(calls)) if r % 2 == 0 else reversed(range(len(calls)))
-        for i in order:
-            t0 = time.perf_counter()
-            calls[i]()
-            row[i] = time.perf_counter() - t0
-        times.append(row)
-    return times
 
 
 def traced_peak(call) -> int:
@@ -295,7 +280,6 @@ def main() -> int:
               f"{faults:.0f} page faults   max rel diff {difference:.2g}", flush=True)
 
     kernel = PiecewiseLinearKernel.from_family(FAMILY, SWEEP_T)
-    kernel.normalized_coefficients()
     reference = one_tail(kernel)
     for block in SWEEP_BLOCKS:
         with evaluation(block=block):

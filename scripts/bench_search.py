@@ -15,17 +15,18 @@ engines as well as questions.  This script decides fixed questions
   branches called directly.  Both must return the same witness and
   nodes.
 
-The decisions run in ROUNDS alternating rounds, each round every
-decision once, the order reversed in every other round, so that the
-load of a shared host, which changes from one round to the next, falls
-on every decision alike.  A decision's `seconds` is the median over the
-rounds, and its `relative` time, by which the record ranks them as
-`bench_kernels.py` ranks its sweeps, is the median of its seconds over
-the fastest decision of each round.  Every round must give the same
-witness and nodes.  The script also streams the tables `bstar table
---which R --max-k 10 --g-max 7` and `--which C --max-k 9 --g-max 6`
-through `table_rows` once and records their node totals and seconds,
-then writes the record as JSON.
+It also streams the tables `bstar table --which R --max-k 10 --g-max 7`
+and `--which C --max-k 9 --g-max 6` through `table_rows`.  The
+decisions and the two tables run in ROUNDS alternating rounds
+(`bench_dee.rounds_of_seconds`), each round every call once, the order
+reversed in every other round, so that the load of a shared host, which
+changes from one round to the next, falls on every call alike.  A
+call's `seconds` is the median over the rounds, and a decision's
+`relative` time, by which the record ranks them as `bench_kernels.py`
+ranks its sweeps, is the median of its seconds over the fastest
+decision of each round.  Every round must give the same witness and
+nodes, and for a table the same cells and node total.  The script
+writes the record as JSON.
 """
 from __future__ import annotations
 
@@ -35,14 +36,13 @@ import os
 import platform
 import statistics
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
-from bench_dee import git_rev, package_version  # noqa: E402
+from bench_dee import git_rev, package_version, rounds_of_seconds  # noqa: E402
 
 from bstar import search  # noqa: E402
 
@@ -84,27 +84,28 @@ def engines(case):
             ("integer counting", lambda: counting_engine(n, k))]
 
 
+def table(kind: str, max_k: int, g_max: int):
+    """(the cells (g, k, min n), nodes) of one min-n table, streamed through table_rows."""
+    rows = list(search.table_rows(kind, 2, g_max, max_k))
+    return [(g, k, res.min_n) for g, k, res in rows], sum(res.nodes_explored for _, _, res in rows)
+
+
 def timed_rounds(calls) -> list[dict]:
-    """Witness, nodes and seconds of each call over ROUNDS rounds, the order reversed every other round."""
-    outcomes, times = [None] * len(calls), []
-    for r in range(ROUNDS):
-        row = [0.0] * len(calls)
-        for i in (range(len(calls)) if r % 2 == 0 else reversed(range(len(calls)))):
-            t0 = time.perf_counter()
-            witness, nodes = calls[i]()
-            row[i] = time.perf_counter() - t0
-            outcome = (None if witness is None else list(witness), nodes)
-            if outcomes[i] not in (None, outcome):
-                raise AssertionError(f"call {i} answered {outcome} after {outcomes[i]}")
-            outcomes[i] = outcome
-        times.append(row)
+    """Witness, nodes and seconds of each call over ROUNDS alternating rounds; every round must
+    give each call's first answer."""
+    answers = [[] for _ in calls]
+    times = rounds_of_seconds([lambda i=i: answers[i].append(calls[i]()) for i in range(len(calls))],
+                              ROUNDS)
     relative = [[t / min(row) for t in row] for row in times]
     rows = []
-    for (witness, nodes), ts, rs in zip(outcomes, zip(*times), zip(*relative)):
+    for i, (mine, ts, rs) in enumerate(zip(answers, zip(*times), zip(*relative))):
+        if any(answer != mine[0] for answer in mine):
+            raise AssertionError(f"call {i} answered {mine[1:]} after {mine[0]}")
+        witness, nodes = mine[0]
         seconds = statistics.median(ts)
-        rows.append({"witness": witness, "nodes": nodes, "seconds": seconds,
-                     "nodes_per_s": nodes / seconds, "relative": statistics.median(rs),
-                     "runs_s": list(ts)})
+        rows.append({"witness": None if witness is None else list(witness), "nodes": nodes,
+                     "seconds": seconds, "nodes_per_s": nodes / seconds,
+                     "relative": statistics.median(rs), "runs_s": list(ts)})
     return rows
 
 
@@ -114,8 +115,10 @@ def main() -> int:
     args = ap.parse_args()
 
     pairs = [(case, engine, call) for case in DECISIONS for engine, call in engines(case)]
+    rows = timed_rounds([call for _, _, call in pairs] +
+                        [lambda t=t: table(*t[1:]) for t in TABLES])
     decisions = [{"case": list(case), "engine": engine, **row}
-                 for (case, engine, _), row in zip(pairs, timed_rounds([call for _, _, call in pairs]))]
+                 for (case, engine, _), row in zip(pairs, rows)]
     for row in decisions:
         print(f"{row['engine']:16s} {tuple(row['case'])}: {row['nodes']:9d} nodes {row['seconds']:7.3f} s "
               f"{row['nodes_per_s']:10.0f} nodes/s  x{row['relative']:.1f} of its round's fastest",
@@ -126,20 +129,18 @@ def main() -> int:
             raise AssertionError(f"the engines disagree on {case}: {outcomes}")
 
     tables = []
-    for which, kind, max_k, g_max in TABLES:
-        t0 = time.perf_counter()
-        rows = list(search.table_rows(kind, 2, g_max, max_k))
-        seconds = time.perf_counter() - t0
-        nodes = sum(res.nodes_explored for _, _, res in rows)
-        tables.append({"which": which, "max_k": max_k, "g_max": g_max, "rows": len(rows),
-                       "nodes": nodes, "seconds": seconds, "nodes_per_s": nodes / seconds})
-        print(f"table {which} --max-k {max_k} --g-max {g_max}: {len(rows)} rows "
-              f"{nodes} nodes {seconds:.1f} s", flush=True)
+    for (which, _, max_k, g_max), row in zip(TABLES, rows[len(pairs):]):
+        cells = row["witness"]  # a table call answers with its cells
+        tables.append({"which": which, "max_k": max_k, "g_max": g_max, "rows": len(cells),
+                       **{key: row[key] for key in ("nodes", "seconds", "nodes_per_s", "runs_s")}})
+        print(f"table {which} --max-k {max_k} --g-max {g_max}: {len(cells)} rows "
+              f"{row['nodes']} nodes {row['seconds']:.1f} s", flush=True)
 
     record = {
         "what": "serial exists_set decisions at fixed (kind, g, n, k), nodes, the median "
                 "seconds over ROUNDS alternating rounds and the median time relative to each "
-                "round's fastest decision, and the node totals of the R and C min-n tables",
+                "round's fastest decision, and the node totals and median seconds of the R and "
+                "C min-n tables, timed in the same rounds",
         "provenance": {"package_version": package_version(), "git_rev": git_rev(),
                        "python": platform.python_version(), "numpy": np.__version__,
                        "nproc": os.cpu_count(), "rounds": ROUNDS},

@@ -61,9 +61,9 @@ def main() -> int:
 
     print("== density-ratio bounds ==")
     for g in (2, 4, 10, 25):
-        print(f"rho_upper({g})^2 <= {rho_upper(g).upper_sq:.6f}")
+        print(f"rho_upper({g})^2 <= {rho_upper(g):.6f}")
     for g in (4, 6, 12, 22, 24, 60):
-        print(f"rho_lower({g})   >= {rho_lower(g).lower:.6f}")
+        print(f"rho_lower({g})   >= {rho_lower(g):.6f}")
     print(f"limit ratio 11/(8 sqrt 3) =  {11 / (8 * math.sqrt(3)):.6f}")
 
     comp, simple = ubiquity_bound(0.7, 0.25)

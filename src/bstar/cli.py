@@ -407,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bounds)
     bounds = p.add_subparsers(dest="bound", required=True)
     for name, flags, evaluate in (
-            ("rho-lower", {"--g": int}, lambda kn, a: {"rho_lower": kn.rho_lower(a.g).lower}),
-            ("rho-upper", {"--g": int}, lambda kn, a: {"rho_upper_sq": kn.rho_upper(a.g).upper_sq}),
+            ("rho-lower", {"--g": int}, lambda kn, a: {"rho_lower": kn.rho_lower(a.g)}),
+            ("rho-upper", {"--g": int}, lambda kn, a: {"rho_upper_sq": kn.rho_upper(a.g)}),
             ("ubiquity", {"--gamma": float, "--alpha": float}, _ubiquity),
             ("delta-half", {"--epsilon": float}, _delta_half),
             ("zeta-integral", {}, lambda kn, a: {"zeta_integral": kn.zeta_integral_check()})):

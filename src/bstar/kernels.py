@@ -110,48 +110,41 @@ _FOLD_MAX_EXPONENT = 1000.0
 _HURWITZ_BLOCK = 1 << 15
 
 
-def _euler_maclaurin_coefficients(s):
-    """c_j = B_2j / (2j)! * s (s+1) ... (s+2j-2), j = 1..10; s a float or an array."""
+def _euler_maclaurin(s, a) -> np.ndarray:
+    """Euler-Maclaurin zeta(s, a) for a > 0, s > 1; s and a floats or arrays that broadcast.
+
+    N = 10 lead terms, then tail = (N+a)^-s [(N+a)/(s-1) + 1/2 +
+    sum_j c_j (N+a)^(1-2j)] with c_j = B_2j / (2j)! s (s+1) ... (s+2j-2),
+    its M = 10 Bernoulli terms one polynomial in (N+a)^-2 evaluated by
+    Horner's rule.  The remainder obeys |R| <= 4 (s)_2M / (2 pi)^2M *
+    (N+a)^(1-s-2M) / (s+2M-1) (F. Johansson, Numer. Algorithms 69
+    (2015), Thm 1), at most 1.15e-18 for every s > 1, and at most 2.8e-19
+    of a^-s < zeta(s, a) for every s > 1 and 0 < a <= 5: far below one
+    ulp.  Every entry takes the same operations whatever the shape of
+    the call.  Its callers pass a as an array, hurwitz_zeta one entry
+    long, so every power takes numpy's vector loop: a build may round
+    its scalar power differently.
+    """
     coeffs, rising = [], s
     for j, b2j in enumerate(_BERNOULLI_2J, start=1):
         if j > 1:
             rising = rising * (s + (2 * j - 3)) * (s + (2 * j - 2))
         coeffs.append(b2j / math.factorial(2 * j) * rising)
-    return coeffs
-
-
-def _euler_maclaurin_block(s, coeffs: list, a: np.ndarray, out: np.ndarray,
-                           work: np.ndarray) -> None:
-    """Euler-Maclaurin zeta(s, a) into out for one block of a > 0, s > 1.
-
-    N = 10 lead terms, then tail = (N+a)^-s [(N+a)/(s-1) + 1/2 +
-    sum_j c_j (N+a)^(1-2j)], its M = 10 Bernoulli terms one polynomial in
-    (N+a)^-2 evaluated by Horner's rule, through the two rows of work:
-    N+a is formed again each time it is read, the same value each time.
-    The remainder obeys |R| <= 4 (s)_2M / (2 pi)^2M * (N+a)^(1-s-2M) /
-    (s+2M-1) (F. Johansson, Numer. Algorithms 69 (2015), Thm 1), at most
-    1.15e-18 for every s > 1, and at most 2.8e-19 of a^-s < zeta(s, a)
-    for every s > 1 and 0 < a <= 5: far below one ulp.  s may also be an
-    array as long as a; _fold_coefficients takes all its zeta values in
-    one such call.
-    """
-    term, tail = work
-    np.power(a, -s, out=out)  # the k = 0 lead term
+    zeta = np.power(a, -s)  # the k = 0 lead term
     for k in range(1, _HURWITZ_LEAD_TERMS):
-        np.add(a, k, out=term)
-        out += np.power(term, -s, out=term)
-    n = float(_HURWITZ_LEAD_TERMS)
-    x = np.reciprocal(np.add(a, n, out=term), out=term)
+        zeta += np.power(np.add(a, k), -s)
+    na = np.add(a, float(_HURWITZ_LEAD_TERMS))
+    x = np.reciprocal(na)
     x *= x
-    tail[...] = coeffs[-1]
+    tail = coeffs[-1]
     for c in reversed(coeffs[:-1]):
-        tail *= x
-        tail += c
-    tail /= np.add(a, n, out=term)
+        tail = tail * x + c
+    tail /= na
     tail += 0.5
-    tail += np.divide(term, s - 1.0, out=term)
-    tail *= np.power(np.add(a, n, out=term), -s, out=term)
-    out += tail
+    tail += na / (s - 1.0)
+    tail *= np.power(na, -s)
+    zeta += tail
+    return zeta
 
 
 def _fold_terms(s: float, x: float) -> Optional[int]:
@@ -189,30 +182,25 @@ def _fold_coefficients(s: float, x: float) -> Optional[list[float]]:
         return None
     k = np.arange(terms)
     sigma = s + 2.0 * k
-    zeta = np.empty(terms)
-    _euler_maclaurin_block(sigma, _euler_maclaurin_coefficients(sigma), np.full(terms, x), zeta,
-                           np.empty((2, terms)))
+    zeta = _euler_maclaurin(sigma, np.full(terms, x))
     growth = np.cumprod(np.r_[2.0, sigma[:-1] * (sigma[:-1] + 1.0) / ((2 * k[1:] - 1) * (2 * k[1:]))])
     return (growth * zeta).tolist()
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
-    """zeta(s, a) = sum_{k>=0} (k+a)^(-s), by Euler-Maclaurin (_euler_maclaurin_block).
+    """zeta(s, a) = sum_{k>=0} (k+a)^(-s), by Euler-Maclaurin (_euler_maclaurin).
 
     Relative error at most 2e-15 against mpmath for s in {4/3, 2, 2.6,
     8/3, 8}, on a log grid of a over [1e-4, 1] and on a kernel's table
-    arguments j/(4T), through the block also on (1, 5], and for s = 300
-    on [0.3, 2] (tests/test_kernels.py).  Bit for bit the entry that
-    _euler_maclaurin_block gives for the same a in any block.
+    arguments j/(4T), through _euler_maclaurin also on (1, 5], and for
+    s = 300 on [0.3, 2] (tests/test_kernels.py).  Bit for bit the entry
+    that _euler_maclaurin gives for the same a in a vector of any length.
     """
     if not 1 < s < math.inf:
         raise ValueError("hurwitz_zeta needs s > 1")
     if not 0 < a <= 1:
         raise ValueError("hurwitz_zeta needs 0 < a <= 1")
-    out = np.empty(1)
-    _euler_maclaurin_block(s, _euler_maclaurin_coefficients(s), np.array([a], dtype=float), out,
-                           np.empty((2, 1)))
-    return float(out[0])
+    return float(_euler_maclaurin(s, np.array([a], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +268,53 @@ def _odd_coefficients(e: np.ndarray, out: np.ndarray) -> None:
     out[1::2] = v[::-1][:T // 2]
 
 
+def _half_period_coefficients(y: np.ndarray) -> np.ndarray:
+    """C(j) = (pi^2 j^2 / 2T) Khat(j) for half a period, j = 0..2T, of the kernel with nodes y.
+
+    With d = diff(y) and the edge samples e[m] = d[m-1] - d[m], m =
+    0..T (d zero outside its range), C(j) = sum_m e[m] cos(pi j (T +
+    m) / 2T), and the parity of j splits it into two transforms:
+
+    - even j = 2k: C(2k) = (-1)^k sum_m e[m] cos(pi k m / T), k =
+      0..T, a DCT-I of size T + 1.  Stage 1 is the real part of
+      np.fft.rfft(e, 2T); stage 2 flips the sign of every odd k.
+    - odd j = 2k+1: C(2k+1) = -sum_{n<T} e[T-n] cos(pi (2k+1) n /
+      2T), k = 0..T-1, a DCT-III of size T (_odd_coefficients).
+      Stage 1 forms T/2 + 1 twiddled pairs, each twiddle's cos and
+      sin from an exact integer phase; stage 2 is one np.fft.irfft
+      of length T; stage 3 interleaves its outputs from both ends.
+
+    Both hold for every T >= 1, odd T and T = 1, 2 included.  C is even
+    with period 4T, so C(4T - j) = C(j) gives the rest of every period
+    (see PiecewiseLinearKernel.coefficient).
+    """
+    T = len(y) - 1
+    d = np.diff(y)
+    e = np.zeros(T + 1)
+    e[1:] = d
+    e[:-1] -= d
+    del d
+    c = np.empty(2 * T + 1)
+    c[0::2] = np.fft.rfft(e, 2 * T).real
+    c[2::4] *= -1.0
+    _odd_coefficients(e, c[1::2])
+    return c
+
+
 class PiecewiseLinearKernel:
     """Even kernel, 1 on [-1/4, 1/4], linear between x_t = 1/4 + t/(4T).
 
-    y holds the finite T+1 node values with y[0] = 1.  The kernel caches
-    its coefficients C(j) for half a period, j = 0..2T, from a real FFT
-    of length 2T (even j) and an inverse real FFT of length T (odd j;
-    see normalized_coefficients), with the power of two _scale that
-    brings max |C| into [1/2, 1), and, per exponent p, the two sums S_1
-    and S_2 of |C/_scale|^p weights that its tail norms from n = 0, 1
-    and 2 read (see _period_sum); so the zeta values are computed once
-    per kernel and p, and no weights array outlives the call that made
-    it.  The caches are fixed by y, so the kernel keeps its own
-    read-only copy of it.
+    y holds the finite T+1 node values with y[0] = 1.  The kernel
+    computes its coefficients C(j) for half a period, j = 0..2T, when it
+    is made, from a real FFT of length 2T (even j) and an inverse real
+    FFT of length T (odd j; see _half_period_coefficients), with _scale,
+    the power of two that brings max |C| into [1/2, 1), by which the
+    tail sums divide C so that |C|^p does not underflow.  Per exponent
+    p it caches the two sums S_1 and S_2 of |C/_scale|^p weights that
+    its tail norms from n = 0, 1 and 2 read (see _period_sum); so the
+    zeta values are computed once per kernel and p, and no weights array
+    outlives the call that made it.  All of this is fixed by y, so the
+    kernel keeps its own read-only copy of it.
     """
 
     def __init__(self, y):
@@ -306,8 +328,8 @@ class PiecewiseLinearKernel:
         y.setflags(write=False)
         self._y = y
         self.T = len(y) - 1
-        self._c: Optional[np.ndarray] = None
-        self._scale = 1.0
+        self._c = _half_period_coefficients(y)
+        self._scale = 2.0 ** math.frexp(max(self._c.max(), -self._c.min()))[1]
         self._sums: dict[float, tuple[float, float]] = {}
 
     @property
@@ -334,40 +356,7 @@ class PiecewiseLinearKernel:
         return 0.5 + (y[0] / 2 + y[1:-1].sum() + y[-1] / 2) / (2.0 * T)
 
     def normalized_coefficients(self) -> np.ndarray:
-        """C(j) = (pi^2 j^2 / 2T) Khat(j) for half a period, j = 0..2T.
-
-        With d = diff(y) and the edge samples e[m] = d[m-1] - d[m], m =
-        0..T (d zero outside its range), C(j) = sum_m e[m] cos(pi j (T +
-        m) / 2T), and the parity of j splits it into two transforms:
-
-        - even j = 2k: C(2k) = (-1)^k sum_m e[m] cos(pi k m / T), k =
-          0..T, a DCT-I of size T + 1.  Stage 1 is the real part of
-          np.fft.rfft(e, 2T); stage 2 flips the sign of every odd k.
-        - odd j = 2k+1: C(2k+1) = -sum_{n<T} e[T-n] cos(pi (2k+1) n /
-          2T), k = 0..T-1, a DCT-III of size T (_odd_coefficients).
-          Stage 1 forms T/2 + 1 twiddled pairs, each twiddle's cos and
-          sin from an exact integer phase; stage 2 is one np.fft.irfft
-          of length T; stage 3 interleaves its outputs from both ends.
-
-        Both hold for every T >= 1, odd T and T = 1, 2 included.  C is
-        even with period 4T, so C(4T - j) = C(j) gives the rest of every
-        period (see coefficient).  The kernel also keeps _scale, the
-        power of two that brings max |C| into [1/2, 1), by which the
-        tail sums divide C so that |C|^p does not underflow.
-        """
-        if self._c is None:
-            T = self.T
-            d = np.diff(self.y)
-            e = np.zeros(T + 1)
-            e[1:] = d
-            e[:-1] -= d
-            del d
-            c = np.empty(2 * T + 1)
-            c[0::2] = np.fft.rfft(e, 2 * T).real
-            c[2::4] *= -1.0
-            _odd_coefficients(e, c[1::2])
-            self._c = c
-            self._scale = 2.0 ** math.frexp(max(c.max(), -c.min()))[1]
+        """C(j) = (pi^2 j^2 / 2T) Khat(j) for half a period, j = 0..2T (_half_period_coefficients)."""
         return self._c
 
     def coefficient(self, j: int) -> float:
@@ -376,7 +365,7 @@ class PiecewiseLinearKernel:
             return self.fourier_dc()
         period = 4 * self.T
         m = abs(j) % period
-        c = self.normalized_coefficients()[min(m, period - m)]
+        c = self._c[min(m, period - m)]
         return 2.0 * self.T * float(c) / (math.pi**2 * j * j)
 
     def _period_sum(self, p: float, start: int) -> float:
@@ -393,7 +382,7 @@ class PiecewiseLinearKernel:
             return float(np.sum(self._folded_weights(p, start)))
         if p not in self._sums:
             rest = float(np.sum(self._folded_weights(p, 2)))
-            c1 = self.normalized_coefficients()[1] / self._scale
+            c1 = self._c[1] / self._scale
             head = abs(c1) ** p * np.power(1.0 / (4 * self.T), -2.0 * p)
             self._sums[p] = (float(rest + head), rest)
         return self._sums[p][start - 1]
@@ -421,7 +410,7 @@ class PiecewiseLinearKernel:
         if coeffs is None:
             raise ValueError(f"the tail norm's zeta series needs exponents past "
                              f"{_FOLD_MAX_EXPONENT:g} at p = {p:g}")
-        c = self.normalized_coefficients()
+        c = self._c
         weights = np.empty(half + 1)
         work = np.empty((2, min(half + 1, _HURWITZ_BLOCK)))
         for lo in range(0, half + 1, _HURWITZ_BLOCK):
@@ -668,16 +657,7 @@ def delta_half_lower(epsilon: float) -> float:
 # density-ratio bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RhoBounds:
-    """One-sided bounds on rho(g) = lim R(g,n)/sqrt(gn)."""
-
-    g: int
-    upper_sq: Optional[float] = None
-    lower: Optional[float] = None
-
-
-def rho_upper(g: int) -> RhoBounds:
+def rho_upper(g: int) -> float:
     """Closed-form upper bound on rho_upper(g)^2, split by parity and size.
 
     g = 3 is refused: the small-odd case gives 1.74043 - 4.75492/3 =
@@ -693,29 +673,24 @@ def rho_upper(g: int) -> RhoBounds:
     if g % 2 == 0:
         if g <= 8:
             a, b = _RHO_EVEN_SMALL
-            upper = a - b / g
-        else:
-            a, b, c, d, e = _RHO_EVEN_LARGE
-            upper = a - b / g + math.sqrt(c - d / g + e / (g * g))
+            return a - b / g
+        a, b, c, d, e = _RHO_EVEN_LARGE
     else:
         if g <= 23:
             a, b = _RHO_ODD_SMALL
-            upper = a - b / g
-        else:
-            a, b, c, d, e = _RHO_ODD_LARGE
-            upper = a - b / g + math.sqrt(c - d / g + e / (g * g))
-    return RhoBounds(g=g, upper_sq=upper)
+            return a - b / g
+        a, b, c, d, e = _RHO_ODD_LARGE
+    return a - b / g + math.sqrt(c - d / g + e / (g * g))
 
 
-def rho_lower(g: int) -> RhoBounds:
+def rho_lower(g: int) -> float:
     """Lower bound on rho(g) for even g: surd table, then the block witness."""
     if g < 4 or g % 2:
         raise ValueError("lower bounds are tabulated for even g >= 4")
     if g in _RHO_LOWER_TABLE:
-        return RhoBounds(g=g, lower=_RHO_LOWER_TABLE[g])
+        return _RHO_LOWER_TABLE[g]
     h = g // 2
-    lower = (h + 2 * (h // 3) + h // 6) / math.sqrt(6 * h * h - 2 * h * (h // 3) + 2 * h)
-    return RhoBounds(g=g, lower=lower)
+    return (h + 2 * (h // 3) + h // 6) / math.sqrt(6 * h * h - 2 * h * (h // 3) + 2 * h)
 
 
 def ubiquity_bound(gamma_ratio: float, alpha: float) -> tuple[float, float]:

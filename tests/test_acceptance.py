@@ -302,8 +302,8 @@ def test_criterion_11_probabilistic_concentration():
 
 
 def test_criterion_12_bound_calculators():
-    assert abs(rho_lower(12).lower - math.sqrt(3) / math.sqrt(5)) < 1e-12
-    assert abs(rho_upper(2).upper_sq - 1.238015) < 1e-6
+    assert abs(rho_lower(12) - math.sqrt(3) / math.sqrt(5)) < 1e-12
+    assert abs(rho_upper(2) - 1.238015) < 1e-6
     complicated, _ = ubiquity_bound(0.7, 0.25)
     assert complicated > 0.0137382
     note(12, "density-ratio and ubiquity calculators at stated tolerances")

@@ -38,8 +38,7 @@ from bstar.kernels import (
     _HURWITZ_LEAD_TERMS,
     _RHO_EVEN_LARGE,
     _RHO_ODD_LARGE,
-    _euler_maclaurin_block,
-    _euler_maclaurin_coefficients,
+    _euler_maclaurin,
     _fold_coefficients,
     _fold_terms,
     _quartic_certifies,
@@ -58,10 +57,8 @@ def brute_hurwitz_bracket(s, a, terms=10**6):
 
 
 def hurwitz_one_block(s, a):
-    """zeta(s, a) for every entry of a, in one _euler_maclaurin_block call."""
-    out = np.empty_like(a)
-    _euler_maclaurin_block(s, _euler_maclaurin_coefficients(s), a, out, np.empty((2, len(a))))
-    return out
+    """zeta(s, a) for every entry of a, in one _euler_maclaurin call."""
+    return _euler_maclaurin(s, a)
 
 
 def test_hurwitz_spot_values():
@@ -175,7 +172,7 @@ def test_taylor_remainder_bounds_the_true_truncation_error():
 def test_hurwitz_against_mpmath(s):
     mpmath = pytest.importorskip("mpmath")
     # a log grid; a kernel's own table arguments j/(4T), j = 1..4T+1; and
-    # a in (1, 5], which hurwitz_zeta refuses and the block evaluates
+    # a in (1, 5], which hurwitz_zeta refuses and _euler_maclaurin evaluates
     table_args = np.arange(1, 4 * 50 + 2) / (4.0 * 50)
     block_args = np.linspace(1.0, 5.0, 101)[1:]
     with mpmath.workdps(40):
@@ -203,9 +200,9 @@ def test_hurwitz_at_a_large_exponent():
 
 
 def test_hurwitz_vector_matches_scalar_calls():
-    # hurwitz_zeta is one entry of _euler_maclaurin_block, and an entry
-    # must not depend on its block's length, on its place in it or on
-    # the block
+    # hurwitz_zeta is one entry of _euler_maclaurin, and an entry must
+    # not depend on the length of its vector, on its place in it or on
+    # the other entries
     table_args = np.arange(1, 4 * 50 + 1) / (4.0 * 50)
     long_args = np.geomspace(1e-4, 1.0, 2 * _HURWITZ_BLOCK + 3)
     edges = np.r_[0:40, _HURWITZ_BLOCK - 40:_HURWITZ_BLOCK + 40, 2 * _HURWITZ_BLOCK - 40:len(long_args)]
@@ -259,7 +256,6 @@ def test_one_tail_norm_peaks_near_one_weights_array():
     # the full-array evaluation before blocks peaked at six arrays of 4T + 1
     T = 10**5
     kernel = PiecewiseLinearKernel.from_family("K5", T)
-    kernel.normalized_coefficients()
     tracemalloc.start()
     try:
         tail_norm(kernel, 2, 4 / 3)
@@ -275,7 +271,6 @@ def test_tail_norms_keep_no_weights_array():
     T = 10**5
     unit = 8 * (4 * T + 1)
     kernel = PiecewiseLinearKernel.from_family("K5", T)
-    kernel.normalized_coefficients()
     tracemalloc.start()
     try:
         for p in (1.1, 4 / 3, 1.6, 2.0):
@@ -286,6 +281,25 @@ def test_tail_norms_keep_no_weights_array():
         tracemalloc.stop()
     assert current <= 0.01 * unit
     assert peak <= 1.5 * unit
+
+
+def test_a_fresh_kernel_calls_no_fft_after_it_is_made(monkeypatch):
+    # the kernel computes its coefficients when it is made, so a profile
+    # charges the transforms to its construction, not to the first tail
+    # norm or certificate
+    kernels_made = [PiecewiseLinearKernel.from_family("K5", 50) for _ in range(2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an FFT after the kernel was made")
+
+    monkeypatch.setattr(np.fft, "rfft", refuse)
+    monkeypatch.setattr(np.fft, "irfft", refuse)
+    with pytest.raises(AssertionError, match="an FFT"):
+        PiecewiseLinearKernel.from_family("K5", 50)
+    for p in (4 / 3, 2.0):
+        for n in (0, 1, 2, 5):
+            tail_norm(kernels_made[0], n, p)
+    BoundCertificate.from_kernel(kernels_made[1])
 
 
 def test_the_block_is_the_benchmarked_one():
@@ -717,12 +731,12 @@ def test_delta_half_lower():
 
 
 def test_rho_upper_cases():
-    assert rho_upper(2).upper_sq == pytest.approx(1.238015, abs=1e-9)
-    assert rho_upper(10).upper_sq == pytest.approx(1.5807365 + math.sqrt(0.0032392356), abs=1e-6)
-    assert rho_upper(5).upper_sq == pytest.approx(1.74043 - 4.75492 / 5, abs=1e-9)
-    assert rho_upper(25).upper_sq <= 2.0
+    assert rho_upper(2) == pytest.approx(1.238015, abs=1e-9)
+    assert rho_upper(10) == pytest.approx(1.5807365 + math.sqrt(0.0032392356), abs=1e-6)
+    assert rho_upper(5) == pytest.approx(1.74043 - 4.75492 / 5, abs=1e-9)
+    assert rho_upper(25) <= 2.0
     for g in (2,) + tuple(range(4, 60)):
-        assert rho_upper(g).upper_sq <= 2.0
+        assert rho_upper(g) <= 2.0
     with pytest.raises(ValueError):
         rho_upper(1)
     # the small-odd formula gives 0.155457 at g = 3, below rho(3)^2 = 1/3
@@ -733,9 +747,9 @@ def test_rho_upper_cases():
 def test_rho_upper_is_above_every_lower_bound():
     # an upper bound that a known lower bound contradicts is no bound:
     # rho(2)^2 = 1/2 exactly, and rho_lower covers the even g >= 4
-    assert rho_upper(2).upper_sq >= 0.5
+    assert rho_upper(2) >= 0.5
     for g in range(4, 2001, 2):
-        assert rho_upper(g).upper_sq >= rho_lower(g).lower ** 2, g
+        assert rho_upper(g) >= rho_lower(g) ** 2, g
 
 
 def test_rho_upper_is_above_the_monotone_lower_bound():
@@ -745,13 +759,13 @@ def test_rho_upper_is_above_the_monotone_lower_bound():
     def known_lower_sq(g):
         if g in (2, 3):
             return 1 / g
-        return rho_lower(g).lower ** 2 if g % 2 == 0 else 0.0
+        return rho_lower(g) ** 2 if g % 2 == 0 else 0.0
 
     best, slack = 0.0, {}  # best: max over g' <= g of g' L(g')
     for g in range(2, 2001):
         best = max(best, g * known_lower_sq(g))
         if g != 3:
-            slack[g] = rho_upper(g).upper_sq - best / g
+            slack[g] = rho_upper(g) - best / g
     assert min(slack.values()) > 0
     assert min(slack, key=slack.get) == 5
     assert slack[5] == pytest.approx(0.3323, abs=1e-4)
@@ -763,7 +777,7 @@ def test_rho_upper_stays_below_the_abstracts_1_31():
     # at g = 2000.  Past the small cases each parity's formula
     # a - b/g + sqrt(c - d/g + e/g^2), with b > 0 and d >= e, stays below
     # its limit a + sqrt(c) = 1.69094 for every g >= 1.
-    values = {g: rho_upper(g).upper_sq for g in range(2, 2001) if g != 3}
+    values = {g: rho_upper(g) for g in range(2, 2001) if g != 3}
     assert max(values.values()) < 1.31 ** 2
     assert max(values, key=values.get) == 2000
     assert values[2000] == pytest.approx(1.69074, abs=1e-5)
@@ -777,17 +791,17 @@ def test_rho_lower_passes_0_79_from_612():
     # the abstract's "rho(g) > 0.79 for sufficiently large g", with the
     # threshold frozen: every even g in [612, 5000] has rho_lower(g) > 0.79,
     # and 610 is the last even g at or below it
-    assert rho_lower(610).lower <= 0.79
-    assert all(rho_lower(g).lower > 0.79 for g in range(612, 5001, 2))
+    assert rho_lower(610) <= 0.79
+    assert all(rho_lower(g) > 0.79 for g in range(612, 5001, 2))
 
 
 def test_rho_lower_values():
-    assert rho_lower(12).lower == pytest.approx(math.sqrt(3 / 5), abs=1e-12)
-    assert rho_lower(4).lower == pytest.approx(2 / math.sqrt(7), abs=1e-12)
-    big = rho_lower(60000).lower
+    assert rho_lower(12) == pytest.approx(math.sqrt(3 / 5), abs=1e-12)
+    assert rho_lower(4) == pytest.approx(2 / math.sqrt(7), abs=1e-12)
+    big = rho_lower(60000)
     assert big == pytest.approx(11 / (8 * math.sqrt(3)), abs=1e-3)
     for g in range(4, 200, 2):
-        assert rho_lower(g).lower ** 2 <= 2.0
+        assert rho_lower(g) ** 2 <= 2.0
     with pytest.raises(ValueError):
         rho_lower(7)
 
