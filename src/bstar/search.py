@@ -19,14 +19,15 @@ Three decision engines answer "is there a B*[g] set of size k inside
   element does not pay: the mask engine, given an integer question as
   the same question in Z_(2n - 1), where its sums do not wrap, spent
   1.89 s against 1.15 s at (3, 45, 10), with the same nodes.
-* integer g = 2: a bitmask DFS.  A candidate x is blocked exactly when
-  some pair sum x + y would collide with an existing pair or diagonal
-  sum, so the viable-extension mask is kept incrementally with shifts.
-  It stays because it decides integer Sidon questions about 1.3x faster
-  than the integer counting engine (n = 55, k = 10, infeasible, both
-  with the rules below and both 642,314 nodes: 0.43 s against 0.55 s,
-  the median of 5 alternating rounds of scripts/bench_search.py,
-  CPython 3.11 on a shared 2-core x86 host).
+* integer g = 2: a bitmask DFS, the one engine with the Golomb-ruler
+  distance bound below.  A candidate x is blocked exactly when some pair
+  sum x + y would collide with an existing pair or diagonal sum, so the
+  viable-extension mask is kept incrementally with shifts.  It stays as
+  its own engine because, measured while the counting engine also had
+  the bound, it decided integer Sidon questions 1.3x faster (n = 55,
+  k = 10, infeasible, both 642,314 nodes: 0.43 s against 0.55 s, the
+  median of 5 alternating rounds of scripts/bench_search.py, CPython
+  3.11 on a shared 2-core x86 host).
 
 Canonical form fixes the first element (1 for integer, 0 for modular;
 translation invariance makes this lossless), so the DFS yields the
@@ -85,8 +86,8 @@ Four rules prune the DFS:
   off the mask with the blocked ones, so the rule costs nothing per
   candidate.  L passes the span floors, and the mirror rule too:
   x -> -x is in the group, so L's first gap is at most its last.
-* a Golomb-ruler distance bound (integer kind, g = 2, both engines that
-  answer it), as in exhaustive Golomb-ruler searches (J. B. Shearer,
+* a Golomb-ruler distance bound (integer kind, g = 2, bitmask engine
+  only), as in exhaustive Golomb-ruler searches (J. B. Shearer,
   IEEE Trans. Inf. Theory 36, 1990; A. Dollas, W. T. Rankin and
   D. McCracken, IEEE Trans. Inf. Theory 44, 1998).  An integer set is
   B*[2] exactly when its positive differences are distinct, since
@@ -306,7 +307,7 @@ def _bounds(last: list[int], first: int, second: int) -> tuple[list[int], list[i
 
 
 # ---------------------------------------------------------------------------
-# Golomb-ruler distance bound (integer g = 2, both engines)
+# Golomb-ruler distance bound (integer g = 2, bitmask engine)
 # ---------------------------------------------------------------------------
 
 def _ruler_span(D: int, r: int, room: int) -> int:
@@ -345,8 +346,9 @@ def _decide_sidon_int(k: int, gap: list[int], cap: list[int], budget: _Budget):
     when _ruler_span of D with e's differences passes n - e, and ends a
     level's walk at n minus _ruler_span of the level's D.  Nodes are
     charged as in _decide_counts_int, one per candidate of the range,
-    blocked or not, so both engines count the same nodes on the same
-    question.
+    whether the mask or the bound rejects it, so on the same branch it
+    spends _decide_counts_int's nodes less those of the subtrees the
+    bound cuts.
     """
     charge = budget.charge
     top = cap[-1]  # n, the last element's cap
@@ -406,51 +408,34 @@ def _decide_counts_int(g: int, n: int, k: int, gap: list[int], cap: list[int],
     nothing is undone.  (gap, cap) are the branch's _bounds for
     _last_candidates(g, k, n).
 
-    At g = 2 the engine also keeps D, the mask of positive differences,
-    and applies the Golomb-ruler distance bound as _decide_sidon_int
-    does: the level's range ends at n minus _ruler_span of D, and a
-    candidate whose remaining marks cannot fit with its differences
-    added is rejected.  For g >= 3, D stays 0 and is never read.
-
     Every candidate is one node, charged in runs: the candidates up to an
     accepted one before its subtree, the rest of the range when the loop
     ends.  The charges come in the same order as one node per candidate
     would, so the count and the point where the budget runs out are the
-    same.  exists_set takes _decide_sidon_int for g = 2; this engine
-    answers g = 2 as well, and the tests hold the two to the same
-    witnesses and nodes.
+    same.  exists_set takes _decide_sidon_int for g = 2.  This engine
+    answers g = 2 as well, without the Golomb-ruler distance bound, and
+    the tests hold the bitmask engine to its witness in every branch.
     """
     most = g - 2  # a pair fits only where r[t] <= g - 2
     charge = budget.charge
-    sidon = g == 2
 
-    def rec(S, r, D, depth):
+    def rec(S, r, depth):
         if depth == k:
             return tuple(S)
         lo, hi = S[-1] + gap[depth], cap[depth]
-        end = hi
-        if sidon and lo <= hi:
-            rest = k - 1 - depth  # marks still to come after e
-            end = min(hi, n - _ruler_span(D, rest, n - lo))
         charged = lo  # the candidates below charged are paid for
-        for e in range(lo, end + 1):
+        for e in range(lo, hi + 1):
             for y in S:
                 if r[e + y] > most:
                     break
             else:  # every sum of e fits: pay up to e, extend a copy, recurse
                 charge(e + 1 - charged)
                 charged = e + 1
-                D2 = D
-                if sidon:
-                    for y in S:
-                        D2 |= 1 << (e - y)
-                    if _ruler_span(D2, rest, n - e) > n - e:
-                        continue
                 r2 = r[:]
                 r2[2 * e] += 1
                 for y in S:
                     r2[e + y] += 2
-                out = rec(S + [e], r2, D2, depth + 1)
+                out = rec(S + [e], r2, depth + 1)
                 if out is not None:
                     return out
         if hi >= charged:
@@ -459,7 +444,7 @@ def _decide_counts_int(g: int, n: int, k: int, gap: list[int], cap: list[int],
 
     r = bytearray(2 * n + 1)
     r[2] = 1
-    return rec([1], r, 0, 1)
+    return rec([1], r, 1)
 
 
 # ---------------------------------------------------------------------------

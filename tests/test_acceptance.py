@@ -105,6 +105,19 @@ def test_r_table_g2_row_is_the_golomb_ruler_lengths_plus_one():
     assert is_bstar(s, 2)
 
 
+def test_frozen_tables_are_monotone_and_integer_below_modular():
+    # a modular set read in [0, n - 1] and shifted by 1 is an integer set
+    # in [1, n], so R(g, k) <= C(g, k) on every cell both tables hold.  A
+    # subset of a B*[g] set is B*[g], and so is a B*[g - 1] set: R is
+    # nondecreasing in k and nonincreasing in g.
+    shared = R_TABLE.keys() & C_TABLE.keys()
+    assert len(shared) == 26
+    assert all(R_TABLE[cell] <= C_TABLE[cell] for cell in shared)
+    for (g, k), n in R_TABLE.items():
+        assert R_TABLE.get((g, k + 1), n) >= n, (g, k)
+        assert R_TABLE.get((g + 1, k), n) <= n, (g, k)
+
+
 def note(idx, message):
     print(f"ACCEPTANCE {idx:2d} PASS  {message}")
 

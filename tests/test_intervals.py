@@ -1,6 +1,8 @@
+import importlib
 import operator
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +288,19 @@ def test_cost_rule_picks_the_path(monkeypatch):
     huge = IntervalSet.of([(F(0), F(1, 3)), (F(1, 2), F(1000000006, 1000000007))])
     res = largest_symmetric_subset(huge, include_profile=True)
     assert (res.d_value, res.center) == (F(2, 3), F(5, 12))
+
+
+def test_bench_dee_script_times_both_paths(monkeypatch):
+    # scripts/bench_dee.py reads intervals' private _on_grid, _sweep,
+    # _autoconvolution and _grid_pays, and the other bench scripts import
+    # its helpers; a renamed name must fail here, not at the next
+    # benchmark run.  Its first block picture takes the grid, and the
+    # sweep agrees with it.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    bench = importlib.import_module("bench_dee")
+    row = bench.time_both(bench.runs_picture(random.Random(bench.SEED), 15), True)
+    assert row["agree"] is True and row["path"] == "grid" and row["intervals"] == 15
+    assert all(row[key] > 0 for key in ("grid_s", "sweep_s", "public_s"))
 
 
 def test_delta_k_single_interval_is_exact():

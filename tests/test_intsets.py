@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import tracemalloc
@@ -157,6 +158,28 @@ def test_both_schedules_match_an_independent_count():
 def test_the_crossover_is_the_benchmarked_one():
     record = json.loads((Path(__file__).resolve().parent.parent / "BENCH_intsets.json").read_text())
     assert intsets._FOUR_STEP_MIN == record["crossover"]
+
+
+def test_bench_intsets_script_switches_the_schedule(monkeypatch):
+    # scripts/bench_intsets.py times each schedule by moving the private
+    # _FOUR_STEP_MIN around a transform size; a renamed name must fail
+    # here, not at the next benchmark run.  Both schedules give one
+    # profile, and the threshold is restored after each, even on error.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    bench = importlib.import_module("bench_intsets")
+    saved = intsets._FOUR_STEP_MIN
+    s = IntSet.of([511, *range(0, 511, 7)])
+    assert _fft_size(s) == 2**10
+    profiles = []
+    for four_step in (False, True):
+        with bench.schedule(four_step, 2**10):
+            assert (_fft_size(s) >= intsets._FOUR_STEP_MIN) == four_step
+            profiles.append(representation_counts(s))
+        assert intsets._FOUR_STEP_MIN == saved
+    assert np.array_equal(*profiles)
+    with pytest.raises(ZeroDivisionError), bench.schedule(True, 2**10):
+        1 / 0
+    assert intsets._FOUR_STEP_MIN == saved
 
 
 def test_one_count_of_a_2_21_profile_peaks_near_two_arrays():
