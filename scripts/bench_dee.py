@@ -17,9 +17,17 @@ return the same rows, and writes the record as JSON:
   from 4k^2 / 64 to 64 * 4k^2 (up to L = 2^20), on the line and on the
   circle.
 
-Each time is the median over 5 batches of the seconds per call.  The
-sweep holds its 4k^2 breakpoints as Python tuples, about 100 bytes each,
-so it is only timed up to SWEEP_MAX_INTERVALS intervals.
+The calls on one input run in ROUNDS alternating rounds
+(`rounds_of_seconds`), each round every call once, the order reversed
+in every other round, so that the load of a shared host, which changes
+from one round to the next, falls on every call alike; a time is the
+median over the rounds.  The sweep holds its 4k^2 breakpoints as Python
+tuples, about 100 bytes each, so it is only timed up to
+SWEEP_MAX_INTERVALS intervals.
+
+Its helpers `rounds_of_seconds`, `medians`, `provenance` and
+`write_record` are the timing method and the record header of every
+`scripts/bench_*.py`.
 """
 from __future__ import annotations
 
@@ -49,22 +57,7 @@ CROSSOVER_K = (5, 8, 10, 15, 45, 135)
 CROSSOVER_RATIOS = (1 / 64, 1 / 16, 1 / 4, 1, 4, 16, 64)  # L / (4 k^2)
 MAX_L = 1 << 20  # keeps each FFT below 100 MB
 SWEEP_MAX_INTERVALS = 609  # the sweep's tuples take about 150 MB here, 1 GB at 1643
-BATCHES = 5
-BATCH_S = 0.02  # each batch runs the call enough times to take about this long
-
-
-def seconds_per_call(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    first = time.perf_counter() - t0
-    number = max(1, int(BATCH_S / max(first, 1e-7)))
-    batches = []
-    for _ in range(BATCHES):
-        t0 = time.perf_counter()
-        for _ in range(number):
-            fn()
-        batches.append((time.perf_counter() - t0) / number)
-    return statistics.median(batches)
+ROUNDS = 21
 
 
 def runs_picture(rng: random.Random, runs: int) -> intervals.IntervalSet:
@@ -87,21 +80,22 @@ def grid_set(rng: random.Random, k: int, scale: int, geometry: str) -> intervals
 
 
 def time_both(e: intervals.IntervalSet, with_sweep: bool) -> dict:
+    """Median seconds of the grid path, the public call and, when with_sweep, the sweep on e,
+    all three timed in the same rounds."""
     scale, grid = intervals._on_grid(e.intervals)
     circle = e.geometry == "circle"
     sigmas, units = intervals._autoconvolution(scale, grid, circle)
-    row = {"intervals": len(e.intervals), "L": scale, "geometry": e.geometry,
-           "path": "grid" if intervals._grid_pays(scale, len(e.intervals), circle) else "sweep",
-           "grid_s": seconds_per_call(lambda: intervals._autoconvolution(scale, grid, circle)),
-           "sweep_s": None, "agree": None,
-           "public_s": seconds_per_call(lambda: intervals.largest_symmetric_subset(e))}
+    calls, agree = [lambda: intervals._autoconvolution(scale, grid, circle),
+                    lambda: intervals.largest_symmetric_subset(e)], None
     if with_sweep:
-        rows = intervals._sweep(scale, grid, circle)
-        row["agree"] = rows == list(zip(sigmas.tolist(), units.tolist()))
-        if not row["agree"]:
+        agree = intervals._sweep(scale, grid, circle) == list(zip(sigmas.tolist(), units.tolist()))
+        if not agree:
             raise AssertionError(f"the paths disagree on {len(e.intervals)} intervals, L = {scale}")
-        row["sweep_s"] = seconds_per_call(lambda: intervals._sweep(scale, grid, circle))
-    return row
+        calls.append(lambda: intervals._sweep(scale, grid, circle))
+    grid_s, public_s, *sweep_s = medians(rounds_of_seconds(calls, ROUNDS))[0]
+    return {"intervals": len(e.intervals), "L": scale, "geometry": e.geometry,
+            "path": "grid" if intervals._grid_pays(scale, len(e.intervals), circle) else "sweep",
+            "grid_s": grid_s, "sweep_s": (sweep_s or [None])[0], "agree": agree, "public_s": public_s}
 
 
 def git_rev() -> str:
@@ -139,6 +133,28 @@ def rounds_of_seconds(calls, rounds: int) -> list[list[float]]:
     return times
 
 
+def medians(times: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Each call's median seconds over the rounds of rounds_of_seconds, and its median relative
+    time: its seconds over the fastest call of the round, which the load of a shared host,
+    changing from one round to the next, moves less."""
+    relative = [[t / min(row) for t in row] for row in times]
+    return ([statistics.median(ts) for ts in zip(*times)],
+            [statistics.median(rs) for rs in zip(*relative)])
+
+
+def provenance(**extra) -> dict:
+    """The provenance of a BENCH_*.json record: the package, commit, Python, numpy and core
+    count, then the script's own settings in extra."""
+    return {"package_version": package_version(), "git_rev": git_rev(),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "nproc": os.cpu_count(), **extra}
+
+
+def write_record(path, record: dict) -> None:
+    Path(path).write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {path}")
+
+
 def show(row: dict) -> None:
     sweep = f"{row['sweep_s'] * 1e3:10.3f}" if row["sweep_s"] is not None else "         -"
     print(f"{row['geometry']:6s} k={row['intervals']:5d} L={row['L']:8d} {row['path']:5s} "
@@ -169,17 +185,14 @@ def main() -> int:
                 show(row)
 
     record = {
-        "what": "seconds per call of exact D(E): the grid path (_autoconvolution), "
-                "the sweep (_sweep) and largest_symmetric_subset, which picks one",
-        "provenance": {"package_version": package_version(), "git_rev": git_rev(),
-                       "python": platform.python_version(), "numpy": np.__version__,
-                       "nproc": os.cpu_count(), "seed": SEED,
-                       "sweep_max_intervals": SWEEP_MAX_INTERVALS},
+        "what": "median seconds per call over ROUNDS alternating rounds of exact D(E): the grid "
+                "path (_autoconvolution), the sweep (_sweep) and largest_symmetric_subset, which "
+                "picks one",
+        "provenance": provenance(seed=SEED, sweep_max_intervals=SWEEP_MAX_INTERVALS, rounds=ROUNDS),
         "block_pictures": pictures,
         "crossover": crossover,
     }
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {args.out}")
+    write_record(args.out, record)
     return 0
 
 

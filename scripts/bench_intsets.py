@@ -14,17 +14,15 @@ element is N/2 - 1, so N is the transform size, plus min(N/16, 10^4)
 random elements below it (10^4 is the size of the `random-sets`
 workload's integer sets, whose N is 2^21).
 
-Each time is the median over 5 batches of the seconds per call.  The
-record's `crossover` is the least N from which the four-step is faster
-at every larger N; `_FOUR_STEP_MIN` should equal it.
+Both schedules at one N run in ROUNDS alternating rounds
+(`bench_dee.rounds_of_seconds`), and a time is the median over the
+rounds.  The record's `crossover` is the least N from which the
+four-step is faster at every larger N; `_FOUR_STEP_MIN` should equal it.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
-import os
-import platform
 import sys
 from pathlib import Path
 
@@ -32,7 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
-from bench_dee import git_rev, package_version, seconds_per_call  # noqa: E402
+from bench_dee import medians, provenance, rounds_of_seconds, write_record  # noqa: E402
 
 from bstar import intsets  # noqa: E402
 from bstar.intsets import IntSet, representation_counts  # noqa: E402
@@ -40,6 +38,7 @@ from bstar.intsets import IntSet, representation_counts  # noqa: E402
 SEED = 23
 LOG_SIZES = range(10, 25)
 MAX_ELEMENTS = 10**4
+ROUNDS = 21
 
 
 @contextlib.contextmanager
@@ -51,6 +50,12 @@ def schedule(four_step: bool, size: int):
         yield
     finally:
         intsets._FOUR_STEP_MIN = saved
+
+
+def count(s: IntSet, four_step: bool, size: int):
+    """representation_counts(s), of transform size `size`, on the given schedule."""
+    with schedule(four_step, size):
+        return representation_counts(s)
 
 
 def main() -> int:
@@ -65,15 +70,12 @@ def main() -> int:
         top = size // 2 - 1
         k = min(size // 16, MAX_ELEMENTS)
         s = IntSet.of([top, *rng.choice(top, k - 1, replace=False).tolist()])
-        row = {"N": size, "elements": len(s)}
-        profiles = []
-        for name, four_step in (("one_step_s", False), ("four_step_s", True)):
-            with schedule(four_step, size):
-                profiles.append(representation_counts(s))
-                row[name] = seconds_per_call(lambda: representation_counts(s))
-        if not np.array_equal(*profiles):
+        if not np.array_equal(count(s, False, size), count(s, True, size)):
             raise AssertionError(f"the schedules disagree at N = {size}")
-        row["speedup"] = row["one_step_s"] / row["four_step_s"]
+        (one, four), _ = medians(rounds_of_seconds([lambda: count(s, False, size),
+                                                    lambda: count(s, True, size)], ROUNDS))
+        row = {"N": size, "elements": len(s), "one_step_s": one, "four_step_s": four,
+               "speedup": one / four}
         rows.append(row)
         print(f"N=2^{log_size:2d} k={len(s):5d} one step {row['one_step_s'] * 1e3:9.3f} ms  "
               f"four step {row['four_step_s'] * 1e3:9.3f} ms  x{row['speedup']:.2f}", flush=True)
@@ -84,18 +86,16 @@ def main() -> int:
             break
         crossover = row["N"]
     record = {
-        "what": "seconds per call of representation_counts on a set of transform size N, "
-                "with one rfft/irfft pair and with the four-step schedule",
-        "provenance": {"package_version": package_version(), "git_rev": git_rev(),
-                       "python": platform.python_version(), "numpy": np.__version__,
-                       "nproc": os.cpu_count(), "seed": SEED},
+        "what": "median seconds per call over ROUNDS alternating rounds of representation_counts "
+                "on a set of transform size N, with one rfft/irfft pair and with the four-step "
+                "schedule",
+        "provenance": provenance(seed=SEED, rounds=ROUNDS),
         "crossover": crossover,
         "four_step_min": intsets._FOUR_STEP_MIN,
         "sizes": rows,
     }
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     print(f"crossover N = {crossover}, intsets._FOUR_STEP_MIN = {intsets._FOUR_STEP_MIN}")
-    print(f"wrote {args.out}")
+    write_record(args.out, record)
     return 0
 
 

@@ -60,10 +60,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
-import os
-import platform
 import resource
 import statistics
 import sys
@@ -74,7 +71,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
-from bench_dee import git_rev, package_version, rounds_of_seconds  # noqa: E402
+from bench_dee import medians, provenance, rounds_of_seconds, write_record  # noqa: E402
 
 from bstar import kernels  # noqa: E402
 from bstar.kernels import BoundCertificate, PiecewiseLinearKernel, tail_norm  # noqa: E402
@@ -230,10 +227,8 @@ def sweep(kernel, values) -> list[dict]:
     def call(v):
         with evaluation(block=v):
             one_tail(kernel)
-    times = rounds_of_seconds([lambda v=v: call(v) for v in values], SWEEP_ROUNDS)
-    relative = [[t / min(row) for t in row] for row in times]
-    return [{"block": v, "seconds": statistics.median(ts), "relative": statistics.median(rs)}
-            for v, ts, rs in zip(values, zip(*times), zip(*relative))]
+    seconds, relative = medians(rounds_of_seconds([lambda v=v: call(v) for v in values], SWEEP_ROUNDS))
+    return [{"block": v, "seconds": s, "relative": r} for v, s, r in zip(values, seconds, relative)]
 
 
 def keep_unless_beaten(rows: list[dict], key: str, current) -> object:
@@ -257,12 +252,10 @@ def main() -> int:
         fft_peaks = [traced_peak(call) for call in (lambda: reference_coefficients(kernel),
                                                     lambda: fresh_coefficients(kernel))]
         faults = statistics.median(page_faults(T) for _ in range(5))
-        fft = rounds_of_seconds([lambda: reference_coefficients(kernel), lambda: fresh_coefficients(kernel)],
-                                SIZE_ROUNDS[T])
-        sums = rounds_of_seconds([lambda: reference_tail(kernel), lambda: one_tail(kernel)],
-                                 SIZE_ROUNDS[T])
-        (fft_ref, fft_s), (sums_ref, sums_s) = ([statistics.median(ts) for ts in zip(*times)]
-                                                for times in (fft, sums))
+        (fft_ref, fft_s), _ = medians(rounds_of_seconds(
+            [lambda: reference_coefficients(kernel), lambda: fresh_coefficients(kernel)], SIZE_ROUNDS[T]))
+        (sums_ref, sums_s), _ = medians(rounds_of_seconds(
+            [lambda: reference_tail(kernel), lambda: one_tail(kernel)], SIZE_ROUNDS[T]))
         unit, coefficient_unit = 8 * (4 * T + 1), 8 * (2 * T + 1)
         row = {"T": T,
                "fft": {"reference_s": fft_ref, "split_s": fft_s, "speedup": fft_ref / fft_s,
@@ -300,17 +293,14 @@ def main() -> int:
                 f"against the 4T FFT, and seconds of one tail_norm(kernel, {N}, 4/3), folded at "
                 "j <-> 4T - j, against the full-period reference; tracemalloc peak bytes, minor page "
                 f"faults of a fresh kernel, and a sweep of the block size at T = {SWEEP_T}",
-        "provenance": {"package_version": package_version(), "git_rev": git_rev(),
-                       "python": platform.python_version(), "numpy": np.__version__,
-                       "nproc": os.cpu_count()},
+        "provenance": provenance(),
         "block": block,
         "hurwitz_block": kernels._HURWITZ_BLOCK,
         "sizes": rows,
         "sweep": block_sweep,
     }
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     print(f"block = {block}, kernels._HURWITZ_BLOCK = {kernels._HURWITZ_BLOCK}")
-    print(f"wrote {args.out}")
+    write_record(args.out, record)
     return 0
 
 

@@ -28,18 +28,13 @@ writes the record as JSON.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import statistics
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-import numpy as np  # noqa: E402
-from bench_dee import git_rev, package_version, rounds_of_seconds  # noqa: E402
+from bench_dee import medians, provenance, rounds_of_seconds, write_record  # noqa: E402
 
 from bstar import search  # noqa: E402
 
@@ -75,16 +70,14 @@ def timed_rounds(calls) -> list[dict]:
     answers = [[] for _ in calls]
     times = rounds_of_seconds([lambda i=i: answers[i].append(calls[i]()) for i in range(len(calls))],
                               ROUNDS)
-    relative = [[t / min(row) for t in row] for row in times]
     rows = []
-    for i, (mine, ts, rs) in enumerate(zip(answers, zip(*times), zip(*relative))):
+    for i, (mine, ts, seconds, relative) in enumerate(zip(answers, zip(*times), *medians(times))):
         if any(answer != mine[0] for answer in mine):
             raise AssertionError(f"call {i} answered {mine[1:]} after {mine[0]}")
         witness, nodes = mine[0]
-        seconds = statistics.median(ts)
         rows.append({"witness": None if witness is None else list(witness), "nodes": nodes,
                      "seconds": seconds, "nodes_per_s": nodes / seconds,
-                     "relative": statistics.median(rs), "runs_s": list(ts)})
+                     "relative": relative, "runs_s": list(ts)})
     return rows
 
 
@@ -115,14 +108,11 @@ def main() -> int:
                 "seconds over ROUNDS alternating rounds and the median time relative to each "
                 "round's fastest decision, and the node totals and median seconds of the R and "
                 "C min-n tables, timed in the same rounds",
-        "provenance": {"package_version": package_version(), "git_rev": git_rev(),
-                       "python": platform.python_version(), "numpy": np.__version__,
-                       "nproc": os.cpu_count(), "rounds": ROUNDS},
+        "provenance": provenance(rounds=ROUNDS),
         "decisions": decisions,
         "tables": tables,
     }
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {args.out}")
+    write_record(args.out, record)
     return 0
 
 

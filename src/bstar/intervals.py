@@ -25,7 +25,8 @@ of two endpoints, by one of two paths:
   at the candidates only, not at every grid point: on the circle a
   plateau of maxima can wrap through 0, which need not be a candidate.
 
-Cost rule (`_grid_pays`, measured in BENCH_dee.json): the grid path
+Cost rule (`_grid_pays`, measured in BENCH_dee.json by
+scripts/bench_dee.py, both paths timed in the same rounds): the grid path
 runs for k >= 10 intervals with L <= 4k^2 (the sweep's breakpoint
 count) on the line, or L <= 16k^2 on the circle, where the sweep does
 twice the work, and with L within the dense profile limit.  The sweep
@@ -180,11 +181,13 @@ def _grid_pays(scale: int, k: int, circle: bool) -> bool:
     The grid path costs O(L log L) plus one `representation_counts` call's
     fixed cost and an O(k^2) bincount, and the sweep O(k^2 log k), twice
     that on the circle, where it reads m at s and s + 1.  In BENCH_dee.json
-    (recorded when the grid path made a second count for the candidate
-    sums, so its grid times are upper bounds) the sweep wins at
-    every L for k <= 8, and from k = 10 the grid wins up to L = 4k^2 (the
-    sweep's breakpoint count) on the line and up to 16k^2 on the circle.
-    Its profile of length 2L + 1 must also fit the dense limit.
+    (medians of 21 alternating rounds) the sweep wins at every L for
+    k = 5, and from k = 10 the grid wins up to L = 4k^2 (the sweep's
+    breakpoint count) on the line and up to 16k^2 on the circle, and
+    loses beyond.  At k = 8 the grid also wins in those ranges, by 1 to
+    37% of the sweep's 0.06 to 0.2 ms; the rule leaves k = 8 to the
+    sweep.  Its profile of length 2L + 1 must also fit the dense
+    limit.
     """
     return k >= 10 and scale <= min((16 if circle else 4) * k * k, (_DENSE_LIMIT - 1) // 2)
 

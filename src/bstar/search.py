@@ -156,6 +156,11 @@ class BudgetExceeded(RuntimeError):
     """The node budget ran out before the decision was certified."""
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("integer", "modular"):
+        raise ValueError("kind must be 'integer' or 'modular'")
+
+
 def _check_effort(budget: int, workers: int) -> None:
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -174,8 +179,7 @@ class SearchProblem:
     workers: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("integer", "modular"):
-            raise ValueError("kind must be 'integer' or 'modular'")
+        _check_kind(self.kind)
         if self.g < 1 or self.k < 1:
             raise ValueError("g and k must be positive")
         if self.n_start > self.n_limit:
@@ -259,6 +263,7 @@ def infeasibility_floor(kind: str, g: int, k: int) -> int:
     the distinct unordered pairs inject into difference (modular) or sum
     (integer) values.
     """
+    _check_kind(kind)
     if g == 1 and k > 1:
         return 1 << 60  # two elements already force r(a+b) = 2
     pairs = k * (k - 1) // 2
@@ -653,7 +658,8 @@ def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
     what is left when its result is consumed: the outcome does not
     depend on the schedule.  Under the mirror rule a branch whose first
     gap second - first exceeds last[2] - second is empty, so the
-    branches end before it.
+    branches end before it.  The pool has at most one worker per
+    branch, so a one-branch decision runs in-process.
     """
     first = 0 if kind == "modular" else 1
     last = _last_candidates(g, k, n - 1 + first)
@@ -663,6 +669,7 @@ def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
     if canonical:  # a least affine image's second element divides n
         seconds = [s for s in seconds if n % s == 0]
     jobs = ((kind, g, n, k, last, second, budget - nodes, canonical) for second in seconds)
+    workers = min(workers, len(seconds))
     parallel = workers > 1 and n >= _PARALLEL_MIN_N and k > 2
     with _branch_map(workers if parallel else 1) as branch_map:
         for witness, spent in branch_map(_branch, jobs):
@@ -687,6 +694,7 @@ def exists_set(kind: str, g: int, n: int, k: int,
     kind searches only the least member of each affine orbit, which the
     lexicographically first witness is.
     """
+    _check_kind(kind)
     if g < 1 or k < 1 or n < 1:
         raise ValueError("g, n, k must be positive")
     _check_effort(budget, workers)

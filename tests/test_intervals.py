@@ -1,4 +1,5 @@
 import importlib
+import json
 import operator
 import random
 from fractions import Fraction as F
@@ -301,6 +302,26 @@ def test_bench_dee_script_times_both_paths(monkeypatch):
     row = bench.time_both(bench.runs_picture(random.Random(bench.SEED), 15), True)
     assert row["agree"] is True and row["path"] == "grid" and row["intervals"] == 15
     assert all(row[key] > 0 for key in ("grid_s", "sweep_s", "public_s"))
+
+
+def test_bench_scripts_share_one_timing_method_and_one_record_header(monkeypatch):
+    # every scripts/bench_*.py times its calls by bench_dee.rounds_of_seconds,
+    # which runs odd rounds in reverse order, and opens its record with
+    # bench_dee.provenance; every checked-in BENCH_*.json holds its keys
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "scripts"))
+    bench = importlib.import_module("bench_dee")
+    order = []
+    times = bench.rounds_of_seconds([lambda i=i: order.append(i) for i in range(3)], 4)
+    assert order == [0, 1, 2, 2, 1, 0, 0, 1, 2, 2, 1, 0]
+    assert len(times) == 4 and all(len(row) == 3 and min(row) > 0 for row in times)
+    seconds, relative = bench.medians([[1.0, 2.0], [3.0, 3.0], [2.0, 8.0]])
+    assert (seconds, relative) == ([2.0, 3.0], [1.0, 2.0])
+    keys = set(bench.provenance())
+    records = sorted(root.glob("BENCH_*.json"))
+    assert len(records) >= 4
+    for path in records:
+        assert keys <= set(json.loads(path.read_text())["provenance"]), path.name
 
 
 def test_delta_k_single_interval_is_exact():

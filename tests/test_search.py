@@ -143,6 +143,17 @@ def test_budget_exceeded_is_loud():
     assert SearchProblem("integer", 2, 3, 1, 10, budget=0).budget == 0
 
 
+def test_an_unknown_kind_is_refused():
+    # "Modular" is neither kind; no entry point reads it as the integer
+    # kind, or answers before it looks at the kind (k > n)
+    for call in (lambda: exists_set("Modular", 2, 12, 4),
+                 lambda: exists_set("Modular", 2, 3, 4),
+                 lambda: infeasibility_floor("Modular", 2, 4),
+                 lambda: SearchProblem("Modular", 2, 4, 1, 12)):
+        with pytest.raises(ValueError, match="kind must be 'integer' or 'modular'"):
+            call()
+
+
 def test_floor_is_sound():
     for kind in ("integer", "modular"):
         for g in (2, 3, 4, 5):
@@ -187,15 +198,55 @@ def test_stop_flag_ends_a_branch(monkeypatch):
     assert witness is None and nodes > search._POLL_NODES
 
 
-def test_early_stop_with_more_workers_than_cores():
-    # the witness turns up while later, long branches still run or wait;
-    # the pool stops them by the flag and is joined, leaving no process
-    case = ("modular", 3, 57, 9)
+def test_early_stop_with_more_workers_than_cores(monkeypatch):
+    # the witness turns up in the first of 16 branches while later, long
+    # branches still run or wait; the pool stops them by the flag and is
+    # joined, leaving no process
+    sizes = []
+
+    def pool(processes, *args):
+        sizes.append(processes)
+        return real_pool(processes, *args)
+
+    real_pool = multiprocessing.Pool
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    case = ("integer", 3, 48, 10)
+    workers = min(os.cpu_count() or 1, 15) + 1
     serial = exists_set(*case)
-    parallel = exists_set(*case, workers=min(os.cpu_count() or 1, 15) + 1)
+    parallel = exists_set(*case, workers=workers)
     assert serial.feasible and serial.witness == parallel.witness
     assert serial.nodes == parallel.nodes
+    assert sizes == [workers]
     assert multiprocessing.active_children() == []
+
+
+def test_the_pool_has_at_most_one_worker_per_branch(monkeypatch):
+    # modular (3, 53, 9) has one branch under the canonical rule (53 is
+    # prime) and runs in-process; (3, 30, 7) has six, one per divisor of
+    # 30 up to its end.  The fake pool starts no process.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes, *args):
+            sizes.append(processes)
+
+        imap = staticmethod(map)
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    for case, workers, pools in ((("modular", 3, 53, 9), 2, []),
+                                 (("modular", 3, 30, 7), 4, [4]),
+                                 (("modular", 3, 30, 7), 8, [6])):
+        sizes.clear()
+        serial = exists_set(*case)
+        parallel = exists_set(*case, workers=workers)
+        assert (parallel.witness, parallel.nodes) == (serial.witness, serial.nodes), case
+        assert sizes == pools, (case, workers)
 
 
 def test_budget_means_the_same_with_workers():
