@@ -200,9 +200,8 @@ def _cmd_table(args) -> int:
         raise ValueError("--g-min must be a positive integer")
     if args.g_max < args.g_min:
         raise ValueError("--g-max must be at least --g-min")
-    first_k = search.first_table_k(args.g_min)
-    if args.max_k < first_k:
-        raise ValueError(f"--max-k must be at least {first_k}, the first k of --g-min {args.g_min}")
+    if args.max_k < args.g_min + 1:
+        raise ValueError(f"--max-k must be at least {args.g_min + 1}, the first k of --g-min {args.g_min}")
     kind = "modular" if args.which == "C" else "integer"
     # the rows are built lazily: refuse a bad budget or thread count before the header
     search.SearchProblem(kind, args.g_min, 1, 1, 1, budget, args.threads)

@@ -27,7 +27,7 @@ of two endpoints, by one of two paths:
 
 Cost rule (`_grid_pays`, measured in BENCH_dee.json by
 scripts/bench_dee.py, both paths timed in the same rounds): the grid path
-runs for k >= 10 intervals with L <= 4k^2 (the sweep's breakpoint
+runs for k >= 8 intervals with L <= 4k^2 (the sweep's breakpoint
 count) on the line, or L <= 16k^2 on the circle, where the sweep does
 twice the work, and with L within the dense profile limit.  The sweep
 runs otherwise: for few intervals, where it is cheaper than the grid
@@ -182,14 +182,12 @@ def _grid_pays(scale: int, k: int, circle: bool) -> bool:
     fixed cost and an O(k^2) bincount, and the sweep O(k^2 log k), twice
     that on the circle, where it reads m at s and s + 1.  In BENCH_dee.json
     (medians of 21 alternating rounds) the sweep wins at every L for
-    k = 5, and from k = 10 the grid wins up to L = 4k^2 (the sweep's
+    k = 5, and from k = 8 the grid wins up to L = 4k^2 (the sweep's
     breakpoint count) on the line and up to 16k^2 on the circle, and
-    loses beyond.  At k = 8 the grid also wins in those ranges, by 1 to
-    37% of the sweep's 0.06 to 0.2 ms; the rule leaves k = 8 to the
-    sweep.  Its profile of length 2L + 1 must also fit the dense
+    loses beyond.  Its profile of length 2L + 1 must also fit the dense
     limit.
     """
-    return k >= 10 and scale <= min((16 if circle else 4) * k * k, (_DENSE_LIMIT - 1) // 2)
+    return k >= 8 and scale <= min((16 if circle else 4) * k * k, (_DENSE_LIMIT - 1) // 2)
 
 
 def largest_symmetric_subset(e: IntervalSet,

@@ -110,8 +110,12 @@ _FOLD_MAX_EXPONENT = 1000.0
 _HURWITZ_BLOCK = 1 << 15
 
 
-def _euler_maclaurin(s, a) -> np.ndarray:
-    """Euler-Maclaurin zeta(s, a) for a > 0, s > 1; s and a floats or arrays that broadcast.
+def _euler_maclaurin(s, a, unit: int = 1) -> np.ndarray:
+    """Euler-Maclaurin unit^s zeta(s, a) for a > 0, s > 1; s and a floats or arrays that broadcast.
+
+    unit^s zeta(s, a) is the sum of ((k+a)/unit)^-s, and every power below
+    is taken of its argument divided by unit, so that a far a does not
+    underflow; at unit = 1 the divisions are exact.
 
     N = 10 lead terms, then tail = (N+a)^-s [(N+a)/(s-1) + 1/2 +
     sum_j c_j (N+a)^(1-2j)] with c_j = B_2j / (2j)! s (s+1) ... (s+2j-2),
@@ -130,9 +134,9 @@ def _euler_maclaurin(s, a) -> np.ndarray:
         if j > 1:
             rising = rising * (s + (2 * j - 3)) * (s + (2 * j - 2))
         coeffs.append(b2j / math.factorial(2 * j) * rising)
-    zeta = np.power(a, -s)  # the k = 0 lead term
+    zeta = np.power(np.divide(a, unit), -s)  # the k = 0 lead term
     for k in range(1, _HURWITZ_LEAD_TERMS):
-        zeta += np.power(np.add(a, k), -s)
+        zeta += np.power(np.add(a, k) / unit, -s)
     na = np.add(a, float(_HURWITZ_LEAD_TERMS))
     x = np.reciprocal(na)
     x *= x
@@ -142,7 +146,7 @@ def _euler_maclaurin(s, a) -> np.ndarray:
     tail /= na
     tail += 0.5
     tail += na / (s - 1.0)
-    tail *= np.power(na, -s)
+    tail *= np.power(na / unit, -s)
     zeta += tail
     return zeta
 
@@ -169,22 +173,23 @@ def _fold_terms(s: float, x: float) -> Optional[int]:
     return None
 
 
-def _fold_coefficients(s: float, x: float) -> Optional[list[float]]:
-    """2 (s)_2k / (2k)! zeta(s+2k, x) for k < _fold_terms(s, x), or None.
+def _fold_coefficients(s: float, x: float, unit: int = 1) -> Optional[list[float]]:
+    """2 (s)_2k / (2k)! unit^s zeta(s+2k, x) for k < _fold_terms(s, x), or None.
 
-    H(b) = zeta(s, x+b) + zeta(s, x-b) is the polynomial with these
-    coefficients in u = b^2, to 2^-59 of its value on |b| <= 1/2.  The
-    zeta values come from one Euler-Maclaurin call on the vector of
-    exponents s + 2k.
+    unit^s H(b), H(b) = zeta(s, x+b) + zeta(s, x-b), is the polynomial
+    with these coefficients in u = b^2, to 2^-59 of its value on
+    |b| <= 1/2.  The zeta values come from one Euler-Maclaurin call on
+    the vector of exponents s + 2k, each scaled by unit^(s+2k) there and
+    by unit^-2k here.
     """
     terms = _fold_terms(s, x)
     if terms is None:
         return None
     k = np.arange(terms)
     sigma = s + 2.0 * k
-    zeta = _euler_maclaurin(sigma, np.full(terms, x))
+    zeta = _euler_maclaurin(sigma, np.full(terms, x), unit)
     growth = np.cumprod(np.r_[2.0, sigma[:-1] * (sigma[:-1] + 1.0) / ((2 * k[1:] - 1) * (2 * k[1:]))])
-    return (growth * zeta).tolist()
+    return (growth * zeta * np.power(float(unit), -2.0 * k)).tolist()
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
@@ -368,11 +373,17 @@ class PiecewiseLinearKernel:
         c = self._c[min(m, period - m)]
         return 2.0 * self.T * float(c) / (math.pi**2 * j * j)
 
-    def _period_sum(self, p: float, start: int) -> float:
-        """S = sum over i >= start of |C(i)/_scale|^p (i/(4T))^-2p, start >= 1.
+    def _unit(self, start: int) -> int:
+        """c = max(r, 1), r = (start - 1) // 4T: the tail sum from start is scaled by c^2p."""
+        return max((start - 1) // (4 * self.T), 1)
 
-        It equals the period sum of |C(j)/_scale|^p zeta(2p, j/(4T)) over j =
-        start .. start+4T-1.  S_1 and S_2 share one evaluation, kept per
+    def _period_sum(self, p: float, start: int) -> float:
+        """S = sum over i >= start of |C(i)/_scale|^p (i/(4T c))^-2p, start >= 1, c = _unit(start).
+
+        c is 1 up to start = 8T; further out, where i/(4T) is at least r
+        and its -2p-th power may underflow, c = r keeps the first terms
+        near 1.  S equals c^2p times the period sum of |C(j)/_scale|^p
+        zeta(2p, j/(4T)) over j = start .. start+4T-1.  S_1 and S_2 share one evaluation, kept per
         p: S_2 is the sum of _folded_weights(p, 2), and S_1 adds to it the
         one term that S_2 leaves out, |C(1)/_scale|^p (1/(4T))^-2p, the power of
         the rounded argument as every direct power takes it, so nothing is
@@ -388,25 +399,25 @@ class PiecewiseLinearKernel:
         return self._sums[p][start - 1]
 
     def _folded_weights(self, p: float, start: int) -> np.ndarray:
-        """w(j) for j = 0..2T, whose sum is S = sum over i >= start of |C(i)/_scale|^p (i/N)^-s.
+        """w(j) for j = 0..2T, whose sum is S = sum over i >= start of |C(i)/_scale|^p (i/(N c))^-s.
 
-        With N = 4T, s = 2p and r = (start - 1) // N, S takes i below
-        N (r+1) one direct power each, and the rest through the classes
-        j = i mod N: C(N - j) = C(j), and zeta(s, r+1+a) + zeta(s, r+2-a)
-        = H(a - 1/2) with a = j/N, the even polynomial of _fold_coefficients
-        about x = r + 3/2.  So j = 1..2T-1 carries the pair j, N - j:
-        |C(j)/_scale|^p times H and the direct powers ((rN + j)/N)^-s, for j >=
-        start - rN, and ((rN + N - j)/N)^-s, for j <= N - (start - rN).
-        j = 2T counts once: H/2 and its one direct power.  j = 0 takes
-        zeta(s, r+1) = (H(-1/2) + (r+1)^-s) / 2; C(0) need not vanish.
+        With N = 4T, s = 2p, r = (start - 1) // N and c = _unit(start), S
+        takes i below N (r+1) one direct power each, and the rest through
+        the classes j = i mod N: C(N - j) = C(j), and zeta(s, r+1+a) +
+        zeta(s, r+2-a) = H(a - 1/2) with a = j/N, the even polynomial of
+        _fold_coefficients about x = r + 3/2, which scales it by c^s.  So
+        j = 1..2T-1 carries the pair j, N - j: |C(j)/_scale|^p times H and
+        the direct powers ((rN + j)/(N c))^-s, for j >= start - rN, and
+        ((rN + N - j)/(N c))^-s, for j <= N - (start - rN).  j = 2T counts once: H/2 and its one direct power.  j = 0 takes
+        zeta(s, r+1) = (H(-1/2) + ((r+1)/c)^-s) / 2; C(0) need not vanish.
         One block of j at a time, with the same elementwise operations
         for each entry, so no entry depends on its block.
         """
         T, s = self.T, 2.0 * p
         period, half = 4 * T, 2 * T
-        r = (start - 1) // period
+        r, unit = (start - 1) // period, self._unit(start)
         base, first = r * period, start - r * period
-        coeffs = _fold_coefficients(s, r + 1.5)
+        coeffs = _fold_coefficients(s, r + 1.5, unit)
         if coeffs is None:
             raise ValueError(f"the tail norm's zeta series needs exponents past "
                              f"{_FOLD_MAX_EXPONENT:g} at p = {p:g}")
@@ -425,17 +436,17 @@ class PiecewiseLinearKernel:
                 out *= u
                 out += coeff
             if lo == 0:
-                out[0] = 0.5 * (out[0] + (r + 1.0) ** -s)
+                out[0] = 0.5 * (out[0] + ((r + 1.0) / unit) ** -s)
             if hi == half + 1:
                 out[-1] *= 0.5
             own = max(first, lo) - lo  # the direct powers of j itself
             if own < m:
                 t = np.add(j[own:], base, out=term[own:])
-                out[own:] += np.power(np.divide(t, period, out=t), -s, out=t)
+                out[own:] += np.power(np.divide(t, period * unit, out=t), -s, out=t)
             mlo, mhi = max(1, lo) - lo, min(half, period - first + 1, hi) - lo  # those of N - j
             if mlo < mhi:
                 t = np.subtract(base + period, j[mlo:mhi], out=term[mlo:mhi])
-                out[mlo:mhi] += np.power(np.divide(t, period, out=t), -s, out=t)
+                out[mlo:mhi] += np.power(np.divide(t, period * unit, out=t), -s, out=t)
             cp = np.abs(c[lo:hi], out=term)
             cp /= self._scale
             out *= np.power(cp, p, out=cp)
@@ -461,8 +472,10 @@ def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
     1 and 2 cost one folded evaluation, and no weights are kept after
     it; every other start takes the same path.  The p-th root is taken
     of each term before they are added, scaled by the largest, so a norm
-    a float can hold never reads 0.0; a start whose zeta weights all
-    underflow is refused by name, as an overflow is.
+    a float can hold never reads 0.0.  A start past 8T sums its terms
+    scaled by c^2p (c = _unit(start)), so its root is divided by c^2; a
+    start whose scaled weights all underflow is still refused by name,
+    as an overflow is.
     """
     if n < 0:
         raise ValueError("tail start must be nonnegative")
@@ -477,10 +490,12 @@ def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
         raise ValueError(f"the tail norm overflows a float at p = {p:g}")
     if total == 0.0 and kernel.normalized_coefficients().any():
         raise ValueError(f"the tail norm's zeta weights underflow at p = {p:g}")
-    # lnorm^p = 2 (2T scale / ((4T)^2 pi^2))^p total (+ |Khat(0)|^p): each
+    # lnorm^p = 2 (2T scale / ((4T)^2 pi^2 c^2))^p total (+ |Khat(0)|^p): each
     # term's root is taken first and the sum scaled by the largest, so no
     # p-th power of a norm-sized value is formed and none underflows
-    roots = [2.0 * T * kernel._scale / ((4.0 * T) ** 2 * math.pi**2) * (2.0 * total) ** (1.0 / p)]
+    unit = kernel._unit(max(n, 1))
+    roots = [2.0 * T * kernel._scale / ((4.0 * T) ** 2 * math.pi**2) * (2.0 * total) ** (1.0 / p)
+             / unit**2]
     if n == 0:
         roots.append(abs(kernel.fourier_dc()))
     largest = max(roots)

@@ -13,12 +13,15 @@ Three decision engines answer "is there a B*[g] set of size k inside
   and tests only their diagonal.
 * integer counting engine, for g >= 3: the same DFS as a range loop
   that tests each candidate's sums against r(t), indexed by the sum
-  itself (length 2n + 1, so integer sums never wrap).  It accepts far
+  itself (length 2n - 1, so integer sums never wrap).  It accepts far
   more of its candidates (54,976 of 252,244 at (3, 36, 10), 11,612 of
   26,040 at (4, 21, 10)), and there the masks' work on each accepted
   element does not pay: the mask engine, given an integer question as
   the same question in Z_(2n - 1), where its sums do not wrap, spent
-  1.89 s against 1.15 s at (3, 45, 10), with the same nodes.
+  1.53 s against 1.10 s at (3, 45, 10), 0.130 against 0.092 s at
+  (3, 36, 10) and 0.027 against 0.017 s at (4, 21, 10), with the same
+  nodes (d0cc637's engines from 0, median of 5 alternating rounds,
+  CPython 3.11 on a shared 2-core x86 host).
 * integer g = 2: a bitmask DFS, the one engine with the Golomb-ruler
   distance bound below.  A candidate x is blocked exactly when some pair
   sum x + y would collide with an existing pair or diagonal sum, so the
@@ -29,8 +32,9 @@ Three decision engines answer "is there a B*[g] set of size k inside
   median of 5 alternating rounds of scripts/bench_search.py, CPython
   3.11 on a shared 2-core x86 host).
 
-Canonical form fixes the first element (1 for integer, 0 for modular;
-translation invariance makes this lossless), so the DFS yields the
+Both questions are translation invariant, so a decision searches the
+sets that start at 0, integer ones in [0, n - 1], and exists_set
+shifts an integer witness into [1, n]; the DFS yields the
 lexicographically first witness.  A decision is one loop over the
 branches, one per second element in increasing order, in-process or in
 a process pool; it stops at the first witness, and its nodes and its
@@ -44,8 +48,8 @@ Four rules prune the DFS:
   integer one, so the last m elements of a k-set span at least
   fl[m] - 1 with fl[m] = infeasibility_floor("integer", g, m).  With
   depth elements placed a candidate therefore satisfies
-  e <= top + 1 - fl[k - depth], where top is the largest admissible
-  element (n, or n - 1 for the modular kind).
+  e <= top + 1 - fl[k - depth], where top = n - 1 is the largest
+  admissible element.
   This is the sub-ruler bound of optimal Golomb-ruler searches.
 * a mirror rule (both kinds, every engine, every search), as in
   optimal Golomb-ruler searches (Shearer 1990).  x -> S[0] + S[-1] - x
@@ -94,33 +98,33 @@ Four rules prune the DFS:
   a - b = c - d means a + d = b + c.  Let a candidate e join, D be the
   mask of the differences of the set with e, and r = k - 1 - depth the
   elements still to come.  With e they form a ruler of r + 1 marks in
-  [e, n]: its C(r + 1, 2) differences are distinct, miss D and lie in
-  [1, n - e], and its r consecutive gaps are r of them that sum to its
-  span.  So e is rejected when [1, n - e] holds fewer than C(r + 1, 2)
-  integers outside D, or when the r least of them sum to more than
-  n - e (_ruler_span).  e's own differences only add to D, so the same
-  test on the level's D, before any e joins, already rejects every e
-  above n minus its span, and the level's walk ends there.  A rejected
-  candidate is one node, as under every rule.
+  [e, top]: its C(r + 1, 2) differences are distinct, miss D and lie in
+  [1, top - e], and its r consecutive gaps are r of them that sum to
+  its span.  So e is rejected when [1, top - e] holds fewer than
+  C(r + 1, 2) integers outside D, or when the r least of them sum to
+  more than top - e (_ruler_span).  e's own differences only add to D,
+  so the same test on the level's D, before any e joins, already
+  rejects every e above top minus its span, and the level's walk ends
+  there.  A rejected candidate is one node, as under every rule.
 
 _bounds applies the first two rules once per branch: a candidate at
 depth d lies in [S[-1] + gap[d], cap[d]], with gap[1] = gap[k - 1] = d1,
-every other gap 1, and cap the span floors' caps narrowed by the mirror
-rule, cap[1] at most the fixed second element.  Integer candidates
+the fixed second element, every other gap 1, and cap the span floors'
+caps narrowed by the mirror rule, cap[1] at most d1.  Integer candidates
 exceed every placed element, so a candidate's diagonal 2e lies above
 every sum in the profile, and the integer counting engine tests its
 pair sums only; modular sums wrap, so the modular engine tests it.
 
 The mirror rule keeps the lexicographically first witness W: W's
-reflection is a witness with the same first element whose second
-element is S[0] plus W's last gap, so W's first gap is at most its last
-gap and the DFS still meets W first.  The canonical rule keeps W too:
-every image of W that contains 0 is itself a witness, so it is not
-below W, and W is the least member of its own orbit.  The distance
-bound cuts only prefixes that no B*[2] set in [1, n] completes, so it
-never cuts a prefix of W.  The DFS runs in
-lexicographic order, so it meets W before any other canonical witness,
-and one search returns the lexicographically first witness.
+reflection is a witness from 0 whose second element is W's last gap, so
+W's first gap is at most its last gap and the DFS still meets W first.
+The canonical rule keeps W too: every image of W that contains 0 is
+itself a witness, so it is not below W, and W is the least member of
+its own orbit.  The distance
+bound cuts only prefixes that no B*[2] set in [0, n - 1] completes, so
+it never cuts a prefix of W.  The DFS runs in lexicographic order, so it
+meets W before any other canonical witness, and one search returns the
+lexicographically first witness.
 
 min_n uses that integer feasibility is monotone in n (a witness inside
 [1, n] also fits in [1, n + 1]).  It decides n_limit and then descends:
@@ -295,19 +299,18 @@ def _last_candidates(g: int, k: int, top: int) -> list[int]:
     return [top + 1 - fl[k - depth] for depth in range(k)]
 
 
-def _bounds(last: list[int], first: int, second: int) -> tuple[list[int], list[int]]:
+def _bounds(last: list[int], second: int) -> tuple[list[int], list[int]]:
     """(gap, cap): a candidate at depth d of the branch lies in [S[-1] + gap[d], cap[d]].
 
-    The branch fixes second, so d1 = second - first.  The mirror rule
-    makes the last gap at least d1, so the set without its last element
-    ends by top - d1, and its candidate at depth d is at most
-    last[d + 1] - d1.
+    The branch's set starts at 0, so the second element that the branch
+    fixes is its first gap.  The mirror rule makes the last gap at least
+    second, so the set without its last element ends by top - second,
+    and its candidate at depth d is at most last[d + 1] - second.
     """
-    d1 = second - first
-    cap = [min(c, after - d1) for c, after in zip(last, last[1:])] + last[-1:]
+    cap = [min(c, after - second) for c, after in zip(last, last[1:])] + last[-1:]
     cap[1] = min(cap[1], second)
     gap = [1] * len(last)
-    gap[1] = gap[-1] = d1
+    gap[1] = gap[-1] = second
     return gap, cap
 
 
@@ -343,20 +346,20 @@ def _ruler_span(D: int, r: int, room: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _decide_sidon_int(k: int, gap: list[int], cap: list[int], budget: _Budget):
-    """All unordered pair sums (diagonals included) distinct; integers in [1, n].
+    """All unordered pair sums (diagonals included) distinct; integers in [0, top].
 
     D is the mask of positive differences and B the mask of blocked
     future elements.  (gap, cap) are the branch's _bounds for
-    _last_candidates(2, k, n).  The distance bound rejects a candidate e
-    when _ruler_span of D with e's differences passes n - e, and ends a
-    level's walk at n minus _ruler_span of the level's D.  Nodes are
-    charged as in _decide_counts_int, one per candidate of the range,
-    whether the mask or the bound rejects it, so on the same branch it
-    spends _decide_counts_int's nodes less those of the subtrees the
-    bound cuts.
+    _last_candidates(2, k, top), top = n - 1.  The distance bound
+    rejects a candidate e when _ruler_span of D with e's differences
+    passes top - e, and ends a level's walk at top minus _ruler_span of
+    the level's D.  Nodes are charged as in _decide_counts_int, one per
+    candidate of the range, whether the mask or the bound rejects it, so
+    on the same branch it spends _decide_counts_int's nodes less those
+    of the subtrees the bound cuts.
     """
     charge = budget.charge
-    top = cap[-1]  # n, the last element's cap
+    top = cap[-1]  # the last element's cap
 
     def rec(S, D, B, depth):
         if depth == k:
@@ -392,26 +395,25 @@ def _decide_sidon_int(k: int, gap: list[int], cap: list[int], budget: _Budget):
             charge(hi + 1 - charged)
         return None
 
-    return rec([1], 0, 0, 1)
+    return rec([0], 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
 # integer counting engine
 # ---------------------------------------------------------------------------
 
-def _decide_counts_int(g: int, n: int, k: int, gap: list[int], cap: list[int],
-                       budget: _Budget):
+def _decide_counts_int(g: int, k: int, gap: list[int], cap: list[int], budget: _Budget):
     """Keep the profile r(t); reject a candidate whose sums would exceed g.
 
-    Integers in [1, n] have sums in [2, 2n], so r has length 2n + 1 and
-    is indexed by the sum itself.  A pair adds 2 to r and a diagonal adds
-    1; pair sums of the new element never meet each other or its
-    diagonal, so each is tested against the profile before the element
-    arrived.  A candidate e exceeds every placed element, so every sum
-    in r is at most 2 S[-1] < 2e: r(2e) is 0, and the diagonal is not
-    tested.  An accepted candidate extends a copy of the profile, so
-    nothing is undone.  (gap, cap) are the branch's _bounds for
-    _last_candidates(g, k, n).
+    Integers in [0, top], top = cap[-1] = n - 1, have sums in
+    [0, 2n - 2], so r has length 2n - 1 and is indexed by the sum itself.  A
+    pair adds 2 to r and a diagonal adds 1; pair sums of the new element
+    never meet each other or its diagonal, so each is tested against the
+    profile before the element arrived.  A candidate e exceeds every
+    placed element, so every sum in r is at most 2 S[-1] < 2e: r(2e) is
+    0, and the diagonal is not tested.  An accepted candidate extends a
+    copy of the profile, so nothing is undone.  (gap, cap) are the
+    branch's _bounds for _last_candidates(g, k, n - 1).
 
     Every candidate is one node, charged in runs: the candidates up to an
     accepted one before its subtree, the rest of the range when the loop
@@ -447,9 +449,9 @@ def _decide_counts_int(g: int, n: int, k: int, gap: list[int], cap: list[int],
             charge(hi + 1 - charged)
         return None
 
-    r = bytearray(2 * n + 1)
-    r[2] = 1
-    return rec([1], r, 1)
+    r = bytearray(2 * cap[-1] + 1)
+    r[0] = 1
+    return rec([0], r, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +614,14 @@ def _branch(args):
     """(witness tuple or None, nodes) of one branch; limit + 1 nodes if cut off."""
     kind, g, n, k, last, second, limit, canonical = args
     budget = _Budget(limit)
-    gap, cap = _bounds(last, 0 if kind == "modular" else 1, second)
+    gap, cap = _bounds(last, second)
     try:
         if kind == "modular":
             witness = _decide_modular(g, n, k, gap, cap, budget, second, canonical)
         elif g == 2:
             witness = _decide_sidon_int(k, gap, cap, budget)
         else:
-            witness = _decide_counts_int(g, n, k, gap, cap, budget)
+            witness = _decide_counts_int(g, k, gap, cap, budget)
     except BudgetExceeded:
         return None, limit + 1
     except _Stopped:
@@ -653,19 +655,19 @@ def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
             canonical: bool):
     """(witness tuple or None, nodes): the branches in order, up to a witness.
 
-    A branch may spend what the consumed branches left when its job is
-    built.  A pool builds jobs ahead, so a worker's limit is never below
-    what is left when its result is consumed: the outcome does not
-    depend on the schedule.  Under the mirror rule a branch whose first
-    gap second - first exceeds last[2] - second is empty, so the
-    branches end before it.  The pool has at most one worker per
+    Both kinds search sets that start at 0: integer ones in [0, n - 1],
+    modular ones in Z_n.  A branch may spend what the consumed branches
+    left when its job is built.  A pool builds jobs ahead, so a worker's
+    limit is never below what is left when its result is consumed: the
+    outcome does not depend on the schedule.  Under the mirror rule a
+    branch whose first gap second exceeds last[2] - second is empty, so
+    the branches end before it.  The pool has at most one worker per
     branch, so a one-branch decision runs in-process.
     """
-    first = 0 if kind == "modular" else 1
-    last = _last_candidates(g, k, n - 1 + first)
-    end = last[1] if k < 3 else min(last[1], (last[2] + first) // 2)
+    last = _last_candidates(g, k, n - 1)
+    end = last[1] if k < 3 else min(last[1], last[2] // 2)
     nodes, witness = 0, None
-    seconds = range(first + 1, end + 1)
+    seconds = range(1, end + 1)
     if canonical:  # a least affine image's second element divides n
         seconds = [s for s in seconds if n % s == 0]
     jobs = ((kind, g, n, k, last, second, budget - nodes, canonical) for second in seconds)
@@ -692,23 +694,22 @@ def exists_set(kind: str, g: int, n: int, k: int,
     of scheduling.  Every search keeps one reflection of each set, which
     still meets the lexicographically first witness first.  The modular
     kind searches only the least member of each affine orbit, which the
-    lexicographically first witness is.
+    lexicographically first witness is.  An integer witness, found
+    from 0, is shifted into [1, n] at the one exit.
     """
     _check_kind(kind)
     if g < 1 or k < 1 or n < 1:
         raise ValueError("g, n, k must be positive")
     _check_effort(budget, workers)
-    if k > n:
-        return Decision(None, 0)
     if n < infeasibility_floor(kind, g, k):
         return Decision(None, 0)
-    modulus = n if kind == "modular" else None
-    if k == 1:
-        first = 0 if kind == "modular" else 1
-        return Decision(IntSet.of([first], modulus), 0)
-
-    witness, nodes = _search(kind, g, n, k, budget, workers, canonical=kind == "modular")
-    return Decision(None if witness is None else IntSet.of(witness, modulus), nodes)
+    witness, nodes = (0,), 0
+    if k > 1:
+        witness, nodes = _search(kind, g, n, k, budget, workers, canonical=kind == "modular")
+    if witness is not None:
+        witness = (IntSet.of(witness, n) if kind == "modular"
+                   else IntSet.of([e + 1 for e in witness]))
+    return Decision(witness, nodes)
 
 
 def min_n(problem: SearchProblem) -> SearchResult:
@@ -753,25 +754,21 @@ def min_n(problem: SearchProblem) -> SearchResult:
     return SearchResult(None, None, nodes, exhaustive=p.n_start <= floor)
 
 
-def first_table_k(g: int) -> int:
-    """The first k of g's table row: the first k whose full interval is no witness."""
-    return 3 if g == 2 else g + 1
-
-
 def table_rows(kind: str, g_min: int, g_max: int, max_k: int,
                budget: int = DEFAULT_BUDGET, workers: int = 1):
     """Yield (g, k, SearchResult) for the min-n table, row by row.
 
-    Each g starts at first_table_k(g) (3 for g = 2, g + 1 otherwise),
-    searches n up to 8k^2/g + 16, and stops at the first k with no
-    witness in that range.  min n is nondecreasing
-    in k, so each search starts at the previous row's value.  A subset
+    Each g starts at k = g + 1, the least k for which [1, k], whose
+    max_rep is k, is no witness; it searches n up to 8k^2/g + 16, and
+    stops at the first k with no witness in that range.  min n is
+    nondecreasing in k, so each search starts at the previous row's
+    value.  A subset
     of a B*[g] set is B*[g], so no n below that value admits a k-set
     either: a row is exhaustive when the previous one was.
     """
     for g in range(g_min, g_max + 1):
         start, below_proved = 1, True
-        for k in range(first_table_k(g), max_k + 1):
+        for k in range(g + 1, max_k + 1):
             res = min_n(SearchProblem(kind, g, k, start, 8 * k * k // g + 16,
                                       budget, workers))
             if res.min_n is None:

@@ -235,13 +235,20 @@ def _grid_estimate(intervals, coarse=10**5):
     b = np.array([p[1] for p in intervals])
 
     def vals(cs):
+        # the overlap of (i, j) at c equals that of (j, i), so each
+        # unordered pair is summed once, doubled off the diagonal
         total = np.zeros_like(cs)
+        seg, other = np.empty_like(cs), np.empty_like(cs)
         for i in range(len(a)):
             lo_i = cs - b[i]
             hi_i = cs - a[i]
-            for j in range(len(a)):
-                seg = np.minimum(hi_i, b[j] - cs) - np.maximum(lo_i, a[j] - cs)
-                total += np.maximum(seg, 0.0)
+            for j in range(i, len(a)):
+                np.minimum(hi_i, np.subtract(b[j], cs, out=other), out=seg)
+                seg -= np.maximum(lo_i, np.subtract(a[j], cs, out=other), out=other)
+                np.maximum(seg, 0.0, out=seg)
+                if j > i:
+                    seg *= 2.0
+                total += seg
         return total
 
     cs = np.linspace(0.0, 1.0, coarse)

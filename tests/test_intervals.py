@@ -277,6 +277,8 @@ def test_cost_rule_picks_the_path(monkeypatch):
     monkeypatch.setattr(intervals, "_sweep", refuse)
     largest_symmetric_subset(grid_aligned(rng, 10, 400, "line"))  # k = 10 at L = 4k^2
     largest_symmetric_subset(grid_aligned(rng, 10, 1600, "circle"))  # and at L = 16k^2
+    largest_symmetric_subset(grid_aligned(rng, 8, 256, "line"))  # the least k, k = 8
+    largest_symmetric_subset(grid_aligned(rng, 8, 1024, "circle"))
     monkeypatch.undo()
     monkeypatch.setattr(intervals, "_autoconvolution", refuse)
     fib = a_of_s(IntSet.of([1, 2, 3, 5, 8, 13]), 13)  # 4 intervals: too few for the grid
@@ -289,6 +291,17 @@ def test_cost_rule_picks_the_path(monkeypatch):
     huge = IntervalSet.of([(F(0), F(1, 3)), (F(1, 2), F(1000000006, 1000000007))])
     res = largest_symmetric_subset(huge, include_profile=True)
     assert (res.d_value, res.center) == (F(2, 3), F(5, 12))
+
+
+def test_the_cost_rule_is_the_benchmarked_one():
+    # on every row of BENCH_dee.json that times both paths, the path that
+    # _grid_pays picks is at most 25% slower than the other one
+    record = json.loads((Path(__file__).resolve().parent.parent / "BENCH_dee.json").read_text())
+    for row in record["block_pictures"] + record["crossover"]:
+        if row.get("grid_s") and row.get("sweep_s"):
+            grid = intervals._grid_pays(row["L"], row["intervals"], row["geometry"] == "circle")
+            picked, other = ("grid_s", "sweep_s") if grid else ("sweep_s", "grid_s")
+            assert row[picked] <= 1.25 * row[other], row
 
 
 def test_bench_dee_script_times_both_paths(monkeypatch):

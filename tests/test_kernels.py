@@ -240,13 +240,14 @@ def bench(monkeypatch):
 def test_blocked_weights_match_the_full_array_evaluation(T, bench):
     # every start the folded sums serve, the ends of the fold's first
     # period and starts past it (r = 1 and 2), within 1e-15 relative of
-    # math.fsum of the full-period Euler-Maclaurin weights; at T = 4096
-    # the 2T + 1 folded weights end in a block of one
+    # math.fsum of the full-period Euler-Maclaurin weights, scaled by the
+    # kernel's c^2p (c = 2 at r = 2); at T = 4096 the 2T + 1 folded
+    # weights end in a block of one
     for family in ("K3", "K5") if T <= 4096 else ("K5",):
         kernel = PiecewiseLinearKernel.from_family(family, T)
         for p in (1.1, 4 / 3, 2.0, 4.0):
             for start in (1, 2, 3, 5, 4 * T, 4 * T + 1, 4 * T + 2, 9 * T + 3):
-                reference = bench.reference_sum(kernel, p, start)
+                reference = bench.reference_sum(kernel, p, start) * kernel._unit(start) ** (2 * p)
                 assert abs(kernel._period_sum(p, start) / reference - 1.0) <= 1e-15, (family, p, start)
 
 
@@ -430,26 +431,27 @@ def test_tail_norm_at_a_large_p_against_mpmath():
     # at T = 10 the factor (2T / ((4T)^2 pi^2))^p is below 1e-290 at p = 100
     # and underflows at p = 150; each term's root is taken before the sum,
     # so the norm stays a float near 3.4e-4.  n = 0 adds |Khat(0)|^p, the
-    # larger term at p = 50.  The j-sum runs until (j/n)^-2p is negligible
+    # larger term at p = 50.  Past the first periods, at n = 401 and
+    # 4000 T, the unscaled zeta weights would underflow too; the kernel
+    # scales them by c^2p (_unit).  The j-sum runs for at least 400 terms
+    # and until (j/n)^-2p is negligible
     mpmath = pytest.importorskip("mpmath")
     kernel = PiecewiseLinearKernel.from_family("K5", 10)
     T, c = kernel.T, kernel.normalized_coefficients()
     with mpmath.workdps(40):
-        for n, p in ((40, 100.0), (40, 150.0), (0, 50.0)):
-            total = mpmath.mpf(0)
-            for j in range(max(n, 1), max(n, 1) + 400):
+        for n, p in ((40, 100.0), (40, 150.0), (0, 50.0), (401, 150.0), (4000 * T, 150.0)):
+            start = max(n, 1)
+            total, j = mpmath.mpf(0), start
+            while j < start + 400 or (j / start) ** (-2 * p) >= 1e-25:
                 m = j % (4 * T)
                 khat = 2 * T * mpmath.mpf(float(c[min(m, 4 * T - m)])) / (mpmath.pi * j) ** 2
                 total += 2 * abs(khat) ** p
+                j += 1
             if n == 0:
                 total += abs(mpmath.mpf(float(kernel.fourier_dc()))) ** p
             exact = total ** (1 / mpmath.mpf(p))
             value = tail_norm(kernel, n, p).value
             assert value > 0.0 and abs(value - exact) <= 1e-13 * exact, (n, p)
-    # past the first periods the zeta weights themselves underflow, and the
-    # norm is refused by name rather than read as 0.0
-    with pytest.raises(ValueError, match="underflow at p = 150$"):
-        tail_norm(kernel, 4000 * T, 150.0)
 
 
 def test_tail_norm_monotone_in_n_and_p():

@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import importlib
 import itertools
 import multiprocessing
@@ -103,6 +104,22 @@ def test_node_counts_repeat():
     for kind, g, k, limit in [("modular", 3, 7, 40), ("integer", 3, 8, 40)]:
         problem = SearchProblem(kind, g, k, 1, limit)
         assert min_n(problem).nodes_explored == min_n(problem).nodes_explored > 0
+
+
+def test_decision_digest():
+    """Every small decision's answer and node count, frozen: 1,736 decisions, 41,140 nodes."""
+    digest, decisions, nodes = hashlib.sha256(), 0, 0
+    for kind in ("integer", "modular"):
+        for g in range(1, 5):
+            for k in range(1, 8):
+                for n in range(1, 32):
+                    dec = exists_set(kind, g, n, k)
+                    witness = dec.witness.elements if dec.feasible else None
+                    digest.update(repr((kind, g, n, k, witness, dec.nodes)).encode())
+                    decisions, nodes = decisions + 1, nodes + dec.nodes
+    assert (decisions, nodes) == (1736, 41140)
+    assert digest.hexdigest() == (
+        "3d597fd8cd340df73b6875e9703000ab754285c64d0bdf2133aa3873ca83602f")
 
 
 def test_min_n_monotone_in_k_and_g():
@@ -396,23 +413,24 @@ def test_bitmask_engine_returns_the_counting_engines_witnesses_in_fewer_nodes():
     # the Golomb-ruler distance bound, which cuts subtrees and never a
     # witness, so it spends no more nodes in any branch, and fewer over
     # the sweep (2,140 against 2,352 in its 891 branches).  Under the
-    # mirror rule a branch's witness ends on a gap no shorter than its
-    # first one, second - 1.
+    # mirror rule a branch's witness, which starts at 0, ends on a gap
+    # no shorter than its first one, second.
     total = [0, 0]  # bitmask, counting nodes
     for n in range(4, 26):
         for k in (3, 4, 5):
             fast = exists_set("integer", 2, n, k)
-            last = _last_candidates(2, k, n)
-            branches = [spent(_decide_counts_int, 2, n, k, *_bounds(last, 1, second))
-                        for second in range(2, n + 1)]
-            for second, (slow, slow_nodes) in enumerate(branches, 2):
-                witness, nodes = spent(_decide_sidon_int, k, *_bounds(last, 1, second))
+            last = _last_candidates(2, k, n - 1)
+            branches = [spent(_decide_counts_int, 2, k, *_bounds(last, second))
+                        for second in range(1, n)]
+            for second, (slow, slow_nodes) in enumerate(branches, 1):
+                witness, nodes = spent(_decide_sidon_int, k, *_bounds(last, second))
                 assert witness == slow and nodes <= slow_nodes, (n, k, second)
                 total[0] += nodes
                 total[1] += slow_nodes
                 if slow is not None:
-                    assert slow[-1] - slow[-2] >= second - 1, (n, k, second)
+                    assert slow[-1] - slow[-2] >= second, (n, k, second)
             slow = next(filter(None, (w for w, _ in branches)), None)
+            slow = None if slow is None else tuple(e + 1 for e in slow)  # into [1, n]
             witness = fast.witness.elements if fast.feasible else None
             assert witness == slow == brute_first("integer", 2, n, k), (n, k)
     assert total[0] < total[1], total
@@ -683,7 +701,7 @@ def test_mask_engine_matches_the_byte_table_loop():
                 for second in range(1, last[1] + 1):
                     kwargs = {"second": second, "canonical": canonical}
                     cases = {byte_table_branch: (g, n, k, last),
-                             _decide_modular: (g, n, k, *_bounds(last, 0, second))}
+                             _decide_modular: (g, n, k, *_bounds(last, second))}
                     reference = spent(byte_table_branch, *cases[byte_table_branch], **kwargs)
                     assert spent(_decide_modular, *cases[_decide_modular], **kwargs) == reference, \
                         (g, n, k, kwargs)
@@ -720,7 +738,7 @@ def test_least_affine_images_pass_the_canonical_rule():
         branches = {(g, L[1]) for L, rep in least_images(n, k).items() for g in range(rep, 5)}
         for g, second in branches:
             last = _last_candidates(g, k, n - 1)
-            assert _decide_modular(g, n, k, *_bounds(last, 0, second), _Budget(10**9), second,
+            assert _decide_modular(g, n, k, *_bounds(last, second), _Budget(10**9), second,
                                    canonical=True) is not None, (g, n, k, second)
         for L in least_images(n, k):
             s, t = L[1], L[2]
