@@ -230,12 +230,11 @@ def _cmd_dee(args) -> int:
             fh.write("center,symmetric_measure\n")
             for c, v in res.per_center_function:
                 fh.write(f"{float(c):.12g},{float(v):.12g}\n")
-    _emit({
-        "geometry": e.geometry,
-        "measure": e.measure if isinstance(e.measure, Fraction) else float(e.measure),
-        "d_value": res.d_value,
-        "center": res.center,
-    })
+    measure, d_value, center = e.measure, res.d_value, res.center
+    if args.mode == "float":  # the float sum of the float endpoints; D(E) correctly rounded
+        measure, d_value, center = (sum((b - a for a, b in e.intervals), 0.0),
+                                    float(d_value), float(center))
+    _emit({"geometry": e.geometry, "measure": measure, "d_value": d_value, "center": center})
     return 0
 
 
@@ -260,7 +259,10 @@ def _cmd_kernel(args) -> int:
     tail = kernels.tail_norm(kernel, args.tail_from, p)
     khat0 = kernel.fourier_dc()
     tail1 = kernels.tail_norm(kernel, 1, p).value
-    alpha, floor = kernels.alpha_mix_optimum(khat0, tail1, p) if p < 2 else (None, None)
+    try:
+        alpha, floor = kernels.alpha_mix_optimum(khat0, tail1, p)
+    except ValueError:  # the tail norms stand without the mix
+        alpha, floor = None, None
     _emit({
         "family": args.pwl_file if args.source == "pwl" else args.source,
         "T": kernel.T, "p": p, "tail_from": args.tail_from,
@@ -276,7 +278,8 @@ def _cmd_kernel(args) -> int:
 
 def _ubiquity(kernels, args) -> dict:
     comp, simple = kernels.ubiquity_bound(args.gamma, args.alpha)
-    return {"ubiquity_spectral": max(comp, 0.0), "ubiquity_counting": max(simple, 0.0)}
+    # 0.0 first: max keeps the first of equal values, so -0.0 prints as 0.0
+    return {"ubiquity_spectral": max(0.0, comp), "ubiquity_counting": max(0.0, simple)}
 
 
 def _delta_half(kernels, args) -> dict:

@@ -15,29 +15,27 @@ Element = tuple[int, ...]
 ORDER_LIMIT = 1 << 22
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors by trial division."""
-    out = []
+def _least_factor(n: int) -> int:
+    """Least prime factor of n >= 2, by trial division."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+            return d
         d += 1
-    if n > 1:
-        out.append(n)
+    return n
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and _least_factor(p) == p
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, least first."""
+    out = []
+    while n > 1:
+        out.append(_least_factor(n))
+        while n % out[-1] == 0:
+            n //= out[-1]
     return out
 
 

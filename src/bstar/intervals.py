@@ -34,9 +34,8 @@ runs otherwise: for few intervals, where it is cheaper than the grid
 path's fixed numpy cost, and for float sets with their huge dyadic
 grids.  The two paths agree exactly: both give the same integer
 m at the same candidate sums, so D, the smallest center attaining it
-and the profile are the same numbers whichever runs.  Values are
-converted back only at the end: to Fractions for exact sets, to
-correctly rounded floats otherwise.
+and the profile are the same numbers whichever runs.  They are
+returned as Fractions, for float endpoints too.
 
 Geometry "line" reflects within the reals; "circle" reflects modulo 1,
 where m_circle(s) = m(s) + m(s + 1) for s in [0, 1).  On the grid that
@@ -56,7 +55,7 @@ import numpy as np
 
 from .intsets import _DENSE_LIMIT, IntSet, representation_counts
 
-Number = object  # Fraction or float, tagged by IntervalSet.exact
+Number = object  # Fraction or float
 
 
 @dataclass(frozen=True)
@@ -90,21 +89,16 @@ class IntervalSet:
         return cls(tuple((a, b) for a, b in merged), geometry)
 
     @property
-    def exact(self) -> bool:
-        return all(isinstance(a, Fraction) and isinstance(b, Fraction)
-                   for a, b in self.intervals)
-
-    @property
-    def measure(self):
-        zero = Fraction(0) if self.exact else 0.0
-        return sum((b - a for a, b in self.intervals), zero)
+    def measure(self) -> Fraction:
+        """The exact measure; a float endpoint is a dyadic rational."""
+        return sum((Fraction(b) - Fraction(a) for a, b in self.intervals), Fraction(0))
 
 
 @dataclass(frozen=True)
 class SymmetricSubsetResult:
-    d_value: Number
-    center: Number
-    per_center_function: Optional[tuple[tuple[Number, Number], ...]] = None
+    d_value: Fraction
+    center: Fraction
+    per_center_function: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
 
 
 def _on_grid(intervals) -> tuple[int, list[int]]:
@@ -194,12 +188,11 @@ def largest_symmetric_subset(e: IntervalSet,
                              include_profile: bool = False) -> SymmetricSubsetResult:
     """Exact D(E), the center attaining it, and optionally m at every candidate.
 
-    Values are Fractions for exact sets and correctly rounded floats
-    otherwise.  Ties break toward the smaller center.  `_grid_pays`
-    picks the grid path or the sweep; both give the same rows.
+    Every value is a Fraction.  Ties break toward the smaller center.
+    `_grid_pays` picks the grid path or the sweep; both give the same rows.
     """
     if not e.intervals:
-        zero = Fraction(0) if e.exact else 0.0
+        zero = Fraction(0)
         return SymmetricSubsetResult(zero, zero, ((zero, zero),) if include_profile else None)
     scale, grid = _on_grid(e.intervals)
     circle = e.geometry == "circle"
@@ -211,11 +204,10 @@ def largest_symmetric_subset(e: IntervalSet,
     else:
         rows = _sweep(scale, grid, circle)
         sigma, value = max(rows, key=operator.itemgetter(1))
-    div = Fraction if e.exact else operator.truediv
     profile = None
     if include_profile:
-        profile = tuple((div(s, 2 * scale), div(u, scale)) for s, u in rows)
-    return SymmetricSubsetResult(div(value, scale), div(sigma, 2 * scale), profile)
+        profile = tuple((Fraction(s, 2 * scale), Fraction(u, scale)) for s, u in rows)
+    return SymmetricSubsetResult(Fraction(value, scale), Fraction(sigma, 2 * scale), profile)
 
 
 def a_of_s(s: IntSet, n: int) -> IntervalSet:

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -151,8 +151,8 @@ def _euler_maclaurin(s, a, unit: int = 1) -> np.ndarray:
     return zeta
 
 
-def _fold_terms(s: float, x: float) -> Optional[int]:
-    """Length of the even polynomial of _fold_coefficients, or None past _FOLD_MAX_EXPONENT.
+def _fold_terms(p: float, x: float) -> int:
+    """Length of the even polynomial of _fold_coefficients at s = 2p, refused past _FOLD_MAX_EXPONENT.
 
     For |b| <= 1/2 < x, H(b) = zeta(s, x+b) + zeta(s, x-b) is the series
     sum_k t_k with t_k = 2 (s)_2k / (2k)! zeta(s+2k, x) b^2k >= 0.  Since
@@ -163,6 +163,7 @@ def _fold_terms(s: float, x: float) -> Optional[int]:
     (1 - r_K) of the value, and K is the least length that brings this
     below 2^-59: under 1/64 of an ulp.  Everything is summed in logarithms.
     """
+    s = 2.0 * p
     log_term, k = 0.0, 0  # log (s)_2k / (2k)! (4x^2)^-k
     while s + 2 * k <= _FOLD_MAX_EXPONENT:
         ratio = (s + 2 * k) * (s + 2 * k + 1) / ((2 * k + 1) * (2 * k + 2)) / (4.0 * x * x)
@@ -170,11 +171,12 @@ def _fold_terms(s: float, x: float) -> Optional[int]:
             return k
         log_term += math.log(ratio)
         k += 1
-    return None
+    raise ValueError(f"the tail norm's zeta series needs exponents past "
+                     f"{_FOLD_MAX_EXPONENT:g} at p = {p:g}")
 
 
-def _fold_coefficients(s: float, x: float, unit: int = 1) -> Optional[list[float]]:
-    """2 (s)_2k / (2k)! unit^s zeta(s+2k, x) for k < _fold_terms(s, x), or None.
+def _fold_coefficients(p: float, x: float, unit: int = 1) -> list[float]:
+    """2 (s)_2k / (2k)! unit^s zeta(s+2k, x) for k < _fold_terms(p, x), s = 2p.
 
     unit^s H(b), H(b) = zeta(s, x+b) + zeta(s, x-b), is the polynomial
     with these coefficients in u = b^2, to 2^-59 of its value on
@@ -182,11 +184,9 @@ def _fold_coefficients(s: float, x: float, unit: int = 1) -> Optional[list[float
     the vector of exponents s + 2k, each scaled by unit^(s+2k) there and
     by unit^-2k here.
     """
-    terms = _fold_terms(s, x)
-    if terms is None:
-        return None
+    terms = _fold_terms(p, x)
     k = np.arange(terms)
-    sigma = s + 2.0 * k
+    sigma = 2.0 * p + 2.0 * k
     zeta = _euler_maclaurin(sigma, np.full(terms, x), unit)
     growth = np.cumprod(np.r_[2.0, sigma[:-1] * (sigma[:-1] + 1.0) / ((2 * k[1:] - 1) * (2 * k[1:]))])
     return (growth * zeta * np.power(float(unit), -2.0 * k)).tolist()
@@ -333,8 +333,13 @@ class PiecewiseLinearKernel:
         y.setflags(write=False)
         self._y = y
         self.T = len(y) - 1
-        self._c = _half_period_coefficients(y)
-        self._scale = 2.0 ** math.frexp(max(self._c.max(), -self._c.min()))[1]
+        # numpy's overflow warnings would only repeat the refusal below
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._c = _half_period_coefficients(y)
+        top = max(self._c.max(), -self._c.min())  # NaN if some C(j) is
+        if not top < 2.0**1023:  # C is not finite, or _scale would be 2^1024
+            raise ValueError("the kernel's Fourier coefficients overflow a float")
+        self._scale = 2.0 ** math.frexp(top)[1]
         self._sums: dict[float, tuple[float, float]] = {}
 
     @property
@@ -417,10 +422,7 @@ class PiecewiseLinearKernel:
         period, half = 4 * T, 2 * T
         r, unit = (start - 1) // period, self._unit(start)
         base, first = r * period, start - r * period
-        coeffs = _fold_coefficients(s, r + 1.5, unit)
-        if coeffs is None:
-            raise ValueError(f"the tail norm's zeta series needs exponents past "
-                             f"{_FOLD_MAX_EXPONENT:g} at p = {p:g}")
+        coeffs = _fold_coefficients(p, r + 1.5, unit)
         c = self._c
         weights = np.empty(half + 1)
         work = np.empty((2, min(half + 1, _HURWITZ_BLOCK)))
@@ -713,7 +715,8 @@ def ubiquity_bound(gamma_ratio: float, alpha: float) -> tuple[float, float]:
 
     Returns the spectral-floor bound gamma^2 (PHI_FLOOR/2 gamma^2 - alpha) /
     ((1-alpha)(1+2alpha)) and the plain counting bound
-    (gamma^2 - 2 alpha)/(2 - 2 alpha); the caller takes max with 0.
+    (gamma^2 - 2 alpha)/(2 - 2 alpha); the caller takes max with 0.  They
+    are refused past the float range, which the spectral bound passes first.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
@@ -722,6 +725,8 @@ def ubiquity_bound(gamma_ratio: float, alpha: float) -> tuple[float, float]:
     g2 = gamma_ratio * gamma_ratio
     complicated = g2 * (0.5 * PHI_FLOOR * g2 - alpha) / ((1.0 - alpha) * (1.0 + 2.0 * alpha))
     simple = (g2 - 2.0 * alpha) / (2.0 - 2.0 * alpha)
+    if not math.isfinite(complicated):
+        raise ValueError(f"the ubiquity bound overflows a float at gamma_ratio = {gamma_ratio:g}")
     return complicated, simple
 
 

@@ -40,6 +40,12 @@ branches, one per second element in increasing order, in-process or in
 a process pool; it stops at the first witness, and its nodes and its
 budget are those of the branches it consumed, in either mode.  A node
 is one candidate tried, in every engine, whichever test rejects it.
+Two pool workers took integer (3, 45, 10) from 1.01 to 0.52 s and
+(2, 55, 10) from 0.20 to 0.11 s, gained nothing on modular decisions,
+whose canonical rule leaves one branch or one with nearly all the nodes,
+and slowed the tables, which fork a pool per decision: R to k = 10 from
+1.8 to 2.5 s, C to k = 9, g <= 6 from 1.4 to 1.7 s (medians of 3
+alternating rounds, CPython 3.11, a shared 2-core x86 host).
 
 Four rules prune the DFS:
 
@@ -151,8 +157,7 @@ from .intsets import IntSet
 
 DEFAULT_BUDGET = 10**9
 
-# Subtrees are only farmed out to processes when the ambient space is
-# large enough for the fork overhead to pay off.
+# A decision runs its branches in a pool from this n on (an unmeasured threshold).
 _PARALLEL_MIN_N = 30
 
 
@@ -212,7 +217,7 @@ class Decision:
 
 
 class _Stopped(Exception):
-    """A pool worker's branch was abandoned after the decision ended."""
+    """A pool worker's branch was abandoned after the decision ended; never consumed."""
 
 
 # Set in each pool worker by _init_worker: the shared flag that
@@ -611,21 +616,16 @@ def _decide_modular(g: int, n: int, k: int, gap: list[int], cap: list[int],
 
 
 def _branch(args):
-    """(witness tuple or None, nodes) of one branch; limit + 1 nodes if cut off."""
+    """(witness tuple or None, nodes) of one branch; BudgetExceeded past limit nodes."""
     kind, g, n, k, last, second, limit, canonical = args
     budget = _Budget(limit)
     gap, cap = _bounds(last, second)
-    try:
-        if kind == "modular":
-            witness = _decide_modular(g, n, k, gap, cap, budget, second, canonical)
-        elif g == 2:
-            witness = _decide_sidon_int(k, gap, cap, budget)
-        else:
-            witness = _decide_counts_int(g, k, gap, cap, budget)
-    except BudgetExceeded:
-        return None, limit + 1
-    except _Stopped:
-        return None, 0  # never consumed
+    if kind == "modular":
+        witness = _decide_modular(g, n, k, gap, cap, budget, second, canonical)
+    elif g == 2:
+        witness = _decide_sidon_int(k, gap, cap, budget)
+    else:
+        witness = _decide_counts_int(g, k, gap, cap, budget)
     return witness, limit - budget.left - budget.reserve
 
 
@@ -657,12 +657,13 @@ def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
 
     Both kinds search sets that start at 0: integer ones in [0, n - 1],
     modular ones in Z_n.  A branch may spend what the consumed branches
-    left when its job is built.  A pool builds jobs ahead, so a worker's
-    limit is never below what is left when its result is consumed: the
-    outcome does not depend on the schedule.  Under the mirror rule a
-    branch whose first gap second exceeds last[2] - second is empty, so
-    the branches end before it.  The pool has at most one worker per
-    branch, so a one-branch decision runs in-process.
+    left when its job is built and raises BudgetExceeded past it, which
+    a pool re-raises when the loop reaches that branch.  A pool builds
+    jobs ahead, with limits never below what is left at consumption, so
+    the loop tests the total too: the outcome does not depend on the
+    schedule.  Under the mirror rule a branch whose first gap second
+    exceeds last[2] - second is empty, so the branches end before it.
+    A pool has at most one worker per branch: one branch runs in-process.
     """
     last = _last_candidates(g, k, n - 1)
     end = last[1] if k < 3 else min(last[1], last[2] // 2)
@@ -689,9 +690,8 @@ def exists_set(kind: str, g: int, n: int, k: int,
 
     Raises BudgetExceeded when the node budget runs out; an exhausted
     search never reports infeasible silently.  With workers > 1 the
-    top-level branches of a large question run in separate processes;
-    the answer, the node count and the budget's outcome are independent
-    of scheduling.  Every search keeps one reflection of each set, which
+    answer, the node count and the budget's outcome stay independent of
+    scheduling.  Every search keeps one reflection of each set, which
     still meets the lexicographically first witness first.  The modular
     kind searches only the least member of each affine orbit, which the
     lexicographically first witness is.  An integer witness, found

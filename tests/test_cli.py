@@ -40,6 +40,7 @@ def test_verify_modular(capsys):
     assert code == 0 and obj["max_rep"] == 3
 
 
+@pytest.mark.filterwarnings("error")  # a warning on stderr would break the one-line rule
 def test_usage_error_exit_code(capsys, tmp_path):
     set_json = 'set JSON must be an object with keys "elements" (a list) and "modulus"'
     set_entries = 'set JSON "elements" must be integers and "modulus" an integer or null'
@@ -57,6 +58,10 @@ def test_usage_error_exit_code(capsys, tmp_path):
         path.write_text(f"0,1\n1,{bad}\n2,0.3\n")
         non_finite += [(["kernel", "pwl", "--pwl-file", str(path), "--p", p],
                         "kernel node values must be finite") for p in ("4/3", "2")]
+    huge = tmp_path / "huge.csv"  # finite nodes whose transform overflows
+    huge.write_text("0,1\n1,1e308\n")
+    large = tmp_path / "large.csv"  # finite C(j) whose power-of-two scale overflows
+    large.write_text("0,1\n1,6e307\n2,6e307\n3,6e307\n")
     pwl_rows = "--pwl-file must hold rows t,y_t for t = 0, 1, ..., T"
     messages = [
         (["construct", "ruzsa"], "the following arguments are required: --p, --k"),
@@ -97,6 +102,8 @@ def test_usage_error_exit_code(capsys, tmp_path):
         (["kernel", "pwl", "--pwl-file", str(t_gap)], pwl_rows),
         (["kernel", "pwl", "--pwl-file", str(empty)], pwl_rows),
         *non_finite,
+        *[(["kernel", "pwl", "--pwl-file", str(path)],
+           "the kernel's Fourier coefficients overflow a float") for path in (huge, large)],
         (["kernel", "K5", "--p", "4/0"], "--p 4/0 has a zero denominator"),
         (["kernel", "K5", "--p", "4/3/2"], "--p 4/3/2 must be a number or a fraction a/b"),
         (["kernel", "K5", "--p", "abc"], "--p abc must be a number or a fraction a/b"),
@@ -130,6 +137,8 @@ def test_usage_error_exit_code(capsys, tmp_path):
          "gamma_ratio must be positive and finite"),
         (["bounds", "ubiquity", "--gamma", "inf", "--alpha", "0.5"],
          "gamma_ratio must be positive and finite"),
+        (["bounds", "ubiquity", "--gamma", "1e200", "--alpha", "0.5"],
+         "the ubiquity bound overflows a float at gamma_ratio = 1e+200"),
         (["kernel", "K5", "--T", "10", "--p", "inf"], "tail norms need 1 < p < inf"),
         # a finite p can still overflow the tail norm; no numpy warning leaks
         (["kernel", "K5", "--p", "34"], "the tail norm overflows a float at p = 34"),
@@ -277,6 +286,9 @@ def test_bounds_subcommand(capsys):
     assert code == 0 and obj == {"rho_upper_sq": pytest.approx(1.238015, abs=1e-6)}
     code, obj = run_json(capsys, ["bounds", "zeta-integral"])
     assert abs(obj["zeta_integral"] - math.sqrt(3) / 2) < 1e-9
+    # an underflowed ubiquity bound prints 0.0, never -0.0
+    assert run(["bounds", "ubiquity", "--gamma", "1e-200", "--alpha", "0.5"]) == 0
+    assert capsys.readouterr().out == '{"ubiquity_spectral": 0.0, "ubiquity_counting": 0.0}\n'
 
 
 def test_construct_and_round_trip(capsys):
@@ -333,7 +345,7 @@ def test_dee_profile_csv(tmp_path, capsys):
                                   "--geometry", "circle", "--profile-csv", str(out)])
     e = IntervalSet.of([(0.0, 0.25), (0.3, 0.45)], geometry="circle")
     assert code == 0 and obj["geometry"] == "circle"
-    assert obj["d_value"] == float(f"{largest_symmetric_subset(e).d_value:.12g}")
+    assert obj["d_value"] == float(f"{float(largest_symmetric_subset(e).d_value):.12g}")
     assert out.read_text().startswith("center,symmetric_measure\n")
 
 
@@ -478,6 +490,22 @@ def test_kernel_mix_near_p_one(capsys):
     for p in ("1.00001", "1.001"):
         code, obj = run_json(capsys, ["kernel", "K5", "--T", "10", "--p", p])
         assert code == 0 and obj["mix_alpha"] == 1.0 and obj["mix_floor"] == 1.0, p
+
+
+def test_kernel_prints_tail_norms_where_the_mix_is_undefined(tmp_path, capsys):
+    # khat0 = 1.25 lies above 1, and the constant kernel's tail norms are
+    # 0: the mix is undefined at every p, as it is for p >= 2, and prints
+    # null next to the tail norms
+    path = tmp_path / "nodes.csv"
+    for y, khat0 in (([1.0, 2.0], 1.25), ([1.0, 1.0], 1.0)):
+        path.write_text("".join(f"{t},{v}\n" for t, v in enumerate(y)))
+        kernel = kernels.PiecewiseLinearKernel(y)
+        for text, p in (("4/3", 4 / 3), ("2", 2.0)):
+            code, obj = run_json(capsys, ["kernel", "pwl", "--pwl-file", str(path), "--p", text])
+            assert code == 0 and obj["khat0"] == khat0
+            assert obj["tail_norm"] == float(f"{kernels.tail_norm(kernel, 1, p).value:.12g}")
+            assert (obj["mix_alpha"], obj["mix_floor"]) == (None, None), (y, text)
+    assert obj["tail_norm"] == 0.0 and obj["full_norm"] == 1.0
 
 
 def test_kernel_eval_pwl_file(tmp_path, capsys):

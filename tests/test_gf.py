@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from bstar.gf import field_powers
+from bstar.gf import _prime_factors, field_powers, is_prime
 
 
 def test_gf8_reduction_poly():
@@ -15,6 +17,15 @@ def test_gf9_exists():
 def test_not_prime():
     with pytest.raises(ValueError, match="^4 is not prime$"):
         field_powers(4, 2)
+
+
+def test_trial_division_matches_brute_force():
+    # is_prime and _prime_factors share one least-factor search
+    primes = [p for p in range(2, 2000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert [p for p in range(-5, 2000) if is_prime(p)] == primes
+    for n in range(1, 2000):
+        assert _prime_factors(n) == [p for p in primes if n % p == 0], n
+    assert _prime_factors(2**22 - 1) == [3, 23, 89, 683]
 
 
 def test_bad_degree():

@@ -175,7 +175,7 @@ def test_ties_break_toward_smaller_center():
 
 
 def test_profile_matches_function():
-    # dyadic endpoints are exact as floats, so both modes agree row for row
+    # dyadic endpoints are exact as floats, so a float set gives the same Fractions
     rng = random.Random(7)
     cases = [[(F(0), F(1, 4)), (F(1, 2), F(3, 4))]]
     for _ in range(30):
@@ -191,10 +191,7 @@ def test_profile_matches_function():
             centers = [c for c, _ in res.per_center_function]
             assert centers == sorted(centers)
             floats = IntervalSet(tuple((float(a), float(b)) for a, b in e.intervals), geometry)
-            fl = largest_symmetric_subset(floats, include_profile=True)
-            assert (fl.d_value, fl.center) == (float(res.d_value), float(res.center))
-            assert fl.per_center_function == tuple(
-                (float(c), float(v)) for c, v in res.per_center_function)
+            assert largest_symmetric_subset(floats, include_profile=True) == res
 
 
 def both_paths(e):
@@ -287,7 +284,7 @@ def test_cost_rule_picks_the_path(monkeypatch):
         assert intervals._on_grid(e.intervals)[0] in (401, 1601)  # one past each bound
         largest_symmetric_subset(e)
     tiny = largest_symmetric_subset(IntervalSet.of([(0.0, 1e-300)]))
-    assert (tiny.d_value, tiny.center) == (1e-300, 5e-301)
+    assert (tiny.d_value, tiny.center) == (F(1e-300), F(1e-300) / 2)
     huge = IntervalSet.of([(F(0), F(1, 3)), (F(1, 2), F(1000000006, 1000000007))])
     res = largest_symmetric_subset(huge, include_profile=True)
     assert (res.d_value, res.center) == (F(2, 3), F(5, 12))

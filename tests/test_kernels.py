@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -123,7 +124,7 @@ def test_taylor_remainder_is_below_one_ulp():
     # K so that this is below 2^-59.  Recomputed here in plain floats.
     for x in (1.5, 2.5, 5.5, 100.5):
         for s in np.linspace(1.0, 300.0, 1197)[1:]:
-            terms = _fold_terms(float(s), x)
+            terms = _fold_terms(float(s) / 2, x)
             assert terms is not None and s + 2 * terms <= _FOLD_MAX_EXPONENT, (s, x)
             growth, ratio = fold_growth(s, x, terms)
             assert ratio < 1.0 and growth / (1.0 - ratio) < 2.0**-59, (s, x)
@@ -131,9 +132,11 @@ def test_taylor_remainder_is_below_one_ulp():
                 growth, ratio = fold_growth(s, x, terms - 1)
                 assert ratio >= 1.0 or growth / (1.0 - ratio) >= 2.0**-59, (s, x)
     # the certificate's s = 8/3 about x = 3/2, the tails from n = 1 and 2
-    assert _fold_terms(8 / 3, 1.5) == 22
+    assert _fold_terms(4 / 3, 1.5) == 22
     # past the largest exponent the tail norm is refused by name
-    assert _fold_terms(400.0, 1.5) is None and _fold_coefficients(400.0, 1.5) is None
+    for fold in (_fold_terms, _fold_coefficients):
+        with pytest.raises(ValueError, match="exponents past 1000 at p = 200$"):
+            fold(200.0, 1.5)
     with pytest.raises(ValueError, match="exponents past 1000 at p = 200$"):
         tail_norm(PiecewiseLinearKernel.from_family("K5", 3), 12, 200.0)
 
@@ -150,11 +153,11 @@ def test_taylor_remainder_bounds_the_true_truncation_error():
     with mpmath.workdps(60):
         for x in (1.5, 2.5):
             for s in (1.01, 4 / 3, 8 / 3, 8.0, 64.0):
-                terms = _fold_terms(s, x)
+                terms = _fold_terms(s / 2, x)
                 ms, mx = mpmath.mpf(s), mpmath.mpf(x)
                 coeffs = [2 * mpmath.rf(ms, 2 * k) / mpmath.factorial(2 * k) * mpmath.zeta(ms + 2 * k, mx)
                           for k in range(terms)]
-                floats = _fold_coefficients(s, x)
+                floats = _fold_coefficients(s / 2, x)
                 for value, exact in zip(floats, coeffs):
                     assert abs(value - exact) <= 1e-14 * exact, (s, x)
                 growth, ratio = fold_growth(s, x, terms)
@@ -815,6 +818,10 @@ def test_ubiquity_bounds():
     assert simple == pytest.approx(0.5, abs=1e-6)
     with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
         ubiquity_bound(0.7, 0.0)
+    # gamma^2 overflows at 1e200, and the spectral bound's gamma^4 at 1e100
+    for gamma in (1e200, 1e100):
+        with pytest.raises(ValueError, match=re.escape(f"overflows a float at gamma_ratio = {gamma:g}")):
+            ubiquity_bound(gamma, 0.5)
 
 
 def test_phi_floor_is_reproduced_by_the_kernel():

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import random
 from math import gcd
+from multiprocessing.pool import RemoteTraceback
 from pathlib import Path
 
 import pytest
@@ -209,7 +210,8 @@ def test_stop_flag_ends_a_branch(monkeypatch):
     from bstar import search
     job = ("modular", 3, 56, 9, search._last_candidates(3, 9, 55), 2, 10**9, True)
     monkeypatch.setattr(search, "_stop", multiprocessing.Value("b", 1, lock=False))
-    assert search._branch(job) == (None, 0)
+    with pytest.raises(search._Stopped):
+        search._branch(job)
     search._stop.value = 0
     witness, nodes = search._branch(job)
     assert witness is None and nodes > search._POLL_NODES
@@ -278,6 +280,17 @@ def test_budget_means_the_same_with_workers():
                 exists_set(*case, budget=serial.nodes - 1, workers=workers)
             dec = exists_set(*case, budget=serial.nodes, workers=workers)
             assert (dec.witness, dec.nodes) == (serial.witness, serial.nodes), (case, workers)
+
+
+def test_a_pool_branch_that_overruns_raises_in_its_worker():
+    # the first branch of integer (2, 34, 8) alone spends 5,223 nodes, so
+    # a budget of 5,000 runs out inside the pool worker; the pool re-raises
+    # its BudgetExceeded when the loop reaches that branch
+    with pytest.raises(BudgetExceeded) as pooled:
+        exists_set("integer", 2, 34, 8, budget=5000, workers=2)
+    assert isinstance(pooled.value.__cause__, RemoteTraceback)
+    with pytest.raises(BudgetExceeded):
+        exists_set("integer", 2, 34, 8, budget=5000)
 
 
 def test_budget_boundary_inside_a_run():
