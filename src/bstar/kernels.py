@@ -318,8 +318,8 @@ class PiecewiseLinearKernel:
     p it caches the two sums S_1 and S_2 of |C/_scale|^p weights that
     its tail norms from n = 0, 1 and 2 read (see _period_sum); so the
     zeta values are computed once per kernel and p, and no weights array
-    outlives the call that made it.  All of this is fixed by y, so the
-    kernel keeps its own read-only copy of it.
+    outlives the call that made it.  All of this, and Khat(0), is fixed
+    by y, so the kernel keeps its own read-only copy of it.
     """
 
     def __init__(self, y):
@@ -341,6 +341,13 @@ class PiecewiseLinearKernel:
             raise ValueError("the kernel's Fourier coefficients overflow a float")
         self._scale = 2.0 ** math.frexp(top)[1]
         self._sums: dict[float, tuple[float, float]] = {}
+        # Khat(0): the nodes summed scaled by the power of two that brings
+        # max |y| into [1/2, 1), so finite nodes do not overflow the sum.
+        # Scaling by a power of two is exact, so wherever the unscaled sum
+        # is finite this is its value, bit for bit.
+        scale = 2.0 ** math.frexp(max(y.max(), -y.min()))[1]
+        z = y / scale
+        self._dc = 0.5 + (z[0] / 2 + z[1:-1].sum() + z[-1] / 2) / (2.0 * self.T) * scale
 
     @property
     def y(self) -> np.ndarray:
@@ -361,9 +368,8 @@ class PiecewiseLinearKernel:
         return cls.from_profile(PROFILES[family], T)
 
     def fourier_dc(self) -> float:
-        """Khat(0) = integral of K: exact trapezoid areas."""
-        y, T = self.y, self.T
-        return 0.5 + (y[0] / 2 + y[1:-1].sum() + y[-1] / 2) / (2.0 * T)
+        """Khat(0) = integral of K: exact trapezoid areas, summed when the kernel is made."""
+        return self._dc
 
     def normalized_coefficients(self) -> np.ndarray:
         """C(j) = (pi^2 j^2 / 2T) Khat(j) for half a period, j = 0..2T (_half_period_coefficients)."""
@@ -494,10 +500,12 @@ def tail_norm(kernel: PiecewiseLinearKernel, n: int, p: float) -> SpectralTail:
         raise ValueError(f"the tail norm's zeta weights underflow at p = {p:g}")
     # lnorm^p = 2 (2T scale / ((4T)^2 pi^2 c^2))^p total (+ |Khat(0)|^p): each
     # term's root is taken first and the sum scaled by the largest, so no
-    # p-th power of a norm-sized value is formed and none underflows
+    # p-th power of a norm-sized value is formed and none underflows.  The
+    # power of two scale comes last, which rounds alike, so a large one
+    # overflows only a root that a float cannot hold.
     unit = kernel._unit(max(n, 1))
-    roots = [2.0 * T * kernel._scale / ((4.0 * T) ** 2 * math.pi**2) * (2.0 * total) ** (1.0 / p)
-             / unit**2]
+    roots = [2.0 * T / ((4.0 * T) ** 2 * math.pi**2) * (2.0 * total) ** (1.0 / p)
+             / unit**2 * kernel._scale]
     if n == 0:
         roots.append(abs(kernel.fourier_dc()))
     largest = max(roots)

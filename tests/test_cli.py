@@ -508,6 +508,20 @@ def test_kernel_prints_tail_norms_where_the_mix_is_undefined(tmp_path, capsys):
     assert obj["tail_norm"] == 0.0 and obj["full_norm"] == 1.0
 
 
+def test_kernel_with_huge_finite_nodes_prints_finite_norms(tmp_path, capsys):
+    # y_t = 1e307 for t = 1..100: the nodes' plain sum overflows, but
+    # Khat(0), about 4.975e306, and the tail norms fit in a float; the mix
+    # needs Khat(0) <= 1 and prints null
+    path = tmp_path / "huge.csv"
+    path.write_text("0,1\n" + "".join(f"{t},1e307\n" for t in range(1, 101)))
+    code, obj = run_json(capsys, ["kernel", "pwl", "--pwl-file", str(path)])
+    assert code == 0
+    assert obj["khat0"] == 4.975e306  # 0.5 + (1/2 + 99 * 1e307 + 1e307/2) / 200
+    assert all(math.isfinite(obj[key]) for key in ("khat1", "tail_norm", "full_norm"))
+    assert obj["full_norm"] > obj["khat0"]
+    assert (obj["mix_alpha"], obj["mix_floor"]) == (None, None)
+
+
 def test_kernel_eval_pwl_file(tmp_path, capsys):
     import numpy as np
 

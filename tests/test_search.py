@@ -6,12 +6,15 @@ import itertools
 import multiprocessing
 import os
 import random
+import shutil
+import tempfile
 from math import gcd
 from multiprocessing.pool import RemoteTraceback
 from pathlib import Path
 
 import pytest
 
+from bstar import _corelib, search
 from bstar.intsets import IntSet, is_bstar
 from bstar.search import (
     _POLL_NODES,
@@ -31,6 +34,18 @@ from bstar.search import (
     infeasibility_floor,
     min_n,
 )
+
+
+# The compiled core builds with cc; without one every decision runs on the
+# Python engines, which the tests below check in any case.
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no cc on PATH: the compiled core cannot be built")
+
+
+@pytest.fixture
+def python_engines(monkeypatch):
+    """Every branch on the Python engines, the core's handle set to None."""
+    monkeypatch.setattr(search, "_core", None)
 
 
 def brute_first(kind, g, n, k):
@@ -80,7 +95,7 @@ def test_witnesses_always_verify():
             assert res.witness.max_element <= res.min_n
 
 
-def test_pruned_matches_brute_force():
+def test_pruned_matches_brute_force(monkeypatch):
     rng = random.Random(20240917)
     cases = []
     for _ in range(80):
@@ -94,11 +109,15 @@ def test_pruned_matches_brute_force():
     cases += [(kind, g, n, k)
               for kind, gs in (("modular", (2, 3, 4)), ("integer", (2, 3)))
               for g in gs for n in range(3, 17) for k in range(3, min(6, n) + 1)]
+    paths = [_corelib.load(), None]  # the core, where it builds, and the Python engines
     for case in cases:
         # canonical form fixes the first element to the smallest one, so
         # the engines' witness is the first combination in element order
-        dec = exists_set(*case)
-        assert (dec.witness.elements if dec.feasible else None) == brute_first(*case), case
+        first = brute_first(*case)
+        for handle in paths:
+            monkeypatch.setattr(search, "_core", handle)
+            dec = exists_set(*case)
+            assert (dec.witness.elements if dec.feasible else None) == first, (case, handle)
 
 
 def test_node_counts_repeat():
@@ -121,6 +140,10 @@ def test_decision_digest():
     assert (decisions, nodes) == (1736, 41140)
     assert digest.hexdigest() == (
         "3d597fd8cd340df73b6875e9703000ab754285c64d0bdf2133aa3873ca83602f")
+
+
+def test_decision_digest_on_the_python_engines(python_engines):
+    test_decision_digest()
 
 
 def test_min_n_monotone_in_k_and_g():
@@ -215,6 +238,10 @@ def test_stop_flag_ends_a_branch(monkeypatch):
     search._stop.value = 0
     witness, nodes = search._branch(job)
     assert witness is None and nodes > search._POLL_NODES
+
+
+def test_stop_flag_ends_a_branch_on_the_python_engines(python_engines, monkeypatch):
+    test_stop_flag_ends_a_branch(monkeypatch)
 
 
 def test_early_stop_with_more_workers_than_cores(monkeypatch):
@@ -312,6 +339,101 @@ def test_budget_boundary_inside_a_run():
         for budget in range(nodes):
             with pytest.raises(BudgetExceeded):
                 exists_set(*case, budget=budget)
+
+
+def test_budget_boundary_inside_a_run_on_the_python_engines(python_engines):
+    test_budget_boundary_inside_a_run()
+
+
+@needs_cc
+def test_the_core_loads_where_cc_is_on_path(monkeypatch, tmp_path):
+    # with cc on PATH the first branch loads the core, and every decision
+    # in these tests that fits it runs there: no silent fallback passes.
+    # A second load finds the library by its source's checksums and builds
+    # nothing, and a build leaves no temporary file behind
+    monkeypatch.setattr(search, "_core", search._UNLOADED)
+    assert exists_set("integer", 2, 35, 8).feasible
+    assert search._core is not None and search._core is not search._UNLOADED
+
+    def no_build(*args):
+        raise AssertionError("the cached core was built again")
+
+    monkeypatch.setattr(_corelib, "build", no_build)
+    assert _corelib.load() is not None
+    monkeypatch.undo()
+    lib = _corelib.build(tmp_path / "built", "core.so", _corelib.SOURCE.read_bytes())
+    assert list((tmp_path / "built").iterdir()) == [lib] and lib.name == "core.so"
+    # where __pycache__ cannot be made, the core is built in the temporary directory
+    source = tmp_path / "package" / "_core.c"
+    source.parent.mkdir()
+    source.write_bytes(_corelib.SOURCE.read_bytes())
+    (source.parent / "__pycache__").write_text("a file, not a directory")
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(_corelib, "SOURCE", source)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    assert _corelib.load() is not None
+    assert [p.suffix for p in (tmp_path / "tmp").iterdir()] == [".so"]
+
+
+# (kind, g, n, k) for the core against the Python engines: every engine,
+# feasible and infeasible, and modular masks of one, two and several
+# words, whose high words the large seconds reach
+PARITY_CELLS = [("integer", 2, 34, 8), ("integer", 2, 35, 8), ("integer", 2, 100, 6),
+                ("integer", 3, 24, 8), ("integer", 3, 25, 8), ("integer", 4, 21, 10),
+                ("integer", 5, 19, 9), ("modular", 2, 30, 6), ("modular", 2, 31, 6),
+                ("modular", 2, 48, 7), ("modular", 3, 28, 7), ("modular", 3, 29, 7),
+                ("modular", 4, 21, 8), ("modular", 5, 28, 10), ("modular", 2, 101, 5),
+                ("modular", 3, 131, 5), ("modular", 4, 67, 7)]
+
+
+@needs_cc
+def test_the_core_matches_the_python_engines_branch_by_branch(monkeypatch):
+    # every branch, with and without the canonical rule, returns the
+    # Python engine's witness and nodes from the core, and one node less
+    # of budget runs out on both
+    core = _corelib.load()
+    for kind, g, n, k in PARITY_CELLS:
+        last = _last_candidates(g, k, n - 1)
+        for canonical in (False, True):
+            for second in range(1, last[1] + 1):
+                answers = []
+                for handle in (core, None):
+                    monkeypatch.setattr(search, "_core", handle)
+                    answers.append(search._branch((kind, g, n, k, last, second, 10**8,
+                                                   canonical)))
+                case = (kind, g, n, k, second, canonical)
+                assert answers[0] == answers[1], case
+                nodes = answers[1][1]
+                for handle in (core, None) if nodes else ():
+                    monkeypatch.setattr(search, "_core", handle)
+                    with pytest.raises(BudgetExceeded):
+                        search._branch((kind, g, n, k, last, second, nodes - 1, canonical))
+
+
+@needs_cc
+def test_branches_past_the_cores_widths_run_on_the_python_engines(monkeypatch):
+    # the core holds integer g = 2 to n = 128, modular masks to n = 256,
+    # integer profiles to n = 4096, k to 64, counts in bytes (g <= 255)
+    # and budgets below 2^62; a branch past one of them runs in Python
+    fits = _corelib.Core.fits
+    assert fits("integer", 2, 128, 10, 10**9) and not fits("integer", 2, 129, 10, 10**9)
+    assert fits("modular", 3, 256, 10, 10**9) and not fits("modular", 3, 257, 10, 10**9)
+    assert fits("integer", 3, 4096, 10, 10**9) and not fits("integer", 3, 4097, 10, 10**9)
+    assert fits("integer", 3, 40, 64, 10**9) and not fits("integer", 3, 40, 65, 10**9)
+    assert fits("modular", 255, 40, 9, 10**9) and not fits("modular", 256, 40, 9, 10**9)
+    assert fits("integer", 3, 40, 9, (1 << 62) - 1) and not fits("integer", 3, 40, 9, 1 << 62)
+    calls = []
+    real = _corelib.Core.branch
+    monkeypatch.setattr(_corelib.Core, "branch", lambda *args: calls.append(args[1:4]) or
+                        real(*args))
+    for case, in_core in ((("integer", 2, 128, 5), True), (("integer", 2, 129, 5), False),
+                          (("modular", 2, 256, 4), True), (("modular", 2, 257, 4), False)):
+        calls.clear()
+        dec = exists_set(*case)
+        assert bool(calls) == in_core and all(call == case[:3] for call in calls), case
+        with monkeypatch.context() as python:
+            python.setattr(search, "_core", None)
+            assert exists_set(*case) == dec, case
 
 
 def test_budget_charges_runs():
@@ -457,8 +579,15 @@ def test_bench_search_script_runs_on_a_small_cell(monkeypatch):
     bench = importlib.import_module("bench_search")
     for n in (25, 26):
         dec = exists_set("integer", 2, n, 7)
-        assert bench.decide(("integer", 2, n, 7)) == (
-            dec.witness.elements if dec.feasible else None, dec.nodes), n
+        answer = (dec.witness.elements if dec.feasible else None, dec.nodes)
+        assert bench.decide(("integer", 2, n, 7)) == answer, n
+        # both paths give it, and leave the core's handle as they found it
+        for handle in (_corelib.load(), None):
+            before = search._core
+            with bench.on_path(handle):
+                assert search._core is handle
+                assert bench.decide(("integer", 2, n, 7)) == answer, (n, handle)
+            assert search._core is before
     # the timed rounds keep each call's answer and one time per round
     cases = (("integer", 2, 26, 7), ("integer", 3, 19, 7))
     rows = bench.timed_rounds([lambda case=case: bench.decide(case) for case in cases])
