@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,21 +68,14 @@ def table(kind: str, max_k: int, g_max: int):
     return [(g, k, res.min_n) for g, k, res in rows], sum(res.nodes_explored for _, _, res in rows)
 
 
-@contextmanager
-def on_path(core):
-    """Run the decisions inside on core, a loaded _corelib.Core, or on the Python engines (None)."""
+def run_on(core, work, *args):
+    """work(*args) on core, a loaded _corelib.Core, or on the Python engines (None)."""
     saved = search._core
     search._core = core
     try:
-        yield
+        return work(*args)
     finally:
         search._core = saved
-
-
-def run_on(core, work, *args):
-    """work(*args) on one path (on_path)."""
-    with on_path(core):
-        return work(*args)
 
 
 def timed_rounds(calls, groups=None) -> list[dict]:

@@ -16,39 +16,55 @@
  * one profile and take the additions back after the subtree; the counts
  * each candidate is tested against are the same.
  *
- * The widths are fixed: k <= MAX_K, integer g = 2 masks of 128 bits
- * (n <= 128), modular masks of 2n <= 64 * MASK_WORDS bits (n <= 256),
- * integer profiles of 2n - 1 <= MAX_PROFILE counts, and counts in bytes
- * as in Python's bytearrays (g <= 255).  _corelib.Core.fits checks them
- * before a call.
+ * The widths are fixed, and bstar_branch answers UNFIT for a branch past
+ * them, which _branch then runs in Python: k <= MAX_K, integer g = 2
+ * masks of 128 bits (n <= MAX_G2_N), modular masks of 2n <= 64 *
+ * MASK_WORDS bits (n <= MAX_MOD_N), integer profiles of 2n - 1 <=
+ * MAX_PROFILE counts, counts in bytes as in Python's bytearrays
+ * (g <= UCHAR_MAX), and node limits below MAX_LIMIT.
+ *
+ * A call from the interpreter's main thread with no pool flag takes
+ * SIGINT for its length, unless SIGINT is ignored: Ctrl-C then ends the
+ * branch at its next refill as the pool's flag does, and the call
+ * returns INTERRUPTED once the interpreter's own handler is back, which
+ * _corelib then runs.
  */
+#define _POSIX_C_SOURCE 200809L
+#include <limits.h>
+#include <signal.h>
 #include <stdint.h>
 #include <string.h>
 
 #define MAX_K 64
+#define MAX_G2_N 128
 #define MAX_MOD_N 256
 #define MASK_WORDS (2 * MAX_MOD_N / 64)
 #define MAX_PROFILE (2 * 4096 - 1)
+#define MAX_LIMIT ((int64_t)1 << 62)
 
 typedef uint64_t u64;
 typedef unsigned __int128 u128;
 
 /* Outcomes of a branch and of a charge: 0 is no witness or a paid charge. */
-enum { NONE = 0, FOUND = 1, OVER = -1, STOPPED = -2 };
+enum { NONE = 0, FOUND = 1, OVER = -1, STOPPED = -2, INTERRUPTED = -3, UNFIT = -4 };
 
 /* _Budget: a node allowance handed out poll nodes at a time. */
 typedef struct {
     int64_t left, reserve, poll;
     const volatile signed char *stop;  /* the pool's stop flag, or NULL in-process */
+    const volatile sig_atomic_t *sigint;  /* set on Ctrl-C, or NULL where SIGINT is not taken */
 } budget_t;
 
-/* Cover the overdraft -left from the reserve; OVER past the limit, STOPPED on the flag. */
+/* Cover the overdraft -left from the reserve; OVER past the limit, STOPPED on
+ * the flag, INTERRUPTED after Ctrl-C. */
 static int refill(budget_t *b)
 {
     if (b->reserve < -b->left)
         return OVER;
     if (b->stop && *b->stop)
         return STOPPED;
+    if (b->sigint && *b->sigint)
+        return INTERRUPTED;
     int64_t take = -b->left > b->poll ? -b->left : b->poll;
     if (take > b->reserve)
         take = b->reserve;
@@ -403,12 +419,43 @@ static int decide_modular(modular_t *m, int second, int canonical)
  * one branch (_branch)
  * ------------------------------------------------------------------------ */
 
-/* Run one branch; FOUND with the witness in witness[0..k), NONE, OVER or
- * STOPPED.  *nodes is what the branch charged, as limit - left - reserve. */
+static volatile sig_atomic_t sigint_seen;
+
+static void on_sigint(int signum)
+{
+    (void)signum;
+    sigint_seen = 1;
+}
+
+static int fits(int modular, int g, int n, int k, int64_t limit)
+{
+    if (k > MAX_K || g > UCHAR_MAX || limit >= MAX_LIMIT)
+        return 0;
+    if (modular)
+        return n <= MAX_MOD_N;
+    return g == 2 ? n <= MAX_G2_N : n <= (MAX_PROFILE + 1) / 2;
+}
+
+/* Run one branch; FOUND with the witness in witness[0..k), NONE, OVER,
+ * STOPPED, INTERRUPTED (where interruptible) or UNFIT.  *nodes is what the
+ * branch charged, as limit - left - reserve. */
 int bstar_branch(int modular, int g, int n, int k, const int *gap, const int *cap,
                  int second, int canonical, int64_t limit, const volatile signed char *stop,
-                 int64_t poll, int *witness, int64_t *nodes)
+                 int64_t poll, int interruptible, int *witness, int64_t *nodes)
 {
+    if (!fits(modular, g, n, k, limit))
+        return UNFIT;
+    struct sigaction ours = {.sa_handler = on_sigint}, theirs;
+    int take_sigint = 0;
+    if (interruptible) {
+        sigint_seen = 0;
+        sigemptyset(&ours.sa_mask);
+        take_sigint = sigaction(SIGINT, &ours, &theirs) == 0;
+        if (take_sigint && theirs.sa_handler == SIG_IGN) {  /* an ignored SIGINT stays so */
+            sigaction(SIGINT, &theirs, NULL);
+            take_sigint = 0;
+        }
+    }
     modular_t m;
     branch_t *b = &m.base;
     b->g = g;
@@ -418,7 +465,7 @@ int bstar_branch(int modular, int g, int n, int k, const int *gap, const int *ca
     b->gap = gap;
     b->cap = cap;
     b->S[0] = 0;
-    b->budget = (budget_t){0, limit, poll, stop};
+    b->budget = (budget_t){0, limit, poll, stop, take_sigint ? &sigint_seen : NULL};
     int out;
     if (modular) {
         out = decide_modular(&m, second, canonical);
@@ -428,6 +475,11 @@ int bstar_branch(int modular, int g, int n, int k, const int *gap, const int *ca
         unsigned char r[MAX_PROFILE] = {0};
         r[0] = 1;
         out = counts_rec(b, r, 1);
+    }
+    if (take_sigint) {  /* a Ctrl-C that came before theirs was back is theirs to handle */
+        sigaction(SIGINT, &theirs, NULL);
+        if (sigint_seen)
+            out = INTERRUPTED;
     }
     *nodes = limit - b->budget.left - b->budget.reserve;
     if (out == FOUND)

@@ -36,11 +36,12 @@ Each engine has a compiled twin in _core.c, the same loop in C,
 including the canonical bans (_third_element_bans, the coarse gcd mask
 and the grown _pair_bans table).  The first _branch of a process has
 _corelib build it with cc -O2 -shared -fPIC into __pycache__ next to
-the source (or the temporary directory), under a name keyed by the
-source's checksums, and load it through ctypes; a process that cannot
-build or load it has None for it.  _branch runs a branch on the core
-where it loaded and the branch fits the core's fixed widths, and on the
-Python engine otherwise:
+the source (or the user's own 0700 folder in the temporary directory),
+under a name keyed by the source's checksums, and load it through
+ctypes; a process that cannot build or load it has None for it.
+_branch runs a branch on the core where it loaded, and on the Python
+engine where it did not or where the core answers that the branch lies
+past its fixed widths, which _core.c defines and checks:
 
 * k <= 64, counts in bytes as in the Python bytearrays (g <= 255), and
   node limits below 2^62;
@@ -54,12 +55,15 @@ against the same allowance, handed out _POLL_NODES at a time, and at
 every refill polls the pool's stop flag, which it reads through the
 flag's ctypes.addressof.  So it returns the same witness and nodes, and
 its status becomes the same BudgetExceeded at the same point, or
-_Stopped.  The core took the same nodes 18-56 times faster than the
-Python engines: modular (2, 72, 9) 4.6 ms against 147 ms, integer
-(3, 45, 10) 30 ms against 1.07 s, integer (2, 55, 10) 3.5 ms against
-194 ms, and the R and C tables 0.045 and 0.043 s against 1.63 and
-1.30 s (BENCH_search.json, medians of 5 alternating rounds, CPython
-3.11 on a shared 2-core x86 host).  The Python engines stay as the
+_Stopped.  In-process, where there is no flag, the core takes SIGINT
+for the length of a branch, so Ctrl-C ends it within _POLL_NODES nodes
+as it ends a Python engine, with KeyboardInterrupt.  The core took the
+same nodes 18-56 times faster than the Python engines: modular
+(2, 72, 9) 4.6 ms against 147 ms, integer (3, 45, 10) 30 ms against
+1.07 s, integer (2, 55, 10) 3.5 ms against 194 ms, and the R and C
+tables 0.045 and 0.043 s against 1.63 and 1.30 s (BENCH_search.json,
+medians of 5 alternating rounds, CPython 3.11 on a shared 2-core x86
+host).  The Python engines stay as the
 path for hosts without cc and for branches past the core's widths.
 
 Both questions are translation invariant, so a decision searches the
@@ -664,14 +668,15 @@ def _branch(args):
     if _core is _UNLOADED:
         from ._corelib import load
         _core = load()
-    if _core is not None and _core.fits(kind, g, n, k, limit):
+    if _core is not None:
         status, witness, nodes = _core.branch(kind, g, n, k, gap, cap, second, limit,
                                               canonical, _stop, _POLL_NODES)
         if status == _core.OVER:
             raise BudgetExceeded("node budget exhausted")
         if status == _core.STOPPED:
             raise _Stopped
-        return witness, nodes
+        if status != _core.UNFIT:
+            return witness, nodes
     budget = _Budget(limit)
     if kind == "modular":
         witness = _decide_modular(g, n, k, gap, cap, budget, second, canonical)

@@ -1,4 +1,5 @@
 import collections
+import ctypes
 import functools
 import hashlib
 import importlib
@@ -7,7 +8,11 @@ import multiprocessing
 import os
 import random
 import shutil
+import signal
 import tempfile
+import threading
+import time
+import zlib
 from math import gcd
 from multiprocessing.pool import RemoteTraceback
 from pathlib import Path
@@ -361,18 +366,57 @@ def test_the_core_loads_where_cc_is_on_path(monkeypatch, tmp_path):
     monkeypatch.setattr(_corelib, "build", no_build)
     assert _corelib.load() is not None
     monkeypatch.undo()
+    (tmp_path / "built").mkdir()
     lib = _corelib.build(tmp_path / "built", "core.so", _corelib.SOURCE.read_bytes())
     assert list((tmp_path / "built").iterdir()) == [lib] and lib.name == "core.so"
-    # where __pycache__ cannot be made, the core is built in the temporary directory
-    source = tmp_path / "package" / "_core.c"
-    source.parent.mkdir()
-    source.write_bytes(_corelib.SOURCE.read_bytes())
-    (source.parent / "__pycache__").write_text("a file, not a directory")
-    (tmp_path / "tmp").mkdir()
-    monkeypatch.setattr(_corelib, "SOURCE", source)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    assert lib.stat().st_mode & 0o777 == 0o755
+    # where __pycache__ cannot be made, the core is built in the user's own
+    # folder, mode 0700, in the temporary directory
+    private, _ = fallback_folder(monkeypatch, tmp_path, _corelib.SOURCE.read_bytes())
     assert _corelib.load() is not None
-    assert [p.suffix for p in (tmp_path / "tmp").iterdir()] == [".so"]
+    assert private.stat().st_mode & 0o777 == 0o700
+    assert [p.suffix for p in private.iterdir()] == [".so"]
+
+
+def fallback_folder(monkeypatch, root, source):
+    """(the folder load falls back to, the library's path there) for source as _core.c,
+    copied where __pycache__ cannot be made."""
+    (root / "package").mkdir(parents=True)
+    (root / "package" / "__pycache__").write_text("a file, not a directory")
+    (root / "package" / "_core.c").write_bytes(source)
+    (root / "tmp").mkdir()
+    monkeypatch.setattr(_corelib, "SOURCE", root / "package" / "_core.c")
+    monkeypatch.setattr(tempfile, "tempdir", str(root / "tmp"))
+    private = root / "tmp" / f"bstar-{os.getuid()}"
+    return private, private / f"_core-{zlib.crc32(source):08x}{zlib.adler32(source):08x}.so"
+
+
+@needs_cc
+def test_the_core_loads_no_library_that_another_user_could_have_put(monkeypatch, tmp_path):
+    # the library's name is public, so a library that another user could
+    # have written, or put in a folder they could write, is never loaded:
+    # one under the core's name with mode 0666, or owned by another user,
+    # is built over, and a fallback folder open to others or owned by
+    # another user is not used.  The planted library marks a file when it
+    # is loaded.  Each case has its own source, so its own library name:
+    # a process that loaded a path once gets that library from it again.
+    ran = tmp_path / "ran"
+    planted = (f'#include <stdio.h>\n__attribute__((constructor)) static void planted(void)'
+               f'{{ FILE *f = fopen("{ran}", "w"); if (f) fclose(f); }}\n').encode()
+    cases = [(lambda lib: lib.chmod(0o666), True), (lambda lib: lib.parent.chmod(0o777), False)]
+    if os.getuid() == 0:
+        cases += [(lambda lib: os.chown(lib, 12345, -1), True),
+                  (lambda lib: os.chown(lib.parent, 12345, -1), False)]
+    for i, (plant, built_over) in enumerate(cases):
+        source = _corelib.SOURCE.read_bytes() + f"/* case {i} */\n".encode()
+        private, lib = fallback_folder(monkeypatch, tmp_path / str(i), source)
+        private.mkdir(0o700)
+        plant(_corelib.build(private, lib.name, planted))
+        assert (_corelib.load() is not None) == built_over and not ran.exists(), i
+        assert not built_over or _corelib._private(lib)
+    # the planted library runs where it is loaded
+    ctypes.CDLL(str(_corelib.build(tmp_path, "planted.so", planted)))
+    assert ran.exists()
 
 
 # (kind, g, n, k) for the core against the Python engines: every engine,
@@ -414,26 +458,76 @@ def test_the_core_matches_the_python_engines_branch_by_branch(monkeypatch):
 def test_branches_past_the_cores_widths_run_on_the_python_engines(monkeypatch):
     # the core holds integer g = 2 to n = 128, modular masks to n = 256,
     # integer profiles to n = 4096, k to 64, counts in bytes (g <= 255)
-    # and budgets below 2^62; a branch past one of them runs in Python
-    fits = _corelib.Core.fits
-    assert fits("integer", 2, 128, 10, 10**9) and not fits("integer", 2, 129, 10, 10**9)
-    assert fits("modular", 3, 256, 10, 10**9) and not fits("modular", 3, 257, 10, 10**9)
-    assert fits("integer", 3, 4096, 10, 10**9) and not fits("integer", 3, 4097, 10, 10**9)
-    assert fits("integer", 3, 40, 64, 10**9) and not fits("integer", 3, 40, 65, 10**9)
-    assert fits("modular", 255, 40, 9, 10**9) and not fits("modular", 256, 40, 9, 10**9)
-    assert fits("integer", 3, 40, 9, (1 << 62) - 1) and not fits("integer", 3, 40, 9, 1 << 62)
+    # and budgets below 2^62, and answers UNFIT past one of them, also
+    # where a value is past its C type; such a branch runs in Python
+    core = _corelib.load()
+
+    def status(kind, g, n, k, limit=0):
+        """The core's status of a branch with loose bounds: OVER at the first node if it fits."""
+        return core.branch(kind, g, n, k, [1] * k, [n - 1] * k, 1, limit, False, None, 1)[0]
+
+    for kind, g, n, k, limit, over in (("integer", 2, 128, 10, 0, ("n", 129)),
+                                       ("modular", 3, 256, 10, 0, ("n", 257)),
+                                       ("integer", 3, 4096, 10, 0, ("n", 4097)),
+                                       ("integer", 3, 40, 64, 0, ("k", 65)),
+                                       ("modular", 255, 40, 9, 0, ("g", 256)),
+                                       ("integer", 3, 40, 9, (1 << 62) - 1, ("limit", 1 << 62)),
+                                       ("integer", 3, 40, 9, 0, ("n", (1 << 32) + 40)),
+                                       ("integer", 3, 40, 9, 0, ("g", (1 << 32) + 3)),
+                                       ("integer", 3, 40, 9, 0, ("limit", (1 << 64) + 5))):
+        fitting = dict(kind=kind, g=g, n=n, k=k, limit=limit)
+        assert status(**fitting) != core.UNFIT, fitting
+        assert status(**{**fitting, over[0]: over[1]}) == core.UNFIT, (fitting, over)
     calls = []
     real = _corelib.Core.branch
-    monkeypatch.setattr(_corelib.Core, "branch", lambda *args: calls.append(args[1:4]) or
-                        real(*args))
+    monkeypatch.setattr(_corelib.Core, "branch",
+                        lambda *args: calls.append((args[1:4], real(*args))) or calls[-1][1])
     for case, in_core in ((("integer", 2, 128, 5), True), (("integer", 2, 129, 5), False),
                           (("modular", 2, 256, 4), True), (("modular", 2, 257, 4), False)):
         calls.clear()
         dec = exists_set(*case)
-        assert bool(calls) == in_core and all(call == case[:3] for call in calls), case
+        assert calls and all(call == case[:3] for call, _ in calls), case
+        assert all((answer[0] == core.UNFIT) != in_core for _, answer in calls), case
         with monkeypatch.context() as python:
             python.setattr(search, "_core", None)
             assert exists_set(*case) == dec, case
+
+
+@needs_cc
+def test_ctrl_c_ends_an_in_process_branch_on_the_core(monkeypatch):
+    # in-process, with no pool flag, the core takes SIGINT for the length
+    # of a branch and ends it at its next refill, within _POLL_NODES
+    # nodes; then the interpreter's handler runs.  The default one raises
+    # KeyboardInterrupt: integer (2, 127, 14) spends its 10^9 nodes in
+    # seconds on the core, and ends about when Ctrl-C comes.  After a
+    # handler that returns the branch runs again to its answer, and an
+    # ignored SIGINT leaves the branch to run.
+    monkeypatch.setattr(search, "_core", _corelib.load())
+
+    def branch(g, n, k, limit, ctrl_c_after):
+        job = ("integer", g, n, k, _last_candidates(g, k, n - 1), 1, limit, False)
+        timer = threading.Timer(ctrl_c_after, os.kill, (os.getpid(), signal.SIGINT))
+        timer.start()
+        try:
+            return search._branch(job)
+        finally:
+            timer.join()
+
+    saved = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            branch(2, 127, 14, 10**9, 0.2)
+        assert time.perf_counter() - start < 1.2
+        answer = search._branch(("integer", 3, 60, 12, _last_candidates(3, 12, 59), 1, 10**9,
+                                 False))
+        handled = []
+        signal.signal(signal.SIGINT, lambda *args: handled.append(args))
+        assert branch(3, 60, 12, 10**9, 0.05) == answer and len(handled) == 1
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        assert branch(3, 60, 12, 10**9, 0.05) == answer
+    finally:
+        signal.signal(signal.SIGINT, saved)
 
 
 def test_budget_charges_runs():
@@ -584,9 +678,8 @@ def test_bench_search_script_runs_on_a_small_cell(monkeypatch):
         # both paths give it, and leave the core's handle as they found it
         for handle in (_corelib.load(), None):
             before = search._core
-            with bench.on_path(handle):
-                assert search._core is handle
-                assert bench.decide(("integer", 2, n, 7)) == answer, (n, handle)
+            assert bench.run_on(handle, lambda: search._core) is handle
+            assert bench.run_on(handle, bench.decide, ("integer", 2, n, 7)) == answer, (n, handle)
             assert search._core is before
     # the timed rounds keep each call's answer and one time per round
     cases = (("integer", 2, 26, 7), ("integer", 3, 19, 7))
