@@ -5,8 +5,8 @@
  * mask engine, the integer counting engine for g != 2, the integer
  * g = 2 bitmask engine with _ruler_span), the same (gap, cap) table
  * from _bounds, the same candidates in the same order, and nodes charged
- * in the same runs against the same budget, which polls the pool's stop
- * flag at every refill as _Budget does.  So it returns the Python
+ * in the same runs against the same budget, which polls the decision's
+ * stop flag at every refill as _Budget does.  So it returns the Python
  * engine's witness and nodes, and it runs out of budget at the same
  * point.  The modular canonical bans are built here as well: the triple
  * test on the third element, the coarse gcd mask of a branch with
@@ -23,9 +23,9 @@
  * MAX_PROFILE counts, counts in bytes as in Python's bytearrays
  * (g <= UCHAR_MAX), and node limits below MAX_LIMIT.
  *
- * A call from the interpreter's main thread with no pool flag takes
+ * A call from the interpreter's main thread with no stop flag takes
  * SIGINT for its length, unless SIGINT is ignored: Ctrl-C then ends the
- * branch at its next refill as the pool's flag does, and the call
+ * branch at its next refill as the decision's flag does, and the call
  * returns INTERRUPTED once the interpreter's own handler is back, which
  * _corelib then runs.
  */
@@ -51,7 +51,7 @@ enum { NONE = 0, FOUND = 1, OVER = -1, STOPPED = -2, INTERRUPTED = -3, UNFIT = -
 /* _Budget: a node allowance handed out poll nodes at a time. */
 typedef struct {
     int64_t left, reserve, poll;
-    const volatile signed char *stop;  /* the pool's stop flag, or NULL in-process */
+    const volatile signed char *stop;  /* the decision's stop flag, or NULL on the main thread */
     const volatile sig_atomic_t *sigint;  /* set on Ctrl-C, or NULL where SIGINT is not taken */
 } budget_t;
 

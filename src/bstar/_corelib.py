@@ -48,7 +48,7 @@ class Core:
         where the branch lies past the core's widths, which _core.c checks,
         or past its C types.
 
-        stop is the pool's shared stop flag, a ctypes byte that the core
+        stop is the decision's stop flag, a ctypes byte that the core
         reads by its address at every refill of poll nodes, or None.  A
         call with none from the main thread ends at Ctrl-C within poll
         nodes and then runs the interpreter's SIGINT handler: the default

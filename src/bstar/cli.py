@@ -34,6 +34,9 @@ UNDECIDED = 3
 # needs no numpy; tests/test_cli.py keeps the two equal
 _KERNEL_FAMILIES = ("K1", "K3", "K5")
 
+_THREADS_HELP = ("run up to this many branches of a decision at once, in threads; "
+                 "only branches on the compiled core run faster (default: 1)")
+
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors take `run`'s usage-error path."""
@@ -362,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-start", type=int, default=None, help="default: 1")
     p.add_argument("--n-limit", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("table", help="stream min-n table rows as CSV")
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-min", type=int, default=2)
     p.add_argument("--g-max", type=int, default=7)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--timings", action="store_true",
                    help="append each row's search nodes and its seconds since the last row")
     p.set_defaults(fn=_cmd_table)

@@ -52,34 +52,35 @@ past its fixed widths, which _core.c defines and checks:
 The node and budget contract holds on either path.  The core visits the
 same candidates in the same order, charges them in the same runs
 against the same allowance, handed out _POLL_NODES at a time, and at
-every refill polls the pool's stop flag, which it reads through the
+every refill polls the decision's stop flag, which it reads through the
 flag's ctypes.addressof.  So it returns the same witness and nodes, and
 its status becomes the same BudgetExceeded at the same point, or
-_Stopped.  In-process, where there is no flag, the core takes SIGINT
-for the length of a branch, so Ctrl-C ends it within _POLL_NODES nodes
-as it ends a Python engine, with KeyboardInterrupt.  The core took the
-same nodes 18-56 times faster than the Python engines: modular
-(2, 72, 9) 4.6 ms against 147 ms, integer (3, 45, 10) 30 ms against
-1.07 s, integer (2, 55, 10) 3.5 ms against 194 ms, and the R and C
-tables 0.045 and 0.043 s against 1.63 and 1.30 s (BENCH_search.json,
-medians of 5 alternating rounds, CPython 3.11 on a shared 2-core x86
-host).  The Python engines stay as the
-path for hosts without cc and for branches past the core's widths.
+_Stopped.  On the main thread, where there is no flag, the core takes
+SIGINT for the length of a branch, so Ctrl-C ends it within _POLL_NODES
+nodes as it ends a Python engine, with KeyboardInterrupt; in threads,
+the main thread takes it and sets the flag.  The core took the same
+nodes 18-56 times faster than the Python engines: modular (2, 72, 9)
+4.6 ms against 147 ms, integer (3, 45, 10) 30 ms against 1.07 s,
+integer (2, 55, 10) 3.5 ms against 194 ms, and the R and C tables 0.045
+and 0.043 s against 1.63 and 1.30 s (BENCH_search.json, medians of 5
+alternating rounds, CPython 3.11 on a shared 2-core x86 host).  The
+Python engines stay as the path for hosts without cc and for branches
+past the core's widths.
 
 Both questions are translation invariant, so a decision searches the
 sets that start at 0, integer ones in [0, n - 1], and exists_set
 shifts an integer witness into [1, n]; the DFS yields the
 lexicographically first witness.  A decision is one loop over the
-branches, one per second element in increasing order, in-process or in
-a process pool; it stops at the first witness, and its nodes and its
-budget are those of the branches it consumed, in either mode.  A node
-is one candidate tried, in every engine, whichever test rejects it.
-Two pool workers took integer (3, 45, 10) from 1.01 to 0.52 s and
-(2, 55, 10) from 0.20 to 0.11 s, gained nothing on modular decisions,
-whose canonical rule leaves one branch or one with nearly all the nodes,
-and slowed the tables, which fork a pool per decision: R to k = 10 from
-1.8 to 2.5 s, C to k = 9, g <= 6 from 1.4 to 1.7 s (medians of 3
-alternating rounds, CPython 3.11, a shared 2-core x86 host).
+branches, one per second element in increasing order, on the calling
+thread or in threads; it stops at the first witness, and its nodes and
+its budget are those of the branches it consumed, in either mode.  A
+node is one candidate tried, in every engine, whichever test rejects it.
+A call into the core releases the GIL, so two threads took integer
+(2, 85, 12) from 0.386 to 0.234 s and (3, 57, 11) from 0.360 to 0.193 s
+(medians of 9 alternating rounds, CPython 3.11, a shared 2-core x86
+host).  Modular decisions gain nothing, as the canonical rule leaves one
+branch or one with nearly all the nodes, and the Python engines hold the
+GIL: on them threads run at about serial speed.
 
 Four rules prune the DFS:
 
@@ -179,10 +180,7 @@ provably infeasible prefixes of the range.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import signal
 from collections.abc import Generator
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from math import gcd
 from typing import Optional
@@ -191,7 +189,11 @@ from .intsets import IntSet
 
 DEFAULT_BUDGET = 10**9
 
-# A decision runs its branches in a pool from this n on (an unmeasured threshold).
+# A decision runs its branches in threads from this n on: opening its
+# threads costs about 0.35 ms, more than most smaller decisions take on
+# the core.  With two workers the R and C tables (k <= 10, g <= 7 and
+# k <= 9, g <= 6) took 0.085 and 0.060 s with it, 0.110 and 0.085 s
+# without (medians of 15 alternating rounds, a shared 2-core x86 host).
 _PARALLEL_MIN_N = 30
 
 
@@ -251,36 +253,25 @@ class Decision:
 
 
 class _Stopped(Exception):
-    """A pool worker's branch was abandoned after the decision ended; never consumed."""
+    """A thread's branch was abandoned after the decision ended; never consumed."""
 
 
-# Set in each pool worker by _init_worker: the shared flag that
-# _branch_map raises when the branch loop ends.  None in-process.
-_stop = None
-
-# A worker polls the stop flag once per this many nodes.
+# A branch polls its decision's stop flag once per this many nodes.
 _POLL_NODES = 4096
-
-
-def _init_worker(stop):
-    """Keep the flag; leave Ctrl-C to the parent, which raises the flag."""
-    global _stop
-    _stop = stop
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 class _Budget:
     """Node allowance of one branch, handed out _POLL_NODES at a time.
 
     charge (a run of count nodes) stays one subtraction and one test;
-    every refill, the first one included, also polls the stop flag, so a
-    worker quits a branch that is no longer needed within _POLL_NODES
-    nodes, or one run when that is longer.
+    every refill, the first one included, also polls the stop flag, a
+    ctypes byte or None, so a thread quits a branch that is no longer
+    needed within _POLL_NODES nodes, or one run when that is longer.
     """
-    __slots__ = ("left", "reserve")
+    __slots__ = ("left", "reserve", "stop")
 
-    def __init__(self, limit: int):
-        self.left, self.reserve = 0, limit
+    def __init__(self, limit: int, stop=None):
+        self.left, self.reserve, self.stop = 0, limit, stop
 
     def charge(self, count: int):
         self.left -= count
@@ -291,7 +282,7 @@ class _Budget:
         """Cover the overdraft -left from the reserve, or raise."""
         if self.reserve < -self.left:
             raise BudgetExceeded("node budget exhausted")
-        if _stop is not None and _stop.value:
+        if self.stop is not None and self.stop.value:
             raise _Stopped
         take = min(self.reserve, max(_POLL_NODES, -self.left))
         self.reserve -= take
@@ -655,12 +646,14 @@ _UNLOADED = object()
 _core = _UNLOADED
 
 
-def _branch(args):
+def _branch(args, stop=None):
     """(witness tuple or None, nodes) of one branch; BudgetExceeded past limit nodes.
 
     The core runs the branch where it loaded and the branch fits it, the
-    Python engine otherwise, with the same answer and nodes.  _corelib is
-    imported here, so a process that decides nothing never loads it.
+    Python engine otherwise, with the same answer and nodes; either polls
+    stop, the decision's flag in a thread, and raises _Stopped once it is
+    set.  _corelib is imported here, so a process that decides nothing
+    never loads it.
     """
     global _core
     kind, g, n, k, last, second, limit, canonical = args
@@ -670,14 +663,14 @@ def _branch(args):
         _core = load()
     if _core is not None:
         status, witness, nodes = _core.branch(kind, g, n, k, gap, cap, second, limit,
-                                              canonical, _stop, _POLL_NODES)
+                                              canonical, stop, _POLL_NODES)
         if status == _core.OVER:
             raise BudgetExceeded("node budget exhausted")
         if status == _core.STOPPED:
             raise _Stopped
         if status != _core.UNFIT:
             return witness, nodes
-    budget = _Budget(limit)
+    budget = _Budget(limit, stop)
     if kind == "modular":
         witness = _decide_modular(g, n, k, gap, cap, budget, second, canonical)
     elif g == 2:
@@ -687,58 +680,55 @@ def _branch(args):
     return witness, limit - budget.left - budget.reserve
 
 
-@contextmanager
-def _branch_map(workers: int):
-    """map over the branches: builtin map, or a pool's imap when workers > 1.
-
-    On leaving, it raises the stop flag, so every worker drops its branch
-    within _POLL_NODES nodes, and closes and joins the pool.  No worker
-    is killed: a terminated worker can die holding the result queue's
-    lock and leave the pool's shutdown waiting on it forever.
-    """
-    if workers <= 1:
-        yield map
-        return
-    stop = multiprocessing.Value("b", 0, lock=False)
-    pool = multiprocessing.Pool(workers, _init_worker, (stop,))
-    try:
-        yield pool.imap
-    finally:
-        stop.value = 1
-        pool.close()
-        pool.join()
-
-
 def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
             canonical: bool):
     """(witness tuple or None, nodes): the branches in order, up to a witness.
 
     Both kinds search sets that start at 0: integer ones in [0, n - 1],
-    modular ones in Z_n.  A branch may spend what the consumed branches
-    left when its job is built and raises BudgetExceeded past it, which
-    a pool re-raises when the loop reaches that branch.  A pool builds
-    jobs ahead, with limits never below what is left at consumption, so
-    the loop tests the total too: the outcome does not depend on the
-    schedule.  Under the mirror rule a branch whose first gap second
-    exceeds last[2] - second is empty, so the branches end before it.
-    A pool has at most one worker per branch: one branch runs in-process.
+    modular ones in Z_n.  Under the mirror rule a branch whose first gap
+    second exceeds last[2] - second is empty, so the branches end before
+    it.  A branch's job may spend what the consumed branches left when it
+    is queued, ahead branches before its turn: one on the calling thread,
+    twice the threads in a pool, so that a thread whose branch ends takes
+    the next job at once.  A limit is never below what is left at its
+    turn, so the loop tests the total too, and neither the answer, the
+    nodes nor the budget's outcome depends on the schedule.  On leaving,
+    the loop sets the stop flag, which threads poll every _POLL_NODES
+    nodes, and joins them.
     """
     last = _last_candidates(g, k, n - 1)
     end = last[1] if k < 3 else min(last[1], last[2] // 2)
-    nodes, witness = 0, None
     seconds = range(1, end + 1)
     if canonical:  # a least affine image's second element divides n
         seconds = [s for s in seconds if n % s == 0]
-    jobs = ((kind, g, n, k, last, second, budget - nodes, canonical) for second in seconds)
-    workers = min(workers, len(seconds))
-    parallel = workers > 1 and n >= _PARALLEL_MIN_N and k > 2
-    with _branch_map(workers if parallel else 1) as branch_map:
-        for witness, spent in branch_map(_branch, jobs):
+    workers = min(workers, len(seconds)) if n >= _PARALLEL_MIN_N else 1
+    pool, stop, ahead = None, None, 1
+    if workers > 1:  # a branch on the core runs without the GIL
+        import ctypes
+        from concurrent.futures import ThreadPoolExecutor
+        pool, stop, ahead = ThreadPoolExecutor(workers), ctypes.c_byte(), 2 * workers
+    nodes, witness = 0, None
+
+    def start(second):
+        """A call that returns the branch's (witness, nodes): a queued job's or one to run."""
+        job = (kind, g, n, k, last, second, budget - nodes, canonical)
+        return pool.submit(_branch, job, stop).result if pool else lambda: _branch(job)
+
+    todo = iter(seconds)
+    try:
+        queued = list(map(start, itertools.islice(todo, ahead)))
+        while queued:
+            witness, spent = queued.pop(0)()
             nodes += spent
             if nodes > budget:
                 raise BudgetExceeded("node budget exhausted")
             if witness is not None:
                 break
+            queued.extend(map(start, itertools.islice(todo, 1)))
+    finally:
+        if pool:
+            stop.value = 1
+            pool.shutdown(cancel_futures=True)
     return witness, nodes
 
 

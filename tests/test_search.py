@@ -1,20 +1,21 @@
 import collections
+import concurrent.futures
 import ctypes
 import functools
 import hashlib
 import importlib
 import itertools
-import multiprocessing
 import os
 import random
 import shutil
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
 import zlib
 from math import gcd
-from multiprocessing.pool import RemoteTraceback
 from pathlib import Path
 
 import pytest
@@ -230,66 +231,56 @@ def test_workers_match_serial():
         assert serial.nodes == parallel.nodes, case
 
 
-def test_stop_flag_ends_a_branch(monkeypatch):
-    # a pool worker polls the flag at a branch's first node and then
-    # every _POLL_NODES nodes; a raised flag drops the branch at once.
-    # The branch second = 2 of modular (3, 56, 9) is one the canonical
-    # rule keeps (2 divides 56), with no witness.
-    from bstar import search
+def test_stop_flag_ends_a_branch():
+    # a thread polls its decision's flag at a branch's first node and
+    # then every _POLL_NODES nodes; a raised flag drops the branch at
+    # once.  The branch second = 2 of modular (3, 56, 9) is one the
+    # canonical rule keeps (2 divides 56), with no witness.
     job = ("modular", 3, 56, 9, search._last_candidates(3, 9, 55), 2, 10**9, True)
-    monkeypatch.setattr(search, "_stop", multiprocessing.Value("b", 1, lock=False))
     with pytest.raises(search._Stopped):
-        search._branch(job)
-    search._stop.value = 0
-    witness, nodes = search._branch(job)
+        search._branch(job, ctypes.c_byte(1))
+    witness, nodes = search._branch(job, ctypes.c_byte(0))
     assert witness is None and nodes > search._POLL_NODES
 
 
-def test_stop_flag_ends_a_branch_on_the_python_engines(python_engines, monkeypatch):
-    test_stop_flag_ends_a_branch(monkeypatch)
+def test_stop_flag_ends_a_branch_on_the_python_engines(python_engines):
+    test_stop_flag_ends_a_branch()
+
+
+def recorded_executors(monkeypatch):
+    """The max_workers of every thread pool that a decision opens, in a list."""
+    sizes = []
+
+    class Recorded(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    return sizes
 
 
 def test_early_stop_with_more_workers_than_cores(monkeypatch):
     # the witness turns up in the first of 16 branches while later, long
-    # branches still run or wait; the pool stops them by the flag and is
-    # joined, leaving no process
-    sizes = []
-
-    def pool(processes, *args):
-        sizes.append(processes)
-        return real_pool(processes, *args)
-
-    real_pool = multiprocessing.Pool
-    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    # branches still run or wait; the loop stops them by the flag and
+    # joins their threads, leaving none running
+    sizes = recorded_executors(monkeypatch)
     case = ("integer", 3, 48, 10)
     workers = min(os.cpu_count() or 1, 15) + 1
+    threads = threading.active_count()
     serial = exists_set(*case)
     parallel = exists_set(*case, workers=workers)
     assert serial.feasible and serial.witness == parallel.witness
     assert serial.nodes == parallel.nodes
     assert sizes == [workers]
-    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 def test_the_pool_has_at_most_one_worker_per_branch(monkeypatch):
     # modular (3, 53, 9) has one branch under the canonical rule (53 is
-    # prime) and runs in-process; (3, 30, 7) has six, one per divisor of
-    # 30 up to its end.  The fake pool starts no process.
-    sizes = []
-
-    class FakePool:
-        def __init__(self, processes, *args):
-            sizes.append(processes)
-
-        imap = staticmethod(map)
-
-        def close(self):
-            pass
-
-        def join(self):
-            pass
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    # prime) and runs on the calling thread; (3, 30, 7) has six, one per
+    # divisor of 30 up to its end
+    sizes = recorded_executors(monkeypatch)
     for case, workers, pools in ((("modular", 3, 53, 9), 2, []),
                                  (("modular", 3, 30, 7), 4, [4]),
                                  (("modular", 3, 30, 7), 8, [6])):
@@ -298,6 +289,35 @@ def test_the_pool_has_at_most_one_worker_per_branch(monkeypatch):
         parallel = exists_set(*case, workers=workers)
         assert (parallel.witness, parallel.nodes) == (serial.witness, serial.nodes), case
         assert sizes == pools, (case, workers)
+
+
+def test_a_job_gets_what_the_consumed_branches_left(monkeypatch):
+    # the first two branches of integer (3, 45, 10) spend 945,108 and
+    # 654,371 nodes.  With a budget of 10^6 and two workers, the jobs of
+    # branches 1-4 are queued at once with the whole budget, and branch
+    # 5's when branch 1 is consumed, with the 54,892 nodes it left; the
+    # loop's total test raises when it consumes branch 2.  Serially
+    # branch 2 gets those 54,892 nodes and runs out inside itself.
+    limits = {}
+    real = search._branch
+
+    def branch(job, stop=None):
+        limits[job[5]] = job[6]
+        return real(job, stop)
+
+    class Recorded(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, job, stop):
+            limits[job[5]] = job[6]
+            return super().submit(fn, job, stop)
+
+    monkeypatch.setattr(search, "_branch", branch)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    for workers, expected in ((1, {1: 10**6, 2: 54_892}),
+                              (2, {1: 10**6, 2: 10**6, 3: 10**6, 4: 10**6, 5: 54_892})):
+        limits.clear()
+        with pytest.raises(BudgetExceeded):
+            exists_set("integer", 3, 45, 10, budget=10**6, workers=workers)
+        assert limits == expected, workers
 
 
 def test_budget_means_the_same_with_workers():
@@ -316,13 +336,26 @@ def test_budget_means_the_same_with_workers():
 
 def test_a_pool_branch_that_overruns_raises_in_its_worker():
     # the first branch of integer (2, 34, 8) alone spends 5,223 nodes, so
-    # a budget of 5,000 runs out inside the pool worker; the pool re-raises
-    # its BudgetExceeded when the loop reaches that branch
-    with pytest.raises(BudgetExceeded) as pooled:
-        exists_set("integer", 2, 34, 8, budget=5000, workers=2)
-    assert isinstance(pooled.value.__cause__, RemoteTraceback)
-    with pytest.raises(BudgetExceeded):
-        exists_set("integer", 2, 34, 8, budget=5000)
+    # a budget of 5,000 runs out inside its thread; the loop re-raises
+    # that BudgetExceeded when it reaches the branch
+    for workers in (2, 1):
+        with pytest.raises(BudgetExceeded):
+            exists_set("integer", 2, 34, 8, budget=5000, workers=workers)
+
+
+def test_one_worker_imports_no_pool_module():
+    # a decision on one worker runs on the calling thread and never
+    # imports a pool: neither concurrent.futures nor multiprocessing
+    code = ("import sys; from bstar.search import exists_set; "
+            "exists_set('integer', 3, 45, 10); exists_set('modular', 3, 30, 7); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    src = str(Path(search.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_budget_boundary_inside_a_run():
@@ -528,6 +561,30 @@ def test_ctrl_c_ends_an_in_process_branch_on_the_core(monkeypatch):
         assert branch(3, 60, 12, 10**9, 0.05) == answer
     finally:
         signal.signal(signal.SIGINT, saved)
+
+
+@needs_cc
+def test_ctrl_c_ends_a_decision_in_threads_on_the_core(monkeypatch):
+    # with two workers the branches run in threads, where the core does
+    # not take SIGINT: Ctrl-C raises KeyboardInterrupt on the main thread,
+    # which waits for a branch's answer; the loop then sets the decision's
+    # stop flag, each thread drops its branch within _POLL_NODES nodes,
+    # and the loop joins them.  Integer (2, 106, 13) spends 2.6 * 10^9
+    # nodes, seconds on the core.
+    monkeypatch.setattr(search, "_core", _corelib.load())
+    saved = signal.signal(signal.SIGINT, signal.default_int_handler)
+    threads = threading.active_count()
+    timer = threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT))
+    try:
+        start = time.perf_counter()
+        timer.start()
+        with pytest.raises(KeyboardInterrupt):
+            exists_set("integer", 2, 106, 13, budget=10**10, workers=2)
+        assert time.perf_counter() - start < 1.2
+    finally:
+        timer.join()
+        signal.signal(signal.SIGINT, saved)
+    assert threading.active_count() == threads
 
 
 def test_budget_charges_runs():
