@@ -3,9 +3,10 @@
 
     python3 scripts/bench_search.py [--out BENCH_search.json]
 
-A node is one candidate tried, in every engine, so nodes/s compares
-engines as well as questions.  This script decides fixed questions
-(kind, g, n, k), all infeasible, serially:
+A node is one candidate tried, on either path and in every engine, so
+nodes/s compares paths and engines as well as questions.  This script
+decides fixed questions (kind, g, n, k), all infeasible, serially; the
+engine named is the one the compiled core takes:
 
 - modular (2, 47, 7), (2, 72, 9), (3, 53, 9) and (5, 27, 10), modular
   mask engine; (5, 27, 10) is the infeasible n just below C(5, 10) = 28;
@@ -15,7 +16,8 @@ engines as well as questions.  This script decides fixed questions
 It also streams the tables `bstar table --which R --max-k 10 --g-max 7`
 and `--which C --max-k 9 --g-max 6` through `table_rows`.  Each
 decision and each table runs on both paths of `search._branch`: the
-compiled core and the Python engines (the core's handle set to None).
+compiled core and `search._decide`, the one Python loop for every
+question (the core's handle set to None).
 Where the core cannot be built, the record says so and holds the
 Python path alone.  All calls run in ROUNDS alternating rounds
 (`bench_dee.rounds_of_seconds`), each round every call once, the order
@@ -55,7 +57,7 @@ def decide(case):
 
 
 def engine(case) -> str:
-    """The engine that exists_set takes for case."""
+    """The core's engine for case; the Python path answers every case with _decide."""
     kind, g = case[:2]
     if kind == "modular":
         return "modular mask"
@@ -69,7 +71,7 @@ def table(kind: str, max_k: int, g_max: int):
 
 
 def run_on(core, work, *args):
-    """work(*args) on core, a loaded _corelib.Core, or on the Python engines (None)."""
+    """work(*args) on core, a loaded _corelib.Core, or on _decide (None)."""
     saved = search._core
     search._core = core
     try:
@@ -160,7 +162,7 @@ def main() -> int:
 
     record = {
         "what": "serial exists_set decisions at fixed (kind, g, n, k) and the R and C min-n "
-                "tables, each on the compiled core and on the Python engines: nodes, the "
+                "tables, each on the compiled core and on search._decide: nodes, the "
                 "median seconds over ROUNDS alternating rounds, the median time relative to "
                 "each round's fastest decision on the same path, and the Python path's seconds "
                 "over the core's",

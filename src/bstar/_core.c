@@ -1,16 +1,20 @@
-/* The compiled twin of search.py's three decision engines.
+/* The compiled twin of search.py's _decide, in three engines.
  *
  * bstar_branch runs one branch of a decision, node for node as _branch
- * does in Python: the same engine for the same question (the modular
- * mask engine, the integer counting engine for g != 2, the integer
- * g = 2 bitmask engine with _ruler_span), the same (gap, cap) table
- * from _bounds, the same candidates in the same order, and nodes charged
- * in the same runs against the same budget, which polls the decision's
- * stop flag at every refill as _Budget does.  So it returns the Python
- * engine's witness and nodes, and it runs out of budget at the same
- * point.  The modular canonical bans are built here as well: the triple
- * test on the third element, the coarse gcd mask of a branch with
- * second > 1, and the pair-ban table grown as the third element rises.
+ * does in Python with _decide: the same (gap, cap) table from _bounds,
+ * the same candidates in the same order, and nodes charged in the same
+ * runs against the same budget, which polls the decision's stop flag at
+ * every refill as _Budget does.  So it returns _decide's witness and
+ * nodes, and it runs out of budget at the same point.  Where _decide
+ * tests every candidate of a range against its profile, the question
+ * picks one of three engines here, each the fastest in C on its kind:
+ * the modular mask engine, which reads a level's candidates off bit
+ * masks of the full sums and the canonical bans; the integer counting
+ * engine for g != 2; and the integer g = 2 bitmask engine with
+ * ruler_span, _decide's Golomb-ruler bound.  The modular canonical bans
+ * are built here as well: the triple test on the third element, the
+ * coarse gcd mask of a branch with second > 1, and the pair-ban table
+ * grown as the third element rises.
  *
  * Where Python copies a profile on each extension, these loops add to
  * one profile and take the additions back after the subtree; the counts
@@ -20,8 +24,9 @@
  * them, which _branch then runs in Python: k <= MAX_K, integer g = 2
  * masks of 128 bits (n <= MAX_G2_N), modular masks of 2n <= 64 *
  * MASK_WORDS bits (n <= MAX_MOD_N), integer profiles of 2n - 1 <=
- * MAX_PROFILE counts, counts in bytes as in Python's bytearrays
- * (g <= UCHAR_MAX), and node limits below MAX_LIMIT.
+ * MAX_PROFILE counts, and counts in bytes as in Python's bytearrays
+ * (g <= UCHAR_MAX).  A node limit of MAX_LIMIT or more runs as
+ * MAX_LIMIT - 1, a count that no branch reaches.
  *
  * A call from the interpreter's main thread with no stop flag takes
  * SIGINT for its length, unless SIGINT is ignored: Ctrl-C then ends the
@@ -87,7 +92,7 @@ typedef struct {
 } branch_t;
 
 /* ------------------------------------------------------------------------
- * integer counting engine (_decide_counts_int)
+ * integer counting engine (_decide's range loop for integer g != 2)
  * ------------------------------------------------------------------------ */
 
 static int counts_rec(branch_t *b, unsigned char *r, int depth)
@@ -122,7 +127,7 @@ static int counts_rec(branch_t *b, unsigned char *r, int depth)
 }
 
 /* ------------------------------------------------------------------------
- * integer g = 2 bitmask engine (_decide_sidon_int, _ruler_span)
+ * integer g = 2 bitmask engine (_decide with _ruler_span)
  * ------------------------------------------------------------------------ */
 
 static inline int ctz128(u128 x)
@@ -192,10 +197,15 @@ static int sidon_rec(branch_t *b, u128 D, u128 B, int depth)
 }
 
 /* ------------------------------------------------------------------------
- * modular mask engine (_decide_modular, _third_element_bans, _pair_bans)
+ * modular mask engine (_decide's modular kind, _third_element_bans, _pair_bans)
  *
- * A mask is W words of 64 bits, W = ceil(2n / 64), and holds Python's int
- * of the same name bit for bit up to bit 64 W; at(t) sets bits t and n + t.
+ * A mask is W words of 64 bits, W = ceil(2n / 64); at(t) sets bits t and
+ * n + t.  sat holds the sums where no pair fits any more, r(t) > g - 2, so
+ * sat >> y has bit e set exactly when r((e + y) mod n) is full.  B, the
+ * candidates that some placed y blocks, is OR_y sat >> y: the candidates
+ * that _decide's pair-sum tests reject, so a level reads its candidates
+ * off ~(B | ban) and tests only their diagonal.  ban, coarse and bans[d]
+ * hold _decide's int masks of the same name bit for bit up to bit 64 W.
  * Bits at n and above of B and ban are never read.
  * ------------------------------------------------------------------------ */
 
@@ -427,9 +437,9 @@ static void on_sigint(int signum)
     sigint_seen = 1;
 }
 
-static int fits(int modular, int g, int n, int k, int64_t limit)
+static int fits(int modular, int g, int n, int k)
 {
-    if (k > MAX_K || g > UCHAR_MAX || limit >= MAX_LIMIT)
+    if (k > MAX_K || g > UCHAR_MAX)
         return 0;
     if (modular)
         return n <= MAX_MOD_N;
@@ -443,8 +453,10 @@ int bstar_branch(int modular, int g, int n, int k, const int *gap, const int *ca
                  int second, int canonical, int64_t limit, const volatile signed char *stop,
                  int64_t poll, int interruptible, int *witness, int64_t *nodes)
 {
-    if (!fits(modular, g, n, k, limit))
+    if (!fits(modular, g, n, k))
         return UNFIT;
+    if (limit >= MAX_LIMIT)  /* 2^62 nodes take over 1,000 years at 10^8 nodes/s */
+        limit = MAX_LIMIT - 1;
     struct sigaction ours = {.sa_handler = on_sigint}, theirs;
     int take_sigint = 0;
     if (interruptible) {

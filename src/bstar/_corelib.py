@@ -46,7 +46,9 @@ class Core:
     def branch(self, kind, g, n, k, gap, cap, second, limit, canonical, stop, poll):
         """(status, witness tuple or None, nodes) of search._branch's branch; UNFIT
         where the branch lies past the core's widths, which _core.c checks,
-        or past its C types.
+        or where g or n is past a C int.  A limit past int64 goes in as
+        int64's largest value, which the core lowers below 2^62 in turn: no
+        branch spends that many nodes.
 
         stop is the decision's stop flag, a ctypes byte that the core
         reads by its address at every refill of poll nodes, or None.  A
@@ -55,11 +57,12 @@ class Core:
         one raises KeyboardInterrupt, and after one that returns the
         branch runs again from its start.
         """
-        if g > _INT_MAX or n > _INT_MAX or limit > _INT64_MAX:  # ctypes would wrap them
+        if g > _INT_MAX or n > _INT_MAX:  # ctypes would wrap them
             return self.UNFIT, None, 0
         ints = ctypes.c_int * k
         witness, nodes = ints(), ctypes.c_int64()
-        args = (kind == "modular", g, n, k, ints(*gap), ints(*cap), second, canonical, limit,
+        args = (kind == "modular", g, n, k, ints(*gap), ints(*cap), second, canonical,
+                min(limit, _INT64_MAX),
                 None if stop is None else ctypes.addressof(stop), poll,
                 stop is None and threading.current_thread() is threading.main_thread(),
                 witness, ctypes.byref(nodes))

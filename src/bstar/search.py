@@ -1,50 +1,42 @@
 """Exhaustive branch-and-bound search for extremal B*[g] sets.
 
-Three decision engines answer "is there a B*[g] set of size k inside
-[1, n] (integer kind) or Z_n (modular kind)?":
+A decision answers "is there a B*[g] set of size k inside [1, n]
+(integer kind) or Z_n (modular kind)?" as a DFS over one branch at a
+time.  A branch runs in a compiled core, _core.c, which holds three
+engines, each the fastest in C on its questions:
 
-* modular mask engine: a counting DFS that keeps the dense
-  representation profile r(t), copied on each extension, and holds its
-  rejections as bit masks over Python big ints: the sums where no pair
-  fits any more, the candidates they block, and the canonical bans
-  below.  About one modular candidate in ten is accepted (DFS calls
-  against nodes: 903 of 10,984 at (g, n, k) = (2, 47, 7), 29,874 of
-  297,896 at (3, 53, 9)), so a level reads its candidates off one mask
-  and tests only their diagonal.
-* integer counting engine, for g >= 3: the same DFS as a range loop
-  that tests each candidate's sums against r(t), indexed by the sum
-  itself (length 2n - 1, so integer sums never wrap).  It accepts far
-  more of its candidates (54,976 of 252,244 at (3, 36, 10), 11,612 of
-  26,040 at (4, 21, 10)), and there the masks' work on each accepted
-  element does not pay: the mask engine, given an integer question as
-  the same question in Z_(2n - 1), where its sums do not wrap, spent
-  1.53 s against 1.10 s at (3, 45, 10), 0.130 against 0.092 s at
-  (3, 36, 10) and 0.027 against 0.017 s at (4, 21, 10), with the same
-  nodes (d0cc637's engines from 0, median of 5 alternating rounds,
-  CPython 3.11 on a shared 2-core x86 host).
-* integer g = 2: a bitmask DFS, the one engine with the Golomb-ruler
-  distance bound below.  A candidate x is blocked exactly when some pair
-  sum x + y would collide with an existing pair or diagonal sum, so the
-  viable-extension mask is kept incrementally with shifts.  It stays as
-  its own engine because, measured while the counting engine also had
-  the bound, it decided integer Sidon questions 1.3x faster (n = 55,
-  k = 10, infeasible, both 642,314 nodes: 0.43 s against 0.55 s, the
-  median of 5 alternating rounds of scripts/bench_search.py, CPython
-  3.11 on a shared 2-core x86 host).
+* modular mask engine: the counting DFS with its rejections as bit
+  masks, the sums where no pair fits any more, the candidates they
+  block, and the canonical bans below; a level reads its candidates off
+  one mask and tests only their diagonal.  About one modular candidate
+  in ten is accepted (DFS calls against nodes: 903 of 10,984 at
+  (g, n, k) = (2, 47, 7), 29,874 of 297,896 at (3, 53, 9)).
+* integer counting engine, for g != 2: the same DFS as a range loop that
+  tests each candidate's pair sums against the profile r(t), indexed by
+  the sum itself (length 2n - 1, so integer sums never wrap).  It accepts
+  far more of its candidates (54,976 of 252,244 at (3, 36, 10), 11,612 of
+  26,040 at (4, 21, 10)).
+* integer g = 2 bitmask engine, the one with the Golomb-ruler distance
+  bound below.  A candidate x is blocked exactly when some pair sum
+  x + y would collide with an existing pair or diagonal sum, so the
+  viable-extension mask is kept incrementally with shifts.  A C counting
+  loop with the same bound spent the same nodes in about 2.7 times its
+  time at (2, 72, 11) and (2, 85, 12) (ROADMAP).
 
-Each engine has a compiled twin in _core.c, the same loop in C,
-including the canonical bans (_third_element_bans, the coarse gcd mask
-and the grown _pair_bans table).  The first _branch of a process has
-_corelib build it with cc -O2 -shared -fPIC into __pycache__ next to
-the source (or the user's own 0700 folder in the temporary directory),
-under a name keyed by the source's checksums, and load it through
-ctypes; a process that cannot build or load it has None for it.
-_branch runs a branch on the core where it loaded, and on the Python
-engine where it did not or where the core answers that the branch lies
-past its fixed widths, which _core.c defines and checks:
+Its Python twin is _decide, one range loop for every question: the
+counting DFS over a profile of n counts (modular) or 2n - 1 (integer),
+with the canonical bans of the modular kind and the distance bound of
+integer g = 2, and the same witness and nodes as the core's engines.
+The first _branch of a process has _corelib build the core with
+cc -O2 -shared -fPIC into __pycache__ next to the source (or the user's
+own 0700 folder in the temporary directory), under a name keyed by the
+source's checksums, and load it through ctypes; a process that cannot
+build or load it has None for it.  _branch runs a branch on the core
+where it loaded, and on _decide where it did not or where the core
+answers that the branch lies past its fixed widths, which _core.c
+defines and checks:
 
-* k <= 64, counts in bytes as in the Python bytearrays (g <= 255), and
-  node limits below 2^62;
+* k <= 64, counts in bytes as in _decide's bytearray (g <= 255);
 * integer g = 2 on unsigned __int128 masks: n <= 128;
 * modular masks of 2n bits in at most eight 64-bit words: n <= 256;
 * integer g != 2 profiles of 2n - 1 counts: n <= 4096.
@@ -55,17 +47,19 @@ against the same allowance, handed out _POLL_NODES at a time, and at
 every refill polls the decision's stop flag, which it reads through the
 flag's ctypes.addressof.  So it returns the same witness and nodes, and
 its status becomes the same BudgetExceeded at the same point, or
-_Stopped.  On the main thread, where there is no flag, the core takes
-SIGINT for the length of a branch, so Ctrl-C ends it within _POLL_NODES
-nodes as it ends a Python engine, with KeyboardInterrupt; in threads,
-the main thread takes it and sets the flag.  The core took the same
-nodes 18-56 times faster than the Python engines: modular (2, 72, 9)
-4.6 ms against 147 ms, integer (3, 45, 10) 30 ms against 1.07 s,
-integer (2, 55, 10) 3.5 ms against 194 ms, and the R and C tables 0.045
-and 0.043 s against 1.63 and 1.30 s (BENCH_search.json, medians of 5
-alternating rounds, CPython 3.11 on a shared 2-core x86 host).  The
-Python engines stay as the path for hosts without cc and for branches
-past the core's widths.
+_Stopped.  (A limit of 2^62 nodes or more runs on the core as 2^62 - 1,
+which no branch reaches.)  On the main thread, where there is no flag,
+the core takes SIGINT for the length of a branch, so Ctrl-C ends it
+within _POLL_NODES nodes as it ends _decide, with KeyboardInterrupt; in
+threads, the main thread takes it and sets the flag.  The core took the
+same nodes 24-91 times faster than _decide: modular (2, 72, 9) 4.6 ms
+against 225 ms, integer (3, 45, 10) 29 ms against 1.43 s, integer
+(2, 55, 10) 3.6 ms against 323 ms, and the R and C tables 0.048 and
+0.044 s against 2.46 and 1.80 s (BENCH_search.json, medians of 5
+alternating rounds, CPython 3.11 on a shared 2-core x86 host).  _decide
+is the path for hosts without cc and for branches past the core's
+widths, and the independent reference that the tests hold the core's
+masks to.
 
 Both questions are translation invariant, so a decision searches the
 sets that start at 0, integer ones in [0, n - 1], and exists_set
@@ -79,8 +73,8 @@ A call into the core releases the GIL, so two threads took integer
 (2, 85, 12) from 0.386 to 0.234 s and (3, 57, 11) from 0.360 to 0.193 s
 (medians of 9 alternating rounds, CPython 3.11, a shared 2-core x86
 host).  Modular decisions gain nothing, as the canonical rule leaves one
-branch or one with nearly all the nodes, and the Python engines hold the
-GIL: on them threads run at about serial speed.
+branch or one with nearly all the nodes, and _decide holds the GIL: on
+it threads run at about serial speed.
 
 Four rules prune the DFS:
 
@@ -127,16 +121,17 @@ Four rules prune the DFS:
     one's subtree first, so a branch grows one table of them as t rises
     (_pair_bans) in place of building one for each t.
   The bans are one-bit-per-residue int masks: each accepted element ORs
-  in its own, shifted to its position, and a level's candidates are read
-  off the mask with the blocked ones, so the rule costs nothing per
-  candidate.  L passes the span floors, and the mirror rule too:
-  x -> -x is in the group, so L's first gap is at most its last.
-* a Golomb-ruler distance bound (integer kind, g = 2, bitmask engine
-  only), as in exhaustive Golomb-ruler searches (J. B. Shearer,
-  IEEE Trans. Inf. Theory 36, 1990; A. Dollas, W. T. Rankin and
-  D. McCracken, IEEE Trans. Inf. Theory 44, 1998).  An integer set is
-  B*[2] exactly when its positive differences are distinct, since
-  a - b = c - d means a + d = b + c.  Let a candidate e join, D be the
+  in its own, shifted to its position, so the rule costs one bit test
+  per candidate in _decide, and nothing per candidate in the core, which
+  reads a level's candidates off the mask with the blocked ones.  L
+  passes the span floors, and the mirror rule too: x -> -x is in the
+  group, so L's first gap is at most its last.
+* a Golomb-ruler distance bound (integer kind, g = 2 only), as in
+  exhaustive Golomb-ruler searches (J. B. Shearer, IEEE Trans. Inf.
+  Theory 36, 1990; A. Dollas, W. T. Rankin and D. McCracken, IEEE
+  Trans. Inf. Theory 44, 1998).  An integer set is B*[2] exactly when
+  its positive differences are distinct, since a - b = c - d means
+  a + d = b + c.  Let a candidate e join, D be the
   mask of the differences of the set with e, and r = k - 1 - depth the
   elements still to come.  With e they form a ruler of r + 1 marks in
   [e, top]: its C(r + 1, 2) differences are distinct, miss D and lie in
@@ -153,19 +148,20 @@ depth d lies in [S[-1] + gap[d], cap[d]], with gap[1] = gap[k - 1] = d1,
 the fixed second element, every other gap 1, and cap the span floors'
 caps narrowed by the mirror rule, cap[1] at most d1.  Integer candidates
 exceed every placed element, so a candidate's diagonal 2e lies above
-every sum in the profile, and the integer counting engine tests its
-pair sums only; modular sums wrap, so the modular engine tests it.
+every sum in the profile, and the core's integer counting engine tests
+its pair sums only; modular sums wrap, so the modular engine tests it.
+_decide tests it in both kinds, where it never rejects an integer
+candidate.
 
 The mirror rule keeps the lexicographically first witness W: W's
 reflection is a witness from 0 whose second element is W's last gap, so
 W's first gap is at most its last gap and the DFS still meets W first.
 The canonical rule keeps W too: every image of W that contains 0 is
 itself a witness, so it is not below W, and W is the least member of
-its own orbit.  The distance
-bound cuts only prefixes that no B*[2] set in [0, n - 1] completes, so
-it never cuts a prefix of W.  The DFS runs in lexicographic order, so it
-meets W before any other canonical witness, and one search returns the
-lexicographically first witness.
+its own orbit.  The distance bound cuts only prefixes that no B*[2]
+set in [0, n - 1] completes, so it never cuts a prefix of W.  The DFS
+runs in lexicographic order, so it meets W before any other canonical
+witness, and one search returns the lexicographically first witness.
 
 min_n uses that integer feasibility is monotone in n (a witness inside
 [1, n] also fits in [1, n + 1]).  It decides n_limit and then descends:
@@ -345,7 +341,7 @@ def _bounds(last: list[int], second: int) -> tuple[list[int], list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Golomb-ruler distance bound (integer g = 2, bitmask engine)
+# Golomb-ruler distance bound (integer g = 2)
 # ---------------------------------------------------------------------------
 
 def _ruler_span(D: int, r: int, room: int) -> int:
@@ -372,120 +368,7 @@ def _ruler_span(D: int, r: int, room: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer g = 2 bitmask engine
-# ---------------------------------------------------------------------------
-
-def _decide_sidon_int(k: int, gap: list[int], cap: list[int], budget: _Budget):
-    """All unordered pair sums (diagonals included) distinct; integers in [0, top].
-
-    D is the mask of positive differences and B the mask of blocked
-    future elements.  (gap, cap) are the branch's _bounds for
-    _last_candidates(2, k, top), top = n - 1.  The distance bound
-    rejects a candidate e when _ruler_span of D with e's differences
-    passes top - e, and ends a level's walk at top minus _ruler_span of
-    the level's D.  Nodes are charged as in _decide_counts_int, one per
-    candidate of the range, whether the mask or the bound rejects it, so
-    on the same branch it spends _decide_counts_int's nodes less those
-    of the subtrees the bound cuts.
-    """
-    charge = budget.charge
-    top = cap[-1]  # the last element's cap
-
-    def rec(S, D, B, depth):
-        if depth == k:
-            return tuple(S)
-        lo, hi = S[-1] + gap[depth], cap[depth]
-        if lo > hi:
-            return None
-        rest = k - 1 - depth  # marks still to come after e
-        end = min(hi, top - _ruler_span(D, rest, top - lo))
-        cand = ~B & ((2 << end) - 1) & -(1 << lo)
-        charged = lo  # the candidates below charged are paid for
-        while cand:
-            lsb = cand & -cand
-            e = lsb.bit_length() - 1
-            cand ^= lsb
-            charge(e + 1 - charged)
-            charged = e + 1
-            new_diffs = 0
-            for y in S:
-                new_diffs |= 1 << (e - y)
-            D2 = D | new_diffs
-            if _ruler_span(D2, rest, top - e) > top - e:
-                continue
-            B2 = B | (D2 << e)
-            for y in S:
-                B2 |= new_diffs << y
-            S.append(e)
-            out = rec(S, D2, B2, depth + 1)
-            S.pop()
-            if out is not None:
-                return out
-        if hi >= charged:
-            charge(hi + 1 - charged)
-        return None
-
-    return rec([0], 0, 0, 1)
-
-
-# ---------------------------------------------------------------------------
-# integer counting engine
-# ---------------------------------------------------------------------------
-
-def _decide_counts_int(g: int, k: int, gap: list[int], cap: list[int], budget: _Budget):
-    """Keep the profile r(t); reject a candidate whose sums would exceed g.
-
-    Integers in [0, top], top = cap[-1] = n - 1, have sums in
-    [0, 2n - 2], so r has length 2n - 1 and is indexed by the sum itself.  A
-    pair adds 2 to r and a diagonal adds 1; pair sums of the new element
-    never meet each other or its diagonal, so each is tested against the
-    profile before the element arrived.  A candidate e exceeds every
-    placed element, so every sum in r is at most 2 S[-1] < 2e: r(2e) is
-    0, and the diagonal is not tested.  An accepted candidate extends a
-    copy of the profile, so nothing is undone.  (gap, cap) are the
-    branch's _bounds for _last_candidates(g, k, n - 1).
-
-    Every candidate is one node, charged in runs: the candidates up to an
-    accepted one before its subtree, the rest of the range when the loop
-    ends.  The charges come in the same order as one node per candidate
-    would, so the count and the point where the budget runs out are the
-    same.  exists_set takes _decide_sidon_int for g = 2.  This engine
-    answers g = 2 as well, without the Golomb-ruler distance bound, and
-    the tests hold the bitmask engine to its witness in every branch.
-    """
-    most = g - 2  # a pair fits only where r[t] <= g - 2
-    charge = budget.charge
-
-    def rec(S, r, depth):
-        if depth == k:
-            return tuple(S)
-        lo, hi = S[-1] + gap[depth], cap[depth]
-        charged = lo  # the candidates below charged are paid for
-        for e in range(lo, hi + 1):
-            for y in S:
-                if r[e + y] > most:
-                    break
-            else:  # every sum of e fits: pay up to e, extend a copy, recurse
-                charge(e + 1 - charged)
-                charged = e + 1
-                r2 = r[:]
-                r2[2 * e] += 1
-                for y in S:
-                    r2[e + y] += 2
-                out = rec(S + [e], r2, depth + 1)
-                if out is not None:
-                    return out
-        if hi >= charged:
-            charge(hi + 1 - charged)
-        return None
-
-    r = bytearray(2 * cap[-1] + 1)
-    r[0] = 1
-    return rec([0], r, 1)
-
-
-# ---------------------------------------------------------------------------
-# modular mask engine
+# modular canonical bans
 # ---------------------------------------------------------------------------
 
 def _third_element_bans(n: int) -> int:
@@ -540,104 +423,123 @@ def _pair_bans(n: int) -> Generator[list[int], int, None]:
         grown = t
 
 
-def _decide_modular(g: int, n: int, k: int, gap: list[int], cap: list[int],
-                    budget: _Budget, second: int, canonical: bool = False):
-    """The counting DFS in Z_n, with the rejections kept as bit masks.
+# ---------------------------------------------------------------------------
+# the search loop
+# ---------------------------------------------------------------------------
 
-    r(t) is kept as a bytearray for the exact counts, copied on each
-    extension.  sat holds the sums with r(t) > g - 2, where no pair sum
-    fits, doubled at bits t and n + t, so sat >> y has bit e set exactly
-    when r((e + y) mod n) is full.  B, the candidates that some placed y
-    blocks, is OR_y sat >> y; an accepted e extends it from the newly
-    full sums only, B | sat >> e | OR_y new >> y.  The candidates of a
-    level are the set bits of ~(B | ban) in [lo, hi], and only the
-    diagonal test r(2e mod n) >= g is made for each.  Nodes are charged
-    in runs, as in _decide_counts_int: one per candidate of the range,
-    whether a mask or the diagonal test rejects it.  (gap, cap) are the
-    branch's _bounds for _last_candidates(g, k, n - 1); second is the
-    element that the branch fixes, read only by the canonical bans.
+def _decide(kind: str, g: int, n: int, k: int, gap: list[int], cap: list[int],
+            budget: _Budget, second: int, canonical: bool):
+    """The counting DFS of one branch: its first witness from 0 as a tuple, or None.
 
-    ban is 0 without canonical.  With canonical it holds the residues
-    that the affine canonical rule rules out for the next element, and
-    each accepted element adds its own: in a branch with second > 1,
-    every e + o with gcd(o, n) < second; in the branch second = 1, the
-    triple test on {0, 1, t} while the third element t is chosen, then
-    the pair bans of each new ordered pair, from one _pair_bans table
-    that the branch extends to each t it accepts.  That rule keeps the
-    lexicographically first witness, the least member of its orbit.
+    The profile r, a bytearray of size counts, holds the representation
+    counts of the placed set: size is n for the modular kind and 2n - 1
+    for the integer kind, whose sums lie in [0, 2n - 2] and never wrap, so
+    r[t - size] is r[t mod size] for every sum t of two elements of
+    [0, n - 1] in either kind.  A pair adds 2 to r
+    and a diagonal 1; a level tests each candidate e of its range
+    [S[-1] + gap[depth], cap[depth]] in turn, a ban bit, then its diagonal
+    r(2e) >= g, then its pair sums r(e + y) > g - 2 against the profile
+    before e (pair sums of e never meet each other or 2e).  An accepted
+    candidate extends a copy of the profile, so nothing is undone.  (gap,
+    cap) are the branch's _bounds for _last_candidates(g, k, n - 1), and
+    second is the element that the branch fixes, read only by the bans.
+
+    Every candidate is one node, charged in runs: the candidates up to an
+    accepted one before its subtree, the rest of the range when the loop
+    ends.  The charges come in the order that one node per candidate
+    would, so the count and the point where the budget runs out are the
+    same.
+
+    The bans, a one-bit-per-residue int mask, are 0 but with canonical in
+    the modular kind, where they hold the residues that the affine
+    canonical rule rules out for the next element, and each accepted
+    element adds its own: in a branch with second > 1, every e + o with
+    gcd(o, n) < second; in the branch second = 1, the triple test on
+    {0, 1, t} while the third element t is chosen, then the pair bans of
+    each new ordered pair, from one _pair_bans table that the branch
+    extends to each t it accepts.
+
+    Integer g = 2 adds the Golomb-ruler distance bound on D, the mask of
+    the set's differences: a level's walk ends at top minus _ruler_span of
+    its D, and a candidate that passes the sum tests, once charged, is
+    rejected when _ruler_span of D with its differences passes top - e.
+    So this loop visits _core.c's engines' candidates in their order and
+    spends their nodes: the modular mask engine's, the integer counting
+    engine's and the bitmask engine's.
     """
+    size = n if kind == "modular" else 2 * n - 1
     most = g - 2  # a pair fits only where r[t] <= g - 2
+    ruler = kind == "integer" and g == 2
+    top = n - 1
     charge = budget.charge
-    at = [(1 | 1 << n) << t for t in range(n)]  # t and n + t
     mark = None  # (S, e, ban) -> the bans after e joins S; None keeps ban as it is
     ban = 0
 
-    if canonical and second > 1:
-        coarse = sum(at[o] for o in range(1, n) if gcd(o, n) < second)
+    if kind == "modular" and canonical:
+        at = [(1 | 1 << n) << t for t in range(n)]  # t and n + t
+        if second > 1:
+            coarse = sum(at[o] for o in range(1, n) if gcd(o, n) < second)
 
-        def mark(S, e, ban):
-            return ban | coarse >> n - e
+            def mark(S, e, ban):
+                return ban | coarse >> n - e
 
-        ban = mark(None, 0, ban)
-    elif canonical:
-        grow = _pair_bans(n)
-        bans = next(grow)
+            ban = mark(None, 0, ban)
+        else:
+            grow = _pair_bans(n)
+            bans = next(grow)
 
-        def mark(S, e, ban):
-            if len(S) == 1:  # the triple test still bans the third element
+            def mark(S, e, ban):
+                if len(S) == 1:  # the triple test still bans the third element
+                    return ban
+                if len(S) == 2:  # t = e: the earlier t's subtrees are done, so grow to e
+                    grow.send(e)
+                    ban = bans[1] >> n
+                for y in S:
+                    ban |= bans[e - y] >> n - y
                 return ban
-            if len(S) == 2:  # t = e: the earlier t's subtrees are done, so grow to e
-                grow.send(e)
-                ban = bans[1] >> n
-            for y in S:
-                ban |= bans[e - y] >> n - y
-            return ban
 
-        ban = _third_element_bans(n)
+            ban = _third_element_bans(n)
 
-    def rec(S, r, sat, B, ban, depth):
+    def rec(S, r, D, ban, depth):
         if depth == k:
             return tuple(S)
         lo, hi = S[-1] + gap[depth], cap[depth]
         if lo > hi:
             return None
-        cand = ~(B | ban) & ((1 << hi + 1) - 1) & -(1 << lo)
+        rest = k - 1 - depth  # elements still to come after e
+        end = min(hi, top - _ruler_span(D, rest, top - lo)) if ruler else hi
         charged = lo  # the candidates below charged are paid for
-        while cand:
-            lsb = cand & -cand
-            e = lsb.bit_length() - 1
-            cand ^= lsb
-            d = 2 * e - n if 2 * e >= n else 2 * e
-            if r[d] >= g:
+        for e in range(lo, end + 1):
+            x = e - size  # r[x + y] is r((e + y) mod size)
+            if ban >> e & 1 or r[x + e] >= g:
                 continue
-            # every sum of e fits: pay up to e, extend copies, recurse
-            charge(e + 1 - charged)
-            charged = e + 1
-            r2 = r[:]
-            r2[d] += 1
-            new = at[d] if r2[d] > most else 0
             for y in S:
-                t = e + y - n if e + y >= n else e + y
-                r2[t] += 2
-                if r2[t] > most:
-                    new |= at[t]
-            sat2 = sat | new
-            B2 = B | sat2 >> e
-            if new:
+                if r[x + y] > most:
+                    break
+            else:  # every sum of e fits: pay up to e, extend a copy, recurse
+                charge(e + 1 - charged)
+                charged = e + 1
+                D2 = D
+                if ruler:
+                    for y in S:
+                        D2 |= 1 << e - y
+                    if _ruler_span(D2, rest, top - e) > top - e:
+                        continue
+                r2 = r[:]
+                r2[x + e] += 1
                 for y in S:
-                    B2 |= new >> y
-            out = rec(S + [e], r2, sat2, B2, ban if mark is None else mark(S, e, ban),
-                      depth + 1)
-            if out is not None:
-                return out
+                    r2[x + y] += 2
+                out = rec(S + [e], r2, D2, ban if mark is None else mark(S, e, ban),
+                          depth + 1)
+                if out is not None:
+                    return out
         if hi >= charged:
             charge(hi + 1 - charged)
         return None
 
-    r = bytearray(n)
+    r = bytearray(size)
     r[0] = 1
-    sat = at[0] if 1 > most else 0
-    return rec([0], r, sat, sat, ban, 1)  # B = sat >> 0 for S = [0]
+    return rec([0], r, 0, ban, 1)
 
 
 # The compiled core, a _corelib.Core, once _branch has first asked for it;
@@ -649,8 +551,8 @@ _core = _UNLOADED
 def _branch(args, stop=None):
     """(witness tuple or None, nodes) of one branch; BudgetExceeded past limit nodes.
 
-    The core runs the branch where it loaded and the branch fits it, the
-    Python engine otherwise, with the same answer and nodes; either polls
+    The core runs the branch where it loaded and the branch fits it,
+    _decide otherwise, with the same answer and nodes; either polls
     stop, the decision's flag in a thread, and raises _Stopped once it is
     set.  _corelib is imported here, so a process that decides nothing
     never loads it.
@@ -671,12 +573,7 @@ def _branch(args, stop=None):
         if status != _core.UNFIT:
             return witness, nodes
     budget = _Budget(limit, stop)
-    if kind == "modular":
-        witness = _decide_modular(g, n, k, gap, cap, budget, second, canonical)
-    elif g == 2:
-        witness = _decide_sidon_int(k, gap, cap, budget)
-    else:
-        witness = _decide_counts_int(g, k, gap, cap, budget)
+    witness = _decide(kind, g, n, k, gap, cap, budget, second, canonical)
     return witness, limit - budget.left - budget.reserve
 
 

@@ -28,9 +28,7 @@ from bstar.search import (
     SearchProblem,
     _bounds,
     _Budget,
-    _decide_counts_int,
-    _decide_modular,
-    _decide_sidon_int,
+    _decide,
     _last_candidates,
     _pair_bans,
     _ruler_span,
@@ -42,15 +40,15 @@ from bstar.search import (
 )
 
 
-# The compiled core builds with cc; without one every decision runs on the
-# Python engines, which the tests below check in any case.
+# The compiled core builds with cc; without one every decision runs on
+# _decide, the Python path, which the tests below check in any case.
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no cc on PATH: the compiled core cannot be built")
 
 
 @pytest.fixture
 def python_engines(monkeypatch):
-    """Every branch on the Python engines, the core's handle set to None."""
+    """Every branch on _decide, the core's handle set to None."""
     monkeypatch.setattr(search, "_core", None)
 
 
@@ -115,7 +113,7 @@ def test_pruned_matches_brute_force(monkeypatch):
     cases += [(kind, g, n, k)
               for kind, gs in (("modular", (2, 3, 4)), ("integer", (2, 3)))
               for g in gs for n in range(3, 17) for k in range(3, min(6, n) + 1)]
-    paths = [_corelib.load(), None]  # the core, where it builds, and the Python engines
+    paths = [_corelib.load(), None]  # the core, where it builds, and _decide
     for case in cases:
         # canonical form fixes the first element to the smallest one, so
         # the engines' witness is the first combination in element order
@@ -220,7 +218,7 @@ def test_workers_match_serial():
         (("modular", 3, 30, 7), True),    # the canonical search is sharded too
         (("modular", 2, 44, 7), False),
         (("integer", 3, 30, 7), True),
-        (("integer", 2, 30, 7), True),    # bitmask engine in the workers
+        (("integer", 2, 30, 7), True),    # the ruler bound in the workers
         (("integer", 2, 34, 8), False),
     ]
     for case, feasible in cases:
@@ -452,7 +450,7 @@ def test_the_core_loads_no_library_that_another_user_could_have_put(monkeypatch,
     assert ran.exists()
 
 
-# (kind, g, n, k) for the core against the Python engines: every engine,
+# (kind, g, n, k) for the core against _decide: every engine of the core,
 # feasible and infeasible, and modular masks of one, two and several
 # words, whose high words the large seconds reach
 PARITY_CELLS = [("integer", 2, 34, 8), ("integer", 2, 35, 8), ("integer", 2, 100, 6),
@@ -465,11 +463,16 @@ PARITY_CELLS = [("integer", 2, 34, 8), ("integer", 2, 35, 8), ("integer", 2, 100
 
 @needs_cc
 def test_the_core_matches_the_python_engines_branch_by_branch(monkeypatch):
-    # every branch, with and without the canonical rule, returns the
-    # Python engine's witness and nodes from the core, and one node less
-    # of budget runs out on both
+    # every branch, with and without the canonical rule, returns _decide's
+    # witness and nodes from the core, and one node less of budget runs
+    # out on both.  _decide tests every candidate against its profile, so
+    # it checks the core's masks against a loop that shares none of them:
+    # on the cells above and on a seeded sample of 150 more
     core = _corelib.load()
-    for kind, g, n, k in PARITY_CELLS:
+    rng = random.Random(39)
+    sample = [(rng.choice(("integer", "modular")), rng.randint(2, 6), rng.randint(8, 60),
+               rng.randint(3, 8)) for _ in range(150)]
+    for kind, g, n, k in PARITY_CELLS + sample:
         last = _last_candidates(g, k, n - 1)
         for canonical in (False, True):
             for second in range(1, last[1] + 1):
@@ -490,27 +493,33 @@ def test_the_core_matches_the_python_engines_branch_by_branch(monkeypatch):
 @needs_cc
 def test_branches_past_the_cores_widths_run_on_the_python_engines(monkeypatch):
     # the core holds integer g = 2 to n = 128, modular masks to n = 256,
-    # integer profiles to n = 4096, k to 64, counts in bytes (g <= 255)
-    # and budgets below 2^62, and answers UNFIT past one of them, also
-    # where a value is past its C type; such a branch runs in Python
+    # integer profiles to n = 4096, k to 64 and counts in bytes (g <= 255),
+    # and answers UNFIT past one of them, also where a value is past its
+    # C type; such a branch runs in Python.  A node limit has no width: one
+    # of 2^62 or more, past int64 too, runs on the core as 2^62 - 1
     core = _corelib.load()
 
-    def status(kind, g, n, k, limit=0):
-        """The core's status of a branch with loose bounds: OVER at the first node if it fits."""
-        return core.branch(kind, g, n, k, [1] * k, [n - 1] * k, 1, limit, False, None, 1)[0]
+    def answer(kind, g, n, k, limit=0):
+        """The core's answer to a branch with loose bounds: OVER at the first node if it fits."""
+        return core.branch(kind, g, n, k, [1] * k, [n - 1] * k, 1, limit, False, None, 1)
+
+    def status(*args, **kwargs):
+        return answer(*args, **kwargs)[0]
 
     for kind, g, n, k, limit, over in (("integer", 2, 128, 10, 0, ("n", 129)),
                                        ("modular", 3, 256, 10, 0, ("n", 257)),
                                        ("integer", 3, 4096, 10, 0, ("n", 4097)),
                                        ("integer", 3, 40, 64, 0, ("k", 65)),
                                        ("modular", 255, 40, 9, 0, ("g", 256)),
-                                       ("integer", 3, 40, 9, (1 << 62) - 1, ("limit", 1 << 62)),
                                        ("integer", 3, 40, 9, 0, ("n", (1 << 32) + 40)),
-                                       ("integer", 3, 40, 9, 0, ("g", (1 << 32) + 3)),
-                                       ("integer", 3, 40, 9, 0, ("limit", (1 << 64) + 5))):
+                                       ("integer", 3, 40, 9, 0, ("g", (1 << 32) + 3))):
         fitting = dict(kind=kind, g=g, n=n, k=k, limit=limit)
         assert status(**fitting) != core.UNFIT, fitting
         assert status(**{**fitting, over[0]: over[1]}) == core.UNFIT, (fitting, over)
+    fitting = answer("integer", 3, 40, 9, (1 << 62) - 1)
+    assert fitting[0] != core.UNFIT
+    for limit in (1 << 62, (1 << 64) + 5):
+        assert answer("integer", 3, 40, 9, limit) == fitting, limit
     calls = []
     real = _corelib.Core.branch
     monkeypatch.setattr(_corelib.Core, "branch",
@@ -524,6 +533,21 @@ def test_branches_past_the_cores_widths_run_on_the_python_engines(monkeypatch):
         with monkeypatch.context() as python:
             python.setattr(search, "_core", None)
             assert exists_set(*case) == dec, case
+
+
+@needs_cc
+def test_a_budget_past_the_cores_limit_runs_on_the_core(monkeypatch):
+    # integer (3, 45, 10) spends 2,855,798 nodes in 14 branches at any
+    # budget that covers them; a budget of 10^19, past int64, answers as
+    # 10^9 does, with every branch on the core
+    answers = []
+    real = _corelib.Core.branch
+    monkeypatch.setattr(_corelib.Core, "branch",
+                        lambda *args: answers.append(real(*args)) or answers[-1])
+    monkeypatch.setattr(search, "_core", _corelib.load())
+    decisions = [exists_set("integer", 3, 45, 10, budget=budget) for budget in (10**9, 10**19)]
+    assert decisions[0] == decisions[1] and decisions[0].nodes == 2_855_798
+    assert len(answers) == 28 and all(status != _corelib.Core.UNFIT for status, *_ in answers)
 
 
 @needs_cc
@@ -690,26 +714,29 @@ def spent(decide, *args, **kwargs):
     return decide(*args, budget=budget, **kwargs), 10**8 - budget.left - budget.reserve
 
 
-def test_bitmask_engine_returns_the_counting_engines_witnesses_in_fewer_nodes():
-    # integer g = 2 is the one question two engines can answer; both
-    # explore candidates in increasing order under the span floors and
-    # the mirror rule, so each branch must return the same witness, not
-    # just agree on feasibility, and the decision must return the
-    # lexicographically first witness.  Only the bitmask engine applies
-    # the Golomb-ruler distance bound, which cuts subtrees and never a
-    # witness, so it spends no more nodes in any branch, and fewer over
-    # the sweep (2,140 against 2,352 in its 891 branches).  Under the
-    # mirror rule a branch's witness, which starts at 0, ends on a gap
-    # no shorter than its first one, second.
-    total = [0, 0]  # bitmask, counting nodes
+def test_the_ruler_bound_keeps_every_witness_in_fewer_nodes():
+    # an integer g = 2 question is also the same question in Z_(2n - 1),
+    # where sums of elements in [0, n - 1] never wrap and no Golomb-ruler
+    # distance bound applies.  Both searches explore candidates in
+    # increasing order under the span floors and the mirror rule, so each
+    # branch must return the same witness, not just agree on feasibility,
+    # and the decision must return the lexicographically first witness.
+    # The bound cuts subtrees and never a witness, so the integer search
+    # spends no more nodes in any branch, and fewer over the sweep (2,140
+    # against 2,352 in its 891 branches).  Under the mirror rule a
+    # branch's witness, which starts at 0, ends on a gap no shorter than
+    # its first one, second.
+    total = [0, 0]  # integer, modular nodes
     for n in range(4, 26):
         for k in (3, 4, 5):
             fast = exists_set("integer", 2, n, k)
             last = _last_candidates(2, k, n - 1)
-            branches = [spent(_decide_counts_int, 2, k, *_bounds(last, second))
+            branches = [spent(_decide, "modular", 2, 2 * n - 1, k, *_bounds(last, second),
+                              second=second, canonical=False)
                         for second in range(1, n)]
             for second, (slow, slow_nodes) in enumerate(branches, 1):
-                witness, nodes = spent(_decide_sidon_int, k, *_bounds(last, second))
+                witness, nodes = spent(_decide, "integer", 2, n, k, *_bounds(last, second),
+                                       second=second, canonical=False)
                 assert witness == slow and nodes <= slow_nodes, (n, k, second)
                 total[0] += nodes
                 total[1] += slow_nodes
@@ -827,12 +854,12 @@ def test_mirror_and_canonical_rules_match_a_floors_only_search():
                     pairs = itertools.combinations(w, 2)
                     assert all(gcd(b - a, n) >= w[1] for a, b in pairs), case
                     assert w[1] - w[0] <= w[-1] - w[-2], case
-    # the rules prune in every engine: the bitmask one (integer g = 2),
-    # the integer counting one and the modular mask one.  Each bound sits just above the
+    # the rules prune every kind of question: integer g = 2, integer
+    # g >= 3 and modular g = 2 and g >= 3.  Each bound sits just above the
     # share spent today (0.112, 0.552, 0.0256, 0.0967 of the floors-only
-    # nodes), so a cap one looser or a rule left out of an engine fails.
+    # nodes), so a cap one looser or a rule left out of a path fails.
     # Integer g = 2 spends 0.643 without the Golomb-ruler distance bound,
-    # so the bitmask engine cannot lose it.
+    # so neither path can lose it.
     most = {("integer", True): 0.12, ("integer", False): 0.56,
             ("modular", True): 0.027, ("modular", False): 0.099}
     for group, (reference_nodes, nodes) in spent.items():
@@ -905,8 +932,8 @@ def byte_pair_bans(n, t):
 def byte_table_branch(g, n, k, last, budget, second, canonical=False):
     """A modular branch as a range loop over a byte table of bans.
 
-    The reference for _decide_modular: it works out each level's range
-    from last and second itself, where the engine reads it off _bounds,
+    The reference for _decide's modular kind: it works out each level's
+    range from last and second itself, where _decide reads it off _bounds,
     tests each candidate of the range in turn, a ban byte first, then its
     diagonal and pair sums against r(t) indexed (e + y) % n, and charges
     nodes in the same runs.
@@ -993,9 +1020,9 @@ def test_mask_engine_matches_the_byte_table_loop():
                 for second in range(1, last[1] + 1):
                     kwargs = {"second": second, "canonical": canonical}
                     cases = {byte_table_branch: (g, n, k, last),
-                             _decide_modular: (g, n, k, *_bounds(last, second))}
+                             _decide: ("modular", g, n, k, *_bounds(last, second))}
                     reference = spent(byte_table_branch, *cases[byte_table_branch], **kwargs)
-                    assert spent(_decide_modular, *cases[_decide_modular], **kwargs) == reference, \
+                    assert spent(_decide, *cases[_decide], **kwargs) == reference, \
                         (g, n, k, kwargs)
                     if reference[1]:
                         for decide, case in cases.items():
@@ -1030,8 +1057,8 @@ def test_least_affine_images_pass_the_canonical_rule():
         branches = {(g, L[1]) for L, rep in least_images(n, k).items() for g in range(rep, 5)}
         for g, second in branches:
             last = _last_candidates(g, k, n - 1)
-            assert _decide_modular(g, n, k, *_bounds(last, second), _Budget(10**9), second,
-                                   canonical=True) is not None, (g, n, k, second)
+            assert _decide("modular", g, n, k, *_bounds(last, second), _Budget(10**9), second,
+                           canonical=True) is not None, (g, n, k, second)
         for L in least_images(n, k):
             s, t = L[1], L[2]
             assert n % s == 0, (n, L)
