@@ -1,11 +1,11 @@
 /* The compiled twin of search.py's _decide, in three engines.
  *
  * bstar_branch runs one branch of a decision, node for node as _branch
- * does in Python with _decide: the same (gap, cap) table from _bounds,
+ * does in Python with _decide, under the node and budget contract that
+ * search.py's docstring states: the same (gap, cap) table from _bounds,
  * the same candidates in the same order, and nodes charged in the same
- * runs against the same budget, which polls the decision's stop flag at
- * every refill as _Budget does.  So it returns _decide's witness and
- * nodes, and it runs out of budget at the same point.  Where _decide
+ * runs against the same limit.  Its budget is handed out poll nodes at a
+ * time, and every refill polls the decision's stop flag.  Where _decide
  * tests every candidate of a range against its profile, the question
  * picks one of three engines here, each the fastest in C on its kind:
  * the modular mask engine, which reads a level's candidates off bit
@@ -20,13 +20,14 @@
  * one profile and take the additions back after the subtree; the counts
  * each candidate is tested against are the same.
  *
- * The widths are fixed, and bstar_branch answers UNFIT for a branch past
- * them, which _branch then runs in Python: k <= MAX_K, integer g = 2
- * masks of 128 bits (n <= MAX_G2_N), modular masks of 2n <= 64 *
- * MASK_WORDS bits (n <= MAX_MOD_N), integer profiles of 2n - 1 <=
- * MAX_PROFILE counts, and counts in bytes as in Python's bytearrays
- * (g <= UCHAR_MAX).  A node limit of MAX_LIMIT or more runs as
- * MAX_LIMIT - 1, a count that no branch reaches.
+ * The widths are fixed: k <= MAX_K = 64; counts in bytes as in Python's
+ * bytearrays, g <= UCHAR_MAX = 255; integer g = 2 masks of 128 bits,
+ * n <= MAX_G2_N = 128; modular masks of 2n <= 64 * MASK_WORDS bits,
+ * n <= MAX_MOD_N = 256; other integer profiles of 2n - 1 <= MAX_PROFILE
+ * counts, n <= 4096.  bstar_fits tells whether a question lies within
+ * them, and bstar_branch answers UNFIT for a branch past them, which
+ * _branch then runs in Python.  A node limit of MAX_LIMIT or more runs
+ * as MAX_LIMIT - 1, a count that no branch reaches.
  *
  * A call from the interpreter's main thread with no stop flag takes
  * SIGINT for its length, unless SIGINT is ignored: Ctrl-C then ends the
@@ -53,7 +54,7 @@ typedef unsigned __int128 u128;
 /* Outcomes of a branch and of a charge: 0 is no witness or a paid charge. */
 enum { NONE = 0, FOUND = 1, OVER = -1, STOPPED = -2, INTERRUPTED = -3, UNFIT = -4 };
 
-/* _Budget: a node allowance handed out poll nodes at a time. */
+/* A branch's node allowance, handed out poll nodes at a time. */
 typedef struct {
     int64_t left, reserve, poll;
     const volatile signed char *stop;  /* the decision's stop flag, or NULL on the main thread */
@@ -437,7 +438,8 @@ static void on_sigint(int signum)
     sigint_seen = 1;
 }
 
-static int fits(int modular, int g, int n, int k)
+/* Whether a branch of (modular, g, n, k) lies within the widths above. */
+int bstar_fits(int modular, int g, int n, int k)
 {
     if (k > MAX_K || g > UCHAR_MAX)
         return 0;
@@ -453,7 +455,7 @@ int bstar_branch(int modular, int g, int n, int k, const int *gap, const int *ca
                  int second, int canonical, int64_t limit, const volatile signed char *stop,
                  int64_t poll, int interruptible, int *witness, int64_t *nodes)
 {
-    if (!fits(modular, g, n, k))
+    if (!bstar_fits(modular, g, n, k))
         return UNFIT;
     if (limit >= MAX_LIMIT)  /* 2^62 nodes take over 1,000 years at 10^8 nodes/s */
         limit = MAX_LIMIT - 1;

@@ -11,7 +11,7 @@ name that os.replace moves in, so none loads a half-written file.  The
 name is public, so load runs a library only where no other user could
 have put it: the library and its folder belong to the user or to root
 and are writable by neither group nor others.  search imports this
-module at its first branch.
+module when it first needs the core.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ SOURCE = Path(__file__).with_name("_core.c")
 
 
 class Core:
-    """bstar_branch of one loaded library."""
+    """bstar_fits and bstar_branch of one loaded library."""
 
     # bstar_branch's outcomes other than no witness (0) and Ctrl-C, which branch handles
     FOUND, OVER, STOPPED, UNFIT = 1, -1, -2, -4
@@ -42,6 +42,14 @@ class Core:
                                                       ctypes.c_int64, ctypes.c_int, ints,
                                                       ctypes.POINTER(ctypes.c_int64)]
         self._branch.restype = ctypes.c_int
+        self._fits = lib.bstar_fits
+        self._fits.argtypes = [ctypes.c_int] * 4
+        self._fits.restype = ctypes.c_int
+
+    def fits(self, kind, g, n, k) -> bool:
+        """Whether the branches of (kind, g, n, k) lie within the core's widths,
+        which _core.c defines; False where g, n or k is past a C int."""
+        return max(g, n, k) <= _INT_MAX and bool(self._fits(kind == "modular", g, n, k))
 
     def branch(self, kind, g, n, k, gap, cap, second, limit, canonical, stop, poll):
         """(status, witness tuple or None, nodes) of search._branch's branch; UNFIT

@@ -34,8 +34,8 @@ UNDECIDED = 3
 # needs no numpy; tests/test_cli.py keeps the two equal
 _KERNEL_FAMILIES = ("K1", "K3", "K5")
 
-_THREADS_HELP = ("run up to this many branches of a decision at once, in threads; "
-                 "only branches on the compiled core run faster (default: 1)")
+_THREADS_HELP = ("run up to this many branches of a decision at once, in threads, "
+                 "where the compiled core takes the decision (default: 1)")
 
 
 class _Parser(argparse.ArgumentParser):

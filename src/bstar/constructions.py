@@ -179,10 +179,10 @@ def half_modular(s: IntSet, g: int, m: IntSet, h: int) -> ConstructionReport:
     if not s.elements or not m.elements:
         raise ValueError("empty sets cannot be combined")
     y = m.modulus
-    shifted = s.translate(-s.elements[0])
-    span = shifted.max_element + 1
+    shifted = [e - s.elements[0] for e in s.elements]
+    span = shifted[-1] + 1
     m_small = _rotate_to_minimal_span(m)
-    combined = IntSet.of(mm + y * ss for ss in shifted.elements for mm in m_small)
+    combined = IntSet.of(mm + y * ss for ss in shifted for mm in m_small)
     limit = y * span + 1 - math.ceil(y / len(m))
     if len(combined) != len(s) * len(m) or combined.max_element > limit:
         raise AssertionError("combined set violates its promised span")

@@ -69,14 +69,6 @@ class IntSet:
             raise ValueError("empty set has no max element")
         return self.elements[-1]
 
-    def translate(self, c: int) -> "IntSet":
-        """S + c (reduced mod n in the modular setting)."""
-        if self.modulus is not None:
-            return IntSet.of((e + c for e in self.elements), self.modulus)
-        if self.elements and self.elements[0] + c < 0:
-            raise ValueError("translation would produce negative elements")
-        return IntSet(tuple(e + c for e in self.elements))
-
 
 def _indicator_rfft(idx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """rfft along axis 0 of the 0/1 array of `shape` that is 1 at the flat positions idx.

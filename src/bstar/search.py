@@ -27,54 +27,56 @@ Its Python twin is _decide, one range loop for every question: the
 counting DFS over a profile of n counts (modular) or 2n - 1 (integer),
 with the canonical bans of the modular kind and the distance bound of
 integer g = 2, and the same witness and nodes as the core's engines.
-The first _branch of a process has _corelib build the core with
-cc -O2 -shared -fPIC into __pycache__ next to the source (or the user's
-own 0700 folder in the temporary directory), under a name keyed by the
-source's checksums, and load it through ctypes; a process that cannot
-build or load it has None for it.  _branch runs a branch on the core
-where it loaded, and on _decide where it did not or where the core
-answers that the branch lies past its fixed widths, which _core.c
-defines and checks:
+The first call of _loaded_core in a process has _corelib build the core
+with cc -O2 -shared -fPIC into __pycache__ next to the source (or the
+user's own 0700 folder in the temporary directory), under a name keyed
+by the source's checksums, and load it through ctypes; a process that
+cannot build or load it has None for it.  _branch runs a branch on the
+core where it loaded, and on _decide where it did not or where the core
+answers that the branch lies past its fixed widths, which the _core.c
+header lists.
 
-* k <= 64, counts in bytes as in _decide's bytearray (g <= 255);
-* integer g = 2 on unsigned __int128 masks: n <= 128;
-* modular masks of 2n bits in at most eight 64-bit words: n <= 256;
-* integer g != 2 profiles of 2n - 1 counts: n <= 4096.
-
-The node and budget contract holds on either path.  The core visits the
-same candidates in the same order, charges them in the same runs
-against the same allowance, handed out _POLL_NODES at a time, and at
-every refill polls the decision's stop flag, which it reads through the
-flag's ctypes.addressof.  So it returns the same witness and nodes, and
-its status becomes the same BudgetExceeded at the same point, or
-_Stopped.  (A limit of 2^62 nodes or more runs on the core as 2^62 - 1,
-which no branch reaches.)  On the main thread, where there is no flag,
-the core takes SIGINT for the length of a branch, so Ctrl-C ends it
-within _POLL_NODES nodes as it ends _decide, with KeyboardInterrupt; in
-threads, the main thread takes it and sets the flag.  The core took the
-same nodes 24-91 times faster than _decide: modular (2, 72, 9) 4.6 ms
-against 225 ms, integer (3, 45, 10) 29 ms against 1.43 s, integer
-(2, 55, 10) 3.6 ms against 323 ms, and the R and C tables 0.048 and
-0.044 s against 2.46 and 1.80 s (BENCH_search.json, medians of 5
-alternating rounds, CPython 3.11 on a shared 2-core x86 host).  _decide
-is the path for hosts without cc and for branches past the core's
-widths, and the independent reference that the tests hold the core's
-masks to.
+The node and budget contract holds on either path.  A node is one
+candidate tried, in every engine, whichever test rejects it.  A branch
+charges its candidates to its limit in runs: the candidates up to an
+accepted one before its subtree, the rest of the range when a level
+ends, in the order that one node per candidate would, and it raises
+BudgetExceeded once the charges pass the limit.  The core visits the same
+candidates in the same order and charges them in the same runs, so it
+returns _decide's witness and nodes, and runs out at the same point.  (A
+limit of 2^62 nodes or more runs on the core as 2^62 - 1, which no
+branch reaches.)  The core hands out a limit _POLL_NODES nodes at a time
+and polls at every refill: in a thread, the decision's stop flag, which
+it reads through the flag's ctypes.addressof, so a branch that is no
+longer needed ends with _Stopped; on the main thread, where there is no
+flag, SIGINT, which it takes for the length of a branch, so Ctrl-C ends
+a branch within _POLL_NODES nodes, with KeyboardInterrupt, as it ends
+_decide at once.  The core took the same nodes 24-91 times faster than
+_decide: modular (2, 72, 9) 4.6 ms against 225 ms, integer (3, 45, 10)
+29 ms against 1.43 s, integer (2, 55, 10) 3.6 ms against 323 ms, and
+the R and C tables 0.048 and 0.044 s against 2.46 and 1.80 s
+(BENCH_search.json, medians of 5 alternating rounds, CPython 3.11 on a
+shared 2-core x86 host).  _decide is the path for hosts without cc and
+for branches past the core's widths, and the independent reference that
+the tests hold the core's masks to.
 
 Both questions are translation invariant, so a decision searches the
 sets that start at 0, integer ones in [0, n - 1], and exists_set
 shifts an integer witness into [1, n]; the DFS yields the
 lexicographically first witness.  A decision is one loop over the
-branches, one per second element in increasing order, on the calling
-thread or in threads; it stops at the first witness, and its nodes and
-its budget are those of the branches it consumed, in either mode.  A
-node is one candidate tried, in every engine, whichever test rejects it.
-A call into the core releases the GIL, so two threads took integer
+branches, one per second element in increasing order; it stops at the
+first witness, and its nodes and its budget are those of the branches it
+consumed, serially or in threads.  With workers > 1 its branches run in
+threads only where all of these hold: n >= _PARALLEL_MIN_N, there is
+more than one branch, and the core takes the question (Core.fits).  A
+call into the core releases the GIL, so two threads took integer
 (2, 85, 12) from 0.386 to 0.234 s and (3, 57, 11) from 0.360 to 0.193 s
 (medians of 9 alternating rounds, CPython 3.11, a shared 2-core x86
-host).  Modular decisions gain nothing, as the canonical rule leaves one
-branch or one with nearly all the nodes, and _decide holds the GIL: on
-it threads run at about serial speed.
+host).  _decide holds the GIL, and on it two threads took integer
+(3, 45, 10) in 1.59-1.80 s against 1.45-1.62 s serially (3 alternating
+rounds, same host), so every other decision runs on the calling thread.
+Modular decisions gain little, as the canonical rule leaves one branch
+or one with nearly all the nodes.
 
 Four rules prune the DFS:
 
@@ -249,40 +251,30 @@ class Decision:
 
 
 class _Stopped(Exception):
-    """A thread's branch was abandoned after the decision ended; never consumed."""
+    """A thread's branch on the core was abandoned after the decision ended; never consumed."""
 
 
-# A branch polls its decision's stop flag once per this many nodes.
+# A branch on the core polls its decision's stop flag, or Ctrl-C, once per
+# this many nodes.
 _POLL_NODES = 4096
 
 
 class _Budget:
-    """Node allowance of one branch, handed out _POLL_NODES at a time.
+    """Node allowance of one branch on _decide: left is what it has not spent.
 
-    charge (a run of count nodes) stays one subtraction and one test;
-    every refill, the first one included, also polls the stop flag, a
-    ctypes byte or None, so a thread quits a branch that is no longer
-    needed within _POLL_NODES nodes, or one run when that is longer.
+    charge (a run of count nodes) is one subtraction and one test.  No
+    branch on _decide runs in a thread, so there is no flag to poll, and
+    Ctrl-C reaches it as KeyboardInterrupt between any two bytecodes.
     """
-    __slots__ = ("left", "reserve", "stop")
+    __slots__ = ("left",)
 
-    def __init__(self, limit: int, stop=None):
-        self.left, self.reserve, self.stop = 0, limit, stop
+    def __init__(self, limit: int):
+        self.left = limit
 
     def charge(self, count: int):
         self.left -= count
         if self.left < 0:
-            self._refill()
-
-    def _refill(self):
-        """Cover the overdraft -left from the reserve, or raise."""
-        if self.reserve < -self.left:
             raise BudgetExceeded("node budget exhausted")
-        if self.stop is not None and self.stop.value:
-            raise _Stopped
-        take = min(self.reserve, max(_POLL_NODES, -self.left))
-        self.reserve -= take
-        self.left += take
 
 
 def infeasibility_floor(kind: str, g: int, k: int) -> int:
@@ -542,39 +534,48 @@ def _decide(kind: str, g: int, n: int, k: int, gap: list[int], cap: list[int],
     return rec([0], r, 0, ban, 1)
 
 
-# The compiled core, a _corelib.Core, once _branch has first asked for it;
-# None where it cannot be built or loaded, _UNLOADED before that.
+# The compiled core, a _corelib.Core, once _loaded_core has first been
+# called; None where it cannot be built or loaded, _UNLOADED before that.
 _UNLOADED = object()
 _core = _UNLOADED
+
+
+def _loaded_core():
+    """The compiled core, loaded at the first call of a process, or None.
+
+    _corelib is imported here, so a process that decides nothing never
+    loads it.
+    """
+    global _core
+    if _core is _UNLOADED:
+        from ._corelib import load
+        _core = load()
+    return _core
 
 
 def _branch(args, stop=None):
     """(witness tuple or None, nodes) of one branch; BudgetExceeded past limit nodes.
 
     The core runs the branch where it loaded and the branch fits it,
-    _decide otherwise, with the same answer and nodes; either polls
-    stop, the decision's flag in a thread, and raises _Stopped once it is
-    set.  _corelib is imported here, so a process that decides nothing
-    never loads it.
+    _decide otherwise, with the same answer and nodes.  On the core,
+    stop, the decision's flag in a thread, ends the branch with _Stopped
+    once it is set.
     """
-    global _core
     kind, g, n, k, last, second, limit, canonical = args
     gap, cap = _bounds(last, second)
-    if _core is _UNLOADED:
-        from ._corelib import load
-        _core = load()
-    if _core is not None:
-        status, witness, nodes = _core.branch(kind, g, n, k, gap, cap, second, limit,
-                                              canonical, stop, _POLL_NODES)
-        if status == _core.OVER:
+    core = _loaded_core()
+    if core is not None:
+        status, witness, nodes = core.branch(kind, g, n, k, gap, cap, second, limit,
+                                             canonical, stop, _POLL_NODES)
+        if status == core.OVER:
             raise BudgetExceeded("node budget exhausted")
-        if status == _core.STOPPED:
+        if status == core.STOPPED:
             raise _Stopped
-        if status != _core.UNFIT:
+        if status != core.UNFIT:
             return witness, nodes
-    budget = _Budget(limit, stop)
+    budget = _Budget(limit)
     witness = _decide(kind, g, n, k, gap, cap, budget, second, canonical)
-    return witness, limit - budget.left - budget.reserve
+    return witness, limit - budget.left
 
 
 def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
@@ -584,14 +585,15 @@ def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
     Both kinds search sets that start at 0: integer ones in [0, n - 1],
     modular ones in Z_n.  Under the mirror rule a branch whose first gap
     second exceeds last[2] - second is empty, so the branches end before
-    it.  A branch's job may spend what the consumed branches left when it
-    is queued, ahead branches before its turn: one on the calling thread,
-    twice the threads in a pool, so that a thread whose branch ends takes
-    the next job at once.  A limit is never below what is left at its
-    turn, so the loop tests the total too, and neither the answer, the
-    nodes nor the budget's outcome depends on the schedule.  On leaving,
-    the loop sets the stop flag, which threads poll every _POLL_NODES
-    nodes, and joins them.
+    it.  The branches run in threads only where the module docstring's
+    rule sends them there.  Then every branch is open to the threads at
+    once, with the whole budget: each thread takes the next one that none
+    has taken, and stops after one with a witness or an error, since the
+    loop reads no branch past it.  Serially each branch gets what the
+    branches before it left.  The loop consumes the branches in order and
+    tests the total, so neither the answer, the nodes nor the budget's
+    outcome depends on the schedule.  On leaving, it sets the stop flag,
+    which the core polls every _POLL_NODES nodes, and joins the threads.
     """
     last = _last_candidates(g, k, n - 1)
     end = last[1] if k < 3 else min(last[1], last[2] // 2)
@@ -599,33 +601,39 @@ def _search(kind: str, g: int, n: int, k: int, budget: int, workers: int,
     if canonical:  # a least affine image's second element divides n
         seconds = [s for s in seconds if n % s == 0]
     workers = min(workers, len(seconds)) if n >= _PARALLEL_MIN_N else 1
-    pool, stop, ahead = None, None, 1
-    if workers > 1:  # a branch on the core runs without the GIL
+    pool = None
+    if workers > 1 and (core := _loaded_core()) is not None and core.fits(kind, g, n, k):
         import ctypes
-        from concurrent.futures import ThreadPoolExecutor
-        pool, stop, ahead = ThreadPoolExecutor(workers), ctypes.c_byte(), 2 * workers
+        from concurrent.futures import Future, ThreadPoolExecutor
+        pool, stop, todo = ThreadPoolExecutor(workers), ctypes.c_byte(), iter(seconds)
+        jobs = {s: Future() for s in seconds}
+
+        def work():
+            """Run the next branch that no thread has taken, up to one with a witness or an error."""
+            for s in todo:  # the GIL makes each step of the shared iterator atomic
+                try:
+                    jobs[s].set_result(_branch((kind, g, n, k, last, s, budget, canonical), stop))
+                except BaseException as exc:  # the loop raises it when it reads branch s
+                    jobs[s].set_exception(exc)
+                    return
+                if jobs[s].result()[0] is not None:
+                    return
     nodes, witness = 0, None
-
-    def start(second):
-        """A call that returns the branch's (witness, nodes): a queued job's or one to run."""
-        job = (kind, g, n, k, last, second, budget - nodes, canonical)
-        return pool.submit(_branch, job, stop).result if pool else lambda: _branch(job)
-
-    todo = iter(seconds)
     try:
-        queued = list(map(start, itertools.islice(todo, ahead)))
-        while queued:
-            witness, spent = queued.pop(0)()
+        for _ in range(workers if pool else 0):
+            pool.submit(work)
+        for second in seconds:
+            witness, spent = (jobs[second].result() if pool else
+                              _branch((kind, g, n, k, last, second, budget - nodes, canonical)))
             nodes += spent
             if nodes > budget:
                 raise BudgetExceeded("node budget exhausted")
             if witness is not None:
                 break
-            queued.extend(map(start, itertools.islice(todo, 1)))
     finally:
         if pool:
             stop.value = 1
-            pool.shutdown(cancel_futures=True)
+            pool.shutdown()
     return witness, nodes
 
 

@@ -12,7 +12,7 @@ import bstar
 from bstar import kernels, search
 from bstar.cli import run
 from bstar.constructions import ConstructionReport, half_modular, singer_sets, small_gn_witness
-from bstar.intervals import IntervalSet, largest_symmetric_subset
+from bstar.intervals import IntervalSet, delta_k_upper, largest_symmetric_subset
 from bstar.intsets import IntSet, is_bstar
 
 
@@ -289,6 +289,29 @@ def test_bounds_subcommand(capsys):
     # an underflowed ubiquity bound prints 0.0, never -0.0
     assert run(["bounds", "ubiquity", "--gamma", "1e-200", "--alpha", "0.5"]) == 0
     assert capsys.readouterr().out == '{"ubiquity_spectral": 0.0, "ubiquity_counting": 0.0}\n'
+
+
+def test_delta_k_and_the_kernel_bounds_print_their_library_values(capsys):
+    code, obj = run_json(capsys, ["delta-k", "--k", "2", "--epsilon", "0.5",
+                                  "--restarts", "3", "--seed", "4"])
+    value, witness = delta_k_upper(2, 0.5, restarts=3, seed=4)
+    assert code == 0 and list(obj) == ["k", "epsilon", "seed", "upper_bound", "witness"]
+    assert (obj["k"], obj["epsilon"], obj["seed"]) == (2, 0.5, 4)
+    assert obj["upper_bound"] == pytest.approx(value, rel=1e-11)
+    assert [len(interval) for interval in obj["witness"]] == [2] * len(witness.intervals)
+    assert (sum(obj["witness"], []) ==
+            pytest.approx([x for interval in witness.intervals for x in interval], rel=1e-11))
+    code, obj = run_json(capsys, ["bounds", "delta-half", "--epsilon", "0.5"])
+    floor = kernels.delta_half_lower(0.5)
+    assert code == 0 and obj == {"ffinorm_floor": pytest.approx(floor, rel=1e-11),
+                                 "delta_lower": pytest.approx(floor / 8, rel=1e-11)}
+    code, obj = run_json(capsys, ["bounds", "certificate"])  # K5 at T = 10^4
+    threshold, ok = kernels.delta_lower_certificate(kernels.BoundCertificate.from_kernel(
+        kernels.PiecewiseLinearKernel.from_family("K5", 10**4)))
+    assert code == 0 and ok and obj == {
+        "certified_ffinorm": pytest.approx(threshold, rel=1e-11), "certified": True,
+        "delta_quadratic_constant": pytest.approx(threshold / 2, rel=1e-11)}
+    assert obj["certified_ffinorm"] >= 1.182778
 
 
 def test_construct_and_round_trip(capsys):

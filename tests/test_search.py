@@ -37,6 +37,7 @@ from bstar.search import (
     exists_set,
     infeasibility_floor,
     min_n,
+    table_rows,
 )
 
 
@@ -162,8 +163,13 @@ def test_min_n_monotone_in_k_and_g():
 
 
 def test_not_found_within_limit():
-    res = min_n(SearchProblem("integer", 2, 8, 1, 30))
-    assert res.min_n is None and res.witness is None and res.exhaustive
+    # an integer range below the minimum (35), and a modular one from the
+    # floor (42) up, decided n by n; a table stops at its first k with no
+    # witness, here its first one, since g = 1 admits no 2-set
+    for problem in (SearchProblem("integer", 2, 8, 1, 30), SearchProblem("modular", 2, 7, 42, 47)):
+        res = min_n(problem)
+        assert res.min_n is None and res.witness is None and res.exhaustive, problem
+    assert list(table_rows("integer", 1, 1, 4)) == []
 
 
 def test_narrow_range_is_not_exhaustive():
@@ -229,9 +235,10 @@ def test_workers_match_serial():
         assert serial.nodes == parallel.nodes, case
 
 
+@needs_cc
 def test_stop_flag_ends_a_branch():
-    # a thread polls its decision's flag at a branch's first node and
-    # then every _POLL_NODES nodes; a raised flag drops the branch at
+    # a branch on the core polls its decision's flag at its first node
+    # and then every _POLL_NODES nodes; a raised flag drops the branch at
     # once.  The branch second = 2 of modular (3, 56, 9) is one the
     # canonical rule keeps (2 divides 56), with no witness.
     job = ("modular", 3, 56, 9, search._last_candidates(3, 9, 55), 2, 10**9, True)
@@ -239,10 +246,6 @@ def test_stop_flag_ends_a_branch():
         search._branch(job, ctypes.c_byte(1))
     witness, nodes = search._branch(job, ctypes.c_byte(0))
     assert witness is None and nodes > search._POLL_NODES
-
-
-def test_stop_flag_ends_a_branch_on_the_python_engines(python_engines):
-    test_stop_flag_ends_a_branch()
 
 
 def recorded_executors(monkeypatch):
@@ -258,6 +261,34 @@ def recorded_executors(monkeypatch):
     return sizes
 
 
+def recorded_branches(monkeypatch):
+    """The (second, limit) of every branch that a decision runs, in a list."""
+    jobs = []
+    real = search._branch
+
+    def branch(job, stop=None):
+        jobs.append((job[5], job[6]))
+        return real(job, stop)
+
+    monkeypatch.setattr(search, "_branch", branch)
+    return jobs
+
+
+def test_a_decision_off_the_core_opens_no_threads(monkeypatch):
+    # _decide holds the GIL, so a decision whose branches run there stays
+    # on the calling thread: with no core (modular (3, 30, 7) has six
+    # branches), and past the core's widths (integer g = 2 holds to
+    # n = 128), where a decision that fits opens its threads
+    sizes = recorded_executors(monkeypatch)
+    for case, core in ((("modular", 3, 30, 7), None),
+                       (("integer", 2, 130, 6), search._loaded_core())):
+        monkeypatch.setattr(search, "_core", core)
+        serial = exists_set(*case)
+        assert exists_set(*case, workers=2) == serial, case
+        assert sizes == [], case
+
+
+@needs_cc
 def test_early_stop_with_more_workers_than_cores(monkeypatch):
     # the witness turns up in the first of 16 branches while later, long
     # branches still run or wait; the loop stops them by the flag and
@@ -274,6 +305,7 @@ def test_early_stop_with_more_workers_than_cores(monkeypatch):
     assert threading.active_count() == threads
 
 
+@needs_cc
 def test_the_pool_has_at_most_one_worker_per_branch(monkeypatch):
     # modular (3, 53, 9) has one branch under the canonical rule (53 is
     # prime) and runs on the calling thread; (3, 30, 7) has six, one per
@@ -289,33 +321,49 @@ def test_the_pool_has_at_most_one_worker_per_branch(monkeypatch):
         assert sizes == pools, (case, workers)
 
 
+@needs_cc
 def test_a_job_gets_what_the_consumed_branches_left(monkeypatch):
     # the first two branches of integer (3, 45, 10) spend 945,108 and
-    # 654,371 nodes.  With a budget of 10^6 and two workers, the jobs of
-    # branches 1-4 are queued at once with the whole budget, and branch
-    # 5's when branch 1 is consumed, with the 54,892 nodes it left; the
-    # loop's total test raises when it consumes branch 2.  Serially
-    # branch 2 gets those 54,892 nodes and runs out inside itself.
-    limits = {}
-    real = search._branch
+    # 654,371 nodes.  With a budget of 10^6, serially branch 2 gets the
+    # 54,892 nodes that branch 1 left and runs out inside itself.  With
+    # two workers every branch that a thread takes gets the whole budget,
+    # and the loop's total test raises when it consumes branch 2.
+    jobs = recorded_branches(monkeypatch)
+    with pytest.raises(BudgetExceeded):
+        exists_set("integer", 3, 45, 10, budget=10**6)
+    assert jobs == [(1, 10**6), (2, 54_892)]
+    jobs.clear()
+    with pytest.raises(BudgetExceeded):
+        exists_set("integer", 3, 45, 10, budget=10**6, workers=2)
+    assert {1, 2} <= {s for s, _ in jobs} and {limit for _, limit in jobs} == {10**6}
 
-    def branch(job, stop=None):
-        limits[job[5]] = job[6]
-        return real(job, stop)
 
-    class Recorded(concurrent.futures.ThreadPoolExecutor):
-        def submit(self, fn, job, stop):
-            limits[job[5]] = job[6]
-            return super().submit(fn, job, stop)
+@needs_cc
+def test_a_thread_stops_after_a_branch_with_a_witness(monkeypatch):
+    # the loop reads no branch past one with a witness, so a thread takes
+    # no other branch after it: each of integer (3, 60, 6)'s first
+    # branches has one, and two threads run two branches of its 27
+    jobs = recorded_branches(monkeypatch)
+    assert exists_set("integer", 3, 60, 6, workers=2) == exists_set("integer", 3, 60, 6)
+    assert sorted(s for s, _ in jobs) == [1, 1, 2]
 
-    monkeypatch.setattr(search, "_branch", branch)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
-    for workers, expected in ((1, {1: 10**6, 2: 54_892}),
-                              (2, {1: 10**6, 2: 10**6, 3: 10**6, 4: 10**6, 5: 54_892})):
-        limits.clear()
-        with pytest.raises(BudgetExceeded):
-            exists_set("integer", 3, 45, 10, budget=10**6, workers=workers)
-        assert limits == expected, workers
+
+@needs_cc
+def test_threads_take_each_branch_once(monkeypatch):
+    # the threads share one iterator over the branches: with more threads
+    # than cores and the interpreter switching threads every microsecond,
+    # each of integer (2, 34, 8)'s 9 branches (no witness) still runs once
+    serial = exists_set("integer", 2, 34, 8)
+    jobs = recorded_branches(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            jobs.clear()
+            assert exists_set("integer", 2, 34, 8, workers=(os.cpu_count() or 1) + 2) == serial
+            assert sorted(s for s, _ in jobs) == list(range(1, 10))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_budget_means_the_same_with_workers():
@@ -332,6 +380,7 @@ def test_budget_means_the_same_with_workers():
             assert (dec.witness, dec.nodes) == (serial.witness, serial.nodes), (case, workers)
 
 
+@needs_cc
 def test_a_pool_branch_that_overruns_raises_in_its_worker():
     # the first branch of integer (2, 34, 8) alone spends 5,223 nodes, so
     # a budget of 5,000 runs out inside its thread; the loop re-raises
@@ -619,13 +668,13 @@ def test_budget_charges_runs():
     budget.charge(5)
     with pytest.raises(BudgetExceeded):
         budget.charge(1)
-    # a run longer than one refill is covered in one go
+    # a long run is paid in one go, and the limit is met exactly
     budget = _Budget(3 * _POLL_NODES)
     budget.charge(2 * _POLL_NODES + 1)
-    assert budget.left >= 0
-    assert 3 * _POLL_NODES - budget.left - budget.reserve == 2 * _POLL_NODES + 1
+    assert budget.left == _POLL_NODES - 1
+    budget.charge(_POLL_NODES - 1)
     with pytest.raises(BudgetExceeded):
-        budget.charge(_POLL_NODES)
+        budget.charge(1)
 
 
 def ruler_difference_masks(r, room):
@@ -711,7 +760,7 @@ def test_integer_descent_matches_upward_scan(monkeypatch):
 def spent(decide, *args, **kwargs):
     """(witness, nodes) of one branch call."""
     budget = _Budget(10**8)
-    return decide(*args, budget=budget, **kwargs), 10**8 - budget.left - budget.reserve
+    return decide(*args, budget=budget, **kwargs), 10**8 - budget.left
 
 
 def test_the_ruler_bound_keeps_every_witness_in_fewer_nodes():
