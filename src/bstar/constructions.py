@@ -227,7 +227,9 @@ def random_circle_set(n: int, epsilon: float, seed: int = 0) -> ProbConstructRep
         raise ValueError("epsilon must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     keep = rng.random(n) < epsilon
-    s = IntSet.of(((np.flatnonzero(keep) + 1) % n).tolist(), n)
+    # residue (i + 1) % n is kept when keep[i]: keep rolled by one lists
+    # them in increasing order, the wrapped n -> 0 first
+    s = IntSet(tuple(np.flatnonzero(np.roll(keep, 1)).tolist()), n)
     return ProbConstructReport(
         name="random_circle",
         set=s,
@@ -242,7 +244,11 @@ def random_circle_set(n: int, epsilon: float, seed: int = 0) -> ProbConstructRep
 
 def integer_inclusion_probabilities(n: int, gamma: float) -> np.ndarray:
     """p_k = 1 for k < gamma/pi, sqrt(gamma/(pi k)) for gamma/pi <= k <= n."""
-    k = np.arange(1, n + 1, dtype=float)
+    return _inclusion_probabilities(np.arange(1, n + 1, dtype=float), gamma)
+
+
+def _inclusion_probabilities(k: np.ndarray, gamma: float) -> np.ndarray:
+    """p_k of integer_inclusion_probabilities at the positions k (floats)."""
     return np.where(k < gamma / math.pi, 1.0, np.sqrt(gamma / (math.pi * k)))
 
 
@@ -262,8 +268,15 @@ def random_integer_set(n: int, gamma: float, seed: int = 0) -> ProbConstructRepo
     if n < gamma:
         raise ValueError("need n >= gamma")
     rng = np.random.default_rng(seed)
-    keep = rng.random(n) < integer_inclusion_probabilities(n, gamma)
-    s = IntSet.of((np.flatnonzero(keep) + 1).tolist())
+    # rng.random(n) < integer_inclusion_probabilities(n, gamma), drawn in
+    # chunks of 2^16 positions: the same draws, without n-long arrays
+    chunk = 1 << 16
+    kept = []
+    for lo in range(0, n, chunk):
+        k = np.arange(lo + 1, min(lo + chunk, n) + 1, dtype=float)
+        keep = rng.random(len(k)) < _inclusion_probabilities(k, gamma)
+        kept.append(np.flatnonzero(keep) + lo + 1)
+    s = IntSet(tuple(np.concatenate(kept).tolist()))
     e0 = expected_integer_size(n, gamma)
     return ProbConstructReport(
         name="random_integer",

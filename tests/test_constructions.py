@@ -157,6 +157,7 @@ def test_random_integer_is_reproducible():
 
 @pytest.mark.parametrize("kind, n, param, seed", [
     ("integer", 4, math.pi, 0), ("integer", 2000, 20.0, 7), ("integer", 10**5, 50.0, 3),
+    ("integer", 3 * 2**16 + 5, 100.0, 2),  # several chunks of draws, the last one partial
     ("circle", 9, 0.5, 1), ("circle", 1001, 1.0, 5), ("circle", 10001, 0.2, 3),
 ])
 def test_random_draws_match_the_generator_form(kind, n, param, seed):

@@ -182,22 +182,43 @@ def test_bench_intsets_script_switches_the_schedule(monkeypatch):
     assert intsets._FOUR_STEP_MIN == saved
 
 
-def test_one_count_of_a_2_21_profile_peaks_near_two_arrays():
-    # the transient memory of one count at N = 2^21: the spectrum and the
-    # irfft's output, each about 8N bytes, with the indicator and the
-    # float profile gone before the next array of that size is made
+def _set_of_size_2_21():
     size = 1 << 21
     rng = np.random.default_rng(21)
     els = rng.choice(size // 2, 10000, replace=False)
     s = IntSet.of([size // 2 - 1, *els.tolist()])
     assert _fft_size(s) == size
+    return s
+
+
+def _traced_peak(fn, s):
+    """The tracemalloc peak of fn(s), in units of 8N bytes."""
     tracemalloc.start()
     try:
-        representation_counts(s)
+        fn(s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * 8 * size, peak / (8 * size)
+    return peak / (8 * _fft_size(s))
+
+
+def test_one_count_of_a_2_21_profile_peaks_near_two_arrays():
+    # the transient memory of one count at N = 2^21: the spectrum and the
+    # int64 counts, each about 8N bytes, with the indicator and the float
+    # profile never whole
+    peak = _traced_peak(representation_counts, _set_of_size_2_21())
+    assert peak <= 2.25, peak
+
+
+def test_max_rep_of_a_2_21_set_peaks_near_one_array():
+    # max_rep keeps no profile: the spectrum is its one array of about 8N bytes
+    peak = _traced_peak(max_rep, _set_of_size_2_21())
+    assert peak <= 1.35, peak
+
+
+def test_max_rep_is_the_largest_count():
+    for s in _four_step_sets():
+        assert max_rep(s) == representation_counts(s).max(), (len(s), s.modulus, s.max_element)
 
 
 @pytest.mark.parametrize("delta", [0.3, 1.0])
@@ -217,6 +238,31 @@ def test_a_perturbed_fft_is_refused(monkeypatch, delta):
     for s in (IntSet.of([1, 2, 5, 7]), large):
         with pytest.raises(ArithmeticError):
             representation_counts(s)
+
+
+@pytest.mark.parametrize("delta", [0.3, 1.0, -1.0])
+def test_a_perturbed_entry_past_the_profile_is_refused(monkeypatch, delta):
+    # the last entry of the last block, t = N - 1, is beyond the profile's
+    # width 2 max(S) + 1 and an exact zero; the checks cover it too
+    s = IntSet.of(range(0, 3 * intsets._FOUR_STEP_MIN // 2, 7))
+    size = _fft_size(s)
+    assert size >= intsets._FOUR_STEP_MIN and size - 1 >= 2 * s.max_element + 1
+    four_step = intsets._four_step
+    perturbed = []
+
+    def last_entry_perturbed(*args):
+        for b0, c in four_step(*args):
+            rows, cols = c.shape
+            if b0 + cols == size // rows:  # the last block
+                c[-1, -1] += delta
+                perturbed.append(b0)
+            yield b0, c
+
+    monkeypatch.setattr(intsets, "_four_step", last_entry_perturbed)
+    for count in (representation_counts, max_rep):
+        with pytest.raises(ArithmeticError):
+            count(s)
+    assert len(perturbed) == 2
 
 
 def test_a_flipped_twiddle_sign_is_refused(monkeypatch):
